@@ -36,6 +36,7 @@ from .protocol import (
     Transcript,
     estimate_transcript,
     init_centroids,
+    plan_transcript,
     release_depths,
     required_depth,
     run,

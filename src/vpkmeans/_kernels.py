@@ -1,32 +1,20 @@
-"""Numeric hot kernels with optional numba acceleration.
+"""Chebyshev series evaluation, the slot engine's hot kernel.
 
 The slot engine spends nearly all of its time evaluating Chebyshev series
 over full slot vectors (Clenshaw recurrence, ~1000 fused multiply-adds per
-slot).  Two speedups live here:
+slot).  Two things keep that cheap in plain numpy:
 
-* odd series (every even coefficient zero, the shape of all sign-style
-  comparators) are folded through the exact identity
-  ``p(x) = x * q(2x^2 - 1)``, halving the recurrence length;
-* the recurrence runs slot-inner so the compiler vectorizes it; with numba
-  it is a single JIT kernel, otherwise plain numpy.
-
-Selection: numba is used by default.  Set ``VPKMEANS_NO_NUMBA=1`` to force
-the numpy path (the benchmark under ``benchmarks/`` compares both).
+* an odd series plus a constant (every even coefficient but ``c0`` zero,
+  the shape of the sign approximation and of its 0/1 comparator shift) is
+  folded through the exact identity ``p(x) = c0 + x * q(2x^2 - 1)``,
+  halving the recurrence length;
+* the recurrence runs slot-inner over whole vectors with preallocated
+  buffers.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-USE_NUMBA = os.environ.get("VPKMEANS_NO_NUMBA", "0") not in ("1", "true", "yes")
-
-if USE_NUMBA:
-    try:
-        from numba import njit
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        USE_NUMBA = False
 
 
 def clenshaw_numpy(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -44,48 +32,6 @@ def clenshaw_numpy(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
         scratch += coeffs[k]
         b1, b2, scratch = scratch, b1, b2
     return coeffs[0] + x * b1 - b2
-
-
-if USE_NUMBA:
-
-    @njit(cache=True, fastmath=True)
-    def _clenshaw_jit(coeffs, x):  # pragma: no cover - exercised via wrapper
-        n = x.shape[0]
-        m = coeffs.shape[0]
-        out = np.empty(n)
-        chunk = 2048  # keep the recurrence state cache-resident
-        b1 = np.empty(chunk)
-        b2 = np.empty(chunk)
-        tx = np.empty(chunk)
-        for lo in range(0, n, chunk):
-            w = min(lo + chunk, n) - lo
-            for i in range(w):
-                b1[i] = 0.0
-                b2[i] = 0.0
-                tx[i] = 2.0 * x[lo + i]
-            k = m - 1
-            while k >= 2:  # two recurrence steps per pass, no temporaries
-                ck, ck1 = coeffs[k], coeffs[k - 1]
-                for i in range(w):
-                    b2[i] = ck + tx[i] * b1[i] - b2[i]
-                    b1[i] = ck1 + tx[i] * b2[i] - b1[i]
-                k -= 2
-            if k == 1:
-                ck = coeffs[1]
-                for i in range(w):
-                    t = ck + tx[i] * b1[i] - b2[i]
-                    b2[i] = b1[i]
-                    b1[i] = t
-            c0 = coeffs[0]
-            for i in range(w):
-                out[lo + i] = c0 + x[lo + i] * b1[i] - b2[i]
-        return out
-
-    def _clenshaw_backend(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
-        return _clenshaw_jit(np.ascontiguousarray(coeffs), np.ascontiguousarray(x))
-
-else:
-    _clenshaw_backend = clenshaw_numpy
 
 
 def odd_to_half(coeffs: np.ndarray) -> np.ndarray:
@@ -109,8 +55,9 @@ _half_cache: dict[bytes, np.ndarray] = {}
 
 
 def eval_series(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Chebyshev series evaluation, taking the halved path for odd series."""
-    if coeffs.size >= 8 and not np.any(coeffs[::2]):
+    """Chebyshev series evaluation, taking the halved path for a constant
+    plus an odd series."""
+    if coeffs.size >= 8 and not np.any(coeffs[2::2]):
         key = coeffs.tobytes()
         q = _half_cache.get(key)
         if q is None:
@@ -118,9 +65,6 @@ def eval_series(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
             if len(_half_cache) > 32:
                 _half_cache.clear()
             _half_cache[key] = q
-        return x * _clenshaw_backend(q, 2.0 * x * x - 1.0)
-    return _clenshaw_backend(coeffs, x)
+        return coeffs[0] + x * clenshaw_numpy(q, 2.0 * x * x - 1.0)
+    return clenshaw_numpy(coeffs, x)
 
-
-def backend_name() -> str:
-    return "numba" if USE_NUMBA else "numpy"

@@ -318,6 +318,19 @@ NETWORK_PROFILES = {
 
 
 def estimate_wallclock(transcript: Transcript, net: NetworkConfig, compute_seconds: float = 0.0) -> float:
+    """:func:`wallclock_seconds` of a transcript; an empty one costs only
+    the compute time."""
+    if not transcript.messages:
+        return compute_seconds
+    rounds = len({m.round for m in transcript.messages if m.round > 0})
+    shares = bool(transcript.by_kind(proto.DECRYPTION_SHARE))
+    return wallclock_seconds(transcript.total_bytes, rounds, shares, net, compute_seconds)
+
+
+def wallclock_seconds(
+    total_bytes: int, rounds: int, decryption_shares: bool, net: NetworkConfig,
+    compute_seconds: float = 0.0,
+) -> float:
     """compute time + transfer time + round-trip latency.
 
     Transfer is total bytes over the configured bandwidth; each protocol
@@ -326,13 +339,9 @@ def estimate_wallclock(transcript: Transcript, net: NetworkConfig, compute_secon
     profile but ignored here -- the estimator targets order-of-magnitude
     comparisons and there is no retransmission model.
     """
-    if not transcript.messages:
-        return compute_seconds
-    bits = transcript.total_bytes * 8.0
+    bits = total_bytes * 8.0
     transfer = bits / (net.bandwidth_mbps * 1e6)
-    rounds = {m.round for m in transcript.messages if m.round > 0}
-    per_round = 2 if transcript.by_kind(proto.DECRYPTION_SHARE) else 1
-    exchanges = 1 + per_round * len(rounds)
+    exchanges = 1 + (2 if decryption_shares else 1) * rounds
     return compute_seconds + transfer + exchanges * 2.0 * net.delay_ms / 1000.0
 
 

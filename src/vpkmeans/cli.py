@@ -76,15 +76,11 @@ def _cmd_estimate(args) -> int:
     if args.report:
         with open(args.report) as fh:
             report = json.load(fh)
-        total_bytes = report["transcript"]["bytes"]
-        rounds = report["rounds"]
-        # rebuild a flat transcript with the reported totals
-        tr = protocol.Transcript()
-        tr.add(round=0, sender="a", receiver="b", kind=protocol.ENCRYPTED_FEATURES,
-               byte_size=total_bytes, ciphertext_count=report["transcript"]["ciphertexts"])
-        for t in range(1, rounds + 1):
-            tr.add(round=t, sender="a", receiver="b", kind=protocol.CENTROIDS,
-                   byte_size=0, ciphertext_count=0)
+        summary = report["transcript"]
+        total_bytes = summary["bytes"]
+        shares = bool(summary.get("bytes_by_kind", {}).get(protocol.DECRYPTION_SHARE))
+        seconds = bench.wallclock_seconds(total_bytes, report["rounds"], shares, profile,
+                                          args.compute_seconds)
     else:
         size_model = SizeModel()
         if args.calibrate_bytes:
@@ -92,8 +88,9 @@ def _cmd_estimate(args) -> int:
                 args.calibrate_bytes, n=1000, k=2, d=2, d_bob=1, rounds=args.rounds)
         cfg = EngineConfig(depth_budget=protocol.required_depth(args.k), size_model=size_model)
         tr = protocol.estimate_transcript(args.n, args.k, args.d, args.d_bob, args.rounds, cfg)
-    seconds = bench.estimate_wallclock(tr, profile, args.compute_seconds)
-    print(f"{tr.total_bytes} bytes, estimated {seconds:.2f}s on {profile.name}")
+        total_bytes = tr.total_bytes
+        seconds = bench.estimate_wallclock(tr, profile, args.compute_seconds)
+    print(f"{total_bytes} bytes, estimated {seconds:.2f}s on {profile.name}")
     return 0
 
 

@@ -25,8 +25,7 @@ Deterministic randomness contracts (mirrored by the plaintext oracle):
 * initial centroids: ``init_centroids(k, d, bound, seed)``;
 * re-initialization of a cluster with noisy count below 1 in round ``t``:
   ``numpy.random.default_rng([seed, t, cluster, 0x7E1]).uniform(-B, B, d)``;
-* DP noise: one ``default_rng([seed, 0xD9])`` stream per run;
-* simulated decryption shares: ``default_rng([seed, 0x5A])``.
+* DP noise: one ``default_rng([seed, 0xD9])`` stream per run.
 """
 
 from __future__ import annotations
@@ -140,9 +139,6 @@ class Message:
 @dataclass
 class Transcript:
     messages: list[Message] = field(default_factory=list)
-
-    def add(self, **kw) -> None:
-        self.messages.append(Message(**kw))
 
     def by_kind(self, kind: str) -> list[Message]:
         return [m for m in self.messages if m.kind == kind]
@@ -316,7 +312,8 @@ def _plan_batches(n: int, layout: PackedLayout) -> list[_Batch]:
 
 
 class _KeyHolderState:
-    """Bob: encrypts his features, decrypts aggregates, updates centroids."""
+    """Bob: encrypts the non-computing features, decrypts aggregates (jointly
+    under MPC), updates centroids."""
 
     def __init__(self, engine: SlotEngine, features: dict, n: int, bound: float, seed: int):
         self.engine = engine
@@ -584,38 +581,20 @@ def run(
     k: int,
     bound: float,
     engine: SlotEngine | None = None,
-    layout: PackedLayout | None = None,
     seed: int = 0,
     sign: sa.SignApproxConfig | None = None,
     init: CentroidSet | None = None,
-    convergence: str = "fixed",
     shift_tol: float | None = None,
-    paper_noise_formulas: bool = False,
 ) -> RunResult:
     """Execute setup plus ``rounds`` iterations between two parties.
 
     ``alice`` is the computing party (plaintext features), ``bob`` the key
-    holder (encrypted features).  With ``budget=None`` no noise is added.
-    ``convergence='shift'`` stops early once the largest centroid movement
-    drops below ``shift_tol`` (default 1e-4 * bound); the privacy split
-    always uses the configured ``rounds``.
+    holder (encrypted features): the server-aided deployment with two
+    parties.  See :func:`run_multiparty` for the other arguments.
     """
-    return _run_internal(
-        [replace_role(alice, COMPUTING), replace_role(bob, KEY_HOLDER)],
-        model=TWO_PARTY,
-        budget=budget,
-        rounds=rounds,
-        k=k,
-        bound=bound,
-        engine=engine,
-        layout=layout,
-        seed=seed,
-        sign=sign,
-        init=init,
-        convergence=convergence,
-        shift_tol=shift_tol,
-        paper_noise_formulas=paper_noise_formulas,
-    )
+    return run_multiparty([alice, bob], SERVER_AIDED, budget, rounds, k, bound, engine=engine,
+                          seed=seed, sign=sign, init=init, computing_party=alice.owner,
+                          shift_tol=shift_tol)
 
 
 def replace_role(p: DataPartition, role: str) -> DataPartition:
@@ -630,13 +609,13 @@ def run_multiparty(
     k: int,
     bound: float,
     engine: SlotEngine | None = None,
-    layout: PackedLayout | None = None,
     seed: int = 0,
     sign: sa.SignApproxConfig | None = None,
     init: CentroidSet | None = None,
     computing_party: str | None = None,
+    shift_tol: float | None = None,
 ) -> RunResult:
-    """N-party deployments.
+    """Execute setup plus ``rounds`` iterations among N parties.
 
     server-aided: the party with the most features computes (Alice), the
     next one holds the key (Bob); everyone else encrypts under Bob's key and
@@ -644,52 +623,28 @@ def run_multiparty(
     decryption of each round's aggregates is modeled as one additive share
     per party whose sum is the plaintext, and the computing party performs
     the centroid update itself.
+
+    With ``budget=None`` no noise is added.  With ``shift_tol`` set, the run
+    stops early once the largest centroid movement drops below it; the
+    privacy split always uses the configured ``rounds``.  The transcript is
+    :func:`plan_transcript` for the rounds executed, and the run raises
+    ``ProtocolError`` if a measured ciphertext size differs from the plan.
     """
     if model not in (SERVER_AIDED, MPC_SIMULATED):
         raise ProtocolError(f"unknown deployment model {model!r}")
     if len(partitions) < 2:
         raise ProtocolError("need at least two partitions")
+    names = [p.owner for p in partitions]
+    if len(set(names)) != len(names):
+        raise ProtocolError(f"party names must be unique, got {names}")
     ordered = sorted(partitions, key=lambda p: -p.features.shape[1])
     if computing_party is not None:
         ordered.sort(key=lambda p: (p.owner != computing_party, -p.features.shape[1]))
-    roles = [replace_role(ordered[0], COMPUTING)] + [
+    parties = [replace_role(ordered[0], COMPUTING)] + [
         replace_role(p, KEY_HOLDER if (model == SERVER_AIDED and i == 0) else DATA_OWNER)
         for i, p in enumerate(ordered[1:])
     ]
-    return _run_internal(
-        roles,
-        model=model,
-        budget=budget,
-        rounds=rounds,
-        k=k,
-        bound=bound,
-        engine=engine,
-        layout=layout,
-        seed=seed,
-        sign=sign,
-        init=init,
-        convergence="fixed",
-        shift_tol=None,
-        paper_noise_formulas=False,
-    )
 
-
-def _run_internal(
-    parties: list[DataPartition],
-    model: str,
-    budget,
-    rounds,
-    k,
-    bound,
-    engine,
-    layout,
-    seed,
-    sign,
-    init,
-    convergence,
-    shift_tol,
-    paper_noise_formulas,
-) -> RunResult:
     sign = sign or sa.SignApproxConfig()
     n = parties[0].n
     if any(p.n != n for p in parties):
@@ -698,10 +653,7 @@ def _run_internal(
         if p.features.size and np.max(np.abs(p.features)) > bound + 1e-12:
             raise ProtocolError(f"features of {p.owner!r} exceed the domain bound {bound}")
 
-    computing = next(p for p in parties if p.role == COMPUTING)
-    key_holder = next((p for p in parties if p.role == KEY_HOLDER), None)
-    owners = [p for p in parties if p.role == DATA_OWNER]
-
+    computing = parties[0]
     order, alice_feats, bob_feats = _feature_map(parties, computing.owner)
     d = len(order)
     depth = required_depth(k, sign.degree)
@@ -711,96 +663,54 @@ def _run_internal(
         raise ProtocolError(
             f"engine depth budget {engine.config.depth_budget} below required {depth} for k={k}"
         )
-    if layout is None:
-        layout = PackedLayout(k, slot_count=engine.config.slot_count)
-    if layout.mode != pm.UNPADDED:
-        # the optimized distance encoding removed the transpose, which was
-        # the only operation needing power-of-two padding
-        raise ProtocolError("the protocol packs blocks without padding; use an unpadded layout")
-    if layout.k != k:
-        raise ProtocolError(f"layout is for k={layout.k}, run is for k={k}")
+    layout = PackedLayout(k, slot_count=engine.config.slot_count)
 
-    transcript = Transcript()
-    fresh_bytes = ciphertext_size_bytes(engine.config.depth_budget, engine.config)
-    key_owner = key_holder.owner if key_holder else "joint-key"
-
-    # setup: key publication, feature upload, cache building
-    non_computing = [p for p in parties if p.role != COMPUTING]
-    if model == MPC_SIMULATED:
-        transcript.add(round=SETUP_ROUND, sender=key_owner, receiver=computing.owner,
-                       kind=PUBLIC_KEY, byte_size=fresh_bytes, ciphertext_count=0)
-    else:
-        for p in parties:
-            if p.owner != key_owner:
-                transcript.add(round=SETUP_ROUND, sender=key_owner, receiver=p.owner,
-                               kind=PUBLIC_KEY, byte_size=fresh_bytes, ciphertext_count=0)
-
+    # setup: feature upload, cache building
     holder = _KeyHolderState(engine, bob_feats, n, bound, seed)
     bob_cts = holder.encrypt_features()
-    for p in non_computing:
-        gidxs = [g for g in p.feature_indices if g in bob_cts]
-        if not gidxs:
-            continue
-        count = sum(len(bob_cts[g]) for g in gidxs)
-        size = sum(engine.size_bytes(ct) for g in gidxs for ct in bob_cts[g])
-        transcript.add(round=SETUP_ROUND, sender=p.owner, receiver=computing.owner,
-                       kind=ENCRYPTED_FEATURES, byte_size=size, ciphertext_count=count)
+    upload_bytes = [
+        sum(engine.size_bytes(ct) for g in p.feature_indices for ct in bob_cts[g])
+        for p in parties[1:]
+        if p.feature_indices
+    ]
 
     alice = _ComputingState(engine, layout, k, n, bound, sign, alice_feats, order)
     alice.cache_bob(bob_cts)
 
     round_budget = noise = None
     noise_rng = np.random.default_rng([seed, 0xD9])
-    share_rng = np.random.default_rng([seed, 0x5A])
     if budget is not None:
         round_budget = per_round_budget(budget)
-        noise = NoiseScales.from_budget(round_budget, bound, paper_formulas=paper_noise_formulas)
+        noise = NoiseScales.from_budget(round_budget, bound)
 
     centroids = init or init_centroids(k, d, bound, seed)
     history = [np.array(centroids.centers)]
     round_depths = []
+    aggregate_bytes = []
     meaningful = list(range(k))
-    if shift_tol is None:
-        shift_tol = 1e-4 * bound
 
     for t in range(1, rounds + 1):
         s_rel, t_rel = alice.run_round(centroids)
         if noise is not None:
             s_rel, t_rel = perturb_aggregates(engine, s_rel, t_rel, noise, meaningful, noise_rng)
         round_depths.append(max([t_rel.depth_consumed] + [s.depth_consumed for s in s_rel]))
-        agg_bytes = engine.size_bytes(t_rel) + sum(engine.size_bytes(s) for s in s_rel)
-        receiver = key_owner if model != MPC_SIMULATED else "broadcast"
-        transcript.add(round=t, sender=computing.owner, receiver=receiver,
-                       kind=NOISY_AGGREGATES, byte_size=agg_bytes, ciphertext_count=d + 1)
-
-        if model == MPC_SIMULATED:
-            # each key-share holder returns one additive share; their sum is
-            # the plaintext (reconstruction is exact by simulation contract)
-            share_bytes = math.ceil((d + 1) * ciphertext_size_bytes(0, engine.config) / 2)
-            for p in non_computing:
-                share_rng.normal(size=(d + 1) * k)  # the share material itself
-                transcript.add(round=t, sender=p.owner, receiver=computing.owner,
-                               kind=DECRYPTION_SHARE, byte_size=share_bytes, ciphertext_count=0)
-            t_vals = engine.decrypt(t_rel)[:k]
-            s_vals = np.stack([engine.decrypt(s)[:k] for s in s_rel])
-            centroids = update_centroids(s_vals, t_vals, bound, seed, t)
-        else:
-            centroids = holder.update(s_rel, t_rel, k, d, t)
-            transcript.add(round=t, sender=key_owner, receiver=computing.owner,
-                           kind=CENTROIDS, byte_size=k * d * 8, ciphertext_count=0)
-
+        aggregate_bytes.append(engine.size_bytes(t_rel) + sum(engine.size_bytes(s) for s in s_rel))
+        # under MPC the key-share holders each return one additive share whose
+        # sum is the plaintext; reconstruction is exact by simulation contract
+        centroids = holder.update(s_rel, t_rel, k, d, t)
         history.append(np.array(centroids.centers))
-        if convergence == "shift" and len(history) >= 2:
-            if np.max(np.abs(history[-1] - history[-2])) < shift_tol:
-                break
+        if shift_tol is not None and np.max(np.abs(history[-1] - history[-2])) < shift_tol:
+            break
 
-    if model == SERVER_AIDED:
-        for p in owners:
-            transcript.add(round=len(history) - 1, sender=computing.owner, receiver=p.owner,
-                           kind=CENTROIDS, byte_size=k * d * 8, ciphertext_count=0)
-    elif model == MPC_SIMULATED:
-        transcript.add(round=len(history) - 1, sender=computing.owner, receiver="broadcast",
-                       kind=CENTROIDS, byte_size=k * d * 8, ciphertext_count=0)
+    plan = [(p.owner, p.role, 0 if p is computing else len(p.feature_indices)) for p in parties]
+    transcript = plan_transcript(n, k, d, len(history) - 1, model, engine.config, sign.degree, plan)
+    planned_uploads = [m.byte_size for m in transcript.by_kind(ENCRYPTED_FEATURES)]
+    planned_aggregates = [m.byte_size for m in transcript.by_kind(NOISY_AGGREGATES)]
+    if upload_bytes != planned_uploads or aggregate_bytes != planned_aggregates:
+        raise ProtocolError(
+            f"measured ciphertext bytes differ from the transcript plan: uploads {upload_bytes} "
+            f"against {planned_uploads}, aggregates {aggregate_bytes} against {planned_aggregates}"
+        )
 
     return RunResult(
         centroids=centroids,
@@ -814,8 +724,64 @@ def _run_internal(
 
 
 # ---------------------------------------------------------------------------
-# communication estimator (no data, exact counts, modeled sizes)
+# message schedule (no data, exact counts, modeled sizes)
 # ---------------------------------------------------------------------------
+
+
+def plan_transcript(
+    n: int,
+    k: int,
+    d: int,
+    rounds: int,
+    model: str,
+    cfg: EngineConfig,
+    degree: int,
+    parties: list[tuple[str, str, int]],
+) -> Transcript:
+    """The messages of a run that executes ``rounds`` rounds.
+
+    ``parties`` lists ``(name, role, encrypted feature count)`` per party,
+    in the order the run assigned roles.  Setup publishes the key and
+    uploads ``ceil(n / slots)`` fresh ciphertexts per encrypted feature;
+    every round sends d + 1 aggregate ciphertexts and gets back either the
+    k*d plaintext centroid reals or, under MPC, one decryption share per
+    key-share holder; finally the centroids reach every data owner.
+    Ciphertext sizes come from the engine's size model at the levels
+    ``release_depths`` leaves under ``cfg.depth_budget``.
+    """
+    if model not in (SERVER_AIDED, MPC_SIMULATED):
+        raise ProtocolError(f"unknown deployment model {model!r}")
+    mpc = model == MPC_SIMULATED
+    computing = next(name for name, role, _ in parties if role == COMPUTING)
+    key_owner = next((name for name, role, _ in parties if role == KEY_HOLDER), "joint-key")
+    others = [(name, role, enc) for name, role, enc in parties if role != COMPUTING]
+    t_depth, s_depth = release_depths(k, degree)
+    fresh = ciphertext_size_bytes(cfg.depth_budget, cfg)
+    aggregates = (ciphertext_size_bytes(cfg.depth_budget - t_depth, cfg)
+                  + d * ciphertext_size_bytes(cfg.depth_budget - s_depth, cfg))
+    share = math.ceil((d + 1) * ciphertext_size_bytes(0, cfg) / 2)
+    centroids = k * d * 8
+    per_feature = math.ceil(n / cfg.slot_count)
+
+    key_receivers = [computing] if mpc else [name for name, _, _ in parties if name != key_owner]
+    messages = [Message(SETUP_ROUND, key_owner, name, PUBLIC_KEY, fresh) for name in key_receivers]
+    for name, _, enc in others:
+        if enc:
+            cts = enc * per_feature
+            messages.append(Message(SETUP_ROUND, name, computing, ENCRYPTED_FEATURES, cts * fresh, cts))
+    for t in range(1, rounds + 1):
+        messages.append(Message(t, computing, "broadcast" if mpc else key_owner,
+                                NOISY_AGGREGATES, aggregates, d + 1))
+        if mpc:
+            messages += [Message(t, name, computing, DECRYPTION_SHARE, share) for name, _, _ in others]
+        else:
+            messages.append(Message(t, key_owner, computing, CENTROIDS, centroids))
+    if mpc:
+        messages.append(Message(rounds, computing, "broadcast", CENTROIDS, centroids))
+    else:
+        messages += [Message(rounds, computing, name, CENTROIDS, centroids)
+                     for name, role, _ in others if role == DATA_OWNER]
+    return Transcript(messages)
 
 
 def estimate_transcript(
@@ -831,48 +797,19 @@ def estimate_transcript(
 ) -> Transcript:
     """Predict the transcript of a run without executing it.
 
-    Counts follow the exact formulas (uploads = d_bob * ceil(n/slots);
-    d + 1 aggregate ciphertexts down and k*d plaintext reals up per round);
-    sizes come from the engine's size model at the levels the circuits leave.
-    Must agree with a real run byte-for-byte for the same parameters.
+    The plan of :func:`plan_transcript` with placeholder party names, in
+    which one party uploads all ``d_bob`` encrypted features (a run with
+    more than two parties sends one upload per party, with the same bytes
+    and ciphertexts in total).  ``cfg`` defaults to an engine sized to
+    ``required_depth(k, degree)``; a given ``cfg`` is used as it is, as a
+    run on an engine with that config would.
     """
-    depth = required_depth(k, degree)
-    base = cfg or EngineConfig(depth_budget=depth)
-    cfg = EngineConfig(
-        slot_count=base.slot_count,
-        depth_budget=depth,
-        approx_perturbation=base.approx_perturbation,
-        size_model=base.size_model,
-    )
-    t_depth, s_depth = release_depths(k, degree)
-    fresh = ciphertext_size_bytes(depth, cfg)
-    t_bytes = ciphertext_size_bytes(depth - t_depth, cfg)
-    s_bytes = ciphertext_size_bytes(depth - s_depth, cfg)
-    uploads = d_bob * math.ceil(n / cfg.slot_count)
-
-    tr = Transcript()
-    pk_messages = 1 if model in (TWO_PARTY, MPC_SIMULATED) else parties - 1
-    for i in range(pk_messages):
-        tr.add(round=SETUP_ROUND, sender="keyholder", receiver=f"party{i}",
-               kind=PUBLIC_KEY, byte_size=fresh, ciphertext_count=0)
-    tr.add(round=SETUP_ROUND, sender="owners", receiver="computing",
-           kind=ENCRYPTED_FEATURES, byte_size=uploads * fresh, ciphertext_count=uploads)
-    for t in range(1, rounds + 1):
-        tr.add(round=t, sender="computing", receiver="keyholder", kind=NOISY_AGGREGATES,
-               byte_size=d * s_bytes + t_bytes, ciphertext_count=d + 1)
-        if model == MPC_SIMULATED:
-            share = math.ceil((d + 1) * ciphertext_size_bytes(0, cfg) / 2)
-            for p in range(parties - 1):
-                tr.add(round=t, sender=f"party{p}", receiver="computing",
-                       kind=DECRYPTION_SHARE, byte_size=share, ciphertext_count=0)
-        else:
-            tr.add(round=t, sender="keyholder", receiver="computing", kind=CENTROIDS,
-                   byte_size=k * d * 8, ciphertext_count=0)
-    if model == SERVER_AIDED:
-        for p in range(parties - 2):
-            tr.add(round=rounds, sender="computing", receiver=f"owner{p}",
-                   kind=CENTROIDS, byte_size=k * d * 8, ciphertext_count=0)
-    elif model == MPC_SIMULATED:
-        tr.add(round=rounds, sender="computing", receiver="broadcast",
-               kind=CENTROIDS, byte_size=k * d * 8, ciphertext_count=0)
-    return tr
+    if parties < 2 or (model == TWO_PARTY and parties != 2):
+        raise ProtocolError(f"the {model} model cannot have {parties} parties")
+    if model == TWO_PARTY:
+        model = SERVER_AIDED
+    cfg = cfg or EngineConfig(depth_budget=required_depth(k, degree))
+    uploader = KEY_HOLDER if model == SERVER_AIDED else DATA_OWNER
+    plan = [("computing", COMPUTING, 0), ("keyholder", uploader, d_bob)]
+    plan += [(f"party{i}", DATA_OWNER, 0) for i in range(2, parties)]
+    return plan_transcript(n, k, d, rounds, model, cfg, degree, plan)

@@ -18,7 +18,7 @@ from vpkmeans.bench import (
     recenter,
     run_experiment,
 )
-from vpkmeans.protocol import CentroidSet, Transcript, init_centroids
+from vpkmeans.protocol import CentroidSet, Message, Transcript, init_centroids
 
 
 # -- CSV loading ----------------------------------------------------------------
@@ -194,13 +194,12 @@ def test_accuracy_requires_labels():
 
 
 def _toy_transcript(nbytes, rounds):
-    tr = Transcript()
-    tr.add(round=0, sender="b", receiver="a", kind=protocol.ENCRYPTED_FEATURES,
-           byte_size=nbytes, ciphertext_count=1)
-    for t in range(1, rounds + 1):
-        tr.add(round=t, sender="a", receiver="b", kind=protocol.NOISY_AGGREGATES,
-               byte_size=0, ciphertext_count=0)
-    return tr
+    setup = Message(round=0, sender="b", receiver="a", kind=protocol.ENCRYPTED_FEATURES,
+                    byte_size=nbytes, ciphertext_count=1)
+    return Transcript([setup] + [
+        Message(round=t, sender="a", receiver="b", kind=protocol.NOISY_AGGREGATES, byte_size=0)
+        for t in range(1, rounds + 1)
+    ])
 
 
 def test_wallclock_empty_transcript_is_compute_only():

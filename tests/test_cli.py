@@ -61,6 +61,31 @@ def test_estimate_from_report(tmp_path, capsys):
     assert "ccWAN50" in capsys.readouterr().out
 
 
+def test_estimate_from_mpc_report_matches_report(tmp_path, capsys):
+    # MPC rounds are two exchanges each (aggregates out, decryption shares back)
+    config = {
+        "dataset": {"synthetic": {"n": 150, "k": 3, "d": 3, "bound": 1.0,
+                                   "cluster_std": 0.05, "seed": 2, "min_center_dist": 0.5}},
+        "k": 3,
+        "rounds": 4,
+        "feature_split": [[0], [1], [2]],
+        "model": "mpc-simulated",
+        "compute_seconds": 5.0,
+        "network_profiles": ["regWAN100"],
+    }
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    report_path = tmp_path / "report.json"
+    assert main(["run", str(cfg_path), "-o", str(report_path)]) == 0
+    report = json.loads(report_path.read_text())
+    capsys.readouterr()
+    rc = main(["estimate", "--report", str(report_path), "--profile", "regWAN100",
+               "--compute-seconds", str(report["compute_seconds"])])
+    assert rc == 0
+    own = report["estimated_wallclock_seconds"]["regWAN100"]
+    assert f"estimated {own:.2f}s on regWAN100" in capsys.readouterr().out
+
+
 def test_invalid_config_exits_nonzero(tmp_path, capsys):
     p = tmp_path / "bad.json"
     p.write_text(json.dumps({"k": 3}))

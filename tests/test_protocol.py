@@ -5,7 +5,6 @@ import pytest
 
 from vpkmeans import bench, protocol
 from vpkmeans.dp_accounting import PrivacyBudget
-from vpkmeans.packed_matrix import PADDED, PackedLayout
 from vpkmeans.protocol import (
     CentroidSet,
     DataPartition,
@@ -96,12 +95,15 @@ def test_run_rejects_out_of_bound_features():
         run(parts[0], parts[1], None, 1, k=3, bound=1.0)
 
 
-def test_run_rejects_padded_layout():
+def test_run_rejects_duplicate_owner_names():
+    # with two owners named alike the key holder's features would be
+    # treated as the computing party's and never encrypted
     pts = uniform_instance(1, n=20, d=2)
-    parts = split_features(pts, [[0], [1]])
-    lay = PackedLayout(3, slot_count=1 << 14, mode=PADDED)
-    with pytest.raises(ProtocolError, match="unpadded"):
-        run(parts[0], parts[1], None, 1, k=3, bound=1.0, layout=lay)
+    parts = split_features(pts, [[0], [1]], owners=["x", "x"])
+    with pytest.raises(ProtocolError, match="unique"):
+        run(parts[0], parts[1], None, 1, k=3, bound=1.0)
+    with pytest.raises(ProtocolError, match="unique"):
+        run_multiparty(parts, protocol.MPC_SIMULATED, None, 1, k=3, bound=1.0)
 
 
 # -- zero-noise equivalence with the plaintext oracle ---------------------------
@@ -216,15 +218,43 @@ def test_transcript_invariants_two_party():
 
 
 def test_estimator_matches_real_run_exactly():
-    for k, d, split in ((2, 2, [[0], [1]]), (5, 3, [[0, 1], [2]])):
+    cases = (
+        (2, 2, [[0], [1]], protocol.TWO_PARTY),
+        (5, 3, [[0, 1], [2]], protocol.TWO_PARTY),
+        (3, 4, [[0, 1], [2], [3]], protocol.SERVER_AIDED),
+        (3, 4, [[0, 1], [2], [3]], protocol.MPC_SIMULATED),
+    )
+    for k, d, split, model in cases:
         pts = uniform_instance(6 + k, n=500, d=d)
         parts = split_features(pts, split)
-        res = run(parts[0], parts[1], None, 3, k=k, bound=1.0, seed=1)
-        d_bob = len(split[1])
-        est = estimate_transcript(500, k, d, d_bob, 3)
+        if model == protocol.TWO_PARTY:
+            res = run(parts[0], parts[1], None, 3, k=k, bound=1.0, seed=1)
+        else:
+            res = run_multiparty(parts, model, None, 3, k=k, bound=1.0, seed=1)
+        d_bob = d - len(split[0])
+        est = estimate_transcript(500, k, d, d_bob, 3, parties=len(split), model=model)
         assert est.total_bytes == res.transcript.total_bytes
         assert est.total_ciphertexts == res.transcript.total_ciphertexts
         assert est.bytes_by_kind() == res.transcript.bytes_by_kind()
+        if len(split) == 2:
+            assert len(est.messages) == len(res.transcript.messages)
+
+
+def test_estimator_rejects_two_party_model_with_more_parties():
+    with pytest.raises(ProtocolError):
+        estimate_transcript(500, 3, 3, 1, 3, parties=5, model=protocol.TWO_PARTY)
+
+
+def test_run_checks_measured_sizes_against_plan(monkeypatch):
+    # a ledger one level too deep sizes the engine one level up and plans
+    # aggregates one level smaller than the circuits release
+    pts = uniform_instance(3, n=100, d=2)
+    parts = split_features(pts, [[0], [1]])
+    true_depths = protocol.release_depths
+    monkeypatch.setattr(protocol, "release_depths",
+                        lambda k, degree: tuple(x + 1 for x in true_depths(k, degree)))
+    with pytest.raises(ProtocolError, match="plan"):
+        run(parts[0], parts[1], None, 1, k=3, bound=1.0)
 
 
 def test_release_depths_match_measured():
@@ -248,8 +278,7 @@ def test_convergence_shift_mode_stops_early():
     ds = bench.gen_synthetic(200, 3, 2, 1.0, cluster_std=0.02, seed=2, min_center_dist=0.8)
     parts = split_features(ds.points, [[0], [1]])
     init = CentroidSet(ds.points[[0, 80, 160]].copy(), bound=1.0)
-    res = run(parts[0], parts[1], None, 20, k=3, bound=1.0, seed=2, init=init,
-              convergence="shift")
+    res = run(parts[0], parts[1], None, 20, k=3, bound=1.0, seed=2, init=init, shift_tol=1e-4)
     assert len(res.history) - 1 < 20
 
 

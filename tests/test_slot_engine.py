@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vpkmeans.secure_argmin import SignApproxConfig, cmp_series, sign_series
 from vpkmeans.slot_engine import (
     CIPHERTEXT,
     PLAINTEXT,
@@ -158,11 +159,14 @@ def test_chebyshev_identity_polynomial(engine):
 
 def test_chebyshev_agrees_with_scalar_clenshaw(engine):
     rng = np.random.default_rng(3)
-    coeffs = rng.normal(size=40) / np.arange(1, 41)
     xs = rng.uniform(-1, 1, 16)
-    got = engine.decrypt(engine.eval_chebyshev(engine.encrypt(xs), coeffs))
-    want = [_scalar_clenshaw(coeffs, x) for x in xs]
-    assert np.max(np.abs(got - want)) < 1e-9
+    generic = rng.normal(size=40) / np.arange(1, 41)
+    odd = sign_series(SignApproxConfig(degree=63))  # takes the x * q(2x^2 - 1) fold
+    shifted = cmp_series(SignApproxConfig(degree=63))  # c0 = 0.5 plus the fold
+    for coeffs in (generic, odd, shifted):
+        got = engine.decrypt(engine.eval_chebyshev(engine.encrypt(xs), coeffs))
+        want = [_scalar_clenshaw(coeffs, x) for x in xs]
+        assert np.max(np.abs(got - want)) < 1e-9
 
 
 def test_chebyshev_depth_model(engine):
