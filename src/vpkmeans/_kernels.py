@@ -1,37 +1,33 @@
 """Chebyshev series evaluation, the slot engine's hot kernel.
 
 The slot engine spends nearly all of its time evaluating Chebyshev series
-over full slot vectors (Clenshaw recurrence, ~1000 fused multiply-adds per
-slot).  Two things keep that cheap in plain numpy:
+over full slot vectors (the comparator alone has degree 1023).  It uses the
+Chebyshev-basis baby-step/giant-step evaluation of Lee et al. (2020) and
+Bossuat et al. (EUROCRYPT 2021), the algorithm whose depth the engine
+charges:
 
 * an odd series plus a constant (every even coefficient but ``c0`` zero,
   the shape of the sign approximation and of its 0/1 comparator shift) is
-  folded through the exact identity ``p(x) = c0 + x * q(2x^2 - 1)``,
-  halving the recurrence length;
-* the recurrence runs slot-inner over whole vectors with preallocated
-  buffers.
+  first folded through the exact identity ``p(x) = c0 + x * q(2x^2 - 1)``,
+  which halves its length and keeps ``p(0) = c0`` exact (ties give 0.5);
+* a series of length L is divided recursively by the giant steps
+  ``T_M``, ``M = m * 2^l``, through ``T_{M+j} = 2 T_M T_j - T_{M-j}``, into
+  ``ceil(L / m)`` leaves of at most m coefficients each (a series no longer
+  than m is a single leaf);
+* the baby steps ``T_0 .. T_{m-1}`` fill one ``(m x slots)`` array, so every
+  leaf is evaluated by one ``(leaves x m) @ (m x slots)`` matrix product;
+* the leaves are recombined level by level as ``lo + hi * T_M``, with the
+  giant steps obtained by doubling, ``T_{2M} = 2 T_M^2 - 1``.
+
+The fold and the leaf matrix depend only on the coefficients, and the last
+few are cached.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
-
-
-def clenshaw_numpy(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Evaluate a Chebyshev series at every entry of ``x`` (plain Clenshaw).
-
-    Rotates three preallocated buffers instead of allocating per step.
-    """
-    two_x = 2.0 * x
-    b1 = np.zeros_like(x)
-    b2 = np.zeros_like(x)
-    scratch = np.empty_like(x)
-    for k in range(len(coeffs) - 1, 0, -1):
-        np.multiply(two_x, b1, out=scratch)
-        scratch -= b2
-        scratch += coeffs[k]
-        b1, b2, scratch = scratch, b1, b2
-    return coeffs[0] + x * b1 - b2
 
 
 def odd_to_half(coeffs: np.ndarray) -> np.ndarray:
@@ -51,20 +47,86 @@ def odd_to_half(coeffs: np.ndarray) -> np.ndarray:
     return q
 
 
-_half_cache: dict[bytes, np.ndarray] = {}
+def _baby_steps(length: int) -> int:
+    """Number m of baby steps for a series of ``length`` coefficients: the
+    smallest power of two with m^2 >= 2 * length (32 for the folded
+    degree-1023 comparator, 16 for the folded degree-127 one)."""
+    m = 2
+    while m * m < 2 * length:
+        m *= 2
+    return m
+
+
+def _leaf_matrix(coeffs: np.ndarray, m: int) -> np.ndarray:
+    """Split a series into leaves of m coefficients by division by T_M.
+
+    A block of length 2M is ``lo + hi * T_M`` with ``hi_0 = c_M``,
+    ``hi_j = 2 c_{M+j}`` and ``lo_{M-j} = c_{M-j} - c_{M+j}``.  The series is
+    zero-padded to ``m * 2^K`` and split K times, halving every block; bit l
+    of a leaf's row index says whether it sits in the ``hi`` part of the
+    split by ``T_{m * 2^l}``.  Leaf i only holds coefficients from positions
+    ``>= i * m``, so the padded leaves are zero and are dropped.
+    """
+    n = -(-coeffs.size // m)
+    size = m
+    while size < n * m:
+        size *= 2
+    blocks = np.zeros((1, size))
+    blocks[0, : coeffs.size] = coeffs
+    while blocks.shape[1] > m:
+        half = blocks.shape[1] // 2
+        lo = blocks[:, :half].copy()
+        lo[:, 1:] -= blocks[:, :half:-1]
+        hi = 2.0 * blocks[:, half:]
+        hi[:, 0] = blocks[:, half]
+        blocks = np.stack([lo, hi], axis=1).reshape(-1, half)
+    return np.ascontiguousarray(blocks[:n])
+
+
+@lru_cache(maxsize=32)
+def _plan(key: bytes) -> tuple[float | None, np.ndarray]:
+    """``(c0, leaves)`` for a series given as float64 bytes; ``c0`` is None
+    unless the series is folded, and then the leaves are those of q."""
+    coeffs = np.frombuffer(key)
+    c0 = None
+    if coeffs.size >= 8 and not np.any(coeffs[2::2]):
+        c0 = float(coeffs[0])
+        coeffs = odd_to_half(coeffs)
+    leaves = _leaf_matrix(coeffs, _baby_steps(coeffs.size))
+    leaves.setflags(write=False)
+    return c0, leaves
+
+
+def _bsgs(leaves: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Evaluate the series whose leaf matrix is ``leaves`` at every entry of
+    the 1-D array ``y``."""
+    m = leaves.shape[1]
+    baby = np.empty((m, y.size))
+    baby[0] = 1.0
+    baby[1] = y
+    two_y = 2.0 * y
+    for j in range(2, m):
+        np.multiply(two_y, baby[j - 1], out=baby[j])
+        baby[j] -= baby[j - 2]
+    vals = leaves @ baby
+    giant = None
+    while len(vals) > 1:
+        if giant is None:
+            giant = two_y * baby[m - 1] - baby[m - 2]
+        else:
+            giant = 2.0 * giant * giant - 1.0
+        pairs = len(vals) // 2
+        hi = vals[1::2]
+        hi *= giant
+        vals[0 : 2 * pairs : 2] += hi
+        vals = vals[::2]
+    return vals[0].copy()  # not a view pinning every leaf row
 
 
 def eval_series(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Chebyshev series evaluation, taking the halved path for a constant
-    plus an odd series."""
-    if coeffs.size >= 8 and not np.any(coeffs[2::2]):
-        key = coeffs.tobytes()
-        q = _half_cache.get(key)
-        if q is None:
-            q = odd_to_half(coeffs)
-            if len(_half_cache) > 32:
-                _half_cache.clear()
-            _half_cache[key] = q
-        return coeffs[0] + x * clenshaw_numpy(q, 2.0 * x * x - 1.0)
-    return clenshaw_numpy(coeffs, x)
-
+    """Evaluate the Chebyshev series ``coeffs`` (float64) at every entry of
+    the 1-D array ``x``, which must lie in [-1, 1]."""
+    c0, leaves = _plan(coeffs.tobytes())
+    if c0 is None:
+        return _bsgs(leaves, x)
+    return c0 + x * _bsgs(leaves, 2.0 * x * x - 1.0)

@@ -4,7 +4,7 @@ The plaintext Lloyd implementation here doubles as the protocol's oracle.
 Its ``matching`` tie rule reproduces the protocol's assignment semantics
 exactly -- soft memberships from the same published comparison series and
 rank-1 indicator, evaluated per point with plain scalar/numpy arithmetic
-(numpy's ``chebval``, not the engine's Clenshaw kernel), plus the same
+(numpy's ``chebval``, independent of the engine's kernel), plus the same
 centroid update and re-initialization contracts.  With zero noise and an
 exact engine the secure trajectory must match it to float accuracy; points
 equidistant (or nearly so, within the comparison's tie margin) from their
@@ -473,7 +473,7 @@ def run_experiment(config: dict) -> dict:
             depth_budget=proto.required_depth(k, sign.degree),
             approx_perturbation=float(eng_cfg.get("approx_perturbation", 0.0)),
             size_model=size_model,
-        ))
+        ), seed=seed)
         parts = split_features(ds.points, split)
         init = init_centroids(k, d, bound, seed, min_separation=init_sep)
         if len(split) == 2 and model == proto.TWO_PARTY:

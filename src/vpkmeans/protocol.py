@@ -637,6 +637,8 @@ def run_multiparty(
     names = [p.owner for p in partitions]
     if len(set(names)) != len(names):
         raise ProtocolError(f"party names must be unique, got {names}")
+    if computing_party is not None and computing_party not in names:
+        raise ProtocolError(f"computing party {computing_party!r} is not one of {names}")
     ordered = sorted(partitions, key=lambda p: -p.features.shape[1])
     if computing_party is not None:
         ordered.sort(key=lambda p: (p.owner != computing_party, -p.features.shape[1]))
@@ -650,8 +652,8 @@ def run_multiparty(
     if any(p.n != n for p in parties):
         raise ProtocolError("all parties must hold the same number of records")
     for p in parties:
-        if p.features.size and np.max(np.abs(p.features)) > bound + 1e-12:
-            raise ProtocolError(f"features of {p.owner!r} exceed the domain bound {bound}")
+        if p.features.size and not np.max(np.abs(p.features)) <= bound + 1e-12:  # NaN too
+            raise ProtocolError(f"features of {p.owner!r} exceed the domain bound {bound} or are NaN")
 
     computing = parties[0]
     order, alice_feats, bob_feats = _feature_map(parties, computing.owner)

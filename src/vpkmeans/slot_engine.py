@@ -220,10 +220,11 @@ class SlotEngine:
         return self._result(np.roll(v.slots, -r), v.depth_consumed, v.kind)
 
     def eval_chebyshev(self, v: SlotVector, coeffs) -> SlotVector:
-        """Evaluate a Chebyshev series slot-wise (Clenshaw recurrence).
+        """Evaluate a Chebyshev series slot-wise.
 
-        Requires slots in [-1, 1] up to the configured tolerance.  Consumes
-        ceil(log2(degree + 1)) + 1 levels on ciphertexts.
+        Requires slots in [-1, 1] up to the configured tolerance; NaN slots
+        raise ``DomainError`` too.  Consumes ceil(log2(degree + 1)) + 1
+        levels on ciphertexts.
         """
         coeffs = np.asarray(coeffs, dtype=np.float64)
         degree = coeffs.size - 1
@@ -231,7 +232,7 @@ class SlotEngine:
             raise EngineError("eval_chebyshev needs degree >= 1")
         bound = 1.0 + self.config.domain_tolerance
         amax = float(np.max(np.abs(v.slots))) if v.slots.size else 0.0
-        if amax > bound:
+        if not amax <= bound:  # also catches NaN
             raise DomainError(
                 f"eval_chebyshev: slot magnitude {amax:.6g} outside [-1, 1] (+{self.config.domain_tolerance:g})"
             )

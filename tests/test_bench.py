@@ -263,6 +263,14 @@ def test_run_experiment_smoke_sections():
     json.dumps(report)  # must be serializable
 
 
+def test_run_experiment_reproducible_with_perturbation():
+    cfg = smoke_config()
+    cfg["engine"] = {"approx_perturbation": 1e-4}
+    first = run_experiment(cfg)["per_seed"]
+    second = run_experiment(cfg)["per_seed"]
+    assert [e["secure_loss"] for e in first] == [e["secure_loss"] for e in second]
+
+
 def test_report_bytes_equal_transcript_sum():
     report = run_experiment(smoke_config())
     assert report["transcript"]["bytes"] == sum(report["transcript"]["bytes_by_kind"].values())

@@ -93,6 +93,21 @@ def test_run_rejects_out_of_bound_features():
     parts = split_features(pts, [[0], [1]])
     with pytest.raises(ProtocolError, match="bound"):
         run(parts[0], parts[1], None, 1, k=3, bound=1.0)
+    pts = uniform_instance(1, n=20, d=2)
+    pts[3, 1] = np.nan
+    parts = split_features(pts, [[0], [1]])
+    with pytest.raises(ProtocolError, match="NaN"):
+        run(parts[0], parts[1], None, 1, k=3, bound=1.0)
+
+
+def test_run_rejects_unknown_computing_party():
+    # a misspelt name must not hand the computation, and so the other
+    # party's encrypted features, to whoever holds the most features
+    pts = uniform_instance(1, n=20, d=3)
+    parts = split_features(pts, [[0], [1, 2]], owners=["alice", "bob"])
+    with pytest.raises(ProtocolError, match="alcie"):
+        run_multiparty(parts, protocol.SERVER_AIDED, None, 1, k=3, bound=1.0,
+                       computing_party="alcie")
 
 
 def test_run_rejects_duplicate_owner_names():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial.chebyshev import chebval
 
 from vpkmeans.secure_argmin import SignApproxConfig, cmp_series, sign_series
 from vpkmeans.slot_engine import (
@@ -169,6 +170,32 @@ def test_chebyshev_agrees_with_scalar_clenshaw(engine):
         assert np.max(np.abs(got - want)) < 1e-9
 
 
+@pytest.mark.parametrize("folded", [False, True])
+@pytest.mark.parametrize("length", [2, 3, 31, 32, 33, 64, 65, 300, 1024])
+def test_chebyshev_tree_shapes(length, folded):
+    # lengths 2 and 3 are a single leaf; the others give trees of 3 to 16
+    # leaves, full (32, 64, 1024) or with a partial last leaf or subtree.
+    # Folded series (a constant plus odd terms) run their half-length q, and
+    # folded length 1024 has the degree-1023 comparator's tree
+    rng = np.random.default_rng(length)
+    coeffs = rng.normal(size=length) / np.arange(1, length + 1)
+    if folded:
+        coeffs[2::2] = 0.0
+    eng = SlotEngine(EngineConfig(slot_count=64, depth_budget=12))
+    xs = np.concatenate([[-1.0, 0.0, 1.0], rng.uniform(-1, 1, 61)])
+    got = eng.decrypt(eng.eval_chebyshev(eng.encrypt(xs), coeffs))
+    want = [_scalar_clenshaw(coeffs, x) for x in xs]
+    assert np.max(np.abs(got - want)) < 1e-9
+    assert np.max(np.abs(got - chebval(xs, coeffs))) < 1e-9
+
+
+def test_comparator_tie_is_exactly_half():
+    eng = SlotEngine(EngineConfig(slot_count=16, depth_budget=12))
+    zeros = eng.encrypt(np.zeros(16))
+    out = eng.decrypt(eng.eval_chebyshev(zeros, cmp_series(SignApproxConfig())))
+    assert np.all(out == 0.5)
+
+
 def test_chebyshev_depth_model(engine):
     v = engine.encrypt(np.zeros(16))
     out = engine.eval_chebyshev(v, np.ones(8))  # degree 7 -> 3 + 1 levels
@@ -178,9 +205,10 @@ def test_chebyshev_depth_model(engine):
 
 
 def test_chebyshev_domain_violation(engine):
-    v = engine.encrypt([1.5])
-    with pytest.raises(DomainError):
-        engine.eval_chebyshev(v, [0.0, 1.0])
+    # NaN compares False with any bound, so a `>` check lets it through
+    for bad in ([1.5], [0.5, np.nan]):
+        with pytest.raises(DomainError):
+            engine.eval_chebyshev(engine.encrypt(bad), [0.0, 1.0])
 
 
 def test_chebyshev_budget(engine):
