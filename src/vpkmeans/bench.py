@@ -87,9 +87,12 @@ def load_csv(path, normalize: bool = False, label_column: int | None = None, del
             vals = []
             for cno, cell in enumerate(row):
                 try:
-                    vals.append(float(cell))
+                    value = float(cell)
                 except ValueError:
                     raise BenchError(f"{path}: non-numeric cell at row {rno + 1}, column {cno + 1}: {cell!r}")
+                if not math.isfinite(value):
+                    raise BenchError(f"{path}: non-finite cell at row {rno + 1}, column {cno + 1}: {cell!r}")
+                vals.append(value)
             rows.append(vals)
     if not rows:
         raise BenchError(f"{path}: no data rows")

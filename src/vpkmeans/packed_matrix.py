@@ -397,22 +397,29 @@ def batch_extract_replicate(
     block at once.  ``scale`` is folded into the mask, so scaling costs no
     extra depth.  Total cost: one plaintext multiplication and rotations.
     """
-    offsets = set()
-    sel = np.zeros(layout.slot_count)
-    for b, pos in enumerate(positions):
-        if pos is None:
-            continue
-        if b >= layout.blocks_per_ct:
+    pos = np.asarray(positions)
+    if pos.dtype == object:  # None entries skip their block
+        used = np.array([p is not None for p in pos], dtype=bool)
+        blocks = np.flatnonzero(used)
+        pos = pos[used]
+    else:
+        blocks = np.arange(pos.size)
+    pos = pos.astype(np.int64)
+    r, rest = np.divmod(pos, layout.width)
+    blk, c = np.divmod(rest, layout.block_dim)
+    too_many = blocks >= layout.blocks_per_ct
+    bad = too_many | (blk != blocks) | (r < 0) | (r >= layout.block_dim)
+    if bad.any():
+        i = int(np.argmax(bad))
+        if too_many[i]:
             raise EngineError("more positions than blocks in the layout")
-        r, rest = divmod(int(pos), layout.width)
-        blk, c = divmod(rest, layout.block_dim)
-        if blk != b or not (0 <= r < layout.block_dim):
-            raise EngineError(f"position {pos} does not address block {b}")
-        offsets.add((r, c))
-        sel[pos] = scale
-    if len(offsets) != 1:
-        raise EngineError(f"positions must share one in-block offset, got {sorted(offsets)}")
-    (row0, col0) = offsets.pop()
+        raise EngineError(f"position {pos[i]} does not address block {blocks[i]}")
+    if pos.size == 0 or np.any(r != r[0]) or np.any(c != c[0]):
+        offsets = sorted(set(zip(r.tolist(), c.tolist())))
+        raise EngineError(f"positions must share one in-block offset, got {offsets}")
+    row0, col0 = int(r[0]), int(c[0])
+    sel = np.zeros(layout.slot_count)
+    sel[pos] = scale
 
     selected = engine.mul(x, engine.plaintext(sel))
     filled = repl_no_padding(engine, selected, col0, layout, axis=COLUMN)

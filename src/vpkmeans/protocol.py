@@ -7,8 +7,10 @@ One round, run entirely by the computing party (Alice) on encrypted data:
    of the key-holder's (Bob's) features plus Alice's plaintext grids;
 2. packed argmin over every block at once (k = 2 bypasses packing and
    compares the two compact distance vectors directly);
-3. per-cluster counts and per-dimension sums, reduced across blocks and
-   ciphertexts;
+3. per-cluster counts and per-dimension sums, added up over the batches
+   and ciphertexts and then reduced once per released aggregate (k = 2
+   derives cluster 0 from the public n and the round-invariant feature
+   totals);
 4. Gaussian noise on the meaningful slots;
 5. release to the key holder, who decrypts, divides, and returns the next
    plaintext centroids.
@@ -89,6 +91,8 @@ class DataPartition:
             self.feature_indices = tuple(range(self.features.shape[1]))
         if len(self.feature_indices) != self.features.shape[1]:
             raise ProtocolError("feature_indices must match the feature count")
+        if not np.all(np.isfinite(self.features)):
+            raise ProtocolError(f"features for {self.owner!r} contain NaN or infinite values")
 
     @property
     def n(self) -> int:
@@ -225,6 +229,8 @@ def update_centroids(
     with a noisy count below 1 are re-initialized uniformly."""
     noisy_sums = np.asarray(noisy_sums, dtype=np.float64)
     noisy_counts = np.asarray(noisy_counts, dtype=np.float64)
+    if not (np.all(np.isfinite(noisy_sums)) and np.all(np.isfinite(noisy_counts))):
+        raise ProtocolError(f"round {round_index}: released sums or counts are NaN or infinite")
     d, k = noisy_sums.shape
     centers = np.empty((k, d))
     for j in range(k):
@@ -245,7 +251,7 @@ def release_depths(k: int, degree: int = sa.DEFAULT_DEGREE) -> tuple[int, int]:
     cheb = sa.chebyshev_depth(degree)
     if k == 2:
         a = 2 + cheb  # scaled cache + square, then the comparison series
-        return a + 2, a + 2  # mask+pack for T; value-mult+pack for S
+        return a + 2, a + 2  # valid mask, then the e1 - e0 pack for T; value mult, then pack for S
     a = 2 + cheb + 1 + sa.phi_depth(k)  # distances, cmp, rank mask, indicator
     return a + 1, a + 2  # T: reduce + head mask; S: value mult + reduce + mask
 
@@ -265,7 +271,7 @@ def required_depth(k: int, degree: int = sa.DEFAULT_DEGREE) -> int:
 class _Batch:
     ct_index: int
     points: np.ndarray  # blocks_per_ct global point ids, -1 for unused
-    offset: tuple[int, int] | None  # (row, col) for aligned batches
+    positions: np.ndarray | None  # aligned batches: source slot of each used block
     tail_items: list[tuple[int, int]]  # (slot within ct, target block)
     valid_mask: np.ndarray | None = None  # slot-space 0/1 over valid blocks
 
@@ -283,12 +289,11 @@ def _plan_batches(n: int, layout: PackedLayout) -> list[_Batch]:
                 base = r_off * W + c_off
                 if base >= aligned:
                     break
+                slots = base + M * np.arange(B)
+                positions = slots[slots < aligned]  # the used blocks are a prefix
                 points = np.full(B, -1, dtype=np.int64)
-                for b in range(B):
-                    slot = base + b * M
-                    if slot < aligned:
-                        points[b] = m * S + slot
-                batches.append(_Batch(m, points, (r_off, c_off), []))
+                points[: positions.size] = m * S + positions
+                batches.append(_Batch(m, points, positions, []))
         # points past the aligned grid are re-packed one by one at setup
         tail = list(range(usable, in_ct))
         for start in range(0, len(tail), B):
@@ -304,6 +309,12 @@ def _plan_batches(n: int, layout: PackedLayout) -> list[_Batch]:
         g[:, batch.points >= 0, :] = 1.0
         batch.valid_mask = layout.to_slots(g)
     return batches
+
+
+def _unit(slots: int, i: int) -> np.ndarray:
+    e = np.zeros(slots)
+    e[i] = 1.0
+    return e
 
 
 # ---------------------------------------------------------------------------
@@ -369,6 +380,7 @@ class _ComputingState:
         self.scaled_compact: dict = {}
         self.valid_compact: dict = {}
         self.compact_valid_masks: list = []
+        self.total_heads: list = []  # k = 2: X_l * e0 per feature
 
     # -- one-time encoding -------------------------------------------------
 
@@ -380,13 +392,8 @@ class _ComputingState:
 
     def _extract(self, ct: SlotVector, batch: _Batch, scale: float) -> SlotVector:
         eng, lay = self.engine, self.layout
-        if batch.offset is not None:
-            r, c = batch.offset
-            positions = [
-                None if p < 0 else int(p - batch.ct_index * eng.config.slot_count)
-                for p in batch.points
-            ]
-            return pm.batch_extract_replicate(eng, ct, positions, lay, scale=scale)
+        if batch.positions is not None:
+            return pm.batch_extract_replicate(eng, ct, batch.positions, lay, scale=scale)
         # tail points: per-point mask and rotate into block-aligned slots
         selected = None
         for slot, block in batch.tail_items:
@@ -407,15 +414,14 @@ class _ComputingState:
             ]
 
     def _cache_bob_compact(self, bob_cts: dict) -> None:
+        """Scaled and valid-masked copies of Bob's ciphertexts, and the
+        round-invariant feature totals of both parties."""
         eng = self.engine
         S = eng.config.slot_count
-        n_cts = math.ceil(self.n / S)
-        for m in range(n_cts):
-            in_ct = min(S, self.n - m * S)
+        for m in range(math.ceil(self.n / S)):
             valid = np.zeros(S)
-            valid[:in_ct] = 1.0
-            if len(self.compact_valid_masks) <= m:
-                self.compact_valid_masks.append(valid)
+            valid[: min(S, self.n - m * S)] = 1.0
+            self.compact_valid_masks.append(valid)
         sqrt_pt = eng.plaintext(np.full(S, self.sqrt_scale))
         for gidx, cts in bob_cts.items():
             self.scaled_compact[gidx] = [eng.mul(ct, sqrt_pt) for ct in cts]
@@ -423,6 +429,28 @@ class _ComputingState:
                 eng.mul(ct, eng.plaintext(self.compact_valid_masks[m]))
                 for m, ct in enumerate(cts)
             ]
+        # X_l * e0: every point's feature l, summed into slot 0, once per run
+        e0 = eng.plaintext(_unit(S, 0))
+        for l in range(self.d):
+            total = None
+            for m in range(len(self.compact_valid_masks)):
+                xv = self._valid_feature(l, m)
+                total = xv if total is None else eng.add(total, xv)
+            self.total_heads.append(eng.mul(self._rotsum_all(total), e0))
+
+    def _alice_chunk(self, l: int, m: int) -> np.ndarray:
+        """The computing party's feature ``l`` for ciphertext ``m``, zero-padded."""
+        S = self.engine.config.slot_count
+        out = np.zeros(S)
+        chunk = self.alice_features[l][m * S : (m + 1) * S]
+        out[: chunk.size] = chunk
+        return out
+
+    def _valid_feature(self, l: int, m: int) -> SlotVector:
+        """Feature ``l`` of ciphertext ``m``'s points, masked to the valid slots."""
+        if self.feature_order[l] == "bob":
+            return self.valid_compact[l][m]
+        return self.engine.plaintext(self._alice_chunk(l, m) * self.compact_valid_masks[m])
 
     # -- per-round circuits -------------------------------------------------
 
@@ -498,13 +526,22 @@ class _ComputingState:
         return v
 
     def round_two(self, centroids: CentroidSet):
+        """k = 2 on compact encodings, reduced once per round.
+
+        Per ciphertext m only the distances, the mask a2 (~1 where centroid
+        1 is closer) and the products a2*valid and a2*x_l are evaluated, and
+        added into A and P_l.  Rotate-and-sum is linear, so it runs once per
+        aggregate and round: t2 = rotsum(A), s2_l = rotsum(P_l).  Cluster 0
+        is what cluster 1 leaves of the public n and of the round-invariant
+        totals X_l, so the release is n*e0 + t2*(e1 - e0) and
+        X_l*e0 + s2_l*(e1 - e0).  Plaintext and encrypted features take the
+        same arithmetic in the same order.
+        """
         eng = self.engine
         S = eng.config.slot_count
         centers_scaled = centroids.centers * self.sqrt_scale  # 2 x d
-        e0 = np.zeros(S); e0[0] = 1.0
-        e1 = np.zeros(S); e1[1] = 1.0
-        t_released = None
-        s_released = [None] * self.d
+        a_total = None
+        p_totals = [None] * self.d
         for m, valid in enumerate(self.compact_valid_masks):
             dists = []
             for j in (0, 1):
@@ -516,34 +553,21 @@ class _ComputingState:
                         t = eng.sub(x, eng.plaintext(np.full(S, c_val)))
                         t = eng.mul(t, t)
                     else:
-                        lo = m * S
-                        xv = np.zeros(S)
-                        chunk = self.alice_features[l][lo : lo + S] * self.sqrt_scale
-                        xv[: chunk.size] = chunk
+                        xv = self._alice_chunk(l, m) * self.sqrt_scale
                         t = eng.plaintext((xv - c_val) ** 2)
                     acc = t if acc is None else eng.add(acc, t)
                 dists.append(acc)
             a2 = sa.argmin_two(eng, dists[0], dists[1], self.cmp_cfg)
             a2v = eng.mul(a2, eng.plaintext(valid))
-            a1v = eng.sub(eng.plaintext(valid), a2v)
-            t1 = self._rotsum_all(a1v)
-            t2 = self._rotsum_all(a2v)
-            t_ct = eng.add(eng.mul(t1, eng.plaintext(e0)), eng.mul(t2, eng.plaintext(e1)))
-            t_released = t_ct if t_released is None else eng.add(t_released, t_ct)
-            for l, owner in enumerate(self.feature_order):
-                if owner == "bob":
-                    xv = self.valid_compact[l][m]
-                else:
-                    lo = m * S
-                    raw = np.zeros(S)
-                    chunk = self.alice_features[l][lo : lo + S]
-                    raw[: chunk.size] = chunk
-                    xv = eng.plaintext(raw * valid)
-                prod = eng.mul(a2, xv)
-                s2 = self._rotsum_all(prod)
-                s1 = self._rotsum_all(eng.sub(xv, prod))
-                s_ct = eng.add(eng.mul(s1, eng.plaintext(e0)), eng.mul(s2, eng.plaintext(e1)))
-                s_released[l] = s_ct if s_released[l] is None else eng.add(s_released[l], s_ct)
+            a_total = a2v if a_total is None else eng.add(a_total, a2v)
+            for l in range(self.d):
+                prod = eng.mul(a2, self._valid_feature(l, m))
+                p_totals[l] = prod if p_totals[l] is None else eng.add(p_totals[l], prod)
+        split = eng.plaintext(_unit(S, 1) - _unit(S, 0))
+        t_released = eng.add(eng.plaintext(self.n * _unit(S, 0)),
+                             eng.mul(self._rotsum_all(a_total), split))
+        s_released = [eng.add(head, eng.mul(self._rotsum_all(p), split))
+                      for head, p in zip(self.total_heads, p_totals)]
         return s_released, t_released
 
     def run_round(self, centroids: CentroidSet):
@@ -651,9 +675,11 @@ def run_multiparty(
     n = parties[0].n
     if any(p.n != n for p in parties):
         raise ProtocolError("all parties must hold the same number of records")
+    if n == 0:
+        raise ProtocolError("no records to cluster")
     for p in parties:
-        if p.features.size and not np.max(np.abs(p.features)) <= bound + 1e-12:  # NaN too
-            raise ProtocolError(f"features of {p.owner!r} exceed the domain bound {bound} or are NaN")
+        if p.features.size and not np.max(np.abs(p.features)) <= bound + 1e-12:
+            raise ProtocolError(f"features of {p.owner!r} exceed the domain bound {bound}")
 
     computing = parties[0]
     order, alice_feats, bob_feats = _feature_map(parties, computing.owner)

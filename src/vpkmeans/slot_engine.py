@@ -149,9 +149,13 @@ class SlotEngine:
         return arr
 
     def encrypt(self, values) -> SlotVector:
-        """Wrap values (zero-padded) as a fresh ciphertext at depth 0."""
+        """Wrap values (zero-padded) as a fresh ciphertext at depth 0; NaN
+        or infinite values raise ``EngineError``."""
+        slots = self._pad(values)
+        if not np.all(np.isfinite(slots)):
+            raise EngineError("encrypt: values must be finite")
         self.stats.encryptions += 1
-        return SlotVector(self._pad(values), 0, CIPHERTEXT)
+        return SlotVector(slots, 0, CIPHERTEXT)
 
     def plaintext(self, values) -> SlotVector:
         """Wrap values (zero-padded) as a plaintext-kind vector."""
@@ -212,11 +216,13 @@ class SlotEngine:
         return self._result(out, depth, kind)
 
     def rotate(self, v: SlotVector, r: int) -> SlotVector:
-        """Cyclic left shift by ``r`` (negative rotates right); depth-free."""
-        self.stats.rotations += 1
+        """Cyclic left shift by ``r`` (negative rotates right); depth-free.
+        A shift by a multiple of the slot count is no rotation and is not
+        counted."""
         r = r % self.config.slot_count
         if r == 0:
             return v
+        self.stats.rotations += 1
         return self._result(np.roll(v.slots, -r), v.depth_consumed, v.kind)
 
     def eval_chebyshev(self, v: SlotVector, coeffs) -> SlotVector:

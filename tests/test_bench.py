@@ -54,6 +54,14 @@ def test_load_csv_non_numeric(tmp_path):
         load_csv(p)
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+def test_load_csv_rejects_non_finite(tmp_path, cell):
+    p = tmp_path / "e.csv"
+    p.write_text(f"1,2\n3,{cell}\n")
+    with pytest.raises(BenchError, match="row 2, column 2"):
+        load_csv(p)
+
+
 def test_load_csv_normalization(tmp_path):
     rng = np.random.default_rng(0)
     vals = rng.uniform(10, 60, size=(200, 2))

@@ -342,6 +342,34 @@ def test_batch_extract_equals_independent_single_extracts():
         assert np.allclose(g, w, atol=1e-12)
 
 
+def test_batch_extract_skips_none_and_takes_arrays():
+    eng = make(slot_count=256, depth=8)
+    lay = PackedLayout(4, slot_count=256)  # 16 blocks
+    values = np.random.default_rng(3).normal(size=256)
+    compact = eng.encrypt(values)
+    full = [ref.slot_index(lay, 1, b, 3) for b in range(lay.blocks_per_ct)]
+    for positions in (full[:5] + [None] + full[6:9], np.array(full[:7])):
+        got = dec_blocks(eng, lay, batch_extract_replicate(eng, compact, positions, lay, scale=0.5))
+        want = ref.ref_extract_replicate(lay, values, list(positions), scale=0.5)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+
+
+@pytest.mark.parametrize("positions,message", [
+    ([0, 3, 6], "more positions than blocks"),  # the layout has 2 blocks
+    ([0, 0], "position 0 does not address block 1"),
+    ([-6], "does not address block 0"),
+    ([0, 27], "does not address block 1"),  # row 4 of a 3-row block
+    ([], "offset"),
+    ([None, None], "offset"),
+])
+def test_batch_extract_rejects_bad_positions(positions, message):
+    eng = make(slot_count=32, depth=8)
+    lay = PackedLayout(3, slot_count=32, blocks_per_ct=2)
+    with pytest.raises(EngineError, match=message):
+        batch_extract_replicate(eng, eng.encrypt(np.arange(32.0)), positions, lay)
+
+
 def test_reduce_blocks_sums_into_block0():
     eng = make(slot_count=256, depth=8)
     lay = PackedLayout(3, slot_count=256)  # 28 blocks

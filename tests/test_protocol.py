@@ -71,6 +71,16 @@ def test_update_reinit_below_one():
     assert np.allclose(cs.centers[1], expected)
 
 
+@pytest.mark.parametrize("sums,counts", [
+    ([[np.nan, 1.0]], [5.0, 2.0]),
+    ([[1.0, np.inf]], [5.0, 2.0]),
+    ([[1.0, 1.0]], [np.nan, 2.0]),
+])
+def test_update_rejects_non_finite_aggregates(sums, counts):
+    with pytest.raises(ProtocolError, match="NaN or infinite"):
+        update_centroids(np.array(sums), np.array(counts), 1.0, seed=0, round_index=1)
+
+
 def test_update_clamps_to_domain():
     cs = update_centroids(np.array([[100.0]]), np.array([2.0]), 1.0, seed=0, round_index=1)
     assert cs.centers[0, 0] == 1.0
@@ -88,6 +98,21 @@ def test_split_features_partition_check():
     assert np.array_equal(parts[0].features[:, 1], pts[:, 2])
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_partition_rejects_non_finite_features(bad):
+    with pytest.raises(ProtocolError, match="NaN or infinite"):
+        DataPartition("alice", [[bad]])
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_run_rejects_zero_records(k):
+    parts = split_features(np.zeros((0, 2)), [[0], [1]])
+    with pytest.raises(ProtocolError, match="no records"):
+        run(parts[0], parts[1], None, 1, k=k, bound=1.0)
+    with pytest.raises(ProtocolError, match="no records"):
+        run_multiparty(parts, protocol.MPC_SIMULATED, None, 1, k=k, bound=1.0)
+
+
 def test_run_rejects_out_of_bound_features():
     pts = uniform_instance(1, n=20, d=2, bound=2.0)
     parts = split_features(pts, [[0], [1]])
@@ -95,8 +120,8 @@ def test_run_rejects_out_of_bound_features():
         run(parts[0], parts[1], None, 1, k=3, bound=1.0)
     pts = uniform_instance(1, n=20, d=2)
     pts[3, 1] = np.nan
-    parts = split_features(pts, [[0], [1]])
-    with pytest.raises(ProtocolError, match="NaN"):
+    with pytest.raises(ProtocolError, match="NaN"):  # the partition rejects it already
+        parts = split_features(pts, [[0], [1]])
         run(parts[0], parts[1], None, 1, k=3, bound=1.0)
 
 
@@ -211,6 +236,21 @@ def test_multiple_ciphertexts_per_feature():
     assert np.max(np.abs(res.centroids.centers - oracle.centroids.centers)) < 1e-6
 
 
+def test_k2_rotations_do_not_grow_with_ciphertext_count():
+    # the compact path rotate-and-sums each released aggregate once per
+    # round (plus the round-invariant feature totals once per run), so one
+    # ciphertext per feature and three cost the same rotations
+    slots, d, rounds = 64, 2, 2
+    counts = []
+    for n in (60, 150):
+        eng = SlotEngine(EngineConfig(slot_count=slots, depth_budget=required_depth(2)))
+        parts = split_features(uniform_instance(8, n=n, d=d), [[0], [1]])
+        run(parts[0], parts[1], None, rounds, k=2, bound=1.0, seed=3, engine=eng)
+        counts.append(eng.stats.rotations)
+    assert counts[0] == counts[1]
+    assert counts[1] <= (d + rounds * (1 + d)) * int(math.log2(slots))
+
+
 # -- transcript accounting -------------------------------------------------------
 
 
@@ -321,17 +361,19 @@ def test_mpc_share_message_count():
 
 
 def test_models_and_splits_give_identical_centroids():
+    # k = 2 takes the compact path, k = 3 the packed one
     pts = uniform_instance(9, n=250, d=4)
-    rounds, k = 3, 3
-    results = []
-    for split in ([[0, 1, 2], [3]], [[0, 1], [2, 3]], [[3, 2], [0], [1]], [[0], [1], [2], [3]]):
-        parts = split_features(pts, split)
-        for model in (protocol.SERVER_AIDED, protocol.MPC_SIMULATED):
-            res = run_multiparty(parts, model, None, rounds, k=k, bound=1.0, seed=17,
-                                 computing_party=parts[0].owner)
-            results.append(res.centroids.centers)
-    for r in results[1:]:
-        assert np.array_equal(results[0], r)
+    rounds = 3
+    for k in (2, 3):
+        results = []
+        for split in ([[0, 1, 2], [3]], [[0, 1], [2, 3]], [[3, 2], [0], [1]], [[0], [1], [2], [3]]):
+            parts = split_features(pts, split)
+            for model in (protocol.SERVER_AIDED, protocol.MPC_SIMULATED):
+                res = run_multiparty(parts, model, None, rounds, k=k, bound=1.0, seed=17,
+                                     computing_party=parts[0].owner)
+                results.append(res.centroids.centers)
+        for r in results[1:]:
+            assert np.array_equal(results[0], r), k
 
 
 def test_mpc_with_noise_matches_server_aided():

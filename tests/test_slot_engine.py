@@ -84,6 +84,15 @@ def test_rotate_examples(engine):
     assert np.array_equal(engine.decrypt(engine.rotate(v, 16)), engine.decrypt(v))
 
 
+def test_rotate_by_zero_is_not_counted(engine):
+    v = engine.encrypt(np.arange(16.0))
+    assert engine.rotate(v, 0) is v
+    assert engine.rotate(v, -16) is v  # a whole turn is no rotation either
+    assert engine.stats.rotations == 0
+    engine.rotate(v, 17)
+    assert engine.stats.rotations == 1
+
+
 def test_rotate_left_four_on_full_vector(engine):
     vals = np.arange(16.0)
     v = engine.encrypt(vals)
@@ -113,6 +122,13 @@ def test_decrypt_plaintext_returns_slots(engine):
 def test_encrypt_too_many_values(engine):
     with pytest.raises(EngineError):
         engine.encrypt(np.ones(17))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_encrypt_rejects_non_finite(engine, bad):
+    with pytest.raises(EngineError, match="finite"):
+        engine.encrypt([1.0, bad])
+    assert engine.stats.encryptions == 0
 
 
 def test_homomorphism_matches_plain_arithmetic(engine):
@@ -205,10 +221,14 @@ def test_chebyshev_depth_model(engine):
 
 
 def test_chebyshev_domain_violation(engine):
-    # NaN compares False with any bound, so a `>` check lets it through
-    for bad in ([1.5], [0.5, np.nan]):
+    # NaN compares False with any bound, so a `>` check lets it through;
+    # encrypt rejects NaN, so it is made by overflow: inf - inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        big = engine.mul(engine.encrypt([0.5, 1e308]), engine.plaintext([1.0, 1e308]))
+        nan = engine.sub(big, big)
+    for bad in (engine.encrypt([1.5]), nan):
         with pytest.raises(DomainError):
-            engine.eval_chebyshev(engine.encrypt(bad), [0.0, 1.0])
+            engine.eval_chebyshev(bad, [0.0, 1.0])
 
 
 def test_chebyshev_budget(engine):
