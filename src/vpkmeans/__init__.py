@@ -48,8 +48,8 @@ from .secure_argmin import (
     SignApproxConfig,
     argmin_packed,
     argmin_two,
-    cmp,
     cmp_series,
+    compare,
     indicator_phi,
     rank,
     sign_series,

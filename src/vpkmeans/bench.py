@@ -539,11 +539,3 @@ def run_experiment(config: dict) -> dict:
     }
     return report
 
-
-def write_trajectory_csv(path, history: list[np.ndarray]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = _csv.writer(fh)
-        writer.writerow(["round", "cluster"] + [f"x{i}" for i in range(history[0].shape[1])])
-        for rnd, centers in enumerate(history):
-            for j, row in enumerate(centers):
-                writer.writerow([rnd, j] + [f"{v:.10g}" for v in row])

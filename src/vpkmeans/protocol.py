@@ -2,11 +2,14 @@
 
 One round, run entirely by the computing party (Alice) on encrypted data:
 
-1. distance grids: for every batch of points, row- and column-encoded
-   squared distances to all centroids, built from cached replicated blocks
-   of the key-holder's (Bob's) features plus Alice's plaintext grids;
+1. distance differences: the argmin only needs d_c - d_r, the scaled
+   squared distance to centroid c minus the one to centroid r, which is
+   linear in the point: sum_l x_l * G_l + H, where G_l and H are plaintext
+   grids built once per round from the centroids.  Every batch of points
+   takes one product per feature, with Bob's cached extracted blocks or
+   Alice's plaintext encodings of the same shape;
 2. packed argmin over every block at once (k = 2 bypasses packing and
-   compares the two compact distance vectors directly);
+   compares the compact differences d_0 - d_1 directly);
 3. per-cluster counts and per-dimension sums, added up over the batches
    and ciphertexts and then reduced once per released aggregate (k = 2
    derives cluster 0 from the public n and the round-invariant feature
@@ -250,9 +253,9 @@ def release_depths(k: int, degree: int = sa.DEFAULT_DEGREE) -> tuple[int, int]:
     """Depth consumed by the released counts (T) and sums (S) ciphertexts."""
     cheb = sa.chebyshev_depth(degree)
     if k == 2:
-        a = 2 + cheb  # scaled cache + square, then the comparison series
+        a = 1 + cheb  # uploaded feature times G_l, then the comparison series
         return a + 2, a + 2  # valid mask, then the e1 - e0 pack for T; value mult, then pack for S
-    a = 2 + cheb + 1 + sa.phi_depth(k)  # distances, cmp, rank mask, indicator
+    a = 2 + cheb + 1 + sa.phi_depth(k)  # extraction mask, times G_l, cmp, rank mask, indicator
     return a + 1, a + 2  # T: reduce + head mask; S: value mult + reduce + mask
 
 
@@ -349,8 +352,25 @@ class _KeyHolderState:
         return update_centroids(s, t, self.bound, self.seed, round_index)
 
 
+def _difference_terms(centers: np.ndarray, scale: float) -> tuple[np.ndarray, np.ndarray]:
+    """``G`` (d x k x k) and ``H`` (k x k) with, for every point x,
+
+    scale * (||x - c_c||^2 - ||x - c_r||^2) = sum_l x_l * G[l, r, c] + H[r, c].
+    """
+    coords = centers.T  # d x k
+    g = -2.0 * scale * (coords[:, None, :] - coords[:, :, None])
+    norms = scale * np.einsum("jl,jl->j", centers, centers)
+    return g, norms[None, :] - norms[:, None]
+
+
 class _ComputingState:
-    """Alice: owns the plaintext side, all encrypted evaluation, and noise."""
+    """Alice: owns the plaintext side, all encrypted evaluation, and noise.
+
+    ``encodings[l][i]`` is feature ``l`` of unit ``i`` (a batch, or at k = 2
+    a compact ciphertext), fixed for the run: Bob's extracted block or
+    uploaded ciphertext, or Alice's plaintext of the same shape.  Both take
+    the same products in the same order.
+    """
 
     def __init__(
         self,
@@ -367,153 +387,112 @@ class _ComputingState:
         self.layout = layout
         self.k = k
         self.n = n
-        self.bound = bound
         self.d = len(feature_order)
         self.feature_order = feature_order  # global index -> "alice" | "bob"
         self.alice_features = alice_features
         self.scale = 1.0 / (self.d * (2.0 * bound) ** 2)
-        self.sqrt_scale = math.sqrt(self.scale)
         self.cmp_cfg = replace(sign, input_scale=1.0)
         self.batches = None if k == 2 else _plan_batches(n, layout)
-        self.scaled_blocks: dict = {}
-        self.raw_blocks: dict = {}
-        self.scaled_compact: dict = {}
-        self.valid_compact: dict = {}
-        self.compact_valid_masks: list = []
+        self.encodings: list = []
+        self.compact_valid_masks: list = []  # k = 2: plaintext 0/1 per ciphertext
         self.total_heads: list = []  # k = 2: X_l * e0 per feature
 
     # -- one-time encoding -------------------------------------------------
 
     def cache_bob(self, bob_cts: dict) -> None:
         if self.k == 2:
-            self._cache_bob_compact(bob_cts)
+            self._cache_compact(bob_cts)
         else:
-            self._cache_bob_packed(bob_cts)
+            self._cache_packed(bob_cts)
 
-    def _extract(self, ct: SlotVector, batch: _Batch, scale: float) -> SlotVector:
+    def _extract(self, ct: SlotVector, batch: _Batch) -> SlotVector:
         eng, lay = self.engine, self.layout
         if batch.positions is not None:
-            return pm.batch_extract_replicate(eng, ct, batch.positions, lay, scale=scale)
+            return pm.batch_extract_replicate(eng, ct, batch.positions, lay)
         # tail points: per-point mask and rotate into block-aligned slots
         selected = None
         for slot, block in batch.tail_items:
-            sel = np.zeros(eng.config.slot_count)
-            sel[slot] = scale
-            single = eng.rotate(eng.mul(ct, eng.plaintext(sel)), slot - block * lay.block_dim)
+            single = eng.rotate(eng.mul(ct, eng.plaintext(_unit(eng.config.slot_count, slot))),
+                                slot - block * lay.block_dim)
             selected = single if selected is None else eng.add(selected, single)
         filled = pm.repl_no_padding(eng, selected, 0, lay, axis=COLUMN)
         return pm.repl_no_padding(eng, filled, 0, lay, axis=ROW)
 
-    def _cache_bob_packed(self, bob_cts: dict) -> None:
-        for gidx, cts in bob_cts.items():
-            self.scaled_blocks[gidx] = [
-                self._extract(cts[b.ct_index], b, self.sqrt_scale) for b in self.batches
-            ]
-            self.raw_blocks[gidx] = [
-                self._extract(cts[b.ct_index], b, 1.0) for b in self.batches
-            ]
+    def _cache_packed(self, bob_cts: dict) -> None:
+        lay = self.layout
+        for l, owner in enumerate(self.feature_order):
+            if owner == "bob":
+                self.encodings.append([self._extract(bob_cts[l][b.ct_index], b) for b in self.batches])
+                continue
+            blocks = []
+            for b in self.batches:
+                vals = np.where(b.points >= 0, self.alice_features[l][np.maximum(b.points, 0)], 0.0)
+                blocks.append(self.engine.plaintext(lay.to_slots(lay.grid(vals[None, :, None]))))
+            self.encodings.append(blocks)
 
-    def _cache_bob_compact(self, bob_cts: dict) -> None:
-        """Scaled and valid-masked copies of Bob's ciphertexts, and the
+    def _cache_compact(self, bob_cts: dict) -> None:
+        """Valid-slot masks, every feature's compact encodings, and the
         round-invariant feature totals of both parties."""
         eng = self.engine
         S = eng.config.slot_count
-        for m in range(math.ceil(self.n / S)):
-            valid = np.zeros(S)
-            valid[: min(S, self.n - m * S)] = 1.0
-            self.compact_valid_masks.append(valid)
-        sqrt_pt = eng.plaintext(np.full(S, self.sqrt_scale))
-        for gidx, cts in bob_cts.items():
-            self.scaled_compact[gidx] = [eng.mul(ct, sqrt_pt) for ct in cts]
-            self.valid_compact[gidx] = [
-                eng.mul(ct, eng.plaintext(self.compact_valid_masks[m]))
-                for m, ct in enumerate(cts)
-            ]
+        count = math.ceil(self.n / S)
+        full = eng.plaintext(np.ones(S))  # one shared mask for every full ciphertext
+        for m in range(count):
+            rest = self.n - m * S
+            self.compact_valid_masks.append(full if rest >= S else eng.plaintext(np.arange(S) < rest))
+        for l, owner in enumerate(self.feature_order):
+            if owner == "bob":
+                self.encodings.append(bob_cts[l])
+            else:
+                values = self.alice_features[l]
+                self.encodings.append([eng.plaintext(values[m * S : (m + 1) * S]) for m in range(count)])
         # X_l * e0: every point's feature l, summed into slot 0, once per run
         e0 = eng.plaintext(_unit(S, 0))
-        for l in range(self.d):
-            total = None
-            for m in range(len(self.compact_valid_masks)):
-                xv = self._valid_feature(l, m)
-                total = xv if total is None else eng.add(total, xv)
+        for cts in self.encodings:
+            total = cts[0]
+            for ct in cts[1:]:
+                total = eng.add(total, ct)
             self.total_heads.append(eng.mul(self._rotsum_all(total), e0))
-
-    def _alice_chunk(self, l: int, m: int) -> np.ndarray:
-        """The computing party's feature ``l`` for ciphertext ``m``, zero-padded."""
-        S = self.engine.config.slot_count
-        out = np.zeros(S)
-        chunk = self.alice_features[l][m * S : (m + 1) * S]
-        out[: chunk.size] = chunk
-        return out
-
-    def _valid_feature(self, l: int, m: int) -> SlotVector:
-        """Feature ``l`` of ciphertext ``m``'s points, masked to the valid slots."""
-        if self.feature_order[l] == "bob":
-            return self.valid_compact[l][m]
-        return self.engine.plaintext(self._alice_chunk(l, m) * self.compact_valid_masks[m])
 
     # -- per-round circuits -------------------------------------------------
 
-    def _centroid_grids(self, centers_scaled: np.ndarray, l: int) -> tuple[np.ndarray, np.ndarray]:
-        lay = self.layout
-        col_vals = centers_scaled[:, l]  # k
-        row_grid = lay.grid()
-        row_grid[:, :, : self.k] = col_vals[None, None, :]
-        col_grid = lay.grid()
-        col_grid[: self.k, :, :] = col_vals[:, None, None]
-        return lay.to_slots(row_grid), lay.to_slots(col_grid)
+    def _round_grids(self, centroids: CentroidSet) -> tuple[list, SlotVector]:
+        """Plaintexts G_l and H of this round's distance differences: entry
+        (r, c) of every block, or at k = 2 the compact d_0 - d_1, which is
+        entry (1, 0)."""
+        g, h = _difference_terms(centroids.centers, self.scale)
+        return [self._grid(gl) for gl in g], self._grid(h)
 
-    def _alice_grids(self, batch: _Batch, l: int, centers_scaled: np.ndarray):
-        lay = self.layout
-        vals = np.where(
-            batch.points >= 0,
-            self.alice_features[l][np.maximum(batch.points, 0)] * self.sqrt_scale,
-            0.0,
-        )  # per block
-        diff = vals[:, None] - centers_scaled[None, :, l]  # blocks x k
-        sq = diff * diff
-        row_grid = lay.grid()
-        row_grid[:, :, : self.k] = sq[None, :, :]
-        col_grid = lay.grid()
-        col_grid[: self.k, :, :] = sq.T[:, :, None]
-        return lay.to_slots(row_grid), lay.to_slots(col_grid)
+    def _grid(self, t: np.ndarray) -> SlotVector:
+        if self.k == 2:
+            return self.engine.plaintext(np.full(self.engine.config.slot_count, t[1, 0]))
+        return self.engine.plaintext(self.layout.to_slots(self.layout.grid(t[:, None, :])))
 
-    def round_packed(self, centroids: CentroidSet):
-        eng, lay = self.engine, self.layout
-        centers_scaled = centroids.centers * self.sqrt_scale
+    def run_round(self, centroids: CentroidSet):
+        """Per unit: u = H + sum_l x_l * G_l, the argmin marker a of u, and
+        the products a * x_l, added into the count and sum aggregates, which
+        are then reduced once each."""
+        eng = self.engine
+        grids, h = self._round_grids(centroids)
         t_total = None
         s_totals = [None] * self.d
-        for bi, batch in enumerate(self.batches):
-            row_acc = col_acc = None
-            for l, owner in enumerate(self.feature_order):
-                if owner == "bob":
-                    rg, cg = self._centroid_grids(centers_scaled, l)
-                    x = self.scaled_blocks[l][bi]
-                    row_t = eng.sub(x, eng.plaintext(rg))
-                    row_t = eng.mul(row_t, row_t)
-                    col_t = eng.sub(x, eng.plaintext(cg))
-                    col_t = eng.mul(col_t, col_t)
-                else:
-                    rg, cg = self._alice_grids(batch, l, centers_scaled)
-                    row_t, col_t = eng.plaintext(rg), eng.plaintext(cg)
-                row_acc = row_t if row_acc is None else eng.add(row_acc, row_t)
-                col_acc = col_t if col_acc is None else eng.add(col_acc, col_t)
-            a = sa.argmin_packed(eng, row_acc, col_acc, lay, self.cmp_cfg, valid_blocks=batch.valid_mask)
-            t_total = a if t_total is None else eng.add(t_total, a)
-            for l, owner in enumerate(self.feature_order):
-                if owner == "bob":
-                    term = eng.mul(a, self.raw_blocks[l][bi])
-                else:
-                    vals = np.where(
-                        batch.points >= 0,
-                        self.alice_features[l][np.maximum(batch.points, 0)],
-                        0.0,
-                    )
-                    g = lay.grid()
-                    g[:, :, :] = vals[None, :, None]
-                    term = eng.mul(a, eng.plaintext(lay.to_slots(g)))
+        for i, xs in enumerate(zip(*self.encodings)):
+            u = h
+            for x, g in zip(xs, grids):
+                u = eng.add(u, eng.mul(x, g))
+            if self.k == 2:
+                a = sa.argmin_two(eng, u, self.cmp_cfg)
+                marker = eng.mul(a, self.compact_valid_masks[i])
+            else:
+                a = marker = sa.argmin_packed(eng, u, self.layout, self.cmp_cfg,
+                                              valid_blocks=self.batches[i].valid_mask)
+            t_total = marker if t_total is None else eng.add(t_total, marker)
+            for l, x in enumerate(xs):
+                term = eng.mul(a, x)
                 s_totals[l] = term if s_totals[l] is None else eng.add(s_totals[l], term)
-
+        if self.k == 2:
+            return self._release_two(t_total, s_totals)
+        lay = self.layout
         head = eng.plaintext(lay.head_mask(self.k))
         t_released = eng.mul(pm.reduce_blocks(eng, t_total, lay), head)
         s_released = [eng.mul(pm.reduce_blocks(eng, s, lay), head) for s in s_totals]
@@ -525,55 +504,22 @@ class _ComputingState:
             v = eng.add(v, eng.rotate(v, 1 << i))
         return v
 
-    def round_two(self, centroids: CentroidSet):
-        """k = 2 on compact encodings, reduced once per round.
-
-        Per ciphertext m only the distances, the mask a2 (~1 where centroid
-        1 is closer) and the products a2*valid and a2*x_l are evaluated, and
-        added into A and P_l.  Rotate-and-sum is linear, so it runs once per
-        aggregate and round: t2 = rotsum(A), s2_l = rotsum(P_l).  Cluster 0
-        is what cluster 1 leaves of the public n and of the round-invariant
-        totals X_l, so the release is n*e0 + t2*(e1 - e0) and
-        X_l*e0 + s2_l*(e1 - e0).  Plaintext and encrypted features take the
-        same arithmetic in the same order.
+    def _release_two(self, a_total: SlotVector, p_totals: list):
+        """k = 2: a marks centroid 1, so A = sum of a * valid and P_l = sum
+        of a * x_l belong to cluster 1.  Rotate-and-sum is linear, so it runs
+        once per aggregate and round: t2 = rotsum(A), s2_l = rotsum(P_l).
+        Cluster 0 is what cluster 1 leaves of the public n and of the
+        round-invariant totals X_l, so the release is n*e0 + t2*(e1 - e0)
+        and X_l*e0 + s2_l*(e1 - e0).
         """
         eng = self.engine
         S = eng.config.slot_count
-        centers_scaled = centroids.centers * self.sqrt_scale  # 2 x d
-        a_total = None
-        p_totals = [None] * self.d
-        for m, valid in enumerate(self.compact_valid_masks):
-            dists = []
-            for j in (0, 1):
-                acc = None
-                for l, owner in enumerate(self.feature_order):
-                    c_val = centers_scaled[j, l]
-                    if owner == "bob":
-                        x = self.scaled_compact[l][m]
-                        t = eng.sub(x, eng.plaintext(np.full(S, c_val)))
-                        t = eng.mul(t, t)
-                    else:
-                        xv = self._alice_chunk(l, m) * self.sqrt_scale
-                        t = eng.plaintext((xv - c_val) ** 2)
-                    acc = t if acc is None else eng.add(acc, t)
-                dists.append(acc)
-            a2 = sa.argmin_two(eng, dists[0], dists[1], self.cmp_cfg)
-            a2v = eng.mul(a2, eng.plaintext(valid))
-            a_total = a2v if a_total is None else eng.add(a_total, a2v)
-            for l in range(self.d):
-                prod = eng.mul(a2, self._valid_feature(l, m))
-                p_totals[l] = prod if p_totals[l] is None else eng.add(p_totals[l], prod)
         split = eng.plaintext(_unit(S, 1) - _unit(S, 0))
         t_released = eng.add(eng.plaintext(self.n * _unit(S, 0)),
                              eng.mul(self._rotsum_all(a_total), split))
         s_released = [eng.add(head, eng.mul(self._rotsum_all(p), split))
                       for head, p in zip(self.total_heads, p_totals)]
         return s_released, t_released
-
-    def run_round(self, centroids: CentroidSet):
-        if self.k == 2:
-            return self.round_two(centroids)
-        return self.round_packed(centroids)
 
 
 # ---------------------------------------------------------------------------
@@ -652,7 +598,8 @@ def run_multiparty(
     stops early once the largest centroid movement drops below it; the
     privacy split always uses the configured ``rounds``.  The transcript is
     :func:`plan_transcript` for the rounds executed, and the run raises
-    ``ProtocolError`` if a measured ciphertext size differs from the plan.
+    ``ProtocolError`` if a measured ciphertext size differs from the plan or
+    a released ciphertext's depth differs from :func:`release_depths`.
     """
     if model not in (SERVER_AIDED, MPC_SIMULATED):
         raise ProtocolError(f"unknown deployment model {model!r}")
@@ -678,7 +625,9 @@ def run_multiparty(
     if n == 0:
         raise ProtocolError("no records to cluster")
     for p in parties:
-        if p.features.size and not np.max(np.abs(p.features)) <= bound + 1e-12:
+        f = p.features
+        # no full-size |f| temporary; a NaN fails the comparison
+        if f.size and not max(f.max(), -f.min()) <= bound + 1e-12:
             raise ProtocolError(f"features of {p.owner!r} exceed the domain bound {bound}")
 
     computing = parties[0]
@@ -714,6 +663,7 @@ def run_multiparty(
     centroids = init or init_centroids(k, d, bound, seed)
     history = [np.array(centroids.centers)]
     round_depths = []
+    released_depths = set()
     aggregate_bytes = []
     meaningful = list(range(k))
 
@@ -721,6 +671,7 @@ def run_multiparty(
         s_rel, t_rel = alice.run_round(centroids)
         if noise is not None:
             s_rel, t_rel = perturb_aggregates(engine, s_rel, t_rel, noise, meaningful, noise_rng)
+        released_depths.add((t_rel.depth_consumed, tuple(s.depth_consumed for s in s_rel)))
         round_depths.append(max([t_rel.depth_consumed] + [s.depth_consumed for s in s_rel]))
         aggregate_bytes.append(engine.size_bytes(t_rel) + sum(engine.size_bytes(s) for s in s_rel))
         # under MPC the key-share holders each return one additive share whose
@@ -738,6 +689,12 @@ def run_multiparty(
         raise ProtocolError(
             f"measured ciphertext bytes differ from the transcript plan: uploads {upload_bytes} "
             f"against {planned_uploads}, aggregates {aggregate_bytes} against {planned_aggregates}"
+        )
+    t_depth, s_depth = release_depths(k, sign.degree)
+    if released_depths - {(t_depth, (s_depth,) * d)}:
+        raise ProtocolError(
+            f"released (counts, sums) depths {sorted(released_depths)} differ from the "
+            f"depth ledger: counts {t_depth}, sums {s_depth}"
         )
 
     return RunResult(

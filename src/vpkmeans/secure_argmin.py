@@ -1,11 +1,13 @@
 """Packed argmin under (simulated) encryption.
 
-One slot-wise polynomial comparison of the row and column encodings of a
-k-vector yields all pairwise comparisons at once; summing comparison columns
-gives each element's rank, and a degree-(k-1) indicator polynomial turns
-rank 1 into a one-hot marker.  Exact ties produce fractional ranks that the
-indicator never activates, so tied blocks decode to a null marker (every
-entry below 0.5).
+The argmin takes distance differences, never distances: per block, entry
+(r, c) holds d_c - d_r, the scaled squared distance of the block's point to
+centroid c minus the one to centroid r.  One slot-wise polynomial comparison
+of that grid yields all pairwise comparisons at once; summing comparison
+rows gives each element's rank, and a degree-(k-1) indicator polynomial
+turns rank 1 into a one-hot marker.  Exact ties produce fractional ranks
+that the indicator never activates, so tied blocks decode to a null marker
+(every entry below 0.5).
 
 The comparison polynomial is a single Chebyshev interpolation of a steep
 sign surrogate erf(alpha * x).  Interpolating the discontinuous sign itself
@@ -20,6 +22,7 @@ odd by construction).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -59,9 +62,6 @@ class SignApproxConfig:
             raise ValueError("input_scale must be positive")
 
 
-_series_cache: dict = {}
-
-
 def sign_series(cfg: SignApproxConfig) -> np.ndarray:
     """Chebyshev coefficients approximating sign on [-1, 1].
 
@@ -69,61 +69,65 @@ def sign_series(cfg: SignApproxConfig) -> np.ndarray:
     first kind; even coefficients are zeroed so the series is exactly odd
     (ties evaluate to 0 with no rounding residue).
     """
-    key = (cfg.degree, cfg.tie_margin)
-    if key not in _series_cache:
-        n = cfg.degree + 1
-        alpha = STEEPNESS / cfg.tie_margin
-        nodes = np.cos((np.arange(n) + 0.5) * np.pi / n)
-        y = erf(alpha * nodes)
-        j = np.arange(n)[:, None]
-        c = (2.0 / n) * (y[None, :] * np.cos(j * (np.arange(n) + 0.5) * np.pi / n)).sum(axis=1)
-        c[0] /= 2
-        c[::2] = 0.0
-        c.setflags(write=False)
-        _series_cache[key] = c
-    return _series_cache[key]
+    return _sign_series(cfg.degree, cfg.tie_margin)
+
+
+@functools.lru_cache(maxsize=16)
+def _sign_series(degree: int, tie_margin: float) -> np.ndarray:
+    # imported here: scipy.fft adds about 50 ms to the package import, and
+    # only the first series a process builds needs it
+    from scipy.fft import dct
+
+    n = degree + 1
+    nodes = np.cos((np.arange(n) + 0.5) * np.pi / n)
+    # the interpolant's coefficients are the DCT-II of the node values
+    c = dct(erf(STEEPNESS / tie_margin * nodes), type=2) / n
+    c[0] /= 2
+    c[::2] = 0.0
+    c.setflags(write=False)
+    return c
 
 
 def cmp_series(cfg: SignApproxConfig) -> np.ndarray:
     """Series for sign(x)/2 + 0.5; the shift is folded into the coefficients
     so a comparison costs exactly one series evaluation."""
-    key = ("cmp", cfg.degree, cfg.tie_margin)
-    if key not in _series_cache:
-        c = 0.5 * sign_series(cfg)
-        c = c.copy()
-        c[0] += 0.5
-        c.setflags(write=False)
-        _series_cache[key] = c
-    return _series_cache[key]
+    return _cmp_series(cfg.degree, cfg.tie_margin)
 
 
-def cmp(engine: SlotEngine, a: SlotVector, b: SlotVector, cfg: SignApproxConfig) -> SlotVector:
-    """Slot-wise soft comparison: ~1 where a > b, ~0 where a < b, 0.5 at ties.
+@functools.lru_cache(maxsize=16)
+def _cmp_series(degree: int, tie_margin: float) -> np.ndarray:
+    c = 0.5 * _sign_series(degree, tie_margin)
+    c[0] += 0.5
+    c.setflags(write=False)
+    return c
+
+
+def compare(engine: SlotEngine, diff: SlotVector, cfg: SignApproxConfig) -> SlotVector:
+    """Slot-wise soft comparison of a difference a - b: ~1 where it is
+    positive, ~0 where it is negative, 0.5 at ties.
 
     When ``input_scale`` is 1 the difference is fed to the series directly;
     otherwise scaling costs one plaintext multiplication.
     """
-    u = engine.sub(a, b)
     if cfg.input_scale != 1.0:
-        u = engine.mul(u, engine.plaintext(np.full(engine.config.slot_count, cfg.input_scale)))
-    return engine.eval_chebyshev(u, cmp_series(cfg))
+        diff = engine.mul(diff, engine.plaintext(np.full(engine.config.slot_count, cfg.input_scale)))
+    return engine.eval_chebyshev(diff, cmp_series(cfg))
 
 
 def rank(
     engine: SlotEngine,
-    v_row: SlotVector,
-    v_col: SlotVector,
+    diff: SlotVector,
     layout: PackedLayout,
     cfg: SignApproxConfig,
 ) -> SlotVector:
     """Per block, first row holds each element's rank (1 = smallest).
 
-    ``v_row``/``v_col`` are the row and column encodings of the same
-    per-block vector; comparing them slot-wise and summing rows counts, for
-    each column, how many elements are smaller, and the self-comparison
-    contributes the remaining 0.5.
+    ``diff`` holds d_c - d_r at entry (r, c) of every block, for one
+    per-block vector d; comparing it slot-wise and summing rows counts, for
+    each column c, how many elements are smaller than d_c, and the
+    self-comparison contributes the remaining 0.5.
     """
-    c = cmp(engine, v_row, v_col, cfg)
+    c = compare(engine, diff, cfg)
     r = axis_sum(engine, c, ROW, layout)
     half = engine.plaintext(0.5 * layout.axis_mask(ROW, 0))
     return engine.add(r, half)
@@ -200,30 +204,27 @@ def indicator_phi(
 
 def argmin_packed(
     engine: SlotEngine,
-    distances_row: SlotVector,
-    distances_col: SlotVector,
+    diff: SlotVector,
     layout: PackedLayout,
     cfg: SignApproxConfig,
     valid_blocks: np.ndarray | None = None,
 ) -> SlotVector:
     """One-hot argmin marker per block, in the first row of the block.
 
-    Ties across u minimal elements produce ranks (u + 1) / 2 for all of
+    ``diff`` is the difference grid that :func:`rank` takes.  Ties across u minimal elements produce ranks (u + 1) / 2 for all of
     them, the indicator activates nowhere, and the block decodes as null
     (every entry far below 1); callers treat entries below 0.5 as zero.
     ``valid_blocks`` (0/1 per slot) zeroes blocks that carry no real data.
     """
-    r = rank(engine, distances_row, distances_col, layout, cfg)
+    r = rank(engine, diff, layout, cfg)
     return indicator_phi(engine, r, layout, extra_mask=valid_blocks)
 
 
-def argmin_two(
-    engine: SlotEngine, dist1: SlotVector, dist2: SlotVector, cfg: SignApproxConfig
-) -> SlotVector:
-    """k = 2 fast path on compact encodings: a bitmask, ~1 where the second
-    centroid is strictly closer.  1 - mask marks the first centroid; no
-    packing, row sums, or indicator polynomial involved."""
-    return cmp(engine, dist1, dist2, cfg)
+def argmin_two(engine: SlotEngine, diff: SlotVector, cfg: SignApproxConfig) -> SlotVector:
+    """k = 2 fast path on compact encodings of d_0 - d_1: a bitmask, ~1
+    where the second centroid is strictly closer.  1 - mask marks the first
+    centroid; no packing, row sums, or indicator polynomial involved."""
+    return compare(engine, diff, cfg)
 
 
 def chebyshev_depth(degree: int) -> int:

@@ -2,13 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vpkmeans import bench, protocol
 from vpkmeans.dp_accounting import PrivacyBudget
+from vpkmeans.packed_matrix import PackedLayout
 from vpkmeans.protocol import (
     CentroidSet,
     DataPartition,
     ProtocolError,
+    _ComputingState,
+    _plan_batches,
     estimate_transcript,
     init_centroids,
     release_depths,
@@ -18,6 +23,7 @@ from vpkmeans.protocol import (
     split_features,
     update_centroids,
 )
+from vpkmeans.secure_argmin import SignApproxConfig
 from vpkmeans.slot_engine import EngineConfig, SlotEngine
 
 
@@ -251,6 +257,54 @@ def test_k2_rotations_do_not_grow_with_ciphertext_count():
     assert counts[1] <= (d + rounds * (1 + d)) * int(math.log2(slots))
 
 
+# -- linear distance differences -------------------------------------------------
+
+
+@given(k=st.integers(2, 9), d=st.integers(1, 6), bound=st.floats(0.1, 100.0),
+       seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_round_grids_give_plaintext_distance_differences(k, d, bound, seed):
+    rng = np.random.default_rng(seed)
+    slots = 512
+    layout = PackedLayout(k, slot_count=slots)
+    count = slots if k == 2 else layout.blocks_per_ct  # compact slots, or one point per block
+    centers = rng.uniform(-bound, bound, size=(k, d))
+    points = rng.uniform(-bound, bound, size=(count, d))
+    eng = SlotEngine(EngineConfig(slot_count=slots))
+    state = _ComputingState(eng, layout, k, count, bound, SignApproxConfig(), {}, ["bob"] * d)
+    grids, h = state._round_grids(CentroidSet(centers, bound))
+    u = np.array(h.slots)
+    for l, g in enumerate(grids):
+        x = points[:, l] if k == 2 else layout.to_slots(layout.grid(points[None, :, l, None]))
+        u += x * g.slots
+    scale = 1.0 / (d * (2.0 * bound) ** 2)
+    dist = scale * ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)  # count x k
+    if k == 2:
+        want = dist[:, 0] - dist[:, 1]
+    else:
+        want = layout.to_slots(dist[None, :, :] - dist.T[:, :, None])  # (r, b, c): d_c - d_r
+    assert np.max(np.abs(u - want)) <= 1e-12
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_each_key_holder_feature_adds_one_ct_mult_per_unit_and_round(k):
+    # moving one feature from the computing party to the key holder adds
+    # only the product a * x_l: the differences multiply it by a plaintext
+    slots, n, rounds = 64, 150, 2
+    pts = uniform_instance(21, n=n, d=3)
+    mults = []
+    for split in ([[0, 1], [2]], [[0], [1, 2]]):
+        eng = SlotEngine(EngineConfig(slot_count=slots, depth_budget=required_depth(k)))
+        parts = split_features(pts, split)
+        run(parts[0], parts[1], None, rounds, k=k, bound=1.0, seed=5, engine=eng)
+        mults.append(eng.stats.ct_mults)
+    if k == 2:
+        units = math.ceil(n / slots)
+    else:
+        units = len(_plan_batches(n, PackedLayout(k, slot_count=slots)))
+    assert mults[1] - mults[0] == units * rounds
+
+
 # -- transcript accounting -------------------------------------------------------
 
 
@@ -309,6 +363,23 @@ def test_run_checks_measured_sizes_against_plan(monkeypatch):
     monkeypatch.setattr(protocol, "release_depths",
                         lambda k, degree: tuple(x + 1 for x in true_depths(k, degree)))
     with pytest.raises(ProtocolError, match="plan"):
+        run(parts[0], parts[1], None, 1, k=3, bound=1.0)
+
+
+def test_run_checks_released_depths_against_ledger(monkeypatch):
+    # at d = 1, a ledger that moves one level from the sums to the counts
+    # keeps the required depth and every byte total, so only the released
+    # depths can expose it
+    pts = uniform_instance(3, n=100, d=1)
+    parts = split_features(pts, [[], [0]])
+    true_depths = protocol.release_depths
+
+    def moved(k, degree):
+        t_depth, s_depth = true_depths(k, degree)
+        return t_depth + 1, s_depth - 1
+
+    monkeypatch.setattr(protocol, "release_depths", moved)
+    with pytest.raises(ProtocolError, match="depth ledger"):
         run(parts[0], parts[1], None, 1, k=3, bound=1.0)
 
 

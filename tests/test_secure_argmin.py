@@ -9,8 +9,8 @@ from vpkmeans.secure_argmin import (
     argmin_packed,
     argmin_two,
     chebyshev_depth,
-    cmp,
     cmp_series,
+    compare,
     indicator_phi,
     phi_depth,
     rank,
@@ -41,7 +41,7 @@ def encode_row_col(engine, layout, blocks_values):
     )
 
 
-# -- series and cmp -----------------------------------------------------------
+# -- series and compare --------------------------------------------------------
 
 
 def test_config_validation():
@@ -65,11 +65,11 @@ def test_cmp_examples():
     eng = make()
     a = eng.encrypt(np.full(256, 0.8))
     b = eng.encrypt(np.full(256, 0.2))
-    out = eng.decrypt(cmp(eng, a, b, CFG))
+    out = eng.decrypt(compare(eng, eng.sub(a, b), CFG))
     assert np.all(np.abs(out - 1.0) < 0.01)
-    out = eng.decrypt(cmp(eng, b, a, CFG))
+    out = eng.decrypt(compare(eng, eng.sub(b, a), CFG))
     assert np.all(np.abs(out) < 0.01)
-    out = eng.decrypt(cmp(eng, a, a, CFG))
+    out = eng.decrypt(compare(eng, eng.sub(a, a), CFG))
     assert np.allclose(out, 0.5)  # exact midpoint on ties
 
 
@@ -80,7 +80,7 @@ def test_cmp_contract_at_margin():
     gap = rng.uniform(CFG.tie_margin, 1.0, 4096)
     b = np.clip(a - gap, 0, None)
     keep = (a - b) >= CFG.tie_margin
-    out = eng.decrypt(cmp(eng, eng.encrypt(a), eng.encrypt(b), CFG))
+    out = eng.decrypt(compare(eng, eng.sub(eng.encrypt(a), eng.encrypt(b)), CFG))
     assert np.max(np.abs(out[keep] - 1.0)) <= 0.01
 
 
@@ -89,7 +89,7 @@ def test_cmp_input_scale_costs_one_level():
     cfg = SignApproxConfig(input_scale=1.0 / 40)
     a = eng.encrypt(np.full(256, 30.0))
     b = eng.encrypt(np.full(256, 10.0))
-    out = cmp(eng, a, b, cfg)
+    out = compare(eng, eng.sub(a, b), cfg)
     assert np.all(np.abs(eng.decrypt(out) - 1.0) < 0.01)
     assert out.depth_consumed == 1 + chebyshev_depth(cfg.degree)
 
@@ -103,7 +103,7 @@ def test_rank_tie_example_from_worked_ranking():
     lay = PackedLayout(4, slot_count=256)
     cfg = SignApproxConfig(input_scale=1.0 / 40)
     v_row, v_col = encode_row_col(eng, lay, [[10, 10, 30, 40]])
-    r = ref.blocks_of(lay, eng.decrypt(rank(eng, v_row, v_col, lay, cfg)))[0][0]
+    r = ref.blocks_of(lay, eng.decrypt(rank(eng, eng.sub(v_row, v_col), lay, cfg)))[0][0]
     assert np.max(np.abs(r - np.array([1.5, 1.5, 3.0, 4.0]))) < 0.02
 
 
@@ -111,7 +111,7 @@ def test_rank_sorted_input():
     eng = make()
     lay = PackedLayout(3, slot_count=256)
     v_row, v_col = encode_row_col(eng, lay, [[0.1, 0.2, 0.3]])
-    r = ref.blocks_of(lay, eng.decrypt(rank(eng, v_row, v_col, lay, CFG)))[0][0]
+    r = ref.blocks_of(lay, eng.decrypt(rank(eng, eng.sub(v_row, v_col), lay, CFG)))[0][0]
     assert np.max(np.abs(r - np.array([1.0, 2.0, 3.0]))) < 0.02
 
 
@@ -120,7 +120,7 @@ def test_rank_matches_pairwise_reference():
     lay = PackedLayout(3, slot_count=256)
     vals = [0.3, 0.1, 0.2]
     v_row, v_col = encode_row_col(eng, lay, [vals])
-    r = ref.blocks_of(lay, eng.decrypt(rank(eng, v_row, v_col, lay, CFG)))[0][0]
+    r = ref.blocks_of(lay, eng.decrypt(rank(eng, eng.sub(v_row, v_col), lay, CFG)))[0][0]
     assert np.max(np.abs(r - ref.ref_ranks(vals))) < 0.02
 
 
@@ -132,7 +132,7 @@ def test_rank_permutation_property():
         count = min(lay.blocks_per_ct, 20)
         vals = [rng.permutation(k) / k + 0.05 for _ in range(count)]
         v_row, v_col = encode_row_col(eng, lay, vals)
-        blocks = ref.blocks_of(lay, eng.decrypt(rank(eng, v_row, v_col, lay, CFG)))
+        blocks = ref.blocks_of(lay, eng.decrypt(rank(eng, eng.sub(v_row, v_col), lay, CFG)))
         for i in range(count):
             rounded = np.sort(np.round(blocks[i][0]))
             assert np.array_equal(rounded, np.arange(1, k + 1)), (k, i)
@@ -178,7 +178,7 @@ def test_argmin_block_examples():
     eng = make()
     lay = PackedLayout(3, slot_count=256)
     v_row, v_col = encode_row_col(eng, lay, [[0.4, 0.1, 0.9]])
-    a = ref.blocks_of(lay, eng.decrypt(argmin_packed(eng, v_row, v_col, lay, CFG)))[0][0]
+    a = ref.blocks_of(lay, eng.decrypt(argmin_packed(eng, eng.sub(v_row, v_col), lay, CFG)))[0][0]
     assert np.array_equal(a > 0.5, [False, True, False])
     assert abs(a[1] - 1.0) < 0.02
 
@@ -187,7 +187,7 @@ def test_argmin_tie_returns_null_block():
     eng = make()
     lay = PackedLayout(3, slot_count=256)
     v_row, v_col = encode_row_col(eng, lay, [[0.5, 0.5, 0.9]])
-    a = ref.blocks_of(lay, eng.decrypt(argmin_packed(eng, v_row, v_col, lay, CFG)))[0][0]
+    a = ref.blocks_of(lay, eng.decrypt(argmin_packed(eng, eng.sub(v_row, v_col), lay, CFG)))[0][0]
     assert np.all(a < 0.5)
 
 
@@ -203,7 +203,7 @@ def test_argmin_random_blocks_match_plaintext_oracle():
             base = np.sort(rng.uniform(0, 1 - (k - 1) * gap, k))
             vals.append(rng.permutation(base + gap * np.arange(k)))
         v_row, v_col = encode_row_col(eng, lay, vals)
-        blocks = ref.blocks_of(lay, eng.decrypt(argmin_packed(eng, v_row, v_col, lay, CFG)))
+        blocks = ref.blocks_of(lay, eng.decrypt(argmin_packed(eng, eng.sub(v_row, v_col), lay, CFG)))
         for i in range(count):
             got = (blocks[i][0] > 0.5).astype(float)
             assert np.array_equal(got, ref.ref_argmin_onehot(vals[i])), (k, i)
@@ -213,7 +213,7 @@ def test_argmin_two_matches_scalar_cmp_oracle():
     eng = make(slot_count=256, depth=20)
     d1 = np.array([0.9, 0.1, 0.3, 0.5])
     d2 = np.array([0.1, 0.9, 0.5, 0.5])
-    a = eng.decrypt(argmin_two(eng, eng.encrypt(d1), eng.encrypt(d2), CFG))[:4]
+    a = eng.decrypt(argmin_two(eng, eng.sub(eng.encrypt(d1), eng.encrypt(d2)), CFG))[:4]
     want = chebval(np.clip(d1 - d2, -1, 1), cmp_series(CFG))
     assert np.allclose(a, want, atol=1e-9)
     assert abs(a[0] - 1.0) < 0.01 and abs(a[1]) < 0.01
@@ -224,7 +224,7 @@ def test_argmin_two_all_closer_to_first():
     eng = make(slot_count=256, depth=20)
     d1 = np.full(256, 0.1)
     d2 = np.full(256, 0.9)
-    a = eng.decrypt(argmin_two(eng, eng.encrypt(d1), eng.encrypt(d2), CFG))
+    a = eng.decrypt(argmin_two(eng, eng.sub(eng.encrypt(d1), eng.encrypt(d2)), CFG))
     assert np.all(np.abs(a) < 0.01)
 
 
@@ -235,11 +235,11 @@ def test_argmin_two_agrees_with_packed_k2():
     count = 50
     d = rng.uniform(0, 1, size=(count, 2))
     v_row, v_col = encode_row_col(eng, lay, list(d))
-    packed = ref.blocks_of(lay, eng.decrypt(argmin_packed(eng, v_row, v_col, lay, CFG)))
+    packed = ref.blocks_of(lay, eng.decrypt(argmin_packed(eng, eng.sub(v_row, v_col), lay, CFG)))
     fast = eng.decrypt(argmin_two(
         eng,
-        eng.encrypt(np.concatenate([d[:, 0], np.zeros(1024 - count)])),
-        eng.encrypt(np.concatenate([d[:, 1], np.zeros(1024 - count)])),
+        eng.sub(eng.encrypt(np.concatenate([d[:, 0], np.zeros(1024 - count)])),
+                eng.encrypt(np.concatenate([d[:, 1], np.zeros(1024 - count)]))),
         CFG,
     ))[:count]
     for i in range(count):
@@ -253,6 +253,6 @@ def test_argmin_depth_ledger():
         eng = make(slot_count=1024, depth=40)
         lay = PackedLayout(k, slot_count=1024)
         v_row, v_col = encode_row_col(eng, lay, [list(np.linspace(0.1, 0.9, k))])
-        a = argmin_packed(eng, v_row, v_col, lay, CFG)
+        a = argmin_packed(eng, eng.sub(v_row, v_col), lay, CFG)
         want = chebyshev_depth(CFG.degree) + 1 + phi_depth(k)
         assert a.depth_consumed == want, k
