@@ -165,21 +165,34 @@ class LloydResult:
     unassigned: list[int] = field(default_factory=list)
 
 
+def _sq_distances(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """n x k squared distances, one centroid at a time: no n x k x d
+    temporary, and the same values as the broadcast form."""
+    dist = np.empty((points.shape[0], centers.shape[0]))
+    for j, c in enumerate(centers):
+        diff = points - c
+        dist[:, j] = np.einsum("il,il->i", diff, diff)
+    return dist
+
+
 def _soft_memberships(points: np.ndarray, centers: np.ndarray, sign: SignApproxConfig, scale: float) -> np.ndarray:
     """Per-point memberships exactly as the encrypted pipeline computes them:
     scaled squared distances, polynomial comparisons, ranks, indicator."""
     sqrt_s = math.sqrt(scale)
-    xs = points * sqrt_s
-    cs = centers * sqrt_s
     k = centers.shape[0]
-    diff = xs[:, None, :] - cs[None, :, :]
-    dist = np.einsum("ijl,ijl->ij", diff, diff)  # n x k, scaled
+    dist = _sq_distances(points * sqrt_s, centers * sqrt_s)  # n x k, scaled
     coeffs = cmp_series(sign)
     if k == 2:
         a2 = chebval(np.clip(dist[:, 0] - dist[:, 1], -1.0, 1.0), coeffs)
         return np.stack([1.0 - a2, a2], axis=1)
-    u = np.clip(dist[:, :, None] - dist[:, None, :], -1.0, 1.0)  # u[i, c, r] = d_c - d_r
-    comps = chebval(u, coeffs)
+    # the comparison series is c0 plus an odd series, so cmp(-u) = 1 - cmp(u)
+    # up to rounding and cmp(0) = c0: only the pairs c < r need the series
+    c, r = np.triu_indices(k, 1)
+    upper = chebval(np.clip(dist[:, c] - dist[:, r], -1.0, 1.0), coeffs)
+    comps = np.empty((dist.shape[0], k, k))  # comps[i, c, r] = cmp(d_c - d_r)
+    comps[:, c, r] = upper
+    comps[:, r, c] = 1.0 - upper
+    comps[:, np.arange(k), np.arange(k)] = coeffs[0]
     ranks = 0.5 + comps.sum(axis=2)  # n x k
     w = np.ones_like(ranks)
     norm = 1.0
@@ -222,9 +235,7 @@ def lloyd_plaintext(
             sums = w.T @ points  # k x d
             unassigned.append(int(np.sum(w.max(axis=1) < 0.5)))
         elif tie_rule == STANDARD:
-            diff = points[:, None, :] - centers[None, :, :]
-            dist = np.einsum("ijl,ijl->ij", diff, diff)
-            assign = np.argmin(dist, axis=1)
+            assign = np.argmin(_sq_distances(points, centers), axis=1)
             counts = np.bincount(assign, minlength=k).astype(np.float64)
             sums = np.zeros((k, d))
             np.add.at(sums, assign, points)
@@ -252,9 +263,7 @@ def normalized_loss(data: Dataset | np.ndarray, centroids: CentroidSet | np.ndar
     """Mean over points of the squared distance to the nearest centroid."""
     points = data.points if isinstance(data, Dataset) else np.asarray(data)
     centers = centroids.centers if isinstance(centroids, CentroidSet) else np.asarray(centroids)
-    diff = points[:, None, :] - centers[None, :, :]
-    dist = np.einsum("ijl,ijl->ij", diff, diff)
-    return float(dist.min(axis=1).mean())
+    return float(_sq_distances(points, centers).min(axis=1).mean())
 
 
 def cluster_accuracy(data: Dataset, centroids: CentroidSet | np.ndarray, labels=None) -> float:
@@ -267,11 +276,9 @@ def cluster_accuracy(data: Dataset, centroids: CentroidSet | np.ndarray, labels=
     centers = centroids.centers if isinstance(centroids, CentroidSet) else np.asarray(centroids)
     k = centers.shape[0]
     points = data.points if isinstance(data, Dataset) else np.asarray(data)
-    diff = points[:, None, :] - centers[None, :, :]
-    pred = np.argmin(np.einsum("ijl,ijl->ij", diff, diff), axis=1)
+    pred = np.argmin(_sq_distances(points, centers), axis=1)
     agree = np.zeros((k, k))
-    for p, l in zip(pred, labels):
-        agree[p, l] += 1
+    np.add.at(agree, (pred, labels), 1.0)
     if k <= 8:
         best = max(sum(agree[c, pi[c]] for c in range(k)) for pi in permutations(range(k)))
     else:

@@ -333,10 +333,11 @@ def mask(engine: SlotEngine, v: SlotVector, axis: str, index: int, layout: Packe
 
 
 def axis_sum(engine: SlotEngine, v: SlotVector, axis: str, layout: PackedLayout) -> SlotVector:
-    """Per block, sum all rows (resp. columns) into the first, then mask."""
-    summed = _run_lane_sum(engine, v, _axis_unit(layout, axis), layout.block_dim)
-    first = ROW if axis == ROW else COLUMN
-    return mask(engine, summed, first, 0, layout)
+    """Per block, sum all rows (resp. columns) into the first (rotations
+    only).  As with :func:`reduce_blocks`, only the first row (resp. column)
+    is meaningful afterwards; the other lanes hold partial sums for the
+    caller to mask."""
+    return _run_lane_sum(engine, v, _axis_unit(layout, axis), layout.block_dim)
 
 
 def repl(engine: SlotEngine, v: SlotVector, axis: str, layout: PackedLayout) -> SlotVector:

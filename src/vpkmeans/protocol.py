@@ -14,9 +14,13 @@ One round, run entirely by the computing party (Alice) on encrypted data:
    and ciphertexts and then reduced once per released aggregate (k = 2
    derives cluster 0 from the public n and the round-invariant feature
    totals);
-4. Gaussian noise on the meaningful slots;
+4. every aggregate dropped to level 0, which is free and leaves the
+   smallest ciphertext, then Gaussian noise on the meaningful slots;
 5. release to the key holder, who decrypts, divides, and returns the next
    plaintext centroids.
+
+The argmin leaves its ranks unmasked: the indicator's folded first-row mask
+zeroes the other rows, so k >= 3 spends no level on masking the ranks.
 
 Everything the protocol encrypts is round-invariant, so per-round circuits
 always start from fresh or depth-1 cached ciphertexts and the released
@@ -250,12 +254,15 @@ def update_centroids(
 
 
 def release_depths(k: int, degree: int = sa.DEFAULT_DEGREE) -> tuple[int, int]:
-    """Depth consumed by the released counts (T) and sums (S) ciphertexts."""
+    """Depth the round circuit leaves on the counts (T) and sums (S)
+    ciphertexts; the run then drops both to level 0 before release."""
     cheb = sa.chebyshev_depth(degree)
     if k == 2:
         a = 1 + cheb  # uploaded feature times G_l, then the comparison series
         return a + 2, a + 2  # valid mask, then the e1 - e0 pack for T; value mult, then pack for S
-    a = 2 + cheb + 1 + sa.phi_depth(k)  # extraction mask, times G_l, cmp, rank mask, indicator
+    # extraction mask, times G_l, cmp, indicator; the ranks stay unmasked,
+    # the indicator's folded first-row mask zeroes their partial sums
+    a = 2 + cheb + sa.phi_depth(k)
     return a + 1, a + 2  # T: reduce + head mask; S: value mult + reduce + mask
 
 
@@ -276,7 +283,7 @@ class _Batch:
     points: np.ndarray  # blocks_per_ct global point ids, -1 for unused
     positions: np.ndarray | None  # aligned batches: source slot of each used block
     tail_items: list[tuple[int, int]]  # (slot within ct, target block)
-    valid_mask: np.ndarray | None = None  # slot-space 0/1 over valid blocks
+    valid_mask: np.ndarray | None = None  # slot-space 0/1 over valid blocks, shared
 
 
 def _plan_batches(n: int, layout: PackedLayout) -> list[_Batch]:
@@ -307,10 +314,15 @@ def _plan_batches(n: int, layout: PackedLayout) -> list[_Batch]:
                 points[b] = m * S + slot
                 items.append((slot, b))
             batches.append(_Batch(m, points, None, items))
+    masks: dict = {}  # the used blocks are a prefix: one mask per used-block count
     for batch in batches:
-        g = layout.grid()
-        g[:, batch.points >= 0, :] = 1.0
-        batch.valid_mask = layout.to_slots(g)
+        used = int(np.count_nonzero(batch.points >= 0))
+        if used not in masks:
+            g = layout.grid()
+            g[:, :used, :] = 1.0
+            masks[used] = layout.to_slots(g)
+            masks[used].setflags(write=False)
+        batch.valid_mask = masks[used]
     return batches
 
 
@@ -597,9 +609,11 @@ def run_multiparty(
     With ``budget=None`` no noise is added.  With ``shift_tol`` set, the run
     stops early once the largest centroid movement drops below it; the
     privacy split always uses the configured ``rounds``.  The transcript is
-    :func:`plan_transcript` for the rounds executed, and the run raises
-    ``ProtocolError`` if a measured ciphertext size differs from the plan or
-    a released ciphertext's depth differs from :func:`release_depths`.
+    :func:`plan_transcript` for the rounds executed.  Every round's
+    aggregates are checked against :func:`release_depths`, recorded in
+    ``round_depths``, dropped to level 0 and only then noised and released;
+    the run raises ``ProtocolError`` if a circuit depth differs from the
+    ledger or a measured ciphertext size differs from the plan.
     """
     if model not in (SERVER_AIDED, MPC_SIMULATED):
         raise ProtocolError(f"unknown deployment model {model!r}")
@@ -663,16 +677,25 @@ def run_multiparty(
     centroids = init or init_centroids(k, d, bound, seed)
     history = [np.array(centroids.centers)]
     round_depths = []
-    released_depths = set()
     aggregate_bytes = []
     meaningful = list(range(k))
+    ledger = release_depths(k, sign.degree)
+    level0 = engine.config.depth_budget
 
     for t in range(1, rounds + 1):
         s_rel, t_rel = alice.run_round(centroids)
+        depths = (t_rel.depth_consumed, tuple(s.depth_consumed for s in s_rel))
+        round_depths.append(max((depths[0],) + depths[1]))
+        if depths != (ledger[0], (ledger[1],) * d):
+            raise ProtocolError(
+                f"round {t}: (counts, sums) depths {depths} differ from the depth ledger: "
+                f"counts {ledger[0]}, sums {ledger[1]}"
+            )
+        # every aggregate leaves at level 0: dropping levels is free
+        t_rel = engine.drop_to_depth(t_rel, level0)
+        s_rel = [engine.drop_to_depth(s, level0) for s in s_rel]
         if noise is not None:
             s_rel, t_rel = perturb_aggregates(engine, s_rel, t_rel, noise, meaningful, noise_rng)
-        released_depths.add((t_rel.depth_consumed, tuple(s.depth_consumed for s in s_rel)))
-        round_depths.append(max([t_rel.depth_consumed] + [s.depth_consumed for s in s_rel]))
         aggregate_bytes.append(engine.size_bytes(t_rel) + sum(engine.size_bytes(s) for s in s_rel))
         # under MPC the key-share holders each return one additive share whose
         # sum is the plaintext; reconstruction is exact by simulation contract
@@ -682,19 +705,13 @@ def run_multiparty(
             break
 
     plan = [(p.owner, p.role, 0 if p is computing else len(p.feature_indices)) for p in parties]
-    transcript = plan_transcript(n, k, d, len(history) - 1, model, engine.config, sign.degree, plan)
+    transcript = plan_transcript(n, k, d, len(history) - 1, model, engine.config, plan)
     planned_uploads = [m.byte_size for m in transcript.by_kind(ENCRYPTED_FEATURES)]
     planned_aggregates = [m.byte_size for m in transcript.by_kind(NOISY_AGGREGATES)]
     if upload_bytes != planned_uploads or aggregate_bytes != planned_aggregates:
         raise ProtocolError(
             f"measured ciphertext bytes differ from the transcript plan: uploads {upload_bytes} "
             f"against {planned_uploads}, aggregates {aggregate_bytes} against {planned_aggregates}"
-        )
-    t_depth, s_depth = release_depths(k, sign.degree)
-    if released_depths - {(t_depth, (s_depth,) * d)}:
-        raise ProtocolError(
-            f"released (counts, sums) depths {sorted(released_depths)} differ from the "
-            f"depth ledger: counts {t_depth}, sums {s_depth}"
         )
 
     return RunResult(
@@ -720,7 +737,6 @@ def plan_transcript(
     rounds: int,
     model: str,
     cfg: EngineConfig,
-    degree: int,
     parties: list[tuple[str, str, int]],
 ) -> Transcript:
     """The messages of a run that executes ``rounds`` rounds.
@@ -731,8 +747,9 @@ def plan_transcript(
     every round sends d + 1 aggregate ciphertexts and gets back either the
     k*d plaintext centroid reals or, under MPC, one decryption share per
     key-share holder; finally the centroids reach every data owner.
-    Ciphertext sizes come from the engine's size model at the levels
-    ``release_depths`` leaves under ``cfg.depth_budget``.
+    Ciphertext sizes come from the engine's size model: uploads and the key
+    are fresh, at ``cfg.depth_budget`` levels, and every aggregate is
+    released at level 0.
     """
     if model not in (SERVER_AIDED, MPC_SIMULATED):
         raise ProtocolError(f"unknown deployment model {model!r}")
@@ -740,11 +757,9 @@ def plan_transcript(
     computing = next(name for name, role, _ in parties if role == COMPUTING)
     key_owner = next((name for name, role, _ in parties if role == KEY_HOLDER), "joint-key")
     others = [(name, role, enc) for name, role, enc in parties if role != COMPUTING]
-    t_depth, s_depth = release_depths(k, degree)
     fresh = ciphertext_size_bytes(cfg.depth_budget, cfg)
-    aggregates = (ciphertext_size_bytes(cfg.depth_budget - t_depth, cfg)
-                  + d * ciphertext_size_bytes(cfg.depth_budget - s_depth, cfg))
-    share = math.ceil((d + 1) * ciphertext_size_bytes(0, cfg) / 2)
+    aggregates = (d + 1) * ciphertext_size_bytes(0, cfg)
+    share = math.ceil(aggregates / 2)
     centroids = k * d * 8
     per_feature = math.ceil(n / cfg.slot_count)
 
@@ -797,4 +812,4 @@ def estimate_transcript(
     uploader = KEY_HOLDER if model == SERVER_AIDED else DATA_OWNER
     plan = [("computing", COMPUTING, 0), ("keyholder", uploader, d_bob)]
     plan += [(f"party{i}", DATA_OWNER, 0) for i in range(2, parties)]
-    return plan_transcript(n, k, d, rounds, model, cfg, degree, plan)
+    return plan_transcript(n, k, d, rounds, model, cfg, plan)

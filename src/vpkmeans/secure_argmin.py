@@ -27,9 +27,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf
 
-from .packed_matrix import COLUMN, ROW, PackedLayout, axis_sum, mask
+from .packed_matrix import ROW, PackedLayout, axis_sum
 from .slot_engine import SlotEngine, SlotVector
 
 # erf steepness per unit of tie margin: erfc(1.7) ~ 0.0164, half the 0.02
@@ -80,8 +79,12 @@ def _sign_series(degree: int, tie_margin: float) -> np.ndarray:
 
     n = degree + 1
     nodes = np.cos((np.arange(n) + 0.5) * np.pi / n)
+    alpha = STEEPNESS / tie_margin
+    # math.erf, not scipy.special: the node values are a one-off n calls,
+    # and scipy.special would be most of the package import
+    values = np.array([math.erf(alpha * x) for x in nodes])
     # the interpolant's coefficients are the DCT-II of the node values
-    c = dct(erf(STEEPNESS / tie_margin * nodes), type=2) / n
+    c = dct(values, type=2) / n
     c[0] /= 2
     c[::2] = 0.0
     c.setflags(write=False)
@@ -125,7 +128,10 @@ def rank(
     ``diff`` holds d_c - d_r at entry (r, c) of every block, for one
     per-block vector d; comparing it slot-wise and summing rows counts, for
     each column c, how many elements are smaller than d_c, and the
-    self-comparison contributes the remaining 0.5.
+    self-comparison contributes the remaining 0.5.  The other rows keep the
+    partial sums of :func:`axis_sum` unmasked: :func:`indicator_phi` folds
+    a first-row mask into its product anyway, so a mask here would only
+    cost a level.
     """
     c = compare(engine, diff, cfg)
     r = axis_sum(engine, c, ROW, layout)

@@ -11,6 +11,10 @@ extension point for a real lattice backend.
 Depth model (the engine's contract, enforced everywhere):
 
 * ``add``/``sub``/``rotate``: free.
+* ``drop_to_depth``: free; consumes levels without computing (modulus
+  switching without rescaling, as SEAL's ``mod_switch_to`` or OpenFHE's
+  ``LevelReduce``), which shrinks a ciphertext and leaves its slots as
+  they are.
 * ``mul``: one level, whether ciphertext x ciphertext or ciphertext x
   plaintext (conservative; matches rescale-per-multiplication schemes).
 * ``eval_chebyshev`` with degree D: ``ceil(log2(D + 1)) + 1`` levels
@@ -224,6 +228,18 @@ class SlotEngine:
             return v
         self.stats.rotations += 1
         return self._result(np.roll(v.slots, -r), v.depth_consumed, v.kind)
+
+    def drop_to_depth(self, v: SlotVector, depth: int) -> SlotVector:
+        """The same ciphertext with ``depth`` levels consumed; free and not
+        counted.  A plaintext, a target below the current depth or one above
+        the budget raise ``EngineError``."""
+        if not v.is_ciphertext:
+            raise EngineError("drop_to_depth: a plaintext has no levels to drop")
+        if depth < v.depth_consumed:
+            raise EngineError(f"drop_to_depth: target {depth} below the consumed depth {v.depth_consumed}")
+        if depth > self.config.depth_budget:
+            raise DepthBudgetError(f"drop_to_depth: target {depth} exceeds budget {self.config.depth_budget}")
+        return self._result(v.slots, depth, v.kind)
 
     def eval_chebyshev(self, v: SlotVector, coeffs) -> SlotVector:
         """Evaluate a Chebyshev series slot-wise.

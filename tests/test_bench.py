@@ -1,7 +1,9 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from numpy.polynomial.chebyshev import chebval
 
 from vpkmeans import bench, protocol
 from vpkmeans.bench import (
@@ -19,6 +21,7 @@ from vpkmeans.bench import (
     run_experiment,
 )
 from vpkmeans.protocol import CentroidSet, Message, Transcript, init_centroids
+from vpkmeans.secure_argmin import SignApproxConfig, cmp_series
 
 
 # -- CSV loading ----------------------------------------------------------------
@@ -190,6 +193,40 @@ def test_accuracy_exhaustive_matches_assignment_solver():
         agree[p, l] += 1
     brute = max(sum(agree[c, pi[c]] for c in range(6)) for pi in perms(range(6))) / ds.n
     assert cluster_accuracy(ds, centers) == pytest.approx(brute)
+
+
+def test_squared_distances_equal_the_broadcast_form():
+    # one centroid at a time gives the n x k x d form's values bit for bit
+    rng = np.random.default_rng(15)
+    for d in (1, 2, 8):
+        pts = rng.uniform(-0.5, 0.5, size=(500, d))
+        centers = rng.uniform(-0.5, 0.5, size=(7, d))
+        diff = pts[:, None, :] - centers[None, :, :]
+        assert np.array_equal(bench._sq_distances(pts, centers), np.einsum("ijl,ijl->ij", diff, diff))
+
+
+@pytest.mark.parametrize("k,degree,margin", [(3, 1023, 0.01), (8, 127, 0.05), (15, 1023, 0.01)])
+def test_soft_memberships_match_every_pair_evaluated(k, degree, margin):
+    # the oracle runs the series on the pairs c < r only; evaluating all k^2
+    # differences agrees to rounding, exact ties included (points at the
+    # origin are equidistant from the mirrored centroids 0 and 1)
+    sign = SignApproxConfig(degree=degree, tie_margin=margin)
+    rng = np.random.default_rng(k)
+    pts = rng.uniform(-0.5, 0.5, size=(400, 2))
+    pts[:40] = 0.0
+    centers = rng.uniform(-0.5, 0.5, size=(k, 2))
+    centers[1] = -centers[0]
+    scale = 1.0 / (2 * 1.0**2)
+    got = bench._soft_memberships(pts, centers, sign, scale)
+
+    diff = (pts[:, None, :] - centers[None, :, :]) * math.sqrt(scale)
+    dist = np.einsum("ijl,ijl->ij", diff, diff)
+    u = np.clip(dist[:, :, None] - dist[:, None, :], -1.0, 1.0)
+    ranks = 0.5 + chebval(u, cmp_series(sign)).sum(axis=2)
+    want = np.ones_like(ranks)
+    for j in range(2, k + 1):
+        want *= (ranks - j) / (1.0 - j)
+    assert np.max(np.abs(got - want)) <= 1e-12
 
 
 def test_accuracy_requires_labels():

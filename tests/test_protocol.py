@@ -24,7 +24,7 @@ from vpkmeans.protocol import (
     update_centroids,
 )
 from vpkmeans.secure_argmin import SignApproxConfig
-from vpkmeans.slot_engine import EngineConfig, SlotEngine
+from vpkmeans.slot_engine import EngineConfig, SlotEngine, ciphertext_size_bytes
 
 
 def uniform_instance(seed, n=200, d=3, bound=1.0):
@@ -230,6 +230,22 @@ def test_tail_points_are_processed():
         assert np.max(np.abs(mine - ref)) < 1e-6
 
 
+@pytest.mark.parametrize("k,n", [(3, 64), (3, 150), (8, 20000), (15, 5000)])
+def test_batches_share_one_valid_mask_per_used_block_count(k, n):
+    # 64 and 150 points at 64 slots leave tail batches and a partial last
+    # ciphertext; the others are the benchmark's packed shapes
+    slots = 64 if n < 200 else 1 << 14
+    layout = PackedLayout(k, slot_count=slots)
+    batches = _plan_batches(n, layout)
+    used = set()
+    for b in batches:
+        g = layout.grid()
+        g[:, b.points >= 0, :] = 1.0
+        assert np.array_equal(b.valid_mask, layout.to_slots(g))
+        used.add(int(np.count_nonzero(b.points >= 0)))
+    assert len({id(b.valid_mask) for b in batches}) == len(used)
+
+
 def test_multiple_ciphertexts_per_feature():
     eng = SlotEngine(EngineConfig(slot_count=64, depth_budget=required_depth(2)))
     pts = uniform_instance(8, n=150, d=2)  # 3 compact ciphertexts per feature
@@ -355,15 +371,39 @@ def test_estimator_rejects_two_party_model_with_more_parties():
 
 
 def test_run_checks_measured_sizes_against_plan(monkeypatch):
-    # a ledger one level too deep sizes the engine one level up and plans
-    # aggregates one level smaller than the circuits release
+    # an aggregate left one level above level 0 is one limb larger than the
+    # plan's aggregates
     pts = uniform_instance(3, n=100, d=2)
     parts = split_features(pts, [[0], [1]])
-    true_depths = protocol.release_depths
-    monkeypatch.setattr(protocol, "release_depths",
-                        lambda k, degree: tuple(x + 1 for x in true_depths(k, degree)))
+    drop = SlotEngine.drop_to_depth
+    dropped = []
+
+    def all_but_the_first(self, v, depth):
+        dropped.append(v)
+        return v if len(dropped) == 1 else drop(self, v, depth)
+
+    monkeypatch.setattr(SlotEngine, "drop_to_depth", all_but_the_first)
     with pytest.raises(ProtocolError, match="plan"):
         run(parts[0], parts[1], None, 1, k=3, bound=1.0)
+
+
+@pytest.mark.parametrize("extra", [0, 3])
+@pytest.mark.parametrize("k", [2, 3, 5])
+def test_aggregates_are_released_at_level_zero(k, extra):
+    # whatever the circuit leaves and whatever the budget, every released
+    # aggregate is a level-0 ciphertext, and the estimator knows it
+    n, d, rounds = 150, 2, 2
+    cfg = EngineConfig(slot_count=256, depth_budget=required_depth(k) + extra)
+    parts = split_features(uniform_instance(30 + k, n=n, d=d), [[0], [1]])
+    res = run(parts[0], parts[1], PrivacyBudget(1.0, 1e-3, rounds), rounds, k=k, bound=1.0,
+              seed=2, engine=SlotEngine(cfg))
+    per_round = res.transcript.by_kind(protocol.NOISY_AGGREGATES)
+    assert [m.byte_size for m in per_round] == [(d + 1) * ciphertext_size_bytes(0, cfg)] * rounds
+    assert res.round_depths == [required_depth(k)] * rounds
+    est = estimate_transcript(n, k, d, 1, rounds, cfg)
+    assert est.total_bytes == res.transcript.total_bytes
+    assert est.total_ciphertexts == res.transcript.total_ciphertexts
+    assert est.bytes_by_kind() == res.transcript.bytes_by_kind()
 
 
 def test_run_checks_released_depths_against_ledger(monkeypatch):

@@ -3,7 +3,7 @@ import pytest
 from numpy.polynomial.chebyshev import chebval
 
 import reference_ops as ref
-from vpkmeans.packed_matrix import PackedLayout
+from vpkmeans.packed_matrix import ROW, PackedLayout
 from vpkmeans.secure_argmin import (
     SignApproxConfig,
     argmin_packed,
@@ -254,5 +254,25 @@ def test_argmin_depth_ledger():
         lay = PackedLayout(k, slot_count=1024)
         v_row, v_col = encode_row_col(eng, lay, [list(np.linspace(0.1, 0.9, k))])
         a = argmin_packed(eng, eng.sub(v_row, v_col), lay, CFG)
-        want = chebyshev_depth(CFG.degree) + 1 + phi_depth(k)
+        want = chebyshev_depth(CFG.degree) + phi_depth(k)
         assert a.depth_consumed == want, k
+
+
+@pytest.mark.parametrize("k", [3, 8, 15])
+def test_argmin_packed_is_zero_outside_first_row_and_valid_blocks(k):
+    # the ranks leave partial sums in the other rows; the indicator's folded
+    # mask must zero them, and every unused block, exactly
+    eng = make(slot_count=1024)
+    lay = PackedLayout(k, slot_count=1024)
+    rng = np.random.default_rng(k)
+    vals = [rng.permutation(np.linspace(0.05, 0.95, k)) for _ in range(lay.blocks_per_ct)]
+    v_row, v_col = encode_row_col(eng, lay, vals)
+    valid = lay.grid()
+    valid[:, : lay.blocks_per_ct - 1, :] = 1.0
+    out = eng.decrypt(argmin_packed(eng, eng.sub(v_row, v_col), lay, CFG,
+                                    valid_blocks=lay.to_slots(valid)))
+    keep = lay.axis_mask(ROW, 0) * lay.to_slots(valid)
+    assert np.all(out[keep == 0] == 0.0)
+    blocks = ref.blocks_of(lay, out)
+    for i in range(lay.blocks_per_ct - 1):
+        assert np.array_equal(blocks[i][0] > 0.5, ref.ref_argmin_onehot(vals[i]) > 0.5), (k, i)

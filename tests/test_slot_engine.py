@@ -304,6 +304,34 @@ def test_size_negative_levels_rejected():
         ciphertext_size_bytes(-1, EngineConfig())
 
 
+# -- level dropping -------------------------------------------------------------
+
+
+def test_drop_to_depth_is_free_and_shrinks(engine):
+    v = engine.mul(engine.encrypt(np.arange(16.0)), engine.plaintext(np.full(16, 0.5)))
+    before = engine.stats.snapshot()
+    same = engine.drop_to_depth(v, 1)
+    low = engine.drop_to_depth(v, engine.config.depth_budget)
+    assert same.depth_consumed == 1 and low.depth_consumed == 10
+    assert np.array_equal(engine.decrypt(low), engine.decrypt(v))
+    assert low.kind == CIPHERTEXT
+    assert engine.size_bytes(low) == ciphertext_size_bytes(0, engine.config) < engine.size_bytes(v)
+    stats = engine.stats.snapshot()
+    assert stats.max_depth_seen == 10
+    stats.max_depth_seen = before.max_depth_seen
+    assert stats == before  # no operation is counted
+
+
+def test_drop_to_depth_rejects_plaintext_and_bad_targets(engine):
+    v = engine.mul(engine.encrypt(np.ones(16)), engine.plaintext(np.ones(16)))
+    with pytest.raises(EngineError, match="plaintext"):
+        engine.drop_to_depth(engine.plaintext(np.ones(16)), 3)
+    with pytest.raises(EngineError, match="below"):
+        engine.drop_to_depth(v, 0)
+    with pytest.raises(DepthBudgetError, match="budget"):
+        engine.drop_to_depth(v, engine.config.depth_budget + 1)
+
+
 def test_stats_counters(engine):
     before = engine.stats.snapshot()
     v = engine.encrypt(np.ones(16))
