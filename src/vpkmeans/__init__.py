@@ -15,18 +15,13 @@ from .dp_accounting import (
 )
 from .packed_matrix import (
     COLUMN,
-    PADDED,
     ROW,
-    UNPADDED,
     PackedLayout,
     axis_sum,
     batch_extract_replicate,
-    mask,
     reduce_blocks,
-    repl,
     repl_no_padding,
     replication_schedule,
-    transpose_vec,
 )
 from .protocol import (
     CentroidSet,

@@ -19,7 +19,6 @@ import csv as _csv
 import math
 import time
 from dataclasses import dataclass, field
-from itertools import permutations
 
 import numpy as np
 from numpy.polynomial.chebyshev import chebval
@@ -268,8 +267,7 @@ def normalized_loss(data: Dataset | np.ndarray, centroids: CentroidSet | np.ndar
 
 def cluster_accuracy(data: Dataset, centroids: CentroidSet | np.ndarray, labels=None) -> float:
     """Fraction of points whose nearest centroid matches the ground-truth
-    label under the best centroid-to-label bijection (exhaustive for k <= 8,
-    assignment solver above -- same optimum either way)."""
+    label under the best centroid-to-label bijection (assignment solver)."""
     labels = data.labels if labels is None else np.asarray(labels)
     if labels is None:
         raise BenchError("cluster_accuracy needs ground-truth labels")
@@ -279,12 +277,8 @@ def cluster_accuracy(data: Dataset, centroids: CentroidSet | np.ndarray, labels=
     pred = np.argmin(_sq_distances(points, centers), axis=1)
     agree = np.zeros((k, k))
     np.add.at(agree, (pred, labels), 1.0)
-    if k <= 8:
-        best = max(sum(agree[c, pi[c]] for c in range(k)) for pi in permutations(range(k)))
-    else:
-        rows, cols = linear_sum_assignment(-agree)
-        best = agree[rows, cols].sum()
-    return float(best) / points.shape[0]
+    rows, cols = linear_sum_assignment(-agree)
+    return float(agree[rows, cols].sum()) / points.shape[0]
 
 
 # ---------------------------------------------------------------------------
@@ -445,30 +439,38 @@ def run_experiment(config: dict) -> dict:
         raise BenchError("every party in feature_split needs at least one feature")
     model = config.get("model", proto.TWO_PARTY if len(split) == 2 else proto.SERVER_AIDED)
 
-    budget = None
-    if config.get("budget"):
-        b = config["budget"]
-        delta = b.get("delta", 1e-5)
-        if isinstance(delta, str):
-            if delta.strip() != "1/n":
-                raise BenchError(f"unsupported delta spec {delta!r}")
-            delta = 1.0 / ds.n
-        budget = PrivacyBudget(
-            epsilon_total=float(b.get("epsilon", 1.0)),
-            delta_total=float(delta),
-            rounds=rounds,
-            composition=b.get("composition", "auto"),
-        )
+    # these objects validate their fields: a bad value or key is a config error
+    try:
+        budget = None
+        if config.get("budget"):
+            b = config["budget"]
+            delta = b.get("delta", 1e-5)
+            if isinstance(delta, str):
+                if delta.strip() != "1/n":
+                    raise BenchError(f"unsupported delta spec {delta!r}")
+                delta = 1.0 / ds.n
+            budget = PrivacyBudget(
+                epsilon_total=float(b.get("epsilon", 1.0)),
+                delta_total=float(delta),
+                rounds=rounds,
+                composition=b.get("composition", "auto"),
+            )
 
-    sign = SignApproxConfig(**config.get("sign", {}))
+        sign = SignApproxConfig(**config.get("sign", {}))
+        eng_cfg = config.get("engine", {})
+        engine_config = EngineConfig(
+            slot_count=int(eng_cfg.get("slot_count", 1 << 14)),
+            depth_budget=proto.required_depth(k, sign.degree),
+            approx_perturbation=float(eng_cfg.get("approx_perturbation", 0.0)),
+            size_model=SizeModel(**eng_cfg.get("size_model", {})),
+        )
+    except (TypeError, ValueError) as exc:
+        raise BenchError(f"invalid config: {exc}") from exc
+
     seeds_cfg = config.get("seeds", {"count": 1, "base": 0})
     seeds = seeds_cfg if isinstance(seeds_cfg, list) else [
         seeds_cfg.get("base", 0) + i for i in range(seeds_cfg.get("count", 1))
     ]
-
-    eng_cfg = config.get("engine", {})
-    size_model = SizeModel(**eng_cfg["size_model"]) if "size_model" in eng_cfg else SizeModel()
-    slot_count = int(eng_cfg.get("slot_count", 1 << 14))
 
     init_sep = config.get("init_separation")
 
@@ -478,12 +480,7 @@ def run_experiment(config: dict) -> dict:
     dp_info = None
     t0 = time.monotonic()
     for seed in seeds:
-        engine = SlotEngine(EngineConfig(
-            slot_count=slot_count,
-            depth_budget=proto.required_depth(k, sign.degree),
-            approx_perturbation=float(eng_cfg.get("approx_perturbation", 0.0)),
-            size_model=size_model,
-        ), seed=seed)
+        engine = SlotEngine(engine_config, seed=seed)
         parts = split_features(ds.points, split)
         init = init_centroids(k, d, bound, seed, min_separation=init_sep)
         if len(split) == 2 and model == proto.TWO_PARTY:

@@ -1,64 +1,53 @@
 """Encrypted-matrix utilities over slot vectors.
 
-A ciphertext is viewed as a grid of ``block_dim`` rows by
-``blocks_per_ct * block_dim`` columns (C-order), so block ``b`` occupies a
-``block_dim``-wide column stripe: slot(r, b, c) = r*width + b*block_dim + c.
-The grid stores the first row of every block, then the second row, and so
-on; any slots past the grid are dead padding.
+A ciphertext is viewed as a grid of ``k`` rows by ``blocks_per_ct * k``
+columns (C-order), so block ``b`` occupies a ``k``-wide column stripe:
+slot(r, b, c) = r*width + b*k + c.  Each point's k x k block takes exactly
+k*k slots, with no padding to a power of two.  The grid stores the first
+row of every block, then the second row, and so on; any slots past the grid
+are unused.
 
 All operations act on every block simultaneously with the same rotation
 schedule.  Row operations shift by multiples of ``width``, column operations
-by small offsets inside the stripe.  Non-power-of-two block sizes (unpadded
-mode) use generalized replication schedules: most double a replicated
-segment as far as possible and then fill the remainder from cached partial
-results, and k=7 rotates sums other than that segment to save a rotation.
-The test suite checks every schedule's output for every start and k up to
-64, and its rotation count against a bound; it does not check that a
-schedule is rotation-minimal.
+by small offsets inside the stripe.  Replication works for any k: most
+schedules double a replicated segment as far as possible and then fill the
+remainder from cached partial results, and k=7 rotates sums other than that
+segment to save a rotation.  The test suite checks every schedule's output
+for every start and k up to 64, and its rotation count against a bound; it
+does not check that a schedule is rotation-minimal.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from .slot_engine import PLAINTEXT, EngineError, SlotEngine, SlotVector
+from .slot_engine import EngineError, SlotEngine, SlotVector
 
 ROW = "row"
 COLUMN = "column"
 
-PADDED = "padded"
-UNPADDED = "unpadded"
-
 
 @dataclass(frozen=True)
 class PackedLayout:
-    """How k x k blocks tile a slot vector.
+    """How k x k blocks tile a slot vector, k*k slots per block.
 
-    Unpadded mode (default) uses exactly k*k slots per block; padded mode
-    rounds the block dimension up to a power of two, which the recursive
-    transpose requires.  ``blocks_per_ct`` may be pinned explicitly (useful
-    for reproducing small worked examples); by default every block that fits
-    is used.
+    ``blocks_per_ct`` may be pinned explicitly (useful for reproducing small
+    worked examples); by default every block that fits is used.
     """
 
     k: int
     slot_count: int = 1 << 14
-    mode: str = UNPADDED
     blocks_per_ct: int = 0
     _mask_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         if self.k < 2:
             raise ValueError("k must be at least 2")
-        if self.mode not in (PADDED, UNPADDED):
-            raise ValueError(f"unknown layout mode {self.mode!r}")
-        dim = self.block_dim
-        max_blocks = self.slot_count // (dim * dim)
+        max_blocks = self.slot_count // self.stride
         if self.blocks_per_ct == 0:
             object.__setattr__(self, "blocks_per_ct", max_blocks)
         if not 1 <= self.blocks_per_ct <= max_blocks:
@@ -68,35 +57,26 @@ class PackedLayout:
             )
 
     @property
-    def block_dim(self) -> int:
-        if self.mode == UNPADDED:
-            return self.k
-        return 1 << math.ceil(math.log2(self.k))
-
-    @property
     def stride(self) -> int:
         """Slots consumed per block."""
-        return self.block_dim * self.block_dim
+        return self.k * self.k
 
     @property
     def width(self) -> int:
         """Columns per grid row (all stripes side by side)."""
-        return self.blocks_per_ct * self.block_dim
+        return self.blocks_per_ct * self.k
 
     @property
     def usable_slots(self) -> int:
         return self.blocks_per_ct * self.stride
 
-    def slot(self, row: int, block: int, col: int) -> int:
-        return row * self.width + block * self.block_dim + col
-
     def grid(self, values=None) -> np.ndarray:
-        """A zeroed (or filled) (block_dim, blocks_per_ct, block_dim) tensor.
+        """A zeroed (or filled) (k, blocks_per_ct, k) tensor.
 
         Reshaping it C-order and padding to slot_count yields the slot
         vector for this layout.
         """
-        g = np.zeros((self.block_dim, self.blocks_per_ct, self.block_dim))
+        g = np.zeros((self.k, self.blocks_per_ct, self.k))
         if values is not None:
             g[...] = values
         return g
@@ -109,7 +89,7 @@ class PackedLayout:
 
     def from_slots(self, slots: np.ndarray) -> np.ndarray:
         return np.array(slots[: self.usable_slots]).reshape(
-            self.block_dim, self.blocks_per_ct, self.block_dim
+            self.k, self.blocks_per_ct, self.k
         )
 
     # -- cached plaintext masks -----------------------------------------
@@ -123,8 +103,8 @@ class PackedLayout:
 
     def axis_mask(self, axis: str, index: int) -> np.ndarray:
         """1.0 on row/column ``index`` of every block, 0 elsewhere."""
-        if not 0 <= index < self.block_dim:
-            raise IndexError(f"{axis} index {index} outside [0, {self.block_dim})")
+        if not 0 <= index < self.k:
+            raise IndexError(f"{axis} index {index} outside [0, {self.k})")
 
         def build():
             g = self.grid()
@@ -327,22 +307,12 @@ def _run_lane_sum(engine: SlotEngine, v: SlotVector, unit: int, count: int) -> S
 # ---------------------------------------------------------------------------
 
 
-def mask(engine: SlotEngine, v: SlotVector, axis: str, index: int, layout: PackedLayout) -> SlotVector:
-    """Zero everything except row/column ``index`` of every block (one mult)."""
-    return engine.mul(v, engine.plaintext(layout.axis_mask(axis, index)))
-
-
 def axis_sum(engine: SlotEngine, v: SlotVector, axis: str, layout: PackedLayout) -> SlotVector:
     """Per block, sum all rows (resp. columns) into the first (rotations
     only).  As with :func:`reduce_blocks`, only the first row (resp. column)
     is meaningful afterwards; the other lanes hold partial sums for the
     caller to mask."""
-    return _run_lane_sum(engine, v, _axis_unit(layout, axis), layout.block_dim)
-
-
-def repl(engine: SlotEngine, v: SlotVector, axis: str, layout: PackedLayout) -> SlotVector:
-    """Replicate the first row (resp. column) into all of them; rotations only."""
-    return _run_replication(engine, v, _axis_unit(layout, axis), layout.block_dim, 0)
+    return _run_lane_sum(engine, v, _axis_unit(layout, axis), layout.k)
 
 
 def repl_no_padding(
@@ -354,33 +324,11 @@ def repl_no_padding(
 ) -> SlotVector:
     """Replicate the single non-zero row/column at ``start_index`` over the block.
 
-    Works for any block dimension; costs ``len(replication_schedule(k,
+    Works for any k; costs ``len(replication_schedule(k,
     start_index).steps)`` rotations and no multiplications.  The input must hold exactly one non-zero
     lane per block, at the same ``start_index`` everywhere.
     """
-    return _run_replication(engine, v, _axis_unit(layout, axis), layout.block_dim, start_index)
-
-
-def transpose_vec(engine: SlotEngine, v: SlotVector, axis: str, layout: PackedLayout) -> SlotVector:
-    """Move the first row into the first column (``axis=ROW``) or back.
-
-    Padded layouts only: the shift-add schedule assumes a power-of-two block
-    dimension.
-    """
-    dim = layout.block_dim
-    if dim & (dim - 1):
-        raise EngineError("transpose_vec requires a padded (power-of-two) layout")
-    step = layout.width - 1
-    out = v
-    for j in reversed(range(int(math.log2(dim)))):
-        if axis == ROW:  # row -> column: shift right
-            out = engine.add(out, engine.rotate(out, -step * (1 << j)))
-        elif axis == COLUMN:  # column -> row: shift left
-            out = engine.add(out, engine.rotate(out, step * (1 << j)))
-        else:
-            raise ValueError(f"axis must be {ROW!r} or {COLUMN!r}, got {axis!r}")
-    target = COLUMN if axis == ROW else ROW
-    return mask(engine, out, target, 0, layout)
+    return _run_replication(engine, v, _axis_unit(layout, axis), layout.k, start_index)
 
 
 def batch_extract_replicate(
@@ -407,9 +355,9 @@ def batch_extract_replicate(
         blocks = np.arange(pos.size)
     pos = pos.astype(np.int64)
     r, rest = np.divmod(pos, layout.width)
-    blk, c = np.divmod(rest, layout.block_dim)
+    blk, c = np.divmod(rest, layout.k)
     too_many = blocks >= layout.blocks_per_ct
-    bad = too_many | (blk != blocks) | (r < 0) | (r >= layout.block_dim)
+    bad = too_many | (blk != blocks) | (r < 0) | (r >= layout.k)
     if bad.any():
         i = int(np.argmax(bad))
         if too_many[i]:
@@ -433,4 +381,4 @@ def reduce_blocks(engine: SlotEngine, v: SlotVector, layout: PackedLayout) -> Sl
     mask)."""
     if layout.blocks_per_ct == 1:
         return v
-    return _run_lane_sum(engine, v, layout.block_dim, layout.blocks_per_ct)
+    return _run_lane_sum(engine, v, layout.k, layout.blocks_per_ct)

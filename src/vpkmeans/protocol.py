@@ -40,7 +40,7 @@ Deterministic randomness contracts (mirrored by the plaintext oracle):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -65,6 +65,8 @@ SERVER_AIDED = "server-aided"
 MPC_SIMULATED = "mpc-simulated"
 
 SETUP_ROUND = 0  # transcript round index for pre-iteration messages
+
+INIT_MAX_ATTEMPTS = 100  # draws per initial centroid before one is kept regardless
 
 
 class ProtocolError(Exception):
@@ -199,11 +201,10 @@ def init_centroids(
     bound: float,
     seed: int,
     min_separation: float | None = None,
-    max_attempts: int = 100,
 ) -> CentroidSet:
     """Uniform draws in [-B, B]^d, resampling candidates that land within
     ``min_separation`` of an accepted one (default B * sqrt(d) / (2k));
-    after ``max_attempts`` the candidate is accepted unconditionally."""
+    after ``INIT_MAX_ATTEMPTS`` the candidate is accepted unconditionally."""
     if k < 2:
         raise ProtocolError("k must be at least 2")
     if min_separation is None:
@@ -211,7 +212,7 @@ def init_centroids(
     rng = np.random.default_rng(seed)
     centers: list[np.ndarray] = []
     for _ in range(k):
-        for _attempt in range(max_attempts):
+        for _attempt in range(INIT_MAX_ATTEMPTS):
             c = rng.uniform(-bound, bound, size=d)
             if all(np.linalg.norm(c - prev) >= min_separation for prev in centers):
                 break
@@ -288,7 +289,7 @@ class _Batch:
 
 def _plan_batches(n: int, layout: PackedLayout) -> list[_Batch]:
     S = layout.slot_count
-    M, B, W = layout.block_dim, layout.blocks_per_ct, layout.width
+    M, B, W = layout.k, layout.blocks_per_ct, layout.width
     usable = layout.usable_slots
     batches = []
     for m in range(math.ceil(n / S)):
@@ -403,7 +404,7 @@ class _ComputingState:
         self.feature_order = feature_order  # global index -> "alice" | "bob"
         self.alice_features = alice_features
         self.scale = 1.0 / (self.d * (2.0 * bound) ** 2)
-        self.cmp_cfg = replace(sign, input_scale=1.0)
+        self.sign = sign
         self.batches = None if k == 2 else _plan_batches(n, layout)
         self.encodings: list = []
         self.compact_valid_masks: list = []  # k = 2: plaintext 0/1 per ciphertext
@@ -425,7 +426,7 @@ class _ComputingState:
         selected = None
         for slot, block in batch.tail_items:
             single = eng.rotate(eng.mul(ct, eng.plaintext(_unit(eng.config.slot_count, slot))),
-                                slot - block * lay.block_dim)
+                                slot - block * lay.k)
             selected = single if selected is None else eng.add(selected, single)
         filled = pm.repl_no_padding(eng, selected, 0, lay, axis=COLUMN)
         return pm.repl_no_padding(eng, filled, 0, lay, axis=ROW)
@@ -493,10 +494,10 @@ class _ComputingState:
             for x, g in zip(xs, grids):
                 u = eng.add(u, eng.mul(x, g))
             if self.k == 2:
-                a = sa.argmin_two(eng, u, self.cmp_cfg)
+                a = sa.argmin_two(eng, u, self.sign)
                 marker = eng.mul(a, self.compact_valid_masks[i])
             else:
-                a = marker = sa.argmin_packed(eng, u, self.layout, self.cmp_cfg,
+                a = marker = sa.argmin_packed(eng, u, self.layout, self.sign,
                                               valid_blocks=self.batches[i].valid_mask)
             t_total = marker if t_total is None else eng.add(t_total, marker)
             for l, x in enumerate(xs):

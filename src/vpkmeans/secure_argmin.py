@@ -42,14 +42,12 @@ DEFAULT_DEGREE = 1023
 class SignApproxConfig:
     """Parameters of the polynomial comparison.
 
-    ``input_scale`` maps raw differences into [-1, 1] and must be chosen so
-    the comparison operands never leave that interval.  Differences smaller
-    than ``tie_margin`` (after scaling) give unreliable comparisons by
-    contract; everything at or beyond the margin compares to within 0.01.
+    Differences must lie in [-1, 1].  Differences smaller than
+    ``tie_margin`` give unreliable comparisons by contract; everything at or
+    beyond the margin compares to within 0.01.
     """
 
     degree: int = DEFAULT_DEGREE
-    input_scale: float = 1.0
     tie_margin: float = 0.01
 
     def __post_init__(self):
@@ -57,8 +55,6 @@ class SignApproxConfig:
             raise ValueError("degree must be odd and positive")
         if not 0 < self.tie_margin < 1:
             raise ValueError("tie_margin must lie in (0, 1)")
-        if self.input_scale <= 0:
-            raise ValueError("input_scale must be positive")
 
 
 def sign_series(cfg: SignApproxConfig) -> np.ndarray:
@@ -107,13 +103,8 @@ def _cmp_series(degree: int, tie_margin: float) -> np.ndarray:
 
 def compare(engine: SlotEngine, diff: SlotVector, cfg: SignApproxConfig) -> SlotVector:
     """Slot-wise soft comparison of a difference a - b: ~1 where it is
-    positive, ~0 where it is negative, 0.5 at ties.
-
-    When ``input_scale`` is 1 the difference is fed to the series directly;
-    otherwise scaling costs one plaintext multiplication.
-    """
-    if cfg.input_scale != 1.0:
-        diff = engine.mul(diff, engine.plaintext(np.full(engine.config.slot_count, cfg.input_scale)))
+    positive, ~0 where it is negative, 0.5 at ties.  The difference must
+    lie in [-1, 1]; it is fed to the series directly."""
     return engine.eval_chebyshev(diff, cmp_series(cfg))
 
 
@@ -183,10 +174,6 @@ def indicator_phi(
     k = layout.k
     nodes, norm = _phi_factors(k)
     mask_arr = norm * layout.axis_mask(ROW, 0)
-    if layout.block_dim > k:
-        keep = layout.grid()
-        keep[:, :, : k] = 1.0
-        mask_arr = mask_arr * layout.to_slots(keep)
     if extra_mask is not None:
         mask_arr = mask_arr * extra_mask
     mask_pt = engine.plaintext(mask_arr)

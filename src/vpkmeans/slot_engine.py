@@ -35,6 +35,9 @@ from ._kernels import eval_series
 CIPHERTEXT = "ciphertext"
 PLAINTEXT = "plaintext"
 
+# eval_chebyshev accepts slot magnitudes up to 1 + DOMAIN_TOLERANCE
+DOMAIN_TOLERANCE = 1e-6
+
 
 class EngineError(Exception):
     """Base class for slot-engine failures."""
@@ -76,7 +79,6 @@ class EngineConfig:
     depth_budget: int = 18
     approx_perturbation: float = 0.0
     size_model: SizeModel = field(default_factory=SizeModel)
-    domain_tolerance: float = 1e-6
 
     def __post_init__(self):
         if self.slot_count < 1 or self.slot_count & (self.slot_count - 1):
@@ -109,7 +111,13 @@ class SlotVector:
 
 @dataclass
 class EngineStats:
-    """Operation counters, used for rotation budgets and depth assertions."""
+    """Operation counters, used for rotation budgets and depth assertions.
+
+    ``max_depth_seen`` is the largest depth of any result, results of
+    :meth:`SlotEngine.drop_to_depth` included.  A protocol run releases its
+    aggregates at level 0, so afterwards it reads the depth budget, not the
+    circuit's depth; ``RunResult.round_depths`` holds the circuit's depth.
+    """
 
     rotations: int = 0
     ct_mults: int = 0
@@ -244,7 +252,7 @@ class SlotEngine:
     def eval_chebyshev(self, v: SlotVector, coeffs) -> SlotVector:
         """Evaluate a Chebyshev series slot-wise.
 
-        Requires slots in [-1, 1] up to the configured tolerance; NaN slots
+        Requires slots in [-1, 1] up to ``DOMAIN_TOLERANCE``; NaN slots
         raise ``DomainError`` too.  Consumes ceil(log2(degree + 1)) + 1
         levels on ciphertexts.
         """
@@ -252,11 +260,11 @@ class SlotEngine:
         degree = coeffs.size - 1
         if degree < 1:
             raise EngineError("eval_chebyshev needs degree >= 1")
-        bound = 1.0 + self.config.domain_tolerance
+        bound = 1.0 + DOMAIN_TOLERANCE
         amax = float(np.max(np.abs(v.slots))) if v.slots.size else 0.0
         if not amax <= bound:  # also catches NaN
             raise DomainError(
-                f"eval_chebyshev: slot magnitude {amax:.6g} outside [-1, 1] (+{self.config.domain_tolerance:g})"
+                f"eval_chebyshev: slot magnitude {amax:.6g} outside [-1, 1] (+{DOMAIN_TOLERANCE:g})"
             )
         levels = math.ceil(math.log2(degree + 1)) + 1
         depth = v.depth_consumed

@@ -9,12 +9,12 @@ import numpy as np
 
 
 def slot_index(layout, row, block, col):
-    return row * (layout.blocks_per_ct * layout.block_dim) + block * layout.block_dim + col
+    return row * (layout.blocks_per_ct * layout.k) + block * layout.k + col
 
 
 def blocks_of(layout, slots):
     """Extract every block as a dense matrix via explicit slot arithmetic."""
-    m = layout.block_dim
+    m = layout.k
     out = []
     for b in range(layout.blocks_per_ct):
         mat = np.zeros((m, m))
@@ -26,24 +26,12 @@ def blocks_of(layout, slots):
 
 
 def slots_of(layout, blocks, slot_count):
-    m = layout.block_dim
+    m = layout.k
     out = np.zeros(slot_count)
     for b, mat in enumerate(blocks):
         for r in range(m):
             for c in range(m):
                 out[slot_index(layout, r, b, c)] = mat[r, c]
-    return out
-
-
-def ref_mask(blocks, axis, index):
-    out = []
-    for mat in blocks:
-        res = np.zeros_like(mat)
-        if axis == "row":
-            res[index, :] = mat[index, :]
-        else:
-            res[:, index] = mat[:, index]
-        out.append(res)
     return out
 
 
@@ -67,39 +55,13 @@ def ref_sum(blocks, axis):
     return out
 
 
-def ref_repl(blocks, axis):
-    out = []
-    for mat in blocks:
-        res = np.zeros_like(mat)
-        if axis == "row":
-            for r in range(mat.shape[0]):
-                res[r, :] = mat[0, :]
-        else:
-            for c in range(mat.shape[1]):
-                res[:, c] = mat[:, 0]
-        out.append(res)
-    return out
-
-
-def ref_transpose(blocks, axis):
-    out = []
-    for mat in blocks:
-        res = np.zeros_like(mat)
-        if axis == "row":
-            res[:, 0] = mat[0, :]
-        else:
-            res[0, :] = mat[:, 0]
-        out.append(res)
-    return out
-
-
 def ref_replicate_flat(value, k):
     """Brute-force replication target: the value in all k positions."""
     return np.full(k, value)
 
 
 def ref_extract_replicate(layout, compact_slots, positions, scale=1.0):
-    m = layout.block_dim
+    m = layout.k
     out = []
     for b in range(layout.blocks_per_ct):
         mat = np.zeros((m, m))

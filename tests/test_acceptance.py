@@ -67,7 +67,7 @@ def spaced_blocks(rng, count, k, gap):
 
 
 def pack_row_col(engine, layout, vals):
-    m = layout.block_dim
+    m = layout.k
     grid_r = layout.grid()
     grid_c = layout.grid()
     b = vals.shape[0]
@@ -106,8 +106,8 @@ def test_acceptance_01_argmin_oracle_equivalence():
 def test_acceptance_02_ranking_exactness_and_tie_null():
     eng = SlotEngine(EngineConfig(depth_budget=40))
     layout = PackedLayout(4, slot_count=1 << 14)
-    cfg = SignApproxConfig(input_scale=1.0 / 40)
-    vals = np.array([[10.0, 10.0, 30.0, 40.0]])
+    cfg = SignApproxConfig()
+    vals = np.array([[10.0, 10.0, 30.0, 40.0]]) / 40
     v_row, v_col = pack_row_col(eng, layout, vals)
     from vpkmeans.secure_argmin import rank
 

@@ -94,6 +94,27 @@ def test_invalid_config_exits_nonzero(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad", [
+    {"sign": {"degree": 4}},
+    {"budget": {"epsilon": -1}},
+    {"sign": {"degre": 31}},
+    {"sign": {"input_scale": 0.5}},
+], ids=["even-degree", "negative-epsilon", "misspelled-key", "removed-key"])
+def test_invalid_parameter_values_exit_nonzero(tmp_path, capsys, bad):
+    config = {
+        "dataset": {"synthetic": {"n": 50, "k": 2, "d": 2, "bound": 1.0,
+                                   "cluster_std": 0.05, "seed": 1, "min_center_dist": 0.9}},
+        "k": 2,
+        "rounds": 1,
+        **bad,
+    }
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(config))
+    rc = main(["run", str(p), "-o", str(tmp_path / "report.json")])
+    assert rc == 2
+    assert "error" in capsys.readouterr().err
+
+
 def test_missing_file_exits_nonzero(capsys):
     rc = main(["run", "/nonexistent/config.json"])
     assert rc == 2

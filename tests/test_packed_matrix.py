@@ -4,18 +4,13 @@ import pytest
 import reference_ops as ref
 from vpkmeans.packed_matrix import (
     COLUMN,
-    PADDED,
     ROW,
-    UNPADDED,
     PackedLayout,
     axis_sum,
     batch_extract_replicate,
-    mask,
     reduce_blocks,
-    repl,
     repl_no_padding,
     replication_schedule,
-    transpose_vec,
 )
 from vpkmeans.slot_engine import EngineConfig, EngineError, SlotEngine
 
@@ -32,16 +27,18 @@ def dec_blocks(engine, layout, v):
     return ref.blocks_of(layout, engine.decrypt(v))
 
 
+def mask(engine, v, axis, index, layout):
+    return engine.mul(v, engine.plaintext(layout.axis_mask(axis, index)))
+
+
 # -- layout -------------------------------------------------------------------
 
 
 def test_layout_invariants():
-    lay = PackedLayout(14, slot_count=1 << 14, mode=UNPADDED)
+    lay = PackedLayout(14, slot_count=1 << 14)
     assert lay.stride == 196
     assert lay.blocks_per_ct == 83
     assert lay.blocks_per_ct * lay.stride <= 1 << 14
-    padded = PackedLayout(14, slot_count=1 << 14, mode=PADDED)
-    assert padded.stride == 256
 
 
 def test_layout_rejects_bad_params():
@@ -58,7 +55,7 @@ def test_layout_rejects_bad_params():
 
 def test_mask_row_example():
     eng = make()
-    lay = PackedLayout(2, slot_count=64, mode=PADDED)
+    lay = PackedLayout(2, slot_count=64)
     blocks = [np.array([[1.0, 2], [3, 4]])] + [np.zeros((2, 2))] * (lay.blocks_per_ct - 1)
     out = dec_blocks(eng, lay, mask(eng, enc_blocks(eng, lay, blocks), ROW, 0, lay))
     assert np.array_equal(out[0], [[1, 2], [0, 0]])
@@ -66,7 +63,7 @@ def test_mask_row_example():
 
 def test_mask_column_example():
     eng = make()
-    lay = PackedLayout(2, slot_count=64, mode=PADDED)
+    lay = PackedLayout(2, slot_count=64)
     blocks = [np.array([[1.0, 2], [3, 4]])] + [np.zeros((2, 2))] * (lay.blocks_per_ct - 1)
     out = dec_blocks(eng, lay, mask(eng, enc_blocks(eng, lay, blocks), COLUMN, 1, lay))
     assert np.array_equal(out[0], [[0, 2], [0, 4]])
@@ -82,21 +79,12 @@ def test_mask_two_blocks_row1():
 
 
 def test_mask_index_out_of_range():
-    eng = make()
     lay = PackedLayout(3, slot_count=64)
-    v = eng.encrypt(np.zeros(64))
     with pytest.raises(IndexError):
-        mask(eng, v, ROW, 3, lay)
+        lay.axis_mask(ROW, 3)
 
 
-def test_mask_costs_one_level():
-    eng = make()
-    lay = PackedLayout(3, slot_count=64)
-    out = mask(eng, eng.encrypt(np.zeros(64)), ROW, 0, lay)
-    assert out.depth_consumed == 1
-
-
-# -- sum / repl / transpose vs the loop references ---------------------------
+# -- sum vs the loop reference -----------------------------------------------
 
 
 def test_sum_examples():
@@ -112,95 +100,18 @@ def test_sum_examples():
     assert np.array_equal(rows[1], np.zeros((2, 2)))
 
 
-@pytest.mark.parametrize("k,mode", [(2, PADDED), (4, PADDED), (3, UNPADDED), (5, UNPADDED), (7, UNPADDED)])
+@pytest.mark.parametrize("k", [2, 4, 3, 5, 7])
 @pytest.mark.parametrize("axis", [ROW, COLUMN])
-def test_sum_matches_reference(k, mode, axis):
+def test_sum_matches_reference(k, axis):
     eng = make(slot_count=256)
-    lay = PackedLayout(k, slot_count=256, mode=mode)
+    lay = PackedLayout(k, slot_count=256)
     rng = np.random.default_rng(k * 11 + (axis == ROW))
-    blocks = [rng.normal(size=(lay.block_dim, lay.block_dim)) for _ in range(lay.blocks_per_ct)]
+    blocks = [rng.normal(size=(k, k)) for _ in range(lay.blocks_per_ct)]
     summed = axis_sum(eng, enc_blocks(eng, lay, blocks), axis, lay)
     got = dec_blocks(eng, lay, mask(eng, summed, axis, 0, lay))
     want = ref.ref_sum(blocks, axis)
     for g, w in zip(got, want):
         assert np.allclose(g, w, atol=1e-12)
-
-
-def test_repl_examples():
-    eng = make(slot_count=8)
-    lay = PackedLayout(2, slot_count=8)
-    blocks = [np.array([[1.0, 2], [0, 0]]), np.zeros((2, 2))]
-    out = dec_blocks(eng, lay, repl(eng, enc_blocks(eng, lay, blocks), ROW, lay))
-    assert np.array_equal(out[0], [[1, 2], [1, 2]])
-    assert np.array_equal(out[1], np.zeros((2, 2)))
-
-
-def test_repl_4x4_unrolled():
-    eng = make(slot_count=64)
-    lay = PackedLayout(4, slot_count=64, mode=PADDED)
-    blocks = [np.zeros((4, 4)) for _ in range(lay.blocks_per_ct)]
-    blocks[0][0] = [1, 2, 3, 4]
-    out = dec_blocks(eng, lay, repl(eng, enc_blocks(eng, lay, blocks), ROW, lay))
-    assert np.array_equal(out[0], np.tile([1.0, 2, 3, 4], (4, 1)))
-
-
-@pytest.mark.parametrize("k,mode", [(4, PADDED), (6, UNPADDED), (5, UNPADDED)])
-@pytest.mark.parametrize("axis", [ROW, COLUMN])
-def test_repl_matches_reference(k, mode, axis):
-    eng = make(slot_count=256)
-    lay = PackedLayout(k, slot_count=256, mode=mode)
-    rng = np.random.default_rng(k * 7)
-    blocks = []
-    for _ in range(lay.blocks_per_ct):
-        mat = np.zeros((lay.block_dim, lay.block_dim))
-        if axis == ROW:
-            mat[0, :] = rng.normal(size=lay.block_dim)
-        else:
-            mat[:, 0] = rng.normal(size=lay.block_dim)
-        blocks.append(mat)
-    got = dec_blocks(eng, lay, repl(eng, enc_blocks(eng, lay, blocks), axis, lay))
-    want = ref.ref_repl(blocks, axis)
-    for g, w in zip(got, want):
-        assert np.allclose(g, w, atol=1e-12)
-
-
-def test_transpose_examples():
-    eng = make(slot_count=8)
-    lay = PackedLayout(2, slot_count=8, mode=PADDED)
-    blocks = [np.array([[5.0, 6], [0, 0]]), np.zeros((2, 2))]
-    out = dec_blocks(eng, lay, transpose_vec(eng, enc_blocks(eng, lay, blocks), ROW, lay))
-    assert np.array_equal(out[0], [[5, 0], [6, 0]])
-
-
-def test_transpose_4x4_and_back():
-    eng = make(slot_count=128)
-    lay = PackedLayout(4, slot_count=128, mode=PADDED)
-    rng = np.random.default_rng(5)
-    blocks = [np.zeros((4, 4)) for _ in range(lay.blocks_per_ct)]
-    for b in blocks:
-        b[0, :] = rng.normal(size=4)
-    ct = enc_blocks(eng, lay, blocks)
-    t = transpose_vec(eng, ct, ROW, lay)
-    for g, w in zip(dec_blocks(eng, lay, t), ref.ref_transpose(blocks, ROW)):
-        assert np.allclose(g, w, atol=1e-12)
-    back = transpose_vec(eng, t, COLUMN, lay)
-    for g, w in zip(dec_blocks(eng, lay, back), blocks):
-        assert np.allclose(g, w, atol=1e-12)
-
-
-def test_transpose_equal_values_row():
-    eng = make(slot_count=8)
-    lay = PackedLayout(2, slot_count=8, mode=PADDED)
-    blocks = [np.array([[3.0, 3], [0, 0]]), np.zeros((2, 2))]
-    out = dec_blocks(eng, lay, transpose_vec(eng, enc_blocks(eng, lay, blocks), ROW, lay))
-    assert np.array_equal(out[0], [[3, 0], [3, 0]])
-
-
-def test_transpose_requires_padded():
-    eng = make()
-    lay = PackedLayout(3, slot_count=64, mode=UNPADDED)
-    with pytest.raises(EngineError):
-        transpose_vec(eng, eng.encrypt(np.zeros(64)), ROW, lay)
 
 
 # -- replication without padding ---------------------------------------------
@@ -214,19 +125,6 @@ def test_repl_no_padding_k5_example():
     out = repl_no_padding(eng, eng.encrypt(slots), 3, lay, axis=COLUMN)
     got = ref.blocks_of(lay, eng.decrypt(out))[0]
     assert np.array_equal(got[0], ref.ref_replicate_flat(7.0, 5))
-
-
-def test_repl_no_padding_power_of_two_matches_padded_repl():
-    eng = make(slot_count=64)
-    lay = PackedLayout(8, slot_count=64, mode=PADDED)
-    rng = np.random.default_rng(2)
-    blocks = [np.zeros((8, 8))]
-    blocks[0][0, 0] = rng.normal()
-    ct = enc_blocks(eng, lay, blocks)
-    a = eng.decrypt(repl_no_padding(eng, ct, 0, lay, axis=COLUMN))
-    b = eng.decrypt(repl(eng, enc_blocks(eng, lay, blocks), COLUMN, lay))
-    # only the first row is populated in the input, so compare that row
-    assert np.allclose(ref.blocks_of(lay, a)[0][0], ref.blocks_of(lay, b)[0][0])
 
 
 def test_repl_no_padding_k14_uses_196_slots_and_5_rotations():
@@ -264,7 +162,7 @@ def test_repl_no_padding_rejects_bad_start():
             replication_schedule(count, start)
 
 
-@pytest.mark.parametrize("k", [2, 3, 4, 5, 6, 7, 9, 12, 14, 15, 16, 31])
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6, 7, 8, 9, 12, 14, 15, 16, 31])
 def test_repl_no_padding_all_starts_both_axes(k):
     slot_count = 1 << 14 if k * k > 256 else 256
     eng = SlotEngine(EngineConfig(slot_count=slot_count, depth_budget=4))
@@ -384,11 +282,11 @@ def test_reduce_blocks_sums_into_block0():
 
 def test_sum_then_repl_gives_block_dim_times_row():
     eng = make(slot_count=64)
-    lay = PackedLayout(4, slot_count=64, mode=PADDED)
+    lay = PackedLayout(4, slot_count=64)
     rng = np.random.default_rng(8)
     row = rng.normal(size=4)
     blocks = [np.zeros((4, 4))]
     blocks[0][0] = row
-    filled = repl(eng, enc_blocks(eng, lay, blocks), ROW, lay)
+    filled = repl_no_padding(eng, enc_blocks(eng, lay, blocks), 0, lay, axis=ROW)
     summed = dec_blocks(eng, lay, axis_sum(eng, filled, ROW, lay))[0]
     assert np.allclose(summed[0], 4 * row, atol=1e-12)

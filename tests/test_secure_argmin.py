@@ -28,7 +28,7 @@ def make(slot_count=256, depth=40):
 
 def encode_row_col(engine, layout, blocks_values):
     """Row and column encodings of per-block vectors, built in plaintext."""
-    m = layout.block_dim
+    m = layout.k
     row_blocks, col_blocks = [], []
     for vals in blocks_values:
         row_blocks.append(np.tile(np.asarray(vals, dtype=float), (m, 1)))
@@ -84,16 +84,6 @@ def test_cmp_contract_at_margin():
     assert np.max(np.abs(out[keep] - 1.0)) <= 0.01
 
 
-def test_cmp_input_scale_costs_one_level():
-    eng = make()
-    cfg = SignApproxConfig(input_scale=1.0 / 40)
-    a = eng.encrypt(np.full(256, 30.0))
-    b = eng.encrypt(np.full(256, 10.0))
-    out = compare(eng, eng.sub(a, b), cfg)
-    assert np.all(np.abs(eng.decrypt(out) - 1.0) < 0.01)
-    assert out.depth_consumed == 1 + chebyshev_depth(cfg.degree)
-
-
 # -- ranking ------------------------------------------------------------------
 
 
@@ -101,9 +91,8 @@ def test_rank_tie_example_from_worked_ranking():
     # [10, 10, 30, 40] -> [1.5, 1.5, 3, 4]
     eng = make()
     lay = PackedLayout(4, slot_count=256)
-    cfg = SignApproxConfig(input_scale=1.0 / 40)
-    v_row, v_col = encode_row_col(eng, lay, [[10, 10, 30, 40]])
-    r = ref.blocks_of(lay, eng.decrypt(rank(eng, eng.sub(v_row, v_col), lay, cfg)))[0][0]
+    v_row, v_col = encode_row_col(eng, lay, np.array([[10, 10, 30, 40]]) / 40)
+    r = ref.blocks_of(lay, eng.decrypt(rank(eng, eng.sub(v_row, v_col), lay, CFG)))[0][0]
     assert np.max(np.abs(r - np.array([1.5, 1.5, 3.0, 4.0]))) < 0.02
 
 
@@ -152,7 +141,7 @@ def test_phi_scalar_reference_values():
 def test_indicator_phi_slotwise():
     eng = make()
     lay = PackedLayout(4, slot_count=256)
-    ranks = np.zeros((lay.block_dim, lay.blocks_per_ct, lay.block_dim))
+    ranks = np.zeros((lay.k, lay.blocks_per_ct, lay.k))
     ranks[0, 0, :] = [1.0, 3.0, 1.5, 4.0]
     v = eng.encrypt(lay.to_slots(ranks))
     out = ref.blocks_of(lay, eng.decrypt(indicator_phi(eng, v, lay)))[0][0]
