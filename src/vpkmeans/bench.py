@@ -60,7 +60,7 @@ class Dataset:
         return self.points.shape[1]
 
 
-def load_csv(path, normalize: bool = False, label_column: int | None = None, delimiter: str = ",") -> Dataset:
+def load_csv(path, normalize: bool = False, label_column: int | None = None) -> Dataset:
     """Load a rectangular numeric CSV (header row optional).
 
     With ``normalize`` each feature is clipped at its 95th percentile and
@@ -70,7 +70,7 @@ def load_csv(path, normalize: bool = False, label_column: int | None = None, del
     labels = []
     width = None
     with open(path, newline="") as fh:
-        reader = _csv.reader(fh, delimiter=delimiter)
+        reader = _csv.reader(fh)
         for rno, row in enumerate(reader):
             row = [cell.strip() for cell in row if cell.strip() != ""] if row else []
             if not row:
@@ -131,7 +131,6 @@ def gen_synthetic(
     cluster_std: float,
     seed: int,
     min_center_dist: float | None = None,
-    name: str | None = None,
 ) -> Dataset:
     """Gaussian blobs around k spaced-out centers in [-B, B]^d, clipped to the
     domain, with ground-truth labels; points are split as evenly as possible."""
@@ -148,7 +147,7 @@ def gen_synthetic(
     labels = np.concatenate(labs)
     order = rng.permutation(n)
     return Dataset(points=points[order], labels=labels[order],
-                   name=name or f"Synth-{n}-{k}-{d}", preprocessing=f"std={cluster_std}",
+                   name=f"Synth-{n}-{k}-{d}", preprocessing=f"std={cluster_std}",
                    bound=bound)
 
 
@@ -214,9 +213,10 @@ def lloyd_plaintext(
     ``standard``: hard nearest-centroid assignment, lowest index on ties.
     ``matching``: the protocol-equivalent soft assignment described in the
     module docstring, for oracle comparisons against zero-noise runs.
-    Both share the centroid update: counts below 1 re-initialize the cluster
-    from ``default_rng([seed, round, cluster, 0x7E1])``, coordinates clamp
-    to the domain.
+    Both update the centroids with the protocol's
+    :func:`~vpkmeans.protocol.update_centroids`: counts below
+    ``REINIT_BELOW`` re-initialize the cluster, coordinates clamp to the
+    domain.
     """
     points = data.points if isinstance(data, Dataset) else np.asarray(data, dtype=np.float64)
     centers = np.array(init.centers)
@@ -242,15 +242,10 @@ def lloyd_plaintext(
         else:
             raise BenchError(f"unknown tie rule {tie_rule!r}")
 
-        for j in range(k):
-            if counts[j] < 1.0:
-                rng = np.random.default_rng([seed, t, j, 0x7E1])
-                centers[j] = rng.uniform(-bound, bound, size=d)
-            else:
-                centers[j] = np.clip(sums[j] / counts[j], -bound, bound)
+        centers = proto.update_centroids(sums.T, counts, bound, seed, t).centers
         history.append(np.array(centers))
 
-    return LloydResult(CentroidSet(centers, bound=bound, round=rounds), history, unassigned)
+    return LloydResult(CentroidSet(centers, bound=bound), history, unassigned)
 
 
 # ---------------------------------------------------------------------------
@@ -288,14 +283,12 @@ def cluster_accuracy(data: Dataset, centroids: CentroidSet | np.ndarray, labels=
 
 @dataclass(frozen=True)
 class NetworkConfig:
+    """A link by its bandwidth and one-way delay, the two numbers
+    :func:`wallclock_seconds` reads."""
+
     name: str
     bandwidth_mbps: float
     delay_ms: float
-    jitter_ms: float = 0.0
-    loss_pct: float = 0.0
-    burst_kb: float | None = None
-    quantum: float | None = None
-    r2q: float | None = None
 
     def __post_init__(self):
         if self.bandwidth_mbps <= 0:
@@ -307,16 +300,16 @@ class NetworkConfig:
 NETWORK_PROFILES = {
     p.name: p
     for p in [
-        NetworkConfig("LAN500", 500, 1, 0.2, 0.0, None, 1500, 10),
-        NetworkConfig("LAN1000", 1000, 0.3, 0.02, 0.0, None, 3000, 15),
-        NetworkConfig("LAN10000", 10000, 0.1, 0.01, 0.0, None, 9000, 25),
-        NetworkConfig("regWAN100", 100, 20, 15, 0.1, 500, 1200, 10),
-        NetworkConfig("regWAN250", 250, 15, 5, 0.1, 1000, 1500, 20),
-        NetworkConfig("regWAN500", 500, 10, 2, 0.1, 1500, 1500, 25),
-        NetworkConfig("ccWAN50", 50, 150, 25, 0.5, 500, 1000, 10),
-        NetworkConfig("ccWAN100", 100, 120, 15, 0.3, 1000, 1000, 15),
-        NetworkConfig("ccWAN200", 200, 100, 10, 0.2, 2000, 1200, 20),
-        NetworkConfig("crpWAN500", 500, 50, 5, 0.1, 1000, 1500, 15),
+        NetworkConfig("LAN500", 500, 1),
+        NetworkConfig("LAN1000", 1000, 0.3),
+        NetworkConfig("LAN10000", 10000, 0.1),
+        NetworkConfig("regWAN100", 100, 20),
+        NetworkConfig("regWAN250", 250, 15),
+        NetworkConfig("regWAN500", 500, 10),
+        NetworkConfig("ccWAN50", 50, 150),
+        NetworkConfig("ccWAN100", 100, 120),
+        NetworkConfig("ccWAN200", 200, 100),
+        NetworkConfig("crpWAN500", 500, 50),
     ]
 }
 
@@ -339,9 +332,9 @@ def wallclock_seconds(
 
     Transfer is total bytes over the configured bandwidth; each protocol
     round counts as one sequential exchange (two if decryption shares flow
-    back), plus one for setup.  Jitter and packet loss are carried in the
-    profile but ignored here -- the estimator targets order-of-magnitude
-    comparisons and there is no retransmission model.
+    back), plus one for setup.  Jitter and packet loss are not modelled:
+    the estimator targets order-of-magnitude comparisons and has no
+    retransmission model.
     """
     bits = total_bytes * 8.0
     transfer = bits / (net.bandwidth_mbps * 1e6)
@@ -359,8 +352,8 @@ def calibrate_size_model(
     slot_count: int = 1 << 14,
 ) -> SizeModel:
     """Fit bytes-per-slot-per-level so the modeled total for one reference
-    configuration hits a measured grand total (zero base overhead)."""
-    unit = SizeModel(bytes_per_slot_per_level=1.0, base_overhead_bytes=0.0)
+    configuration hits a measured grand total."""
+    unit = SizeModel(bytes_per_slot_per_level=1.0)
     cfg = EngineConfig(slot_count=slot_count, depth_budget=proto.required_depth(k), size_model=unit)
     tr = proto.estimate_transcript(n, k, d, d_bob, rounds, cfg)
     ct_bytes = sum(m.byte_size for m in tr.messages if m.ciphertext_count or m.kind == proto.PUBLIC_KEY)
@@ -368,7 +361,7 @@ def calibrate_size_model(
     b = (target_bytes - plain_bytes) / ct_bytes
     if b <= 0:
         raise BenchError("calibration target smaller than the plaintext share")
-    return SizeModel(bytes_per_slot_per_level=b, base_overhead_bytes=0.0)
+    return SizeModel(bytes_per_slot_per_level=b)
 
 
 # ---------------------------------------------------------------------------
@@ -398,52 +391,62 @@ def s1_style_config(seed: int = 7, **overrides) -> dict:
     return cfg
 
 
+# the keys each section of an experiment config may hold; the dataset
+# sections are the keyword arguments of gen_synthetic and load_csv
+_CONFIG_KEYS = {
+    "config": {"name", "dataset", "k", "rounds", "bound", "feature_split", "model", "budget",
+               "sign", "engine", "seeds", "init_separation", "network_profiles", "output"},
+    "budget": {"epsilon", "delta", "composition"},
+    "engine": {"slot_count", "approx_perturbation", "size_model"},
+    "seeds": {"count", "base"},
+}
+
+
+def _check_keys(spec, section: str) -> None:
+    if not isinstance(spec, dict):
+        raise BenchError(f"{section} must be a JSON object, got {spec!r}")
+    unknown = sorted(set(spec) - _CONFIG_KEYS[section])
+    if unknown:
+        raise BenchError(f"unknown key {unknown[0]!r} in {section}")
+
+
 def _build_dataset(spec: dict) -> Dataset:
+    if not isinstance(spec, dict) or len(spec) != 1 or not set(spec) <= {"synthetic", "csv"}:
+        raise BenchError("dataset spec needs exactly one 'synthetic' or 'csv' entry")
     if "synthetic" in spec:
-        s = spec["synthetic"]
-        return gen_synthetic(
-            n=s["n"], k=s["k"], d=s["d"], bound=s.get("bound", 1.0),
-            cluster_std=s["cluster_std"], seed=s.get("seed", 0),
-            min_center_dist=s.get("min_center_dist"),
-        )
-    if "csv" in spec:
-        c = spec["csv"]
-        ds = load_csv(c["path"], normalize=c.get("normalize", True),
-                      label_column=c.get("label_column"))
-        if c.get("recenter", True) and c.get("normalize", True):
-            ds = recenter(ds)
-        return ds
-    raise BenchError("dataset spec needs a 'synthetic' or 'csv' entry")
+        return gen_synthetic(**{"bound": 1.0, "seed": 0, **spec["synthetic"]})
+    c = {"normalize": True, "recenter": True, **spec["csv"]}
+    centered = c.pop("recenter") and c["normalize"]
+    ds = load_csv(**c)
+    return recenter(ds) if centered else ds
 
 
 def run_experiment(config: dict) -> dict:
     """Run the secure protocol and the plaintext baseline over several seeds
     and assemble the report (metrics, DP parameters, transcript summary,
-    wall-clock estimates)."""
+    wall-clock estimates).
+
+    Every value is parsed before the first run: a missing, unknown or
+    malformed key raises ``BenchError``, and a value the protocol cannot run
+    raises ``ProtocolError`` before any setup.
+    """
     for key in ("dataset", "k", "rounds"):
         if key not in config:
             raise BenchError(f"config is missing required field {key!r}")
-    ds = _build_dataset(config["dataset"])
-    k = int(config["k"])
-    rounds = int(config["rounds"])
-    bound = float(config.get("bound", ds.bound if ds.bound else 1.0))
-    if np.max(np.abs(ds.points)) > bound + 1e-12:
-        raise BenchError(f"data exceeds bound {bound}; set 'bound' explicitly")
-
-    d = ds.d
-    split = config.get("feature_split")
-    if split is None:
-        cut = (d + 1) // 2
-        split = [list(range(cut)), list(range(cut, d))]
-    if any(not cols for cols in split):
-        raise BenchError("every party in feature_split needs at least one feature")
-    model = config.get("model", proto.TWO_PARTY if len(split) == 2 else proto.SERVER_AIDED)
-
-    # these objects validate their fields: a bad value or key is a config error
+    # the objects built here validate their fields: a bad value is a config error
     try:
+        _check_keys(config, "config")
+        ds = _build_dataset(config["dataset"])
+        k = int(config["k"])
+        rounds = int(config["rounds"])
+        bound = float(config.get("bound", ds.bound if ds.bound else 1.0))
+        init_sep = config.get("init_separation")
+        init_sep = None if init_sep is None else float(init_sep)
+
         budget = None
         if config.get("budget"):
             b = config["budget"]
+            _check_keys(b, "budget")
             delta = b.get("delta", 1e-5)
             if isinstance(delta, str):
                 if delta.strip() != "1/n":
@@ -458,24 +461,39 @@ def run_experiment(config: dict) -> dict:
 
         sign = SignApproxConfig(**config.get("sign", {}))
         eng_cfg = config.get("engine", {})
+        _check_keys(eng_cfg, "engine")
         engine_config = EngineConfig(
             slot_count=int(eng_cfg.get("slot_count", 1 << 14)),
             depth_budget=proto.required_depth(k, sign.degree),
             approx_perturbation=float(eng_cfg.get("approx_perturbation", 0.0)),
             size_model=SizeModel(**eng_cfg.get("size_model", {})),
         )
+
+        seeds_cfg = config.get("seeds", {})
+        if isinstance(seeds_cfg, list):
+            seeds = [int(s) for s in seeds_cfg]
+        else:
+            _check_keys(seeds_cfg, "seeds")
+            base = int(seeds_cfg.get("base", 0))
+            seeds = [base + i for i in range(int(seeds_cfg.get("count", 1)))]
+        if not seeds:
+            raise BenchError("the config runs no seeds")
+
+        profiles = list(config.get("network_profiles", []))
+        for name in profiles:
+            if name not in NETWORK_PROFILES:
+                raise BenchError(f"unknown network profile {name!r}")
     except (TypeError, ValueError) as exc:
         raise BenchError(f"invalid config: {exc}") from exc
 
-    seeds_cfg = config.get("seeds", {"count": 1, "base": 0})
-    seeds = seeds_cfg if isinstance(seeds_cfg, list) else [
-        seeds_cfg.get("base", 0) + i for i in range(seeds_cfg.get("count", 1))
-    ]
-
-    init_sep = config.get("init_separation")
+    d = ds.d
+    split = config.get("feature_split")
+    if split is None:
+        cut = (d + 1) // 2
+        split = [list(range(cut)), list(range(cut, d))]
+    model = config.get("model", proto.TWO_PARTY if len(split) == 2 else proto.SERVER_AIDED)
 
     per_seed = []
-    transcript_summary = None
     transcript = None
     dp_info = None
     t0 = time.monotonic()
@@ -500,9 +518,8 @@ def run_experiment(config: dict) -> dict:
             entry["secure_accuracy"] = cluster_accuracy(ds, result.centroids)
             entry["baseline_accuracy"] = cluster_accuracy(ds, base.centroids)
         per_seed.append(entry)
-        if transcript_summary is None:
+        if transcript is None:
             transcript = result.transcript
-            transcript_summary = result.transcript.summary()
             if result.round_budget is not None:
                 dp_info = {
                     "epsilon_per_round": result.round_budget.epsilon,
@@ -511,17 +528,14 @@ def run_experiment(config: dict) -> dict:
                     "sigma_sum": result.noise.sigma_sum,
                     "sigma_count": result.noise.sigma_count,
                 }
-    compute_seconds = float(config.get("compute_seconds", time.monotonic() - t0))
+    compute_seconds = time.monotonic() - t0
 
     def seed_mean(key):
         vals = [e[key] for e in per_seed if key in e]
         return float(np.mean(vals)) if vals else None
 
-    wallclock = {}
-    for name in config.get("network_profiles", []):
-        if name not in NETWORK_PROFILES:
-            raise BenchError(f"unknown network profile {name!r}")
-        wallclock[name] = estimate_wallclock(transcript, NETWORK_PROFILES[name], compute_seconds)
+    wallclock = {name: estimate_wallclock(transcript, NETWORK_PROFILES[name], compute_seconds)
+                 for name in profiles}
 
     report = {
         "name": config.get("name", ds.name),
@@ -537,7 +551,7 @@ def run_experiment(config: dict) -> dict:
             "baseline_accuracy": seed_mean("baseline_accuracy"),
         },
         "dp": dp_info,
-        "transcript": transcript_summary,
+        "transcript": transcript.summary(),
         "compute_seconds": compute_seconds,
         "estimated_wallclock_seconds": wallclock,
     }

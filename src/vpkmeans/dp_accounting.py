@@ -55,7 +55,6 @@ class NoiseScales:
 
     sigma_sum: float
     sigma_count: float
-    bound: float
 
     @classmethod
     def from_budget(
@@ -73,7 +72,7 @@ class NoiseScales:
         s_count = gaussian_sigma(1.0, round_budget.epsilon, round_budget.delta)
         if paper_formulas:
             s_sum, s_count = s_count, s_sum
-        return cls(sigma_sum=s_sum, sigma_count=s_count, bound=bound)
+        return cls(sigma_sum=s_sum, sigma_count=s_count)
 
 
 def per_round_budget(budget: PrivacyBudget) -> RoundBudget:

@@ -336,24 +336,17 @@ def batch_extract_replicate(
     x: SlotVector,
     positions,
     layout: PackedLayout,
-    scale: float = 1.0,
 ) -> SlotVector:
     """Fill each block with one value taken from the compact encoding ``x``.
 
-    ``positions`` holds one source slot per output block (None skips the
-    block); all sources must sit at the same (row, column) offset of their
-    stripes so a single mask plus the two replication passes re-encode every
-    block at once.  ``scale`` is folded into the mask, so scaling costs no
-    extra depth.  Total cost: one plaintext multiplication and rotations.
+    ``positions`` holds one integer source slot per output block, for a
+    prefix of the blocks; all sources must sit at the same (row, column)
+    offset of their stripes so a single mask plus the two replication
+    passes re-encode every block at once.  Total cost: one plaintext
+    multiplication and rotations.
     """
-    pos = np.asarray(positions)
-    if pos.dtype == object:  # None entries skip their block
-        used = np.array([p is not None for p in pos], dtype=bool)
-        blocks = np.flatnonzero(used)
-        pos = pos[used]
-    else:
-        blocks = np.arange(pos.size)
-    pos = pos.astype(np.int64)
+    pos = np.asarray(positions, dtype=np.int64)
+    blocks = np.arange(pos.size)
     r, rest = np.divmod(pos, layout.width)
     blk, c = np.divmod(rest, layout.k)
     too_many = blocks >= layout.blocks_per_ct
@@ -368,7 +361,7 @@ def batch_extract_replicate(
         raise EngineError(f"positions must share one in-block offset, got {offsets}")
     row0, col0 = int(r[0]), int(c[0])
     sel = np.zeros(layout.slot_count)
-    sel[pos] = scale
+    sel[pos] = 1.0
 
     selected = engine.mul(x, engine.plaintext(sel))
     filled = repl_no_padding(engine, selected, col0, layout, axis=COLUMN)

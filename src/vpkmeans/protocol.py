@@ -32,7 +32,8 @@ features to parties.
 Deterministic randomness contracts (mirrored by the plaintext oracle):
 
 * initial centroids: ``init_centroids(k, d, bound, seed)``;
-* re-initialization of a cluster with noisy count below 1 in round ``t``:
+* re-initialization of a cluster with noisy count below ``REINIT_BELOW``
+  in round ``t``:
   ``numpy.random.default_rng([seed, t, cluster, 0x7E1]).uniform(-B, B, d)``;
 * DP noise: one ``default_rng([seed, 0xD9])`` stream per run.
 """
@@ -68,6 +69,11 @@ SETUP_ROUND = 0  # transcript round index for pre-iteration messages
 
 INIT_MAX_ATTEMPTS = 100  # draws per initial centroid before one is kept regardless
 
+# A noisy count below this re-initializes its cluster.  The margin under 1
+# keeps a cluster of exactly one point whole: without noise its count is 1
+# up to rounding, and rounding must not decide whether it survives.
+REINIT_BELOW = 1.0 - 1e-9
+
 
 class ProtocolError(Exception):
     pass
@@ -84,12 +90,13 @@ class DataPartition:
 
     ``feature_indices`` are the global column positions of this party's
     features in the joint dataset; they default to a contiguous range when
-    partitions are assembled via :func:`split_features`.
+    partitions are assembled via :func:`split_features`.  A partition
+    carries no role: :func:`run_multiparty` decides who computes, who holds
+    the key and who only uploads.
     """
 
     owner: str
     features: np.ndarray  # n x d_owner
-    role: str = DATA_OWNER
     feature_indices: tuple[int, ...] = ()
 
     def __post_init__(self):
@@ -125,7 +132,6 @@ def split_features(points: np.ndarray, split: list[list[int]], owners=None) -> l
 class CentroidSet:
     centers: np.ndarray  # k x d
     bound: float
-    round: int = 0
 
     def __post_init__(self):
         self.centers = np.asarray(self.centers, dtype=np.float64)
@@ -217,11 +223,12 @@ def init_centroids(
             if all(np.linalg.norm(c - prev) >= min_separation for prev in centers):
                 break
         centers.append(c)
-    return CentroidSet(np.array(centers), bound=bound, round=0)
+    return CentroidSet(np.array(centers), bound=bound)
 
 
 def reinit_draw(seed: int, round_index: int, cluster: int, bound: float, d: int) -> np.ndarray:
-    """Replacement centroid for a cluster whose noisy count fell below 1."""
+    """Replacement centroid for a cluster whose noisy count fell below
+    ``REINIT_BELOW``."""
     rng = np.random.default_rng([seed, round_index, cluster, 0x7E1])
     return rng.uniform(-bound, bound, size=d)
 
@@ -234,7 +241,7 @@ def update_centroids(
     round_index: int,
 ) -> CentroidSet:
     """Divide sums by counts, clamping coordinates to the domain; clusters
-    with a noisy count below 1 are re-initialized uniformly."""
+    with a noisy count below ``REINIT_BELOW`` are re-initialized uniformly."""
     noisy_sums = np.asarray(noisy_sums, dtype=np.float64)
     noisy_counts = np.asarray(noisy_counts, dtype=np.float64)
     if not (np.all(np.isfinite(noisy_sums)) and np.all(np.isfinite(noisy_counts))):
@@ -242,11 +249,11 @@ def update_centroids(
     d, k = noisy_sums.shape
     centers = np.empty((k, d))
     for j in range(k):
-        if noisy_counts[j] < 1.0:
+        if noisy_counts[j] < REINIT_BELOW:
             centers[j] = reinit_draw(seed, round_index, j, bound, d)
         else:
             centers[j] = np.clip(noisy_sums[:, j] / noisy_counts[j], -bound, bound)
-    return CentroidSet(centers, bound=bound, round=round_index)
+    return CentroidSet(centers, bound=bound)
 
 
 # ---------------------------------------------------------------------------
@@ -338,31 +345,12 @@ def _unit(slots: int, i: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-class _KeyHolderState:
-    """Bob: encrypts the non-computing features, decrypts aggregates (jointly
-    under MPC), updates centroids."""
-
-    def __init__(self, engine: SlotEngine, features: dict, n: int, bound: float, seed: int):
-        self.engine = engine
-        self.features = features  # global feature index -> values (n,)
-        self.n = n
-        self.bound = bound
-        self.seed = seed
-
-    def encrypt_features(self) -> dict:
-        S = self.engine.config.slot_count
-        out = {}
-        for gidx, values in self.features.items():
-            cts = []
-            for m in range(math.ceil(self.n / S)):
-                cts.append(self.engine.encrypt(values[m * S : (m + 1) * S]))
-            out[gidx] = cts
-        return out
-
-    def update(self, s_released, t_released, k: int, d: int, round_index: int) -> CentroidSet:
-        t = self.engine.decrypt(t_released)[:k]
-        s = np.stack([self.engine.decrypt(sv)[:k] for sv in s_released])  # d x k
-        return update_centroids(s, t, self.bound, self.seed, round_index)
+def _encrypt_features(engine: SlotEngine, columns: dict) -> dict:
+    """Setup of every non-computing party: each feature (global index ->
+    values) encrypted under the shared key in ``slot_count`` chunks."""
+    S = engine.config.slot_count
+    return {g: [engine.encrypt(v[m * S : (m + 1) * S]) for m in range(math.ceil(v.size / S))]
+            for g, v in columns.items()}
 
 
 def _difference_terms(centers: np.ndarray, scale: float) -> tuple[np.ndarray, np.ndarray]:
@@ -380,9 +368,11 @@ class _ComputingState:
     """Alice: owns the plaintext side, all encrypted evaluation, and noise.
 
     ``encodings[l][i]`` is feature ``l`` of unit ``i`` (a batch, or at k = 2
-    a compact ciphertext), fixed for the run: Bob's extracted block or
-    uploaded ciphertext, or Alice's plaintext of the same shape.  Both take
-    the same products in the same order.
+    a compact ciphertext), built once from ``columns`` (every feature's
+    values, in global order) and ``encrypted`` (global index -> uploaded
+    ciphertexts): the extracted block or uploaded ciphertext of an encrypted
+    feature, or Alice's plaintext of the same shape.  Both take the same
+    products in the same order.
     """
 
     def __init__(
@@ -393,30 +383,26 @@ class _ComputingState:
         n: int,
         bound: float,
         sign: sa.SignApproxConfig,
-        alice_features: dict,
-        feature_order: list,
+        columns: list,
+        encrypted: dict,
     ):
         self.engine = engine
         self.layout = layout
         self.k = k
         self.n = n
-        self.d = len(feature_order)
-        self.feature_order = feature_order  # global index -> "alice" | "bob"
-        self.alice_features = alice_features
+        self.d = len(columns)
         self.scale = 1.0 / (self.d * (2.0 * bound) ** 2)
         self.sign = sign
         self.batches = None if k == 2 else _plan_batches(n, layout)
         self.encodings: list = []
         self.compact_valid_masks: list = []  # k = 2: plaintext 0/1 per ciphertext
         self.total_heads: list = []  # k = 2: X_l * e0 per feature
+        if k == 2:
+            self._cache_compact(columns, encrypted)
+        else:
+            self._cache_packed(columns, encrypted)
 
     # -- one-time encoding -------------------------------------------------
-
-    def cache_bob(self, bob_cts: dict) -> None:
-        if self.k == 2:
-            self._cache_compact(bob_cts)
-        else:
-            self._cache_packed(bob_cts)
 
     def _extract(self, ct: SlotVector, batch: _Batch) -> SlotVector:
         eng, lay = self.engine, self.layout
@@ -431,19 +417,19 @@ class _ComputingState:
         filled = pm.repl_no_padding(eng, selected, 0, lay, axis=COLUMN)
         return pm.repl_no_padding(eng, filled, 0, lay, axis=ROW)
 
-    def _cache_packed(self, bob_cts: dict) -> None:
+    def _cache_packed(self, columns: list, encrypted: dict) -> None:
         lay = self.layout
-        for l, owner in enumerate(self.feature_order):
-            if owner == "bob":
-                self.encodings.append([self._extract(bob_cts[l][b.ct_index], b) for b in self.batches])
+        for l, values in enumerate(columns):
+            if l in encrypted:
+                self.encodings.append([self._extract(encrypted[l][b.ct_index], b) for b in self.batches])
                 continue
             blocks = []
             for b in self.batches:
-                vals = np.where(b.points >= 0, self.alice_features[l][np.maximum(b.points, 0)], 0.0)
+                vals = np.where(b.points >= 0, values[np.maximum(b.points, 0)], 0.0)
                 blocks.append(self.engine.plaintext(lay.to_slots(lay.grid(vals[None, :, None]))))
             self.encodings.append(blocks)
 
-    def _cache_compact(self, bob_cts: dict) -> None:
+    def _cache_compact(self, columns: list, encrypted: dict) -> None:
         """Valid-slot masks, every feature's compact encodings, and the
         round-invariant feature totals of both parties."""
         eng = self.engine
@@ -453,11 +439,10 @@ class _ComputingState:
         for m in range(count):
             rest = self.n - m * S
             self.compact_valid_masks.append(full if rest >= S else eng.plaintext(np.arange(S) < rest))
-        for l, owner in enumerate(self.feature_order):
-            if owner == "bob":
-                self.encodings.append(bob_cts[l])
+        for l, values in enumerate(columns):
+            if l in encrypted:
+                self.encodings.append(encrypted[l])
             else:
-                values = self.alice_features[l]
                 self.encodings.append([eng.plaintext(values[m * S : (m + 1) * S]) for m in range(count)])
         # X_l * e0: every point's feature l, summed into slot 0, once per run
         e0 = eng.plaintext(_unit(S, 0))
@@ -540,20 +525,21 @@ class _ComputingState:
 # ---------------------------------------------------------------------------
 
 
-def _feature_map(partitions: list[DataPartition], computing: str):
-    """Global feature index -> owner side ('alice'/'bob') and value column."""
+def _feature_columns(partitions: list[DataPartition]) -> list[np.ndarray]:
+    """Every feature's values, in global feature order."""
     d = sum(p.features.shape[1] for p in partitions)
-    order = [None] * d
-    alice_feats: dict = {}
-    bob_feats: dict = {}
+    columns = [None] * d
     for p in partitions:
-        side = "alice" if p.owner == computing else "bob"
         for col, gidx in enumerate(p.feature_indices):
-            if gidx >= d or order[gidx] is not None:
+            if not 0 <= gidx < d or columns[gidx] is not None:
                 raise ProtocolError("feature_indices do not form a partition")
-            order[gidx] = side
-            (alice_feats if side == "alice" else bob_feats)[gidx] = p.features[:, col]
-    return order, alice_feats, bob_feats
+            columns[gidx] = p.features[:, col]
+    return columns
+
+
+def _within(values: np.ndarray, bound: float) -> bool:
+    # no full-size |values| temporary; a NaN fails the comparison
+    return not values.size or max(values.max(), -values.min()) <= bound + 1e-12
 
 
 def run(
@@ -580,10 +566,6 @@ def run(
                           shift_tol=shift_tol)
 
 
-def replace_role(p: DataPartition, role: str) -> DataPartition:
-    return DataPartition(p.owner, p.features, role, p.feature_indices)
-
-
 def run_multiparty(
     partitions: list[DataPartition],
     model: str,
@@ -600,21 +582,25 @@ def run_multiparty(
 ) -> RunResult:
     """Execute setup plus ``rounds`` iterations among N parties.
 
-    server-aided: the party with the most features computes (Alice), the
-    next one holds the key (Bob); everyone else encrypts under Bob's key and
-    uploads.  mpc-simulated: the key is shared by all non-computing parties;
-    decryption of each round's aggregates is modeled as one additive share
-    per party whose sum is the plaintext, and the computing party performs
-    the centroid update itself.
+    The roles are decided here and nowhere else.  The computing party
+    (Alice) is ``computing_party``, or else the party with the most
+    features; the others follow by feature count.  server-aided: the first
+    of them holds the key (Bob), and everyone else encrypts under Bob's key
+    and uploads.  mpc-simulated: the key is shared by all non-computing
+    parties; decryption of each round's aggregates is modeled as one
+    additive share per party whose sum is the plaintext, and the computing
+    party performs the centroid update itself.
 
     With ``budget=None`` no noise is added.  With ``shift_tol`` set, the run
     stops early once the largest centroid movement drops below it; the
-    privacy split always uses the configured ``rounds``.  The transcript is
-    :func:`plan_transcript` for the rounds executed.  Every round's
-    aggregates are checked against :func:`release_depths`, recorded in
-    ``round_depths``, dropped to level 0 and only then noised and released;
-    the run raises ``ProtocolError`` if a circuit depth differs from the
-    ledger or a measured ciphertext size differs from the plan.
+    privacy split always uses ``budget.rounds``, which must cover
+    ``rounds``.  The transcript is :func:`plan_transcript` for the rounds
+    executed.  Every round's aggregates are checked against
+    :func:`release_depths`, recorded in ``round_depths``, dropped to level 0
+    and only then noised and released; the run raises ``ProtocolError`` if a
+    circuit depth differs from the ledger or a measured ciphertext size
+    differs from the plan.  Arguments the run cannot honour raise
+    ``ProtocolError`` before setup.
     """
     if model not in (SERVER_AIDED, MPC_SIMULATED):
         raise ProtocolError(f"unknown deployment model {model!r}")
@@ -625,29 +611,35 @@ def run_multiparty(
         raise ProtocolError(f"party names must be unique, got {names}")
     if computing_party is not None and computing_party not in names:
         raise ProtocolError(f"computing party {computing_party!r} is not one of {names}")
-    ordered = sorted(partitions, key=lambda p: -p.features.shape[1])
-    if computing_party is not None:
-        ordered.sort(key=lambda p: (p.owner != computing_party, -p.features.shape[1]))
-    parties = [replace_role(ordered[0], COMPUTING)] + [
-        replace_role(p, KEY_HOLDER if (model == SERVER_AIDED and i == 0) else DATA_OWNER)
-        for i, p in enumerate(ordered[1:])
-    ]
+    ordered = sorted(partitions, key=lambda p: (p.owner != computing_party, -p.features.shape[1]))
+    roles = [COMPUTING, KEY_HOLDER if model == SERVER_AIDED else DATA_OWNER]
+    roles += [DATA_OWNER] * (len(ordered) - 2)
 
+    if rounds < 0:
+        raise ProtocolError(f"rounds must be non-negative, got {rounds}")
+    if budget is not None and budget.rounds < rounds:
+        raise ProtocolError(f"{rounds} rounds exceed the {budget.rounds} the privacy budget is split over")
+    if not bound > 0:
+        raise ProtocolError(f"the domain bound must be positive, got {bound}")
+    if k < 2:
+        raise ProtocolError("k must be at least 2")
     sign = sign or sa.SignApproxConfig()
-    n = parties[0].n
-    if any(p.n != n for p in parties):
+    n = ordered[0].n
+    if any(p.n != n for p in ordered):
         raise ProtocolError("all parties must hold the same number of records")
     if n == 0:
         raise ProtocolError("no records to cluster")
-    for p in parties:
-        f = p.features
-        # no full-size |f| temporary; a NaN fails the comparison
-        if f.size and not max(f.max(), -f.min()) <= bound + 1e-12:
+    for p in ordered:
+        if not _within(p.features, bound):
             raise ProtocolError(f"features of {p.owner!r} exceed the domain bound {bound}")
-
-    computing = parties[0]
-    order, alice_feats, bob_feats = _feature_map(parties, computing.owner)
-    d = len(order)
+    columns = _feature_columns(ordered)
+    d = len(columns)
+    uploaded = [g for p in ordered[1:] for g in p.feature_indices]
+    if not uploaded:
+        raise ProtocolError("no party besides the computing one holds a feature")
+    if init is not None and (init.centers.shape != (k, d) or not _within(init.centers, bound)):
+        raise ProtocolError(f"init must be {k} x {d} centers inside the domain bound {bound}, "
+                            f"got shape {init.centers.shape}")
     depth = required_depth(k, sign.degree)
     if engine is None:
         engine = SlotEngine(EngineConfig(depth_budget=depth))
@@ -655,19 +647,19 @@ def run_multiparty(
         raise ProtocolError(
             f"engine depth budget {engine.config.depth_budget} below required {depth} for k={k}"
         )
+    if k * k > engine.config.slot_count:
+        raise ProtocolError(f"k={k} needs {k * k} slots per block, the engine has {engine.config.slot_count}")
     layout = PackedLayout(k, slot_count=engine.config.slot_count)
 
     # setup: feature upload, cache building
-    holder = _KeyHolderState(engine, bob_feats, n, bound, seed)
-    bob_cts = holder.encrypt_features()
+    encrypted = _encrypt_features(engine, {g: columns[g] for g in uploaded})
     upload_bytes = [
-        sum(engine.size_bytes(ct) for g in p.feature_indices for ct in bob_cts[g])
-        for p in parties[1:]
+        sum(engine.size_bytes(ct) for g in p.feature_indices for ct in encrypted[g])
+        for p in ordered[1:]
         if p.feature_indices
     ]
 
-    alice = _ComputingState(engine, layout, k, n, bound, sign, alice_feats, order)
-    alice.cache_bob(bob_cts)
+    alice = _ComputingState(engine, layout, k, n, bound, sign, columns, encrypted)
 
     round_budget = noise = None
     noise_rng = np.random.default_rng([seed, 0xD9])
@@ -698,14 +690,18 @@ def run_multiparty(
         if noise is not None:
             s_rel, t_rel = perturb_aggregates(engine, s_rel, t_rel, noise, meaningful, noise_rng)
         aggregate_bytes.append(engine.size_bytes(t_rel) + sum(engine.size_bytes(s) for s in s_rel))
-        # under MPC the key-share holders each return one additive share whose
-        # sum is the plaintext; reconstruction is exact by simulation contract
-        centroids = holder.update(s_rel, t_rel, k, d, t)
+        # the key holder decrypts; under MPC the key-share holders each return
+        # one additive share whose sum is the plaintext, and reconstruction is
+        # exact by simulation contract
+        counts = engine.decrypt(t_rel)[:k]
+        sums = np.stack([engine.decrypt(s)[:k] for s in s_rel])  # d x k
+        centroids = update_centroids(sums, counts, bound, seed, t)
         history.append(np.array(centroids.centers))
         if shift_tol is not None and np.max(np.abs(history[-1] - history[-2])) < shift_tol:
             break
 
-    plan = [(p.owner, p.role, 0 if p is computing else len(p.feature_indices)) for p in parties]
+    plan = [(p.owner, role, 0 if role == COMPUTING else len(p.feature_indices))
+            for p, role in zip(ordered, roles)]
     transcript = plan_transcript(n, k, d, len(history) - 1, model, engine.config, plan)
     planned_uploads = [m.byte_size for m in transcript.by_kind(ENCRYPTED_FEATURES)]
     planned_aggregates = [m.byte_size for m in transcript.by_kind(NOISY_AGGREGATES)]

@@ -53,16 +53,14 @@ class DomainError(EngineError):
 
 @dataclass(frozen=True)
 class SizeModel:
-    """Linear ciphertext byte-size model, calibrated once against measured totals."""
+    """Ciphertext byte-size model: bytes per slot per residue limb, with no
+    fixed overhead, calibrated once against a measured total."""
 
     bytes_per_slot_per_level: float = 8.0
-    base_overhead_bytes: float = 0.0
 
     def __post_init__(self):
         if self.bytes_per_slot_per_level <= 0:
             raise ValueError("bytes_per_slot_per_level must be positive")
-        if self.base_overhead_bytes < 0:
-            raise ValueError("base_overhead_bytes must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -293,8 +291,5 @@ def ciphertext_size_bytes(levels_remaining: int, cfg: EngineConfig) -> int:
     """
     if levels_remaining < 0:
         raise ValueError("levels_remaining must be non-negative")
-    m = cfg.size_model
-    raw = m.base_overhead_bytes + (
-        2 * cfg.slot_count * 2 * (levels_remaining + 1) * m.bytes_per_slot_per_level
-    )
+    raw = 2 * cfg.slot_count * 2 * (levels_remaining + 1) * cfg.size_model.bytes_per_slot_per_level
     return math.ceil(raw)

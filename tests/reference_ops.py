@@ -60,14 +60,13 @@ def ref_replicate_flat(value, k):
     return np.full(k, value)
 
 
-def ref_extract_replicate(layout, compact_slots, positions, scale=1.0):
+def ref_extract_replicate(layout, compact_slots, positions):
     m = layout.k
     out = []
     for b in range(layout.blocks_per_ct):
         mat = np.zeros((m, m))
-        pos = positions[b] if b < len(positions) else None
-        if pos is not None:
-            mat[:, :] = compact_slots[pos] * scale
+        if b < len(positions):
+            mat[:, :] = compact_slots[positions[b]]
         out.append(mat)
     return out
 

@@ -278,7 +278,6 @@ def test_table_profiles_present():
     assert len(NETWORK_PROFILES) == 10
     assert NETWORK_PROFILES["ccWAN50"].bandwidth_mbps == 50
     assert NETWORK_PROFILES["LAN10000"].delay_ms == 0.1
-    assert NETWORK_PROFILES["regWAN100"].jitter_ms == 15
 
 
 # -- experiment driver ------------------------------------------------------------
@@ -329,6 +328,31 @@ def test_run_experiment_validates_config():
     cfg = smoke_config()
     cfg["network_profiles"] = ["nosuch"]
     with pytest.raises(BenchError, match="nosuch"):
+        run_experiment(cfg)
+
+
+@pytest.mark.parametrize("section,key", [
+    ("config", "seedz"), ("budget", "eps"), ("engine", "slots"), ("seeds", "cout"),
+    ("dataset.synthetic", "sed"), ("dataset.csv", "normalise"),
+])
+def test_run_experiment_names_unknown_keys(tmp_path, section, key):
+    cfg = smoke_config()
+    cfg["engine"] = {}
+    if section == "dataset.csv":
+        path = tmp_path / "points.csv"
+        path.write_text("0.1,0.2\n0.3,0.4\n")
+        cfg["dataset"] = {"csv": {"path": str(path)}}
+    sections = {"config": cfg, "budget": cfg["budget"], "engine": cfg["engine"], "seeds": cfg["seeds"],
+                **{f"dataset.{kind}": spec for kind, spec in cfg["dataset"].items()}}
+    sections[section][key] = 1
+    with pytest.raises(BenchError, match=f"'{key}'"):
+        run_experiment(cfg)
+
+
+def test_run_experiment_rejects_two_dataset_sources():
+    cfg = smoke_config()
+    cfg["dataset"]["csv"] = {"path": "points.csv"}
+    with pytest.raises(BenchError, match="exactly one"):
         run_experiment(cfg)
 
 

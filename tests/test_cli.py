@@ -70,7 +70,6 @@ def test_estimate_from_mpc_report_matches_report(tmp_path, capsys):
         "rounds": 4,
         "feature_split": [[0], [1], [2]],
         "model": "mpc-simulated",
-        "compute_seconds": 5.0,
         "network_profiles": ["regWAN100"],
     }
     cfg_path = tmp_path / "cfg.json"
@@ -99,7 +98,23 @@ def test_invalid_config_exits_nonzero(tmp_path, capsys):
     {"budget": {"epsilon": -1}},
     {"sign": {"degre": 31}},
     {"sign": {"input_scale": 0.5}},
-], ids=["even-degree", "negative-epsilon", "misspelled-key", "removed-key"])
+    {"k": "two"},
+    {"seeds": {"count": "x"}},
+    {"init_separation": "far"},
+    {"k": 200},
+    {"rounds": -3},
+    {"budget": {"eps": 0.1}},
+    {"seedz": {"count": 2}},
+    {"engine": {"slots": 64}},
+    {"seeds": {"cout": 2}},
+    {"dataset": {"synthetic": {"n": 50, "k": 2, "d": 2, "cluster_std": 0.05, "sed": 1}}},
+    {"dataset": {"csv": {"path": "x.csv", "normalise": True}}},
+    {"compute_seconds": 5.0},
+], ids=["even-degree", "negative-epsilon", "misspelled-key", "removed-key", "k-not-a-number",
+        "seed-count-not-a-number", "separation-not-a-number", "k-too-large", "negative-rounds",
+        "misspelled-budget-key", "misspelled-top-key", "misspelled-engine-key",
+        "misspelled-seeds-key", "misspelled-synthetic-key", "misspelled-csv-key",
+        "removed-compute-seconds"])
 def test_invalid_parameter_values_exit_nonzero(tmp_path, capsys, bad):
     config = {
         "dataset": {"synthetic": {"n": 50, "k": 2, "d": 2, "bound": 1.0,

@@ -113,7 +113,7 @@ def _aggregates(engine, k=4):
 def test_perturb_zero_scales_identity():
     eng = SlotEngine(EngineConfig(slot_count=16, depth_budget=4))
     s, t = _aggregates(eng)
-    ns = NoiseScales(sigma_sum=0.0, sigma_count=0.0, bound=1.0)
+    ns = NoiseScales(sigma_sum=0.0, sigma_count=0.0)
     s2, t2 = perturb_aggregates(eng, s, t, ns, range(4), np.random.default_rng(0))
     assert np.array_equal(eng.decrypt(t2), eng.decrypt(t))
     assert all(np.array_equal(eng.decrypt(a), eng.decrypt(b)) for a, b in zip(s, s2))
@@ -121,7 +121,7 @@ def test_perturb_zero_scales_identity():
 
 def test_perturb_deterministic_under_seed():
     eng = SlotEngine(EngineConfig(slot_count=16, depth_budget=4))
-    ns = NoiseScales(sigma_sum=2.0, sigma_count=1.0, bound=1.0)
+    ns = NoiseScales(sigma_sum=2.0, sigma_count=1.0)
     outs = []
     for _ in range(2):
         s, t = _aggregates(eng)
@@ -133,7 +133,7 @@ def test_perturb_deterministic_under_seed():
 def test_perturb_only_touches_meaningful_slots():
     eng = SlotEngine(EngineConfig(slot_count=16, depth_budget=4))
     s, t = _aggregates(eng)
-    ns = NoiseScales(sigma_sum=5.0, sigma_count=5.0, bound=1.0)
+    ns = NoiseScales(sigma_sum=5.0, sigma_count=5.0)
     s2, t2 = perturb_aggregates(eng, s, t, ns, range(4), np.random.default_rng(1))
     assert np.array_equal(eng.decrypt(t2)[4:], np.zeros(12))
     assert not np.array_equal(eng.decrypt(t2)[:4], eng.decrypt(t)[:4])
@@ -141,7 +141,7 @@ def test_perturb_only_touches_meaningful_slots():
 
 def test_perturb_empirical_stddev():
     eng = SlotEngine(EngineConfig(slot_count=16, depth_budget=4))
-    ns = NoiseScales(sigma_sum=3.0, sigma_count=1.5, bound=1.0)
+    ns = NoiseScales(sigma_sum=3.0, sigma_count=1.5)
     rng = np.random.default_rng(11)
     draws_s, draws_t = [], []
     for _ in range(2500):
@@ -157,7 +157,7 @@ def test_perturb_empirical_stddev():
 
 def test_perturb_slots_uncorrelated():
     eng = SlotEngine(EngineConfig(slot_count=16, depth_budget=4))
-    ns = NoiseScales(sigma_sum=1.0, sigma_count=1.0, bound=1.0)
+    ns = NoiseScales(sigma_sum=1.0, sigma_count=1.0)
     rng = np.random.default_rng(5)
     cols = []
     for _ in range(4000):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from vpkmeans import bench, protocol
@@ -152,6 +152,33 @@ def test_run_rejects_duplicate_owner_names():
         run_multiparty(parts, protocol.MPC_SIMULATED, None, 1, k=3, bound=1.0)
 
 
+@pytest.mark.parametrize("change,message", [
+    (dict(budget=PrivacyBudget(1.0, 1e-3, 2), rounds=5), "privacy budget"),
+    (dict(init=CentroidSet(np.zeros((3, 3)), bound=1.0)), "init must be 3 x 2"),
+    (dict(init=CentroidSet(np.zeros((4, 2)), bound=1.0)), "init must be 3 x 2"),
+    (dict(init=CentroidSet(np.full((3, 2), 1.5), bound=1.0)), "inside the domain bound"),
+    (dict(points=np.zeros((40, 2)), bound=0.0), "bound must be positive"),
+    (dict(bound=-1.0), "bound must be positive"),
+    (dict(k=200), "k=200 needs 40000 slots"),
+    (dict(rounds=-1), "non-negative"),
+    (dict(split=[[0, 1], []]), "no party besides the computing one"),
+], ids=["budget-shorter-than-run", "init-too-wide", "init-too-many", "init-outside-bound",
+        "zero-bound", "negative-bound", "k-too-large", "negative-rounds", "nothing-encrypted"])
+def test_run_rejects_bad_arguments(change, message, monkeypatch):
+    # every case fails before setup: nothing is encrypted
+    args = dict(points=uniform_instance(2, n=40, d=2), split=[[0], [1]], budget=None, rounds=2,
+                k=3, bound=1.0, init=None)
+    args.update(change)
+    parts = split_features(args.pop("points"), args.pop("split"))
+
+    def no_setup(*a, **kw):
+        raise AssertionError("setup ran")
+
+    monkeypatch.setattr(protocol, "_encrypt_features", no_setup)
+    with pytest.raises(ProtocolError, match=message):
+        run_multiparty(parts, protocol.SERVER_AIDED, **args)
+
+
 # -- zero-noise equivalence with the plaintext oracle ---------------------------
 
 
@@ -230,6 +257,53 @@ def test_tail_points_are_processed():
         assert np.max(np.abs(mine - ref)) < 1e-6
 
 
+@st.composite
+def run_shapes(draw):
+    """(k, n, split, computing party index, model, rounds, seed) at 64 slots."""
+    k = draw(st.integers(2, 4))
+    n = draw(st.one_of(st.integers(1, k - 1), st.sampled_from([64, 128]), st.integers(1, 200)))
+    d = draw(st.integers(1, 3))
+    parties = draw(st.integers(2, d + 1))
+    owners = draw(st.lists(st.integers(0, parties - 1), min_size=d, max_size=d))
+    computing = draw(st.integers(0, parties - 1))
+    assume(any(o != computing for o in owners))
+    split = [[l for l in range(d) if owners[l] == p] for p in range(parties)]
+    model = draw(st.sampled_from([protocol.SERVER_AIDED, protocol.MPC_SIMULATED]))
+    return k, n, split, computing, model, draw(st.integers(0, 2)), draw(st.integers(0, 2**16))
+
+
+@given(shape=run_shapes())
+@example(shape=(3, 2, [[0], [1]], 0, protocol.SERVER_AIDED, 2, 1))  # fewer points than clusters
+@example(shape=(3, 128, [[0], [1]], 0, protocol.SERVER_AIDED, 2, 2))  # a tail batch per ciphertext
+@example(shape=(2, 100, [[0], [1]], 0, protocol.SERVER_AIDED, 2, 3))  # partial last ciphertext
+@example(shape=(3, 50, [[0], [1]], 0, protocol.MPC_SIMULATED, 0, 4))  # zero rounds
+@example(shape=(3, 70, [[0], [1], [2]], 1, protocol.MPC_SIMULATED, 2, 5))  # one feature per party
+@example(shape=(2, 70, [[], [0, 1]], 0, protocol.SERVER_AIDED, 2, 6))  # computing party holds none
+# data drawn with the init's seed puts the two points on the two centroids,
+# so each cluster's count is exactly one point up to rounding
+@example(shape=(2, 2, [[0], []], 1, protocol.SERVER_AIDED, 1, 3))
+@settings(max_examples=25, deadline=None)
+def test_run_shapes_match_oracle_and_estimate(shape):
+    k, n, split, computing, model, rounds, seed = shape
+    d = sum(len(cols) for cols in split)
+    pts = uniform_instance(seed, n=n, d=d)
+    parts = split_features(pts, split)
+    eng = SlotEngine(EngineConfig(slot_count=64, depth_budget=required_depth(k)))
+    res = run_multiparty(parts, model, None, rounds, k=k, bound=1.0, engine=eng, seed=seed,
+                         computing_party=parts[computing].owner)
+    oracle = bench.lloyd_plaintext(pts, CentroidSet(res.history[0], bound=1.0), rounds,
+                                   tie_rule=bench.MATCHING, seed=seed)
+    assert len(res.history) == len(oracle.history) == rounds + 1
+    for mine, ref in zip(res.history, oracle.history):
+        assert np.max(np.abs(mine - ref)) < 1e-6
+    est = estimate_transcript(n, k, d, d - len(split[computing]), rounds, cfg=eng.config,
+                              parties=len(split), model=model)
+    tr = res.transcript
+    assert tr.total_bytes == est.total_bytes
+    assert tr.total_ciphertexts == est.total_ciphertexts
+    assert tr.bytes_by_kind() == est.bytes_by_kind()
+
+
 @pytest.mark.parametrize("k,n", [(3, 64), (3, 150), (8, 20000), (15, 5000)])
 def test_batches_share_one_valid_mask_per_used_block_count(k, n):
     # 64 and 150 points at 64 slots leave tail batches and a partial last
@@ -287,7 +361,7 @@ def test_round_grids_give_plaintext_distance_differences(k, d, bound, seed):
     centers = rng.uniform(-bound, bound, size=(k, d))
     points = rng.uniform(-bound, bound, size=(count, d))
     eng = SlotEngine(EngineConfig(slot_count=slots))
-    state = _ComputingState(eng, layout, k, count, bound, SignApproxConfig(), {}, ["bob"] * d)
+    state = _ComputingState(eng, layout, k, count, bound, SignApproxConfig(), list(points.T), {})
     grids, h = state._round_grids(CentroidSet(centers, bound))
     u = np.array(h.slots)
     for l, g in enumerate(grids):

@@ -289,7 +289,7 @@ def test_depth_matches_syntax_tree(data):
 
 def test_size_formula_example():
     cfg = EngineConfig(slot_count=1 << 14, depth_budget=18,
-                       size_model=SizeModel(bytes_per_slot_per_level=8, base_overhead_bytes=0))
+                       size_model=SizeModel(bytes_per_slot_per_level=8))
     assert ciphertext_size_bytes(0, cfg) == 524_288
 
 
