@@ -64,10 +64,11 @@ def load_csv(path, normalize: bool = False, label_column: int | None = None) -> 
     """Load a rectangular numeric CSV (header row optional).
 
     With ``normalize`` each feature is clipped at its 95th percentile and
-    min-max scaled into [0, 1]; constant features map to all zeros.
+    min-max scaled into [0, 1]; constant features map to all zeros.  A
+    ``label_column`` that is not a column, or holds a non-whole label,
+    raises ``BenchError``.
     """
     rows = []
-    labels = []
     width = None
     with open(path, newline="") as fh:
         reader = _csv.reader(fh)
@@ -98,7 +99,12 @@ def load_csv(path, normalize: bool = False, label_column: int | None = None) -> 
     data = np.array(rows)
     lab = None
     if label_column is not None:
-        lab = data[:, label_column].astype(np.int64)
+        if label_column not in range(width):
+            raise BenchError(f"{path}: label column {label_column} is outside the {width} columns")
+        lab = data[:, label_column]
+        if np.any(lab != np.round(lab)):
+            raise BenchError(f"{path}: label column {label_column} holds a label that is not a whole number")
+        lab = lab.astype(np.int64)
         data = np.delete(data, label_column, axis=1)
     note = ""
     if normalize:
@@ -262,16 +268,17 @@ def normalized_loss(data: Dataset | np.ndarray, centroids: CentroidSet | np.ndar
 
 def cluster_accuracy(data: Dataset, centroids: CentroidSet | np.ndarray, labels=None) -> float:
     """Fraction of points whose nearest centroid matches the ground-truth
-    label under the best centroid-to-label bijection (assignment solver)."""
+    label under the best centroid-to-label matching (assignment solver);
+    the labels may be any integer ids."""
     labels = data.labels if labels is None else np.asarray(labels)
     if labels is None:
         raise BenchError("cluster_accuracy needs ground-truth labels")
     centers = centroids.centers if isinstance(centroids, CentroidSet) else np.asarray(centroids)
-    k = centers.shape[0]
     points = data.points if isinstance(data, Dataset) else np.asarray(data)
     pred = np.argmin(_sq_distances(points, centers), axis=1)
-    agree = np.zeros((k, k))
-    np.add.at(agree, (pred, labels), 1.0)
+    ids, label_index = np.unique(labels, return_inverse=True)
+    agree = np.zeros((centers.shape[0], ids.size))
+    np.add.at(agree, (pred, label_index), 1.0)
     rows, cols = linear_sum_assignment(-agree)
     return float(agree[rows, cols].sum()) / points.shape[0]
 
@@ -421,6 +428,15 @@ def _build_dataset(spec: dict) -> Dataset:
     return recenter(ds) if centered else ds
 
 
+def _whole(value, key: str) -> int:
+    """A config value that must be a whole number: an int or an integral float."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise BenchError(f"{key} must be a whole number, got {value!r}")
+    return value
+
+
 def run_experiment(config: dict) -> dict:
     """Run the secure protocol and the plaintext baseline over several seeds
     and assemble the report (metrics, DP parameters, transcript summary,
@@ -437,8 +453,8 @@ def run_experiment(config: dict) -> dict:
     try:
         _check_keys(config, "config")
         ds = _build_dataset(config["dataset"])
-        k = int(config["k"])
-        rounds = int(config["rounds"])
+        k = _whole(config["k"], "k")
+        rounds = _whole(config["rounds"], "rounds")
         bound = float(config.get("bound", ds.bound if ds.bound else 1.0))
         init_sep = config.get("init_separation")
         init_sep = None if init_sep is None else float(init_sep)
@@ -463,7 +479,7 @@ def run_experiment(config: dict) -> dict:
         eng_cfg = config.get("engine", {})
         _check_keys(eng_cfg, "engine")
         engine_config = EngineConfig(
-            slot_count=int(eng_cfg.get("slot_count", 1 << 14)),
+            slot_count=_whole(eng_cfg.get("slot_count", 1 << 14), "engine.slot_count"),
             depth_budget=proto.required_depth(k, sign.degree),
             approx_perturbation=float(eng_cfg.get("approx_perturbation", 0.0)),
             size_model=SizeModel(**eng_cfg.get("size_model", {})),
@@ -471,11 +487,11 @@ def run_experiment(config: dict) -> dict:
 
         seeds_cfg = config.get("seeds", {})
         if isinstance(seeds_cfg, list):
-            seeds = [int(s) for s in seeds_cfg]
+            seeds = [_whole(s, f"seeds[{i}]") for i, s in enumerate(seeds_cfg)]
         else:
             _check_keys(seeds_cfg, "seeds")
-            base = int(seeds_cfg.get("base", 0))
-            seeds = [base + i for i in range(int(seeds_cfg.get("count", 1)))]
+            base = _whole(seeds_cfg.get("base", 0), "seeds.base")
+            seeds = [base + i for i in range(_whole(seeds_cfg.get("count", 1), "seeds.count"))]
         if not seeds:
             raise BenchError("the config runs no seeds")
 

@@ -2,18 +2,19 @@
 
 One round, run entirely by the computing party (Alice) on encrypted data:
 
-1. distance differences: the argmin only needs d_c - d_r, the scaled
-   squared distance to centroid c minus the one to centroid r, which is
-   linear in the point: sum_l x_l * G_l + H, where G_l and H are plaintext
-   grids built once per round from the centroids.  Every batch of points
-   takes one product per feature, with Bob's cached extracted blocks or
+1. distance differences: with every point read as (1, x_1, ..., x_d) and
+   a slot without a point as zeros, the argmin only needs d_c - d_r, the
+   scaled squared distance to centroid c minus the one to centroid r,
+   which is linear: sum_l x_l * G_l, where the G_l are plaintext grids
+   built once per round from the centroids.  Every batch of points takes
+   one product per coordinate, with Bob's cached extracted blocks or
    Alice's plaintext encodings of the same shape;
 2. packed argmin over every block at once (k = 2 bypasses packing and
    compares the compact differences d_0 - d_1 directly);
-3. per-cluster counts and per-dimension sums, added up over the batches
-   and ciphertexts and then reduced once per released aggregate (k = 2
-   derives cluster 0 from the public n and the round-invariant feature
-   totals);
+3. the d + 1 aggregates sum_i a_i * x_l, counts (l = 0) first and then the
+   per-dimension sums, added up over the batches and ciphertexts and then
+   reduced once each (k = 2 derives cluster 0 from the round-invariant
+   coordinate totals, n for the counts);
 4. every aggregate dropped to level 0, which is free and leaves the
    smallest ciphertext, then Gaussian noise on the meaningful slots;
 5. release to the key holder, who decrypts, divides, and returns the next
@@ -262,16 +263,17 @@ def update_centroids(
 
 
 def release_depths(k: int, degree: int = sa.DEFAULT_DEGREE) -> tuple[int, int]:
-    """Depth the round circuit leaves on the counts (T) and sums (S)
-    ciphertexts; the run then drops both to level 0 before release."""
+    """Depth the round circuit leaves on the counts and on the sums
+    ciphertexts, a + 2 for both, where a is the argmin marker's depth; the
+    run then drops both to level 0 before release."""
     cheb = sa.chebyshev_depth(degree)
     if k == 2:
         a = 1 + cheb  # uploaded feature times G_l, then the comparison series
-        return a + 2, a + 2  # valid mask, then the e1 - e0 pack for T; value mult, then pack for S
-    # extraction mask, times G_l, cmp, indicator; the ranks stay unmasked,
-    # the indicator's folded first-row mask zeroes their partial sums
-    a = 2 + cheb + sa.phi_depth(k)
-    return a + 1, a + 2  # T: reduce + head mask; S: value mult + reduce + mask
+    else:
+        # extraction mask, times G_l, cmp, indicator; the ranks stay unmasked,
+        # the indicator's folded first-row mask zeroes their partial sums
+        a = 2 + cheb + sa.phi_depth(k)
+    return a + 2, a + 2  # times x_l; then the e1 - e0 pack, or reduce and head mask
 
 
 def required_depth(k: int, degree: int = sa.DEFAULT_DEGREE) -> int:
@@ -353,26 +355,27 @@ def _encrypt_features(engine: SlotEngine, columns: dict) -> dict:
             for g, v in columns.items()}
 
 
-def _difference_terms(centers: np.ndarray, scale: float) -> tuple[np.ndarray, np.ndarray]:
-    """``G`` (d x k x k) and ``H`` (k x k) with, for every point x,
+def _difference_terms(centers: np.ndarray, scale: float) -> np.ndarray:
+    """``G`` ((d + 1) x k x k) with, for every point x and x_0 = 1,
 
-    scale * (||x - c_c||^2 - ||x - c_r||^2) = sum_l x_l * G[l, r, c] + H[r, c].
+    scale * (||x - c_c||^2 - ||x - c_r||^2) = sum_{l=0..d} x_l * G[l, r, c].
     """
     coords = centers.T  # d x k
     g = -2.0 * scale * (coords[:, None, :] - coords[:, :, None])
     norms = scale * np.einsum("jl,jl->j", centers, centers)
-    return g, norms[None, :] - norms[:, None]
+    return np.concatenate([(norms[None, :] - norms[:, None])[None], g])
 
 
 class _ComputingState:
     """Alice: owns the plaintext side, all encrypted evaluation, and noise.
 
-    ``encodings[l][i]`` is feature ``l`` of unit ``i`` (a batch, or at k = 2
-    a compact ciphertext), built once from ``columns`` (every feature's
-    values, in global order) and ``encrypted`` (global index -> uploaded
-    ciphertexts): the extracted block or uploaded ciphertext of an encrypted
-    feature, or Alice's plaintext of the same shape.  Both take the same
-    products in the same order.
+    ``encodings[l][i]`` is coordinate ``l`` of unit ``i`` (a batch, or at
+    k = 2 a compact ciphertext), built once.  Coordinate 0 is a plaintext,
+    1 on the unit's points and 0 elsewhere; coordinate l > 0 is feature
+    l - 1 of ``columns`` (every feature's values, in global order): the
+    extracted block or uploaded ciphertext of a feature in ``encrypted``
+    (global index -> uploaded ciphertexts), or Alice's plaintext of the
+    same shape.  All take the same products in the same order.
     """
 
     def __init__(
@@ -395,8 +398,7 @@ class _ComputingState:
         self.sign = sign
         self.batches = None if k == 2 else _plan_batches(n, layout)
         self.encodings: list = []
-        self.compact_valid_masks: list = []  # k = 2: plaintext 0/1 per ciphertext
-        self.total_heads: list = []  # k = 2: X_l * e0 per feature
+        self.heads: list = []  # k = 2: the total X_l of coordinate l, times e0
         if k == 2:
             self._cache_compact(columns, encrypted)
         else:
@@ -419,6 +421,8 @@ class _ComputingState:
 
     def _cache_packed(self, columns: list, encrypted: dict) -> None:
         lay = self.layout
+        # the batches' shared valid masks, wrapped without a copy
+        self.encodings.append([self.engine.plaintext(b.valid_mask) for b in self.batches])
         for l, values in enumerate(columns):
             if l in encrypted:
                 self.encodings.append([self._extract(encrypted[l][b.ct_index], b) for b in self.batches])
@@ -430,94 +434,74 @@ class _ComputingState:
             self.encodings.append(blocks)
 
     def _cache_compact(self, columns: list, encrypted: dict) -> None:
-        """Valid-slot masks, every feature's compact encodings, and the
-        round-invariant feature totals of both parties."""
+        """Every coordinate's compact encodings, valid-slot masks first, and
+        the round-invariant coordinate totals of both parties."""
         eng = self.engine
         S = eng.config.slot_count
         count = math.ceil(self.n / S)
         full = eng.plaintext(np.ones(S))  # one shared mask for every full ciphertext
+        masks = []
         for m in range(count):
             rest = self.n - m * S
-            self.compact_valid_masks.append(full if rest >= S else eng.plaintext(np.arange(S) < rest))
+            masks.append(full if rest >= S else eng.plaintext(np.arange(S) < rest))
+        self.encodings.append(masks)
         for l, values in enumerate(columns):
             if l in encrypted:
                 self.encodings.append(encrypted[l])
             else:
                 self.encodings.append([eng.plaintext(values[m * S : (m + 1) * S]) for m in range(count)])
-        # X_l * e0: every point's feature l, summed into slot 0, once per run
+        # X_l * e0: every point's coordinate l summed into slot 0, once per run; X_0 = n
+        self.heads.append(eng.plaintext(self.n * _unit(S, 0)))
         e0 = eng.plaintext(_unit(S, 0))
-        for cts in self.encodings:
+        for cts in self.encodings[1:]:
             total = cts[0]
             for ct in cts[1:]:
                 total = eng.add(total, ct)
-            self.total_heads.append(eng.mul(self._rotsum_all(total), e0))
+            self.heads.append(eng.mul(pm._run_lane_sum(eng, total, 1, S), e0))
 
     # -- per-round circuits -------------------------------------------------
 
-    def _round_grids(self, centroids: CentroidSet) -> tuple[list, SlotVector]:
-        """Plaintexts G_l and H of this round's distance differences: entry
+    def _round_grids(self, centroids: CentroidSet) -> list:
+        """Plaintexts G_0 .. G_d of this round's distance differences: entry
         (r, c) of every block, or at k = 2 the compact d_0 - d_1, which is
         entry (1, 0)."""
-        g, h = _difference_terms(centroids.centers, self.scale)
-        return [self._grid(gl) for gl in g], self._grid(h)
+        return [self._grid(gl) for gl in _difference_terms(centroids.centers, self.scale)]
 
     def _grid(self, t: np.ndarray) -> SlotVector:
         if self.k == 2:
             return self.engine.plaintext(np.full(self.engine.config.slot_count, t[1, 0]))
         return self.engine.plaintext(self.layout.to_slots(self.layout.grid(t[:, None, :])))
 
-    def run_round(self, centroids: CentroidSet):
-        """Per unit: u = H + sum_l x_l * G_l, the argmin marker a of u, and
-        the products a * x_l, added into the count and sum aggregates, which
-        are then reduced once each."""
+    def run_round(self, centroids: CentroidSet) -> list:
+        """Per unit: u = sum_l x_l * G_l, the argmin marker a of u, and the
+        products a * x_l, added into the d + 1 aggregates (counts first),
+        which are then reduced once each.  An unused block has u = 0, and
+        its marker is multiplied by x_0 = 0."""
         eng = self.engine
-        grids, h = self._round_grids(centroids)
-        t_total = None
-        s_totals = [None] * self.d
-        for i, xs in enumerate(zip(*self.encodings)):
-            u = h
-            for x, g in zip(xs, grids):
+        grids = self._round_grids(centroids)
+        totals = [None] * (self.d + 1)
+        for xs in zip(*self.encodings):
+            u = eng.mul(xs[0], grids[0])
+            for x, g in zip(xs[1:], grids[1:]):
                 u = eng.add(u, eng.mul(x, g))
             if self.k == 2:
                 a = sa.argmin_two(eng, u, self.sign)
-                marker = eng.mul(a, self.compact_valid_masks[i])
             else:
-                a = marker = sa.argmin_packed(eng, u, self.layout, self.sign,
-                                              valid_blocks=self.batches[i].valid_mask)
-            t_total = marker if t_total is None else eng.add(t_total, marker)
+                a = sa.argmin_packed(eng, u, self.layout, self.sign)
             for l, x in enumerate(xs):
                 term = eng.mul(a, x)
-                s_totals[l] = term if s_totals[l] is None else eng.add(s_totals[l], term)
+                totals[l] = term if totals[l] is None else eng.add(totals[l], term)
         if self.k == 2:
-            return self._release_two(t_total, s_totals)
-        lay = self.layout
-        head = eng.plaintext(lay.head_mask(self.k))
-        t_released = eng.mul(pm.reduce_blocks(eng, t_total, lay), head)
-        s_released = [eng.mul(pm.reduce_blocks(eng, s, lay), head) for s in s_totals]
-        return s_released, t_released
-
-    def _rotsum_all(self, v: SlotVector) -> SlotVector:
-        eng = self.engine
-        for i in range(int(math.log2(eng.config.slot_count))):
-            v = eng.add(v, eng.rotate(v, 1 << i))
-        return v
-
-    def _release_two(self, a_total: SlotVector, p_totals: list):
-        """k = 2: a marks centroid 1, so A = sum of a * valid and P_l = sum
-        of a * x_l belong to cluster 1.  Rotate-and-sum is linear, so it runs
-        once per aggregate and round: t2 = rotsum(A), s2_l = rotsum(P_l).
-        Cluster 0 is what cluster 1 leaves of the public n and of the
-        round-invariant totals X_l, so the release is n*e0 + t2*(e1 - e0)
-        and X_l*e0 + s2_l*(e1 - e0).
-        """
-        eng = self.engine
-        S = eng.config.slot_count
-        split = eng.plaintext(_unit(S, 1) - _unit(S, 0))
-        t_released = eng.add(eng.plaintext(self.n * _unit(S, 0)),
-                             eng.mul(self._rotsum_all(a_total), split))
-        s_released = [eng.add(head, eng.mul(self._rotsum_all(p), split))
-                      for head, p in zip(self.total_heads, p_totals)]
-        return s_released, t_released
+            # a marks centroid 1, so P_l = sum of a * x_l belongs to cluster
+            # 1, and cluster 0 is what it leaves of the round-invariant total
+            # X_l: the release is X_l*e0 + rotsum(P_l)*(e1 - e0), with one
+            # rotate-and-sum per aggregate and round, as rotsum is linear
+            S = eng.config.slot_count
+            split = eng.plaintext(_unit(S, 1) - _unit(S, 0))
+            return [eng.add(head, eng.mul(pm._run_lane_sum(eng, p, 1, S), split))
+                    for head, p in zip(self.heads, totals)]
+        head = eng.plaintext(self.layout.head_mask(self.k))
+        return [eng.mul(pm.reduce_blocks(eng, v, self.layout), head) for v in totals]
 
 
 # ---------------------------------------------------------------------------
@@ -676,25 +660,25 @@ def run_multiparty(
     level0 = engine.config.depth_budget
 
     for t in range(1, rounds + 1):
-        s_rel, t_rel = alice.run_round(centroids)
-        depths = (t_rel.depth_consumed, tuple(s.depth_consumed for s in s_rel))
-        round_depths.append(max((depths[0],) + depths[1]))
-        if depths != (ledger[0], (ledger[1],) * d):
+        released = alice.run_round(centroids)  # counts, then the d sums
+        depths = [v.depth_consumed for v in released]
+        round_depths.append(max(depths))
+        if depths != [ledger[0]] + [ledger[1]] * d:
             raise ProtocolError(
                 f"round {t}: (counts, sums) depths {depths} differ from the depth ledger: "
                 f"counts {ledger[0]}, sums {ledger[1]}"
             )
         # every aggregate leaves at level 0: dropping levels is free
-        t_rel = engine.drop_to_depth(t_rel, level0)
-        s_rel = [engine.drop_to_depth(s, level0) for s in s_rel]
+        released = [engine.drop_to_depth(v, level0) for v in released]
         if noise is not None:
-            s_rel, t_rel = perturb_aggregates(engine, s_rel, t_rel, noise, meaningful, noise_rng)
-        aggregate_bytes.append(engine.size_bytes(t_rel) + sum(engine.size_bytes(s) for s in s_rel))
+            s_rel, t_rel = perturb_aggregates(engine, released[1:], released[0], noise, meaningful, noise_rng)
+            released = [t_rel] + s_rel
+        aggregate_bytes.append(sum(engine.size_bytes(v) for v in released))
         # the key holder decrypts; under MPC the key-share holders each return
         # one additive share whose sum is the plaintext, and reconstruction is
         # exact by simulation contract
-        counts = engine.decrypt(t_rel)[:k]
-        sums = np.stack([engine.decrypt(s)[:k] for s in s_rel])  # d x k
+        counts = engine.decrypt(released[0])[:k]
+        sums = np.stack([engine.decrypt(v)[:k] for v in released[1:]])  # d x k
         centroids = update_centroids(sums, counts, bound, seed, t)
         history.append(np.array(centroids.centers))
         if shift_tol is not None and np.max(np.abs(history[-1] - history[-2])) < shift_tol:

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import slot_engine
 from .packed_matrix import ROW, PackedLayout, axis_sum
 from .slot_engine import SlotEngine, SlotVector
 
@@ -156,27 +157,20 @@ def _merge_counts(n: int) -> list[int]:
     return counts
 
 
-def indicator_phi(
-    engine: SlotEngine,
-    r: SlotVector,
-    layout: PackedLayout,
-    extra_mask: np.ndarray | None = None,
-) -> SlotVector:
+def indicator_phi(engine: SlotEngine, r: SlotVector, layout: PackedLayout) -> SlotVector:
     """Evaluate the rank-1 indicator polynomial slot-wise.
 
     phi(x) = prod_{j=2..k} (x - j) / prod_{j=2..k} (1 - j): exactly 1 at
     rank 1, 0 at integer ranks 2..k, and bounded away from 1 on fractional
     tie ranks.  The product is evaluated as a balanced tree; the
-    normalization constant times the first-row mask (and any extra mask,
-    e.g. zeroing unused blocks) is folded onto the leaf with the shallowest
-    path, so masking is free whenever the leaf count leaves slack.
+    normalization constant times the first-row mask is folded onto the leaf
+    with the shallowest path, so masking is free whenever the leaf count
+    leaves slack.  Blocks that carry no point are not masked: the caller
+    multiplies the marker by each coordinate, which is 0 there.
     """
     k = layout.k
     nodes, norm = _phi_factors(k)
-    mask_arr = norm * layout.axis_mask(ROW, 0)
-    if extra_mask is not None:
-        mask_arr = mask_arr * extra_mask
-    mask_pt = engine.plaintext(mask_arr)
+    mask_pt = engine.plaintext(norm * layout.axis_mask(ROW, 0))
 
     factors = [
         engine.sub(r, engine.plaintext(np.full(engine.config.slot_count, float(j))))
@@ -200,17 +194,17 @@ def argmin_packed(
     diff: SlotVector,
     layout: PackedLayout,
     cfg: SignApproxConfig,
-    valid_blocks: np.ndarray | None = None,
 ) -> SlotVector:
-    """One-hot argmin marker per block, in the first row of the block.
+    """One-hot argmin marker per block, in the first row of the block, and
+    exactly 0 in the other rows.
 
-    ``diff`` is the difference grid that :func:`rank` takes.  Ties across u minimal elements produce ranks (u + 1) / 2 for all of
-    them, the indicator activates nowhere, and the block decodes as null
-    (every entry far below 1); callers treat entries below 0.5 as zero.
-    ``valid_blocks`` (0/1 per slot) zeroes blocks that carry no real data.
+    ``diff`` is the difference grid that :func:`rank` takes.  Ties across u
+    minimal elements produce ranks (u + 1) / 2 for all of them, the
+    indicator activates nowhere, and the block decodes as null (every entry
+    far below 1); callers treat entries below 0.5 as zero.  A block of
+    zeros is a k-way tie, so an unused block gets a null marker too.
     """
-    r = rank(engine, diff, layout, cfg)
-    return indicator_phi(engine, r, layout, extra_mask=valid_blocks)
+    return indicator_phi(engine, rank(engine, diff, layout, cfg), layout)
 
 
 def argmin_two(engine: SlotEngine, diff: SlotVector, cfg: SignApproxConfig) -> SlotVector:
@@ -220,9 +214,8 @@ def argmin_two(engine: SlotEngine, diff: SlotVector, cfg: SignApproxConfig) -> S
     return compare(engine, diff, cfg)
 
 
-def chebyshev_depth(degree: int) -> int:
-    """Levels the engine charges for a series of this degree."""
-    return math.ceil(math.log2(degree + 1)) + 1
+# levels of one comparison: the engine charges them, so it defines the formula
+chebyshev_depth = slot_engine.chebyshev_depth
 
 
 def phi_depth(k: int) -> int:

@@ -264,7 +264,7 @@ class SlotEngine:
             raise DomainError(
                 f"eval_chebyshev: slot magnitude {amax:.6g} outside [-1, 1] (+{DOMAIN_TOLERANCE:g})"
             )
-        levels = math.ceil(math.log2(degree + 1)) + 1
+        levels = chebyshev_depth(degree)
         depth = v.depth_consumed
         if v.is_ciphertext:
             depth = self._charge(depth, levels, "eval_chebyshev")
@@ -281,6 +281,11 @@ class SlotEngine:
 
     def size_bytes(self, v: SlotVector) -> int:
         return ciphertext_size_bytes(self.levels_remaining(v), self.config)
+
+
+def chebyshev_depth(degree: int) -> int:
+    """Levels the engine charges for a series of this degree."""
+    return math.ceil(math.log2(degree + 1)) + 1
 
 
 def ciphertext_size_bytes(levels_remaining: int, cfg: EngineConfig) -> int:

@@ -180,6 +180,15 @@ def test_accuracy_invariant_under_relabeling_and_reorder():
     assert cluster_accuracy(ds, centers[perm]) == base
 
 
+def test_accuracy_takes_any_integer_label_ids():
+    # 1-based ids (as many CSVs carry them) score as the 0-based ones do
+    ds = gen_synthetic(300, 3, 2, 1.0, cluster_std=0.1, seed=15)
+    centers = init_centroids(3, 2, 1.0, 15).centers
+    base = cluster_accuracy(ds, centers)
+    assert cluster_accuracy(ds, centers, labels=ds.labels + 1) == base
+    assert cluster_accuracy(ds, centers, labels=10 * ds.labels - 7) == base
+
+
 def test_accuracy_exhaustive_matches_assignment_solver():
     # same optimum from both permutation searches on a k <= 8 instance
     ds = gen_synthetic(300, 6, 2, 1.0, cluster_std=0.15, seed=14)

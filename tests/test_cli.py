@@ -110,11 +110,20 @@ def test_invalid_config_exits_nonzero(tmp_path, capsys):
     {"dataset": {"synthetic": {"n": 50, "k": 2, "d": 2, "cluster_std": 0.05, "sed": 1}}},
     {"dataset": {"csv": {"path": "x.csv", "normalise": True}}},
     {"compute_seconds": 5.0},
+    {"k": 2.7},
+    {"rounds": 1.9},
+    {"seeds": {"count": 1.5}},
+    {"seeds": {"base": 0.2}},
+    {"seeds": [1, 2.5]},
+    {"rounds": True},
+    {"engine": {"slot_count": 1024.5}},
 ], ids=["even-degree", "negative-epsilon", "misspelled-key", "removed-key", "k-not-a-number",
         "seed-count-not-a-number", "separation-not-a-number", "k-too-large", "negative-rounds",
         "misspelled-budget-key", "misspelled-top-key", "misspelled-engine-key",
         "misspelled-seeds-key", "misspelled-synthetic-key", "misspelled-csv-key",
-        "removed-compute-seconds"])
+        "removed-compute-seconds", "k-not-whole", "rounds-not-whole", "seed-count-not-whole",
+        "seed-base-not-whole", "seed-list-entry-not-whole", "rounds-boolean",
+        "slot-count-not-whole"])
 def test_invalid_parameter_values_exit_nonzero(tmp_path, capsys, bad):
     config = {
         "dataset": {"synthetic": {"n": 50, "k": 2, "d": 2, "bound": 1.0,
@@ -127,7 +136,36 @@ def test_invalid_parameter_values_exit_nonzero(tmp_path, capsys, bad):
     p.write_text(json.dumps(config))
     rc = main(["run", str(p), "-o", str(tmp_path / "report.json")])
     assert rc == 2
-    assert "error" in capsys.readouterr().err
+    assert "error:" in capsys.readouterr().err
+
+
+def test_baseline_scores_one_based_labels_as_zero_based(tmp_path, capsys):
+    out = tmp_path / "blobs.csv"
+    assert main(["gen", "--n", "90", "--k", "2", "--d", "2", "--std", "0.05",
+                 "--seed", "4", "--labels", "-o", str(out)]) == 0
+    rows = [r.rsplit(",", 1) for r in out.read_text().split()]
+    shifted = tmp_path / "shifted.csv"
+    shifted.write_text("".join(f"{x},{int(y) + 1}\n" for x, y in rows))
+    printed = []
+    for path in (out, shifted):
+        capsys.readouterr()
+        assert main(["baseline", "--csv", str(path), "--label-column", "2", "--k", "2"]) == 0
+        printed.append(capsys.readouterr().out)
+    assert "accuracy" in printed[0] and printed[0] == printed[1]
+
+
+@pytest.mark.parametrize("column,cells,message", [
+    ("5", ["0.1,0", "0.2,1"], "label column 5"),
+    ("-1", ["0.1,0", "0.2,1"], "label column -1"),
+    ("1", ["0.1,0", "0.2,1.5"], "whole number"),
+], ids=["column-past-the-end", "negative-column", "label-not-whole"])
+def test_baseline_rejects_bad_label_column(tmp_path, capsys, column, cells, message):
+    p = tmp_path / "p.csv"
+    p.write_text("\n".join(cells) + "\n")
+    rc = main(["baseline", "--csv", str(p), "--label-column", column, "--k", "2"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and message in err
 
 
 def test_missing_file_exits_nonzero(capsys):

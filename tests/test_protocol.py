@@ -362,9 +362,10 @@ def test_round_grids_give_plaintext_distance_differences(k, d, bound, seed):
     points = rng.uniform(-bound, bound, size=(count, d))
     eng = SlotEngine(EngineConfig(slot_count=slots))
     state = _ComputingState(eng, layout, k, count, bound, SignApproxConfig(), list(points.T), {})
-    grids, h = state._round_grids(CentroidSet(centers, bound))
-    u = np.array(h.slots)
-    for l, g in enumerate(grids):
+    grids = state._round_grids(CentroidSet(centers, bound))
+    assert len(grids) == d + 1
+    u = np.array(grids[0].slots)  # coordinate 0 is 1 for every point
+    for l, g in enumerate(grids[1:]):
         x = points[:, l] if k == 2 else layout.to_slots(layout.grid(points[None, :, l, None]))
         u += x * g.slots
     scale = 1.0 / (d * (2.0 * bound) ** 2)
@@ -446,7 +447,8 @@ def test_estimator_rejects_two_party_model_with_more_parties():
 
 def test_run_checks_measured_sizes_against_plan(monkeypatch):
     # an aggregate left one level above level 0 is one limb larger than the
-    # plan's aggregates
+    # plan's aggregates; with one spare level, the circuit leaves the counts
+    # there
     pts = uniform_instance(3, n=100, d=2)
     parts = split_features(pts, [[0], [1]])
     drop = SlotEngine.drop_to_depth
@@ -457,8 +459,28 @@ def test_run_checks_measured_sizes_against_plan(monkeypatch):
         return v if len(dropped) == 1 else drop(self, v, depth)
 
     monkeypatch.setattr(SlotEngine, "drop_to_depth", all_but_the_first)
+    eng = SlotEngine(EngineConfig(depth_budget=required_depth(3) + 1))
     with pytest.raises(ProtocolError, match="plan"):
-        run(parts[0], parts[1], None, 1, k=3, bound=1.0)
+        run(parts[0], parts[1], None, 1, k=3, bound=1.0, engine=eng)
+
+
+@pytest.mark.parametrize("k", [2, 3, 5, 8, 15])
+def test_every_aggregate_leaves_the_round_at_the_required_depth(monkeypatch, k):
+    # the counts are the aggregate of the constant coordinate: they take the
+    # same products as the sums and leave the circuit at the same depth
+    d = 2
+    parts = split_features(uniform_instance(40 + k, n=150, d=d), [[0], [1]])
+    drop = SlotEngine.drop_to_depth
+    seen = []
+
+    def record(self, v, depth):
+        seen.append(v.depth_consumed)
+        return drop(self, v, depth)
+
+    monkeypatch.setattr(SlotEngine, "drop_to_depth", record)
+    eng = SlotEngine(EngineConfig(slot_count=1024, depth_budget=required_depth(k)))
+    run(parts[0], parts[1], None, 1, k=k, bound=1.0, seed=1, engine=eng)
+    assert seen == [required_depth(k)] * (d + 1)
 
 
 @pytest.mark.parametrize("extra", [0, 3])
@@ -481,16 +503,16 @@ def test_aggregates_are_released_at_level_zero(k, extra):
 
 
 def test_run_checks_released_depths_against_ledger(monkeypatch):
-    # at d = 1, a ledger that moves one level from the sums to the counts
-    # keeps the required depth and every byte total, so only the released
-    # depths can expose it
+    # a ledger that puts the counts one level below the sums keeps the
+    # required depth and every byte total, so only the released depths can
+    # expose it
     pts = uniform_instance(3, n=100, d=1)
     parts = split_features(pts, [[], [0]])
     true_depths = protocol.release_depths
 
     def moved(k, degree):
         t_depth, s_depth = true_depths(k, degree)
-        return t_depth + 1, s_depth - 1
+        return t_depth - 1, s_depth
 
     monkeypatch.setattr(protocol, "release_depths", moved)
     with pytest.raises(ProtocolError, match="depth ledger"):

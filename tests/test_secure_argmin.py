@@ -248,20 +248,16 @@ def test_argmin_depth_ledger():
 
 
 @pytest.mark.parametrize("k", [3, 8, 15])
-def test_argmin_packed_is_zero_outside_first_row_and_valid_blocks(k):
+def test_argmin_packed_is_zero_outside_first_row(k):
     # the ranks leave partial sums in the other rows; the indicator's folded
-    # mask must zero them, and every unused block, exactly
+    # mask must zero them exactly
     eng = make(slot_count=1024)
     lay = PackedLayout(k, slot_count=1024)
     rng = np.random.default_rng(k)
     vals = [rng.permutation(np.linspace(0.05, 0.95, k)) for _ in range(lay.blocks_per_ct)]
     v_row, v_col = encode_row_col(eng, lay, vals)
-    valid = lay.grid()
-    valid[:, : lay.blocks_per_ct - 1, :] = 1.0
-    out = eng.decrypt(argmin_packed(eng, eng.sub(v_row, v_col), lay, CFG,
-                                    valid_blocks=lay.to_slots(valid)))
-    keep = lay.axis_mask(ROW, 0) * lay.to_slots(valid)
-    assert np.all(out[keep == 0] == 0.0)
+    out = eng.decrypt(argmin_packed(eng, eng.sub(v_row, v_col), lay, CFG))
+    assert np.all(out[lay.axis_mask(ROW, 0) == 0] == 0.0)
     blocks = ref.blocks_of(lay, out)
-    for i in range(lay.blocks_per_ct - 1):
+    for i in range(lay.blocks_per_ct):
         assert np.array_equal(blocks[i][0] > 0.5, ref.ref_argmin_onehot(vals[i]) > 0.5), (k, i)
