@@ -92,7 +92,7 @@ class PackedLayout:
             self.k, self.blocks_per_ct, self.k
         )
 
-    # -- cached plaintext masks -----------------------------------------
+    # -- cached plaintext masks and constants ---------------------------
 
     def _mask(self, key, build) -> np.ndarray:
         if key not in self._mask_cache:
@@ -101,22 +101,26 @@ class PackedLayout:
             self._mask_cache[key] = arr
         return self._mask_cache[key]
 
-    def axis_mask(self, axis: str, index: int) -> np.ndarray:
-        """1.0 on row/column ``index`` of every block, 0 elsewhere."""
+    def axis_mask(self, axis: str, index: int, scale: float = 1.0) -> np.ndarray:
+        """``scale`` on row/column ``index`` of every block, 0 elsewhere."""
         if not 0 <= index < self.k:
             raise IndexError(f"{axis} index {index} outside [0, {self.k})")
 
         def build():
             g = self.grid()
             if axis == ROW:
-                g[index, :, :] = 1.0
+                g[index, :, :] = scale
             elif axis == COLUMN:
-                g[:, :, index] = 1.0
+                g[:, :, index] = scale
             else:
                 raise ValueError(f"axis must be {ROW!r} or {COLUMN!r}, got {axis!r}")
             return self.to_slots(g)
 
-        return self._mask(("axis", axis, index), build)
+        return self._mask(("axis", axis, index, scale), build)
+
+    def filled(self, value: float) -> np.ndarray:
+        """``value`` in every slot, grid or not."""
+        return self._mask(("filled", value), lambda: np.full(self.slot_count, float(value)))
 
     def head_mask(self, count: int) -> np.ndarray:
         """1.0 on the first ``count`` columns of block 0's first row."""

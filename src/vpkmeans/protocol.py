@@ -265,7 +265,8 @@ def update_centroids(
 def release_depths(k: int, degree: int = sa.DEFAULT_DEGREE) -> tuple[int, int]:
     """Depth the round circuit leaves on the counts and on the sums
     ciphertexts, a + 2 for both, where a is the argmin marker's depth; the
-    run then drops both to level 0 before release."""
+    run then drops both to level 0 before release.  A k below 2 raises
+    ``ProtocolError``."""
     cheb = sa.chebyshev_depth(degree)
     if k == 2:
         a = 1 + cheb  # uploaded feature times G_l, then the comparison series
@@ -783,10 +784,21 @@ def estimate_transcript(
     more than two parties sends one upload per party, with the same bytes
     and ciphertexts in total).  ``cfg`` defaults to an engine sized to
     ``required_depth(k, degree)``; a given ``cfg`` is used as it is, as a
-    run on an engine with that config would.
+    run on an engine with that config would.  Sizes no run could have raise
+    ``ProtocolError``, with :func:`run_multiparty`'s message where it has one.
     """
     if parties < 2 or (model == TWO_PARTY and parties != 2):
         raise ProtocolError(f"the {model} model cannot have {parties} parties")
+    if k < 2:
+        raise ProtocolError("k must be at least 2")
+    if n < 1:
+        raise ProtocolError("no records to cluster")
+    if rounds < 0:
+        raise ProtocolError(f"rounds must be non-negative, got {rounds}")
+    if d_bob < 1:
+        raise ProtocolError("no party besides the computing one holds a feature")
+    if d_bob > d:
+        raise ProtocolError(f"{d_bob} uploaded features exceed the {d} features")
     if model == TWO_PARTY:
         model = SERVER_AIDED
     cfg = cfg or EngineConfig(depth_budget=required_depth(k, degree))

@@ -9,6 +9,17 @@ turns rank 1 into a one-hot marker.  Exact ties produce fractional ranks
 that the indicator never activates, so tied blocks decode to a null marker
 (every entry below 0.5).
 
+The indicator is prod_{j=2..k} (x - j), normalized.  Pairing node j with
+node k + 2 - j gives (x - j)(x - (k + 2 - j)) = s^2 - (c - j)^2, with
+c = (k + 2) / 2 and s = x - c, so a single squaring of s serves every
+pair, and for even k the middle node c leaves s itself as a factor.  The
+product tree then has ceil((k - 1) / 2) leaves instead of k - 1; with the
+squaring that is also its count of ciphertext products for k >= 3, about
+half of the unpaired tree's k - 2.  Its depth is unchanged: the squaring
+spends the level that halving the leaves saves, and the first-row mask goes
+on a leaf with slack, which the middle factor has for even k because it
+skips the squaring.
+
 The comparison polynomial is a single Chebyshev interpolation of a steep
 sign surrogate erf(alpha * x).  Interpolating the discontinuous sign itself
 is useless here: its interpolant carries a Gibbs oscillation of ~0.28 near
@@ -127,17 +138,23 @@ def rank(
     """
     c = compare(engine, diff, cfg)
     r = axis_sum(engine, c, ROW, layout)
-    half = engine.plaintext(0.5 * layout.axis_mask(ROW, 0))
-    return engine.add(r, half)
+    return engine.add(r, engine.plaintext(layout.axis_mask(ROW, 0, 0.5)))
 
 
-def _phi_factors(k: int):
-    """Interpolation nodes 2..k and the normalization 1 / prod(1 - j)."""
-    nodes = list(range(2, k + 1))
-    norm = 1.0
-    for j in nodes:
-        norm *= 1.0 - j
-    return nodes, 1.0 / norm
+@dataclass(frozen=True)
+class _PhiPlan:
+    """How :func:`indicator_phi` evaluates phi for one k.
+
+    Leaves are listed pairs first, the lone middle factor (k even) last; a
+    pair leaf costs the shared squaring, so it starts one level deeper.
+    """
+
+    centre: float  # c = (k + 2) / 2
+    offsets: tuple[float, ...]  # (c - j)^2 for each pair (j, k + 2 - j), j < c
+    middle: bool  # k even: s = r - c is a leaf of its own
+    norm: float  # 1 / prod_{j=2..k} (1 - j)
+    fold_at: int  # leaf that carries the normalized first-row mask
+    depth: int  # levels consumed by the whole indicator
 
 
 def _merge_counts(n: int) -> list[int]:
@@ -157,36 +174,57 @@ def _merge_counts(n: int) -> list[int]:
     return counts
 
 
+@functools.lru_cache(maxsize=64)
+def _phi_plan(k: int) -> _PhiPlan:
+    if k < 2:
+        # imported here: protocol imports this module
+        from .protocol import ProtocolError
+
+        raise ProtocolError("k must be at least 2")
+    centre = (k + 2) / 2
+    offsets = tuple((centre - j) ** 2 for j in range(2, math.ceil(centre)))
+    middle = k % 2 == 0
+    norm = 1.0 / math.prod(1.0 - j for j in range(2, k + 1))
+    leaf_depths = [1] * len(offsets) + ([0] if middle else [])
+    # levels each leaf adds to the root: its own depth plus its tree path
+    reach = [d + path for d, path in zip(leaf_depths, _merge_counts(len(leaf_depths)))]
+    fold_at = int(np.argmin(reach))
+    reach[fold_at] += 1
+    return _PhiPlan(centre, offsets, middle, norm, fold_at, max(reach))
+
+
 def indicator_phi(engine: SlotEngine, r: SlotVector, layout: PackedLayout) -> SlotVector:
     """Evaluate the rank-1 indicator polynomial slot-wise.
 
     phi(x) = prod_{j=2..k} (x - j) / prod_{j=2..k} (1 - j): exactly 1 at
     rank 1, 0 at integer ranks 2..k, and bounded away from 1 on fractional
-    tie ranks.  The product is evaluated as a balanced tree; the
-    normalization constant times the first-row mask is folded onto the leaf
-    with the shallowest path, so masking is free whenever the leaf count
-    leaves slack.  Blocks that carry no point are not masked: the caller
-    multiplies the marker by each coordinate, which is 0 there.
+    tie ranks.  Nodes j and k + 2 - j are multiplied as one leaf,
+    (x - j)(x - (k + 2 - j)) = s^2 - (c - j)^2 with c = (k + 2) / 2 and
+    s = x - c, so one squaring serves every pair and the balanced product
+    tree runs over ceil((k - 1) / 2) leaves; for even k, s itself is the
+    middle leaf.  The normalization constant times the first-row mask is
+    folded onto the leaf whose depth plus tree path is smallest, so masking
+    is free whenever the tree leaves slack.  Blocks that carry no point are
+    not masked: the caller multiplies the marker by each coordinate, which
+    is 0 there.  The constants are cached on ``layout``.
     """
-    k = layout.k
-    nodes, norm = _phi_factors(k)
-    mask_pt = engine.plaintext(norm * layout.axis_mask(ROW, 0))
+    plan = _phi_plan(layout.k)
+    s = engine.sub(r, engine.plaintext(layout.filled(plan.centre)))
+    leaves = []
+    if plan.offsets:
+        square = engine.mul(s, s)
+        leaves = [engine.sub(square, engine.plaintext(layout.filled(a))) for a in plan.offsets]
+    if plan.middle:
+        leaves.append(s)
+    mask = engine.plaintext(layout.axis_mask(ROW, 0, plan.norm))
+    leaves[plan.fold_at] = engine.mul(leaves[plan.fold_at], mask)
 
-    factors = [
-        engine.sub(r, engine.plaintext(np.full(engine.config.slot_count, float(j))))
-        for j in nodes
-    ]
-    fold_at = int(np.argmin(_merge_counts(len(factors))))
-    factors[fold_at] = engine.mul(factors[fold_at], mask_pt)
-
-    while len(factors) > 1:
-        merged = [
-            engine.mul(factors[i], factors[i + 1]) for i in range(0, len(factors) - 1, 2)
-        ]
-        if len(factors) % 2:
-            merged.append(factors[-1])
-        factors = merged
-    return factors[0]
+    while len(leaves) > 1:
+        merged = [engine.mul(leaves[i], leaves[i + 1]) for i in range(0, len(leaves) - 1, 2)]
+        if len(leaves) % 2:
+            merged.append(leaves[-1])
+        leaves = merged
+    return leaves[0]
 
 
 def argmin_packed(
@@ -219,6 +257,14 @@ chebyshev_depth = slot_engine.chebyshev_depth
 
 
 def phi_depth(k: int) -> int:
-    """Levels consumed by the masked indicator product for k clusters."""
-    counts = _merge_counts(k - 1)
-    return max(max(counts), min(counts) + 1)
+    """Levels consumed by the masked indicator for k clusters, read from the
+    plan :func:`indicator_phi` follows.
+
+    The squaring costs the pair leaves one level but halves the leaf count,
+    so the tree is one level shallower: the total is the floor(log2(k-1)) + 1
+    of a masked tree over all k - 1 factors, for every k.  With k odd and
+    (k - 1) / 2 not a power of two, the mask sits on a leaf with a shorter
+    path; with k even, on the middle leaf, which skipped the squaring.
+    A k below 2 raises ``ProtocolError``.
+    """
+    return _phi_plan(k).depth

@@ -233,7 +233,7 @@ class SlotEngine:
         if r == 0:
             return v
         self.stats.rotations += 1
-        return self._result(np.roll(v.slots, -r), v.depth_consumed, v.kind)
+        return self._result(np.concatenate((v.slots[r:], v.slots[:r])), v.depth_consumed, v.kind)
 
     def drop_to_depth(self, v: SlotVector, depth: int) -> SlotVector:
         """The same ciphertext with ``depth`` levels consumed; free and not
@@ -258,9 +258,10 @@ class SlotEngine:
         degree = coeffs.size - 1
         if degree < 1:
             raise EngineError("eval_chebyshev needs degree >= 1")
-        bound = 1.0 + DOMAIN_TOLERANCE
-        amax = float(np.max(np.abs(v.slots))) if v.slots.size else 0.0
-        if not amax <= bound:  # also catches NaN
+        # no full-size |slots| temporary; a NaN fails the comparison
+        hi, lo = float(v.slots.max()), float(v.slots.min())
+        amax = max(hi, -lo)
+        if not amax <= 1.0 + DOMAIN_TOLERANCE:
             raise DomainError(
                 f"eval_chebyshev: slot magnitude {amax:.6g} outside [-1, 1] (+{DOMAIN_TOLERANCE:g})"
             )
@@ -269,7 +270,8 @@ class SlotEngine:
         if v.is_ciphertext:
             depth = self._charge(depth, levels, "eval_chebyshev")
         self.stats.cheb_evals += 1
-        out = eval_series(coeffs, np.clip(v.slots, -1.0, 1.0))
+        x = v.slots if amax <= 1.0 else np.clip(v.slots, -1.0, 1.0)
+        out = eval_series(coeffs, x)
         return self._result(out, depth, v.kind)
 
     # ------------------------------------------------------------------

@@ -85,6 +85,32 @@ def test_estimate_from_mpc_report_matches_report(tmp_path, capsys):
     assert f"estimated {own:.2f}s on regWAN100" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("args,message", [
+    (["--k", "1"], "k must be at least 2"),
+    (["--k", "0"], "k must be at least 2"),
+    (["--k", "-3"], "k must be at least 2"),
+    (["--n", "0"], "no records to cluster"),
+    (["--rounds", "-2"], "rounds must be non-negative"),
+    (["--d", "2", "--d-bob", "5"], "exceed the 2 features"),
+    (["--d-bob", "0"], "no party besides the computing one"),
+], ids=["k-one", "k-zero", "k-negative", "no-records", "negative-rounds", "d-bob-above-d",
+        "d-bob-zero"])
+def test_estimate_rejects_sizes_no_run_could_have(capsys, args, message):
+    rc = main(["estimate", *args, "--profile", "LAN500"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and message in err
+
+
+def test_run_config_with_one_cluster_names_k(tmp_path, capsys):
+    config = {"dataset": {"synthetic": {"n": 50, "k": 2, "d": 2, "cluster_std": 0.05}},
+              "k": 1, "rounds": 1}
+    p = tmp_path / "k1.json"
+    p.write_text(json.dumps(config))
+    assert main(["run", str(p), "-o", str(tmp_path / "report.json")]) == 2
+    assert "k must be at least 2" in capsys.readouterr().err
+
+
 def test_invalid_config_exits_nonzero(tmp_path, capsys):
     p = tmp_path / "bad.json"
     p.write_text(json.dumps({"k": 3}))

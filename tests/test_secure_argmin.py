@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 from numpy.polynomial.chebyshev import chebval
 
 import reference_ops as ref
 from vpkmeans.packed_matrix import ROW, PackedLayout
+from vpkmeans.protocol import ProtocolError
 from vpkmeans.secure_argmin import (
     SignApproxConfig,
     argmin_packed,
@@ -151,13 +154,76 @@ def test_indicator_phi_slotwise():
     assert out[3] == pytest.approx(0.0, abs=1e-12)
 
 
+def _phi_of_ranks(k, ranks):
+    """indicator_phi on first-row ranks, one rank per first-row slot."""
+    eng = make(slot_count=1024, depth=10)
+    lay = PackedLayout(k, slot_count=1024)
+    grid = lay.grid()
+    row = np.zeros(lay.width)
+    row[: len(ranks)] = ranks
+    grid[0] = row.reshape(lay.blocks_per_ct, k)
+    out = eng.decrypt(indicator_phi(eng, eng.encrypt(lay.to_slots(grid)), lay))
+    return lay.from_slots(out)[0].ravel()[: len(ranks)]
+
+
+@pytest.mark.parametrize("k", range(2, 17))
+def test_indicator_phi_matches_reference_slotwise(k):
+    # integer ranks hit a zero factor exactly; rank 1 multiplies exact
+    # integers and one rounded 1 / prod(1 - j), so it may miss 1 by an ulp
+    got = _phi_of_ranks(k, np.arange(1, k + 1, dtype=float))
+    assert abs(got[0] - 1.0) <= np.finfo(float).eps
+    assert np.all(got[1:] == 0.0)
+
+    rng = np.random.default_rng(k)
+    tied = []
+    for u in (2, 3):
+        for first in range(1, k - u + 2):  # u elements tied for ranks first .. first + u - 1
+            tied.append(first + (u - 1) / 2)
+    ranks = np.concatenate([tied, rng.uniform(1, k, 400)])[: PackedLayout(k, slot_count=1024).width]
+    want = np.array([ref.ref_phi(x, k) for x in ranks])
+    # s^2 - (c - j)^2 cancels next to a node, so relative error grows there;
+    # the absolute floor is 100 ulp of phi(1) = 1, the largest |phi| on [1, k]
+    np.testing.assert_allclose(_phi_of_ranks(k, ranks), want, rtol=1e-12, atol=1e-14)
+
+
+def _old_tree_depth(k):
+    """Levels of the masked product tree over the k - 1 factors (r - j),
+    paired left to right, with the mask on the leaf of shortest path."""
+    paths = [0] * (k - 1)
+    groups = [[i] for i in range(k - 1)]
+    while len(groups) > 1:
+        merged = []
+        for a, b in zip(groups[0::2], groups[1::2]):
+            for leaf in a + b:
+                paths[leaf] += 1
+            merged.append(a + b)
+        if len(groups) % 2:
+            merged.append(groups[-1])
+        groups = merged
+    return max(max(paths), min(paths) + 1)
+
+
 def test_indicator_phi_depth_ledger():
-    for k in (2, 3, 5, 8, 15):
+    for k in range(2, 33):
         eng = make(slot_count=1024, depth=10)
         lay = PackedLayout(k, slot_count=1024)
-        v = eng.encrypt(np.zeros(1024))
-        out = indicator_phi(eng, v, lay)
-        assert out.depth_consumed == phi_depth(k), k
+        out = indicator_phi(eng, eng.encrypt(np.zeros(1024)), lay)
+        assert out.depth_consumed == phi_depth(k) == _old_tree_depth(k), k
+
+
+@pytest.mark.parametrize("k", range(3, 17))
+def test_indicator_phi_pairs_halve_the_products(k):
+    eng = make(slot_count=1024, depth=10)
+    lay = PackedLayout(k, slot_count=1024)
+    indicator_phi(eng, eng.encrypt(np.zeros(1024)), lay)
+    assert eng.stats.ct_mults == math.ceil((k - 1) / 2)
+    assert eng.stats.pt_mults == 1  # the normalized first-row mask
+
+
+@pytest.mark.parametrize("k", [1, 0, -3])
+def test_phi_depth_rejects_fewer_than_two_clusters(k):
+    with pytest.raises(ProtocolError, match="k must be at least 2"):
+        phi_depth(k)
 
 
 # -- packed argmin -------------------------------------------------------------
