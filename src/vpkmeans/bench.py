@@ -25,7 +25,7 @@ from numpy.polynomial.chebyshev import chebval
 from scipy.optimize import linear_sum_assignment
 
 from . import protocol as proto
-from .dp_accounting import PrivacyBudget
+from .dp_accounting import SCOPE, PrivacyBudget
 from .protocol import CentroidSet, Transcript, init_centroids, split_features
 from .secure_argmin import SignApproxConfig, cmp_series
 from .slot_engine import EngineConfig, SizeModel, SlotEngine
@@ -60,40 +60,49 @@ class Dataset:
         return self.points.shape[1]
 
 
+def _csv_rows(path) -> list[tuple[int, list[str]]]:
+    """``(row number, cells)`` for every row of a UTF-8 CSV file that has a
+    non-blank cell, blank cells dropped; a file that does not decode or
+    parse raises ``BenchError``."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = [(rno, [cell.strip() for cell in row if cell.strip()])
+                    for rno, row in enumerate(_csv.reader(fh), 1)]
+    except (UnicodeDecodeError, _csv.Error) as exc:
+        raise BenchError(f"{path}: not a readable CSV file: {exc}") from exc
+    return [(rno, row) for rno, row in rows if row]
+
+
 def load_csv(path, normalize: bool = False, label_column: int | None = None) -> Dataset:
     """Load a rectangular numeric CSV (header row optional).
 
     With ``normalize`` each feature is clipped at its 95th percentile and
     min-max scaled into [0, 1]; constant features map to all zeros.  A
-    ``label_column`` that is not a column, or holds a non-whole label,
-    raises ``BenchError``.
+    ``label_column`` that is not a column, is the only column, or holds a
+    label that is not a whole int64 raises ``BenchError``, as does a file
+    that is not UTF-8 text.
     """
     rows = []
     width = None
-    with open(path, newline="") as fh:
-        reader = _csv.reader(fh)
-        for rno, row in enumerate(reader):
-            row = [cell.strip() for cell in row if cell.strip() != ""] if row else []
-            if not row:
-                continue
-            if width is None:
-                width = len(row)
-                try:
-                    [float(c) for c in row]
-                except ValueError:
-                    continue  # header
-            if len(row) != width:
-                raise BenchError(f"{path}: row {rno + 1} has {len(row)} cells, expected {width}")
-            vals = []
-            for cno, cell in enumerate(row):
-                try:
-                    value = float(cell)
-                except ValueError:
-                    raise BenchError(f"{path}: non-numeric cell at row {rno + 1}, column {cno + 1}: {cell!r}")
-                if not math.isfinite(value):
-                    raise BenchError(f"{path}: non-finite cell at row {rno + 1}, column {cno + 1}: {cell!r}")
-                vals.append(value)
-            rows.append(vals)
+    for rno, row in _csv_rows(path):
+        if width is None:
+            width = len(row)
+            try:
+                [float(c) for c in row]
+            except ValueError:
+                continue  # header
+        if len(row) != width:
+            raise BenchError(f"{path}: row {rno} has {len(row)} cells, expected {width}")
+        vals = []
+        for cno, cell in enumerate(row):
+            try:
+                value = float(cell)
+            except ValueError:
+                raise BenchError(f"{path}: non-numeric cell at row {rno}, column {cno + 1}: {cell!r}")
+            if not math.isfinite(value):
+                raise BenchError(f"{path}: non-finite cell at row {rno}, column {cno + 1}: {cell!r}")
+            vals.append(value)
+        rows.append(vals)
     if not rows:
         raise BenchError(f"{path}: no data rows")
     data = np.array(rows)
@@ -102,16 +111,22 @@ def load_csv(path, normalize: bool = False, label_column: int | None = None) -> 
         if label_column not in range(width):
             raise BenchError(f"{path}: label column {label_column} is outside the {width} columns")
         lab = data[:, label_column]
-        if np.any(lab != np.round(lab)):
-            raise BenchError(f"{path}: label column {label_column} holds a label that is not a whole number")
+        if np.any(lab != np.round(lab)) or np.any(np.abs(lab) >= 2.0 ** 63):
+            raise BenchError(f"{path}: label column {label_column} holds a label that is not a whole number "
+                             "in the int64 range")
+        if width == 1:
+            raise BenchError(f"{path}: no feature column besides the label column")
         lab = lab.astype(np.int64)
         data = np.delete(data, label_column, axis=1)
     note = ""
     if normalize:
-        hi = np.percentile(data, 95, axis=0)
-        data = np.minimum(data, hi[None, :])
-        lo, top = data.min(axis=0), data.max(axis=0)
-        span = top - lo
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite span is refused below
+            hi = np.percentile(data, 95, axis=0)
+            data = np.minimum(data, hi[None, :])
+            lo, top = data.min(axis=0), data.max(axis=0)
+            span = top - lo
+        if not np.all(np.isfinite(span)):
+            raise BenchError(f"{path}: a feature's range exceeds the float64 range and cannot be scaled")
         out = np.zeros_like(data)
         nz = span > 0
         out[:, nz] = (data[:, nz] - lo[nz]) / span[nz]
@@ -139,9 +154,16 @@ def gen_synthetic(
     min_center_dist: float | None = None,
 ) -> Dataset:
     """Gaussian blobs around k spaced-out centers in [-B, B]^d, clipped to the
-    domain, with ground-truth labels; points are split as evenly as possible."""
+    domain, with ground-truth labels; points are split as evenly as possible.
+    Sizes or spreads no dataset can have raise ``BenchError``."""
     if n < k:
         raise BenchError("need at least one point per cluster")
+    if d < 1:
+        raise BenchError(f"need at least one feature, got d={d}")
+    if not bound > 0:
+        raise BenchError(f"the domain bound must be positive, got {bound}")
+    if not cluster_std >= 0:
+        raise BenchError(f"the cluster spread must be non-negative, got {cluster_std}")
     centers = init_centroids(k, d, bound, seed, min_separation=min_center_dist).centers
     rng = np.random.default_rng([seed, 0xB10B])
     counts = [n // k + (1 if j < n % k else 0) for j in range(k)]
@@ -324,11 +346,10 @@ NETWORK_PROFILES = {
 def estimate_wallclock(transcript: Transcript, net: NetworkConfig, compute_seconds: float = 0.0) -> float:
     """:func:`wallclock_seconds` of a transcript; an empty one costs only
     the compute time."""
-    if not transcript.messages:
-        return compute_seconds
     rounds = len({m.round for m in transcript.messages if m.round > 0})
     shares = bool(transcript.by_kind(proto.DECRYPTION_SHARE))
-    return wallclock_seconds(transcript.total_bytes, rounds, shares, net, compute_seconds)
+    seconds = wallclock_seconds(transcript.total_bytes, rounds, shares, net, compute_seconds)
+    return seconds if transcript.messages else compute_seconds
 
 
 def wallclock_seconds(
@@ -341,8 +362,10 @@ def wallclock_seconds(
     round counts as one sequential exchange (two if decryption shares flow
     back), plus one for setup.  Jitter and packet loss are not modelled:
     the estimator targets order-of-magnitude comparisons and has no
-    retransmission model.
+    retransmission model.  Negative compute seconds raise ``BenchError``.
     """
+    if not compute_seconds >= 0:
+        raise BenchError(f"compute seconds must be non-negative, got {compute_seconds}")
     bits = total_bytes * 8.0
     transfer = bits / (net.bandwidth_mbps * 1e6)
     exchanges = 1 + (2 if decryption_shares else 1) * rounds
@@ -360,6 +383,8 @@ def calibrate_size_model(
 ) -> SizeModel:
     """Fit bytes-per-slot-per-level so the modeled total for one reference
     configuration hits a measured grand total."""
+    if not math.isfinite(target_bytes):
+        raise BenchError(f"calibration target {target_bytes} is not a finite byte count")
     unit = SizeModel(bytes_per_slot_per_level=1.0)
     cfg = EngineConfig(slot_count=slot_count, depth_budget=proto.required_depth(k), size_model=unit)
     tr = proto.estimate_transcript(n, k, d, d_bob, rounds, cfg)
@@ -390,7 +415,7 @@ def s1_style_config(seed: int = 7, **overrides) -> dict:
         "k": 15,
         "rounds": 10,
         "init_separation": 0.24,
-        "budget": {"epsilon": 1.0, "delta": "1/n", "composition": "auto"},
+        "budget": {"epsilon": 1.0, "delta": "1/n"},
         "seeds": {"count": 10, "base": 100},
         "network_profiles": ["LAN1000", "regWAN100"],
     }
@@ -403,8 +428,8 @@ def s1_style_config(seed: int = 7, **overrides) -> dict:
 _CONFIG_KEYS = {
     "config": {"name", "dataset", "k", "rounds", "bound", "feature_split", "model", "budget",
                "sign", "engine", "seeds", "init_separation", "network_profiles", "output"},
-    "budget": {"epsilon", "delta", "composition"},
-    "engine": {"slot_count", "approx_perturbation", "size_model"},
+    "budget": {"epsilon", "delta"},
+    "engine": {"slot_count", "size_model"},
     "seeds": {"count", "base"},
 }
 
@@ -472,7 +497,6 @@ def run_experiment(config: dict) -> dict:
                 epsilon_total=float(b.get("epsilon", 1.0)),
                 delta_total=float(delta),
                 rounds=rounds,
-                composition=b.get("composition", "auto"),
             )
 
         sign = SignApproxConfig(**config.get("sign", {}))
@@ -481,7 +505,6 @@ def run_experiment(config: dict) -> dict:
         engine_config = EngineConfig(
             slot_count=_whole(eng_cfg.get("slot_count", 1 << 14), "engine.slot_count"),
             depth_budget=proto.required_depth(k, sign.degree),
-            approx_perturbation=float(eng_cfg.get("approx_perturbation", 0.0)),
             size_model=SizeModel(**eng_cfg.get("size_model", {})),
         )
 
@@ -514,7 +537,7 @@ def run_experiment(config: dict) -> dict:
     dp_info = None
     t0 = time.monotonic()
     for seed in seeds:
-        engine = SlotEngine(engine_config, seed=seed)
+        engine = SlotEngine(engine_config)
         parts = split_features(ds.points, split)
         init = init_centroids(k, d, bound, seed, min_separation=init_sep)
         if len(split) == 2 and model == proto.TWO_PARTY:
@@ -543,6 +566,7 @@ def run_experiment(config: dict) -> dict:
                     "composition": result.round_budget.mode,
                     "sigma_sum": result.noise.sigma_sum,
                     "sigma_count": result.noise.sigma_count,
+                    "scope": SCOPE,
                 }
     compute_seconds = time.monotonic() - t0
 

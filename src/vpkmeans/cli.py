@@ -51,6 +51,10 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_baseline(args) -> int:
+    if args.seeds < 1:
+        raise BenchError(f"--seeds must be at least 1, got {args.seeds}")
+    if args.rounds < 0:
+        raise BenchError(f"--rounds must be non-negative, got {args.rounds}")
     if args.csv:
         ds = bench.load_csv(args.csv, normalize=args.normalize, label_column=args.label_column)
         if args.normalize:
@@ -149,7 +153,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (BenchError, ProtocolError, FileNotFoundError, json.JSONDecodeError, KeyError) as exc:
+    except (BenchError, ProtocolError, OSError, json.JSONDecodeError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -3,11 +3,17 @@
 Each round releases per-cluster counts (sensitivity 1: one changed record
 moves at most one unit of count) and per-cluster coordinate sums
 (sensitivity 2B per coordinate: replacing one record moves a sum by at most
-the domain width).  The total (epsilon, delta) is split evenly across
-rounds with either the simple or the advanced composition rule, whichever
-grants the larger per-round epsilon; one (r+1)-th of delta is reserved as
-the advanced rule's slack term so both rules compete at the same per-round
-delta.
+the domain width), each through the Gaussian mechanism.  The total
+(epsilon, delta) is split evenly across the rounds under one rule: the
+per-round epsilon is the larger of basic composition's epsilon / r and the
+one the advanced-composition corollary grants (Dwork & Roth, Cor. 3.21),
+and every round gets delta / (r + 1), one share being the corollary's
+slack term.
+
+The guarantee covers what the key holder and the data owners see, not the
+computing party, which samples the noise, and not CKKS decryption error,
+which the simulated engine does not model; ``SCOPE`` says so in every
+report's ``dp`` section.
 """
 
 from __future__ import annotations
@@ -21,7 +27,10 @@ from .slot_engine import SlotEngine, SlotVector
 
 SIMPLE = "simple"
 ADVANCED = "advanced"
-AUTO = "auto"
+
+# what the printed (epsilon, delta) covers, stated next to it in every report
+SCOPE = ("the noisy aggregates and centroids that the key holder and the data owners see; "
+         "not the computing party, which samples the noise, and not CKKS decryption error")
 
 
 @dataclass(frozen=True)
@@ -29,17 +38,14 @@ class PrivacyBudget:
     epsilon_total: float
     delta_total: float
     rounds: int
-    composition: str = AUTO
 
     def __post_init__(self):
-        if self.epsilon_total <= 0:
+        if not self.epsilon_total > 0:
             raise ValueError("epsilon_total must be positive")
         if not 0 < self.delta_total < 1:
             raise ValueError("delta_total must lie in (0, 1)")
         if self.rounds < 1:
             raise ValueError("rounds must be a positive integer")
-        if self.composition not in (SIMPLE, ADVANCED, AUTO):
-            raise ValueError(f"unknown composition mode {self.composition!r}")
 
 
 @dataclass(frozen=True)
@@ -57,48 +63,33 @@ class NoiseScales:
     sigma_count: float
 
     @classmethod
-    def from_budget(
-        cls, round_budget: RoundBudget, bound: float, paper_formulas: bool = False
-    ) -> "NoiseScales":
-        """Scales follow the stated sensitivities: 2B for sums, 1 for counts.
-
-        ``paper_formulas`` reproduces the source text's displayed equations,
-        which attach the 2B factor to the count scale instead; kept only for
-        comparison runs.
-        """
+    def from_budget(cls, round_budget: RoundBudget, bound: float) -> "NoiseScales":
+        """Scales follow the stated sensitivities: 2B for sums, 1 for counts."""
         if bound <= 0:
             raise ValueError("bound must be positive")
-        s_sum = gaussian_sigma(2.0 * bound, round_budget.epsilon, round_budget.delta)
-        s_count = gaussian_sigma(1.0, round_budget.epsilon, round_budget.delta)
-        if paper_formulas:
-            s_sum, s_count = s_count, s_sum
-        return cls(sigma_sum=s_sum, sigma_count=s_count)
+        return cls(
+            sigma_sum=gaussian_sigma(2.0 * bound, round_budget.epsilon, round_budget.delta),
+            sigma_count=gaussian_sigma(1.0, round_budget.epsilon, round_budget.delta),
+        )
 
 
 def per_round_budget(budget: PrivacyBudget) -> RoundBudget:
-    """Even split of the total budget across rounds.
+    """Even split of the total budget across rounds, at the larger epsilon_r.
 
     simple:   epsilon_r = epsilon / r
     advanced: epsilon_r solves epsilon = 2 * epsilon_r * sqrt(2 r ln(1/delta'))
               with delta' = delta / (r + 1)
     Both use delta_r = delta / (r + 1), leaving one share as the advanced
-    rule's slack; auto picks whichever epsilon_r is larger.
+    rule's slack; ``mode`` names the rule that granted epsilon_r.
     """
     r = budget.rounds
     delta_r = budget.delta_total / (r + 1)
     eps_simple = budget.epsilon_total / r
-    delta_slack = budget.delta_total / (r + 1)
-    eps_advanced = budget.epsilon_total / (2.0 * math.sqrt(2.0 * r * math.log(1.0 / delta_slack)))
-
-    if budget.composition == SIMPLE:
-        eps, mode = eps_simple, SIMPLE
-    elif budget.composition == ADVANCED:
+    eps_advanced = budget.epsilon_total / (2.0 * math.sqrt(2.0 * r * math.log(1.0 / delta_r)))
+    if eps_advanced > eps_simple:
         eps, mode = eps_advanced, ADVANCED
     else:
-        if eps_advanced > eps_simple:
-            eps, mode = eps_advanced, ADVANCED
-        else:
-            eps, mode = eps_simple, SIMPLE
+        eps, mode = eps_simple, SIMPLE
     if eps <= 0 or delta_r <= 0:
         raise ValueError("budget split produced a non-positive per-round parameter")
     return RoundBudget(epsilon=eps, delta=delta_r, mode=mode)

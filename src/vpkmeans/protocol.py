@@ -538,7 +538,6 @@ def run(
     seed: int = 0,
     sign: sa.SignApproxConfig | None = None,
     init: CentroidSet | None = None,
-    shift_tol: float | None = None,
 ) -> RunResult:
     """Execute setup plus ``rounds`` iterations between two parties.
 
@@ -547,8 +546,7 @@ def run(
     parties.  See :func:`run_multiparty` for the other arguments.
     """
     return run_multiparty([alice, bob], SERVER_AIDED, budget, rounds, k, bound, engine=engine,
-                          seed=seed, sign=sign, init=init, computing_party=alice.owner,
-                          shift_tol=shift_tol)
+                          seed=seed, sign=sign, init=init, computing_party=alice.owner)
 
 
 def run_multiparty(
@@ -563,7 +561,6 @@ def run_multiparty(
     sign: sa.SignApproxConfig | None = None,
     init: CentroidSet | None = None,
     computing_party: str | None = None,
-    shift_tol: float | None = None,
 ) -> RunResult:
     """Execute setup plus ``rounds`` iterations among N parties.
 
@@ -576,16 +573,18 @@ def run_multiparty(
     additive share per party whose sum is the plaintext, and the computing
     party performs the centroid update itself.
 
-    With ``budget=None`` no noise is added.  With ``shift_tol`` set, the run
-    stops early once the largest centroid movement drops below it; the
-    privacy split always uses ``budget.rounds``, which must cover
-    ``rounds``.  The transcript is :func:`plan_transcript` for the rounds
-    executed.  Every round's aggregates are checked against
-    :func:`release_depths`, recorded in ``round_depths``, dropped to level 0
-    and only then noised and released; the run raises ``ProtocolError`` if a
-    circuit depth differs from the ledger or a measured ciphertext size
-    differs from the plan.  Arguments the run cannot honour raise
-    ``ProtocolError`` before setup.
+    The run executes exactly ``rounds`` rounds.  With ``budget=None`` no
+    noise is added; otherwise the privacy split uses ``budget.rounds``,
+    which must cover ``rounds``.  The budget's (epsilon, delta) covers what
+    the key holder and the data owners see.  It does not cover the
+    computing party, which samples the noise, nor CKKS decryption error,
+    which the simulated engine does not model.  The transcript is
+    :func:`plan_transcript` for the run.  Every round's aggregates are
+    checked against :func:`release_depths`, recorded in ``round_depths``,
+    dropped to level 0 and only then noised and released; the run raises
+    ``ProtocolError`` if a circuit depth differs from the ledger or a
+    measured ciphertext size differs from the plan.  Arguments the run
+    cannot honour raise ``ProtocolError`` before setup.
     """
     if model not in (SERVER_AIDED, MPC_SIMULATED):
         raise ProtocolError(f"unknown deployment model {model!r}")
@@ -682,12 +681,10 @@ def run_multiparty(
         sums = np.stack([engine.decrypt(v)[:k] for v in released[1:]])  # d x k
         centroids = update_centroids(sums, counts, bound, seed, t)
         history.append(np.array(centroids.centers))
-        if shift_tol is not None and np.max(np.abs(history[-1] - history[-2])) < shift_tol:
-            break
 
     plan = [(p.owner, role, 0 if role == COMPUTING else len(p.feature_indices))
             for p, role in zip(ordered, roles)]
-    transcript = plan_transcript(n, k, d, len(history) - 1, model, engine.config, plan)
+    transcript = plan_transcript(n, k, d, rounds, model, engine.config, plan)
     planned_uploads = [m.byte_size for m in transcript.by_kind(ENCRYPTED_FEATURES)]
     planned_aggregates = [m.byte_size for m in transcript.by_kind(NOISY_AGGREGATES)]
     if upload_bytes != planned_uploads or aggregate_bytes != planned_aggregates:

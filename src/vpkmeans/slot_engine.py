@@ -1,9 +1,8 @@
 """Simulated CKKS-style SIMD ciphertext engine.
 
 Models one leveled ciphertext as a fixed-length vector of real slots with a
-multiplicative-depth counter.  Arithmetic is exact float64 by default; an
-optional bounded multiplicative perturbation per ciphertext multiplication
-emulates the approximation error of a real scheme.  There is no actual
+multiplicative-depth counter.  Arithmetic is exact float64: the engine
+models no CKKS approximation or decryption error.  There is no actual
 encryption here: ``encrypt`` tags a vector as ciphertext-kind so that depth
 and size accounting behave like the real thing, and the module is the
 extension point for a real lattice backend.
@@ -69,13 +68,10 @@ class EngineConfig:
 
     ``slot_count`` is the number of usable SIMD slots (half the ring
     dimension of the scheme being modeled, 2^14 for ring dimension 2^15).
-    ``approx_perturbation`` is the relative half-width of the per-multiplication
-    noise; it must stay below 2^-10 so the simulation remains near-exact.
     """
 
     slot_count: int = 1 << 14
     depth_budget: int = 18
-    approx_perturbation: float = 0.0
     size_model: SizeModel = field(default_factory=SizeModel)
 
     def __post_init__(self):
@@ -83,8 +79,6 @@ class EngineConfig:
             raise ValueError(f"slot_count must be a power of two, got {self.slot_count}")
         if self.depth_budget < 0:
             raise ValueError("depth_budget must be non-negative")
-        if not 0 <= self.approx_perturbation < 2.0 ** -10:
-            raise ValueError("approx_perturbation must lie in [0, 2^-10)")
 
 
 @dataclass(frozen=True)
@@ -136,14 +130,12 @@ class SlotEngine:
     """Factory and arithmetic for :class:`SlotVector` values.
 
     All operations are pure with respect to their inputs; the engine itself
-    only accumulates statistics (and owns the perturbation RNG when the
-    approximate mode is enabled).
+    only accumulates statistics.
     """
 
-    def __init__(self, config: EngineConfig | None = None, seed: int | None = None):
+    def __init__(self, config: EngineConfig | None = None):
         self.config = config or EngineConfig()
         self.stats = EngineStats()
-        self._rng = np.random.default_rng(seed)
 
     # ------------------------------------------------------------------
     # construction / destruction
@@ -172,7 +164,7 @@ class SlotEngine:
         return SlotVector(self._pad(values), 0, PLAINTEXT)
 
     def decrypt(self, v: SlotVector) -> np.ndarray:
-        """Return the slots verbatim (exact round-trip when perturbation is 0)."""
+        """Return the slots verbatim (an exact round-trip)."""
         return np.array(v.slots)
 
     # ------------------------------------------------------------------
@@ -219,11 +211,7 @@ class SlotEngine:
                 self.stats.ct_mults += 1
             else:
                 self.stats.pt_mults += 1
-        out = a.slots * b.slots
-        if kind == CIPHERTEXT and self.config.approx_perturbation > 0:
-            p = self.config.approx_perturbation
-            out = out * (1.0 + self._rng.uniform(-p, p, size=out.shape))
-        return self._result(out, depth, kind)
+        return self._result(a.slots * b.slots, depth, kind)
 
     def rotate(self, v: SlotVector, r: int) -> SlotVector:
         """Cyclic left shift by ``r`` (negative rotates right); depth-free.

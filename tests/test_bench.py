@@ -1,8 +1,11 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.polynomial.chebyshev import chebval
 
 from vpkmeans import bench, protocol
@@ -19,7 +22,9 @@ from vpkmeans.bench import (
     normalized_loss,
     recenter,
     run_experiment,
+    wallclock_seconds,
 )
+from vpkmeans.dp_accounting import SCOPE
 from vpkmeans.protocol import CentroidSet, Message, Transcript, init_centroids
 from vpkmeans.secure_argmin import SignApproxConfig, cmp_series
 
@@ -63,6 +68,54 @@ def test_load_csv_rejects_non_finite(tmp_path, cell):
     p.write_text(f"1,2\n3,{cell}\n")
     with pytest.raises(BenchError, match="row 2, column 2"):
         load_csv(p)
+
+
+def test_load_csv_rejects_text_that_is_not_utf8(tmp_path):
+    p = tmp_path / "latin1.csv"
+    p.write_bytes("x,\xe9t\xe9\n1,2\n".encode("latin-1"))
+    with pytest.raises(BenchError, match="not a readable CSV"):
+        load_csv(p)
+
+
+def test_load_csv_rejects_a_cell_past_the_csv_field_limit(tmp_path):
+    p = tmp_path / "long.csv"
+    p.write_text("1,2\n3," + "4" * 200_000 + "\n")
+    with pytest.raises(BenchError, match="not a readable CSV"):
+        load_csv(p)
+
+
+# cells a CSV may hold: numbers of every size, non-finite spellings, blanks,
+# header words, quoted commas and arbitrary text
+_CELLS = st.one_of(
+    st.floats().map(repr),
+    st.integers(-10**6, 10**6).map(str),
+    st.sampled_from(["", " ", "nan", "NaN", "inf", "-Infinity", "1e400", "-1e400", "x", "label",
+                     '"1,2"', '"', "1_000", "0x10"]),
+    st.text(max_size=6),
+)
+_GRIDS = st.tuples(st.lists(st.lists(_CELLS, max_size=5), max_size=8), st.sampled_from(["\n", "\r\n"]))
+
+
+@settings(max_examples=300, deadline=None)
+@example(content=b"1.7e308\n-1.7e308\n", normalize=True, label_column=None)  # range overflows float64
+@example(content=b"0\n1\n", normalize=False, label_column=0)  # no feature besides the label
+@example(content=b"0.1,1e300\n0.2,0\n", normalize=False, label_column=1)  # label past int64
+@given(content=st.one_of(st.binary(max_size=200),
+                         _GRIDS.map(lambda g: g[1].join(",".join(r) for r in g[0]).encode())),
+       normalize=st.booleans(), label_column=st.none() | st.integers(-1, 5))
+def test_load_csv_yields_finite_points_or_bench_error(tmp_path_factory, content, normalize, label_column):
+    p = tmp_path_factory.getbasetemp() / "property.csv"
+    p.write_bytes(content)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ds = load_csv(p, normalize=normalize, label_column=label_column)
+    except BenchError:
+        return
+    assert ds.points.ndim == 2 and ds.n >= 1 and ds.d >= 1
+    assert np.all(np.isfinite(ds.points))
+    if label_column is not None:
+        assert ds.labels.dtype == np.int64 and ds.labels.shape == (ds.n,)
 
 
 def test_load_csv_normalization(tmp_path):
@@ -114,6 +167,18 @@ def test_gen_synthetic_table_shape():
     assert ds.n == 10000 and ds.d == 2
     assert ds.labels.max() == 7
     assert np.max(np.abs(ds.points)) <= 1.0
+
+
+@pytest.mark.parametrize("d,bound,std,message", [
+    (0, 1.0, 0.05, "at least one feature"),
+    (2, 0.0, 0.05, "bound must be positive"),
+    (2, -1.0, 0.05, "bound must be positive"),
+    (2, 1.0, -1.0, "spread must be non-negative"),
+    (2, 1.0, float("nan"), "spread must be non-negative"),
+], ids=["no-features", "zero-bound", "negative-bound", "negative-std", "nan-std"])
+def test_gen_synthetic_rejects_impossible_datasets(d, bound, std, message):
+    with pytest.raises(BenchError, match=message):
+        gen_synthetic(30, 3, d, bound, std, seed=1)
 
 
 # -- lloyd --------------------------------------------------------------------
@@ -260,6 +325,17 @@ def test_wallclock_empty_transcript_is_compute_only():
     assert estimate_wallclock(Transcript(), NETWORK_PROFILES["LAN500"], 3.5) == 3.5
 
 
+@pytest.mark.parametrize("transcript", [Transcript(), _toy_transcript(1000, 2)], ids=["empty", "toy"])
+def test_wallclock_rejects_negative_compute_seconds(transcript):
+    with pytest.raises(BenchError, match="compute seconds"):
+        estimate_wallclock(transcript, NETWORK_PROFILES["LAN500"], -5.0)
+
+
+def test_wallclock_seconds_rejects_negative_compute_seconds():
+    with pytest.raises(BenchError, match="compute seconds"):
+        wallclock_seconds(1000, 2, False, NETWORK_PROFILES["LAN500"], -0.5)
+
+
 def test_wallclock_bandwidth_halves_transfer():
     tr = _toy_transcript(10_000_000, 0)
     slow = NetworkConfig("slow", 100, 0.0)
@@ -310,18 +386,18 @@ def test_run_experiment_smoke_sections():
     assert report["mean"]["secure_loss"] is not None
     assert report["mean"]["secure_accuracy"] is not None
     assert report["dp"]["composition"] == "simple"
+    assert report["dp"]["scope"] == SCOPE and "computing party" in SCOPE
     assert len(report["per_seed"]) == 2
     assert set(report["estimated_wallclock_seconds"]) == {"LAN500", "ccWAN50"}
     assert report["transcript"]["bytes"] > 0
     json.dumps(report)  # must be serializable
 
 
-def test_run_experiment_reproducible_with_perturbation():
-    cfg = smoke_config()
-    cfg["engine"] = {"approx_perturbation": 1e-4}
-    first = run_experiment(cfg)["per_seed"]
-    second = run_experiment(cfg)["per_seed"]
-    assert [e["secure_loss"] for e in first] == [e["secure_loss"] for e in second]
+def test_run_experiment_reproducible():
+    first = run_experiment(smoke_config())
+    second = run_experiment(smoke_config())
+    assert first["per_seed"] == second["per_seed"]
+    assert first["dp"] == second["dp"]
 
 
 def test_report_bytes_equal_transcript_sum():

@@ -93,8 +93,11 @@ def test_estimate_from_mpc_report_matches_report(tmp_path, capsys):
     (["--rounds", "-2"], "rounds must be non-negative"),
     (["--d", "2", "--d-bob", "5"], "exceed the 2 features"),
     (["--d-bob", "0"], "no party besides the computing one"),
+    (["--compute-seconds", "-5"], "compute seconds must be non-negative"),
+    (["--calibrate-bytes", "nan"], "not a finite byte count"),
+    (["--calibrate-bytes", "inf"], "not a finite byte count"),
 ], ids=["k-one", "k-zero", "k-negative", "no-records", "negative-rounds", "d-bob-above-d",
-        "d-bob-zero"])
+        "d-bob-zero", "negative-compute-seconds", "nan-calibration", "infinite-calibration"])
 def test_estimate_rejects_sizes_no_run_could_have(capsys, args, message):
     rc = main(["estimate", *args, "--profile", "LAN500"])
     assert rc == 2
@@ -143,13 +146,15 @@ def test_invalid_config_exits_nonzero(tmp_path, capsys):
     {"seeds": [1, 2.5]},
     {"rounds": True},
     {"engine": {"slot_count": 1024.5}},
+    {"budget": {"composition": "auto"}},
+    {"engine": {"approx_perturbation": 1e-4}},
 ], ids=["even-degree", "negative-epsilon", "misspelled-key", "removed-key", "k-not-a-number",
         "seed-count-not-a-number", "separation-not-a-number", "k-too-large", "negative-rounds",
         "misspelled-budget-key", "misspelled-top-key", "misspelled-engine-key",
         "misspelled-seeds-key", "misspelled-synthetic-key", "misspelled-csv-key",
         "removed-compute-seconds", "k-not-whole", "rounds-not-whole", "seed-count-not-whole",
         "seed-base-not-whole", "seed-list-entry-not-whole", "rounds-boolean",
-        "slot-count-not-whole"])
+        "slot-count-not-whole", "removed-composition-key", "removed-perturbation-key"])
 def test_invalid_parameter_values_exit_nonzero(tmp_path, capsys, bad):
     config = {
         "dataset": {"synthetic": {"n": 50, "k": 2, "d": 2, "bound": 1.0,
@@ -184,7 +189,10 @@ def test_baseline_scores_one_based_labels_as_zero_based(tmp_path, capsys):
     ("5", ["0.1,0", "0.2,1"], "label column 5"),
     ("-1", ["0.1,0", "0.2,1"], "label column -1"),
     ("1", ["0.1,0", "0.2,1.5"], "whole number"),
-], ids=["column-past-the-end", "negative-column", "label-not-whole"])
+    ("1", ["0.1,0", "0.2,1e300"], "int64 range"),
+    ("0", ["0", "1"], "no feature column"),
+], ids=["column-past-the-end", "negative-column", "label-not-whole", "label-past-int64",
+        "label-is-the-only-column"])
 def test_baseline_rejects_bad_label_column(tmp_path, capsys, column, cells, message):
     p = tmp_path / "p.csv"
     p.write_text("\n".join(cells) + "\n")
@@ -197,3 +205,43 @@ def test_baseline_rejects_bad_label_column(tmp_path, capsys, column, cells, mess
 def test_missing_file_exits_nonzero(capsys):
     rc = main(["run", "/nonexistent/config.json"])
     assert rc == 2
+
+
+@pytest.mark.parametrize("command,args,message", [
+    ("gen", ["--std", "-1"], "spread must be non-negative"),
+    ("gen", ["--bound", "-1"], "bound must be positive"),
+    ("gen", ["--bound", "0"], "bound must be positive"),
+    ("gen", ["--d", "0"], "at least one feature"),
+    ("baseline", ["--std", "-1"], "spread must be non-negative"),
+    ("baseline", ["--bound", "-1"], "bound must be positive"),
+    ("baseline", ["--d", "0"], "at least one feature"),
+    ("baseline", ["--seeds", "0"], "--seeds must be at least 1"),
+    ("baseline", ["--seeds", "-2"], "--seeds must be at least 1"),
+    ("baseline", ["--rounds", "-1"], "--rounds must be non-negative"),
+], ids=["gen-negative-std", "gen-negative-bound", "gen-zero-bound", "gen-no-features",
+        "baseline-negative-std", "baseline-negative-bound", "baseline-no-features",
+        "baseline-zero-seeds", "baseline-negative-seeds", "baseline-negative-rounds"])
+def test_gen_and_baseline_reject_bad_numbers(tmp_path, capsys, command, args, message):
+    out = ["-o", str(tmp_path / "out.csv")] if command == "gen" else []
+    rc = main([command, "--n", "30", "--k", "3", *args, *out])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and message in err
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_estimate_from_report_rejects_negative_compute_seconds(tmp_path, capsys):
+    p = tmp_path / "report.json"
+    p.write_text(json.dumps({"transcript": {"bytes": 10_000}, "rounds": 2}))
+    assert main(["estimate", "--report", str(p), "--profile", "LAN500", "--compute-seconds", "-5"]) == 2
+    assert "compute seconds must be non-negative" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content", [b"caf\xe9,x\n1,2\n3,4\n", None], ids=["latin-1-file", "directory"])
+def test_baseline_csv_that_cannot_be_read_exits_2(tmp_path, capsys, content):
+    path = tmp_path
+    if content is not None:
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(content)
+    assert main(["baseline", "--csv", str(path), "--k", "2"]) == 2
+    assert "error:" in capsys.readouterr().err

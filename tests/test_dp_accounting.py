@@ -19,35 +19,38 @@ def test_budget_validation():
     with pytest.raises(ValueError):
         PrivacyBudget(0.0, 1e-5, 10)
     with pytest.raises(ValueError):
+        PrivacyBudget(math.nan, 1e-5, 10)
+    with pytest.raises(ValueError):
         PrivacyBudget(1.0, 0.0, 10)
     with pytest.raises(ValueError):
         PrivacyBudget(1.0, 1e-5, 0)
-    with pytest.raises(ValueError):
-        PrivacyBudget(1.0, 1e-5, 10, composition="zcdp")
 
 
 def test_simple_split():
-    rb = per_round_budget(PrivacyBudget(1.0, 1e-4, 10, composition=SIMPLE))
+    rb = per_round_budget(PrivacyBudget(1.0, 1e-4, 10))
     assert rb.epsilon == pytest.approx(0.1)
     assert rb.delta == pytest.approx(1e-4 / 11)
     assert rb.mode == SIMPLE
 
 
 def test_single_round_degenerate():
-    rb = per_round_budget(PrivacyBudget(2.0, 1e-4, 1, composition=SIMPLE))
+    rb = per_round_budget(PrivacyBudget(2.0, 1e-4, 1))
     assert rb.epsilon == pytest.approx(2.0)
 
 
 def test_advanced_recovers_total():
-    b = PrivacyBudget(1.0, 1e-4, 10, composition=ADVANCED)
+    # at 200 rounds the advanced rule grants more than 1/200 per round
+    b = PrivacyBudget(1.0, 1e-4, 200)
     rb = per_round_budget(b)
+    assert rb.mode == ADVANCED
+    assert rb.epsilon > 1.0 / 200
     slack = b.delta_total / (b.rounds + 1)
     recovered = 2.0 * rb.epsilon * math.sqrt(2.0 * b.rounds * math.log(1.0 / slack))
     assert recovered == pytest.approx(1.0, abs=1e-9)
 
 
 def test_auto_picks_larger():
-    b = PrivacyBudget(1.0, 1e-4, 10, composition="auto")
+    b = PrivacyBudget(1.0, 1e-4, 10)
     rb = per_round_budget(b)
     # numerically solve the advanced equation and compare with the simple split
     slack = 1e-4 / 11
@@ -58,7 +61,7 @@ def test_auto_picks_larger():
 
 def test_simple_conserves_epsilon():
     for r in (1, 3, 10, 40):
-        rb = per_round_budget(PrivacyBudget(0.7, 1e-5, r, composition=SIMPLE))
+        rb = per_round_budget(PrivacyBudget(0.7, 1e-5, r))
         assert r * rb.epsilon == pytest.approx(0.7, abs=1e-12)
 
 
@@ -91,14 +94,6 @@ def test_noise_scales_follow_sensitivities():
         ns = NoiseScales.from_budget(rb, bound)
         assert ns.sigma_sum / ns.sigma_count == pytest.approx(2 * bound)
         assert ns.sigma_count == pytest.approx(gaussian_sigma(1.0, rb.epsilon, rb.delta))
-
-
-def test_noise_scales_paper_formula_flag_swaps():
-    rb = per_round_budget(PrivacyBudget(1.0, 1e-4, 10))
-    ours = NoiseScales.from_budget(rb, 2.0)
-    lit = NoiseScales.from_budget(rb, 2.0, paper_formulas=True)
-    assert lit.sigma_sum == pytest.approx(ours.sigma_count)
-    assert lit.sigma_count == pytest.approx(ours.sigma_sum)
 
 
 # -- perturb_aggregates --------------------------------------------------------

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 import vpkmeans
+from vpkmeans import bench
 
 MODULES = sorted(Path(vpkmeans.__file__).parent.glob("*.py"))
 
@@ -33,3 +34,33 @@ def test_unused_import_check_sees_both_import_forms():
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name != "__init__.py"], ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def keys_read(source: str) -> set[str]:
+    """String constants the module reads as keys: ``x["key"]``,
+    ``x.get("key", ...)`` and ``"key" in x``."""
+    keys = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Load):
+            key = node.slice
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "get":
+            key = node.args[0] if node.args else None
+        elif isinstance(node, ast.Compare) and isinstance(node.ops[0], (ast.In, ast.NotIn)):
+            key = node.left
+        else:
+            continue
+        if isinstance(key, ast.Constant) and isinstance(key.value, str):
+            keys.add(key.value)
+    return keys
+
+
+def test_key_read_check_ignores_keys_only_written():
+    source = 'a = c["x"]\nb = c.get("y", 1)\nif "z" in c:\n    pass\nc["w"] = 1\nd = {"v": 1}\n'
+    assert keys_read(source) == {"x", "y", "z"}
+
+
+def test_every_config_key_is_read():
+    """A config key that no module reads would be accepted and ignored."""
+    read = set().union(*(keys_read(path.read_text()) for path in MODULES))
+    accepted = set().union(*bench._CONFIG_KEYS.values())
+    assert sorted(accepted - read) == []

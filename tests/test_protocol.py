@@ -536,14 +536,6 @@ def test_engine_budget_too_small_rejected():
         run(parts[0], parts[1], None, 1, k=3, bound=1.0, engine=eng)
 
 
-def test_convergence_shift_mode_stops_early():
-    ds = bench.gen_synthetic(200, 3, 2, 1.0, cluster_std=0.02, seed=2, min_center_dist=0.8)
-    parts = split_features(ds.points, [[0], [1]])
-    init = CentroidSet(ds.points[[0, 80, 160]].copy(), bound=1.0)
-    res = run(parts[0], parts[1], None, 20, k=3, bound=1.0, seed=2, init=init, shift_tol=1e-4)
-    assert len(res.history) - 1 < 20
-
-
 # -- multiparty -------------------------------------------------------------------
 
 

@@ -140,20 +140,9 @@ def test_homomorphism_matches_plain_arithmetic(engine):
     assert np.array_equal(got_mul, a * b)
 
 
-def test_perturbed_mul_stays_within_bound():
-    p = 2.0 ** -11
-    eng = SlotEngine(EngineConfig(slot_count=16, depth_budget=4, approx_perturbation=p), seed=1)
-    a = np.full(16, 2.0)
-    out = eng.decrypt(eng.mul(eng.encrypt(a), eng.encrypt(a)))
-    assert np.all(np.abs(out / 4.0 - 1.0) <= p)
-    assert not np.allclose(out, 4.0)  # noise actually applied
-
-
 def test_config_validation():
     with pytest.raises(ValueError):
         EngineConfig(slot_count=24)
-    with pytest.raises(ValueError):
-        EngineConfig(approx_perturbation=2.0 ** -9)
     with pytest.raises(ValueError):
         SizeModel(bytes_per_slot_per_level=0)
 
