@@ -21,6 +21,18 @@ charges:
 
 The fold and the leaf matrix depend only on the coefficients, and the last
 few are cached.
+
+A folded series may also be given slot pairs ``(lo, hi)`` whose inputs are
+negatives of each other, ``x[hi] == -x[lo]`` exactly; the packed argmin's
+difference grid holds d_c - d_r at (r, c) and d_r - d_c at (c, r).  Then q
+is evaluated only outside ``hi`` and ``hi`` takes ``c0 - z[lo]``, with
+``z = x * q(2x^2 - 1)``.  This is the full evaluation bit for bit:
+``2x^2 - 1`` is the same float for x and -x, so q is too (the baby steps
+and the recombination are slot-wise, and the leaf product computes each
+slot's column on its own); ``(-x) * q`` is exactly ``-(x * q)``, and
+``c0 + (-z)`` is exactly ``c0 - z``.  The pairing is checked on every
+call, and any mismatch, or a series that is not folded, takes the full
+evaluation.
 """
 
 from __future__ import annotations
@@ -123,10 +135,32 @@ def _bsgs(leaves: np.ndarray, y: np.ndarray) -> np.ndarray:
     return vals[0].copy()  # not a view pinning every leaf row
 
 
-def eval_series(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
+def _folded_pairs(c0: float, leaves: np.ndarray, x: np.ndarray, lo: np.ndarray,
+                  hi: np.ndarray) -> np.ndarray:
+    """The folded series at ``x``, with q evaluated only outside ``hi``;
+    requires ``x[hi] == -x[lo]``."""
+    keep = np.ones(x.size, dtype=bool)
+    keep[hi] = False
+    xk = x[keep]
+    z = np.empty(x.size)
+    z[keep] = xk * _bsgs(leaves, 2.0 * xk * xk - 1.0)
+    z[hi] = -z[lo]
+    return c0 + z
+
+
+def eval_series(coeffs: np.ndarray, x: np.ndarray, pairs=None) -> np.ndarray:
     """Evaluate the Chebyshev series ``coeffs`` (float64) at every entry of
-    the 1-D array ``x``, which must lie in [-1, 1]."""
+    the 1-D array ``x``, which must lie in [-1, 1].
+
+    ``pairs`` is an optional ``(lo, hi)`` of index arrays; a folded series
+    evaluates each pair once when ``x[hi] == -x[lo]`` holds exactly, with
+    the same result as without ``pairs``.
+    """
     c0, leaves = _plan(coeffs.tobytes())
     if c0 is None:
         return _bsgs(leaves, x)
+    if pairs is not None:
+        lo, hi = pairs
+        if np.array_equal(x[hi], -x[lo]):
+            return _folded_pairs(c0, leaves, x, lo, hi)
     return c0 + x * _bsgs(leaves, 2.0 * x * x - 1.0)

@@ -522,24 +522,30 @@ def run_experiment(config: dict) -> dict:
         for name in profiles:
             if name not in NETWORK_PROFILES:
                 raise BenchError(f"unknown network profile {name!r}")
+
+        d = ds.d
+        split = config.get("feature_split")
+        if split is None:
+            cut = (d + 1) // 2
+            split = [list(range(cut)), list(range(cut, d))]
+        elif not isinstance(split, list) or not all(isinstance(cols, list) for cols in split):
+            raise BenchError(f"feature_split must be a list of column lists, got {split!r}")
+        else:
+            split = [[_whole(c, "feature_split entry") for c in cols] for cols in split]
+        # drawn here so that a bound, separation or seed they cannot use fails before any run
+        inits = [init_centroids(k, d, bound, seed, min_separation=init_sep) for seed in seeds]
     except (TypeError, ValueError) as exc:
         raise BenchError(f"invalid config: {exc}") from exc
 
-    d = ds.d
-    split = config.get("feature_split")
-    if split is None:
-        cut = (d + 1) // 2
-        split = [list(range(cut)), list(range(cut, d))]
     model = config.get("model", proto.TWO_PARTY if len(split) == 2 else proto.SERVER_AIDED)
 
     per_seed = []
     transcript = None
     dp_info = None
     t0 = time.monotonic()
-    for seed in seeds:
+    for seed, init in zip(seeds, inits):
         engine = SlotEngine(engine_config)
         parts = split_features(ds.points, split)
-        init = init_centroids(k, d, bound, seed, min_separation=init_sep)
         if len(split) == 2 and model == proto.TWO_PARTY:
             result = proto.run(parts[0], parts[1], budget, rounds, k=k, bound=bound,
                                engine=engine, seed=seed, sign=sign, init=init)

@@ -26,6 +26,8 @@ def _cmd_run(args) -> int:
         config = json.load(fh)
     report = bench.run_experiment(config)
     out = args.output or config.get("output", "report.json")
+    if not isinstance(out, str):
+        raise BenchError(f"output must be a file name, got {out!r}")
     with open(out, "w") as fh:
         json.dump(report, fh, indent=2)
     print(f"wrote {out}")

@@ -132,6 +132,18 @@ class PackedLayout:
 
         return self._mask(("head", count), build)
 
+    def transpose_pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Slot indices ``(lo, hi)`` pairing every slot (r, b, c) with
+        r < c with its mirror (c, b, r), one entry per pair."""
+
+        def build():
+            slot = np.arange(self.usable_slots).reshape(self.k, self.blocks_per_ct, self.k)
+            r, c = np.triu_indices(self.k, 1)
+            return np.stack([slot[r, :, c].ravel(), slot[c, :, r].ravel()])
+
+        lo, hi = self._mask(("transpose",), build)
+        return lo, hi
+
 
 # ---------------------------------------------------------------------------
 # replication / summation schedules

@@ -202,6 +202,13 @@ class RunResult:
 # ---------------------------------------------------------------------------
 
 
+def _check_bound(bound: float) -> None:
+    """Raise ``ProtocolError`` unless the domain bound B is positive and
+    [-B, B] has a finite width."""
+    if not 0 < 2.0 * bound < math.inf:
+        raise ProtocolError(f"the domain bound must be positive and finite, got {bound}")
+
+
 def init_centroids(
     k: int,
     d: int,
@@ -211,11 +218,16 @@ def init_centroids(
 ) -> CentroidSet:
     """Uniform draws in [-B, B]^d, resampling candidates that land within
     ``min_separation`` of an accepted one (default B * sqrt(d) / (2k));
-    after ``INIT_MAX_ATTEMPTS`` the candidate is accepted unconditionally."""
+    after ``INIT_MAX_ATTEMPTS`` the candidate is accepted unconditionally.
+    A bound that is not positive and finite, or a separation that is
+    negative, NaN or infinite, raises ``ProtocolError``."""
     if k < 2:
         raise ProtocolError("k must be at least 2")
+    _check_bound(bound)
     if min_separation is None:
         min_separation = 2 * bound * math.sqrt(d) / (4 * k)
+    elif not 0 <= min_separation < math.inf:
+        raise ProtocolError(f"the minimum separation must be a finite non-negative number, got {min_separation}")
     rng = np.random.default_rng(seed)
     centers: list[np.ndarray] = []
     for _ in range(k):
@@ -356,6 +368,18 @@ def _encrypt_features(engine: SlotEngine, columns: dict) -> dict:
             for g, v in columns.items()}
 
 
+def _difference_scale(d: int, bound: float) -> float:
+    """1 / (d (2B)^2), which keeps every scaled distance difference in
+    [-1, 1]; raises ``ProtocolError`` when it is not a positive finite float."""
+    try:
+        scale = 1.0 / (d * (2.0 * bound) ** 2)
+    except (OverflowError, ZeroDivisionError):
+        scale = math.inf
+    if not 0 < scale < math.inf:
+        raise ProtocolError(f"the domain bound {bound} is too small or too large for {d} features")
+    return scale
+
+
 def _difference_terms(centers: np.ndarray, scale: float) -> np.ndarray:
     """``G`` ((d + 1) x k x k) with, for every point x and x_0 = 1,
 
@@ -385,7 +409,7 @@ class _ComputingState:
         layout: PackedLayout,
         k: int,
         n: int,
-        bound: float,
+        scale: float,
         sign: sa.SignApproxConfig,
         columns: list,
         encrypted: dict,
@@ -395,7 +419,7 @@ class _ComputingState:
         self.k = k
         self.n = n
         self.d = len(columns)
-        self.scale = 1.0 / (self.d * (2.0 * bound) ** 2)
+        self.scale = scale
         self.sign = sign
         self.batches = None if k == 2 else _plan_batches(n, layout)
         self.encodings: list = []
@@ -603,8 +627,7 @@ def run_multiparty(
         raise ProtocolError(f"rounds must be non-negative, got {rounds}")
     if budget is not None and budget.rounds < rounds:
         raise ProtocolError(f"{rounds} rounds exceed the {budget.rounds} the privacy budget is split over")
-    if not bound > 0:
-        raise ProtocolError(f"the domain bound must be positive, got {bound}")
+    _check_bound(bound)
     if k < 2:
         raise ProtocolError("k must be at least 2")
     sign = sign or sa.SignApproxConfig()
@@ -618,6 +641,7 @@ def run_multiparty(
             raise ProtocolError(f"features of {p.owner!r} exceed the domain bound {bound}")
     columns = _feature_columns(ordered)
     d = len(columns)
+    scale = _difference_scale(d, bound)
     uploaded = [g for p in ordered[1:] for g in p.feature_indices]
     if not uploaded:
         raise ProtocolError("no party besides the computing one holds a feature")
@@ -643,7 +667,7 @@ def run_multiparty(
         if p.feature_indices
     ]
 
-    alice = _ComputingState(engine, layout, k, n, bound, sign, columns, encrypted)
+    alice = _ComputingState(engine, layout, k, n, scale, sign, columns, encrypted)
 
     round_budget = noise = None
     noise_rng = np.random.default_rng([seed, 0xD9])

@@ -113,11 +113,13 @@ def _cmp_series(degree: int, tie_margin: float) -> np.ndarray:
     return c
 
 
-def compare(engine: SlotEngine, diff: SlotVector, cfg: SignApproxConfig) -> SlotVector:
+def compare(engine: SlotEngine, diff: SlotVector, cfg: SignApproxConfig, pairs=None) -> SlotVector:
     """Slot-wise soft comparison of a difference a - b: ~1 where it is
     positive, ~0 where it is negative, 0.5 at ties.  The difference must
-    lie in [-1, 1]; it is fed to the series directly."""
-    return engine.eval_chebyshev(diff, cmp_series(cfg))
+    lie in [-1, 1]; it is fed to the series directly.  ``pairs`` names
+    slots holding negated differences, for
+    :meth:`SlotEngine.eval_chebyshev`."""
+    return engine.eval_chebyshev(diff, cmp_series(cfg), pairs)
 
 
 def rank(
@@ -135,8 +137,14 @@ def rank(
     partial sums of :func:`axis_sum` unmasked: :func:`indicator_phi` folds
     a first-row mask into its product anyway, so a mask here would only
     cost a level.
+
+    Entry (c, r) is the negation of entry (r, c), so the comparison is
+    given :meth:`PackedLayout.transpose_pairs` and evaluates the series
+    once per mirrored pair.  The engine checks that the pairing holds
+    exactly and otherwise evaluates every slot; either way the result and
+    the charged cost are those of the full evaluation.
     """
-    c = compare(engine, diff, cfg)
+    c = compare(engine, diff, cfg, layout.transpose_pairs())
     r = axis_sum(engine, c, ROW, layout)
     return engine.add(r, engine.plaintext(layout.axis_mask(ROW, 0, 0.5)))
 

@@ -20,6 +20,12 @@ Depth model (the engine's contract, enforced everywhere):
   (balanced-tree evaluation cost).
 
 Exceeding the depth budget raises ``DepthBudgetError`` -- never silent.
+
+``eval_chebyshev`` may be told which slot pairs hold negated inputs (the
+packed argmin's mirrored comparisons) and then evaluates an odd-plus-
+constant series once per pair.  That saves host time only: the result is
+bit-identical, a real CKKS backend still evaluates the whole ciphertext,
+and the depth and counters charge the full evaluation.
 """
 
 from __future__ import annotations
@@ -58,8 +64,8 @@ class SizeModel:
     bytes_per_slot_per_level: float = 8.0
 
     def __post_init__(self):
-        if self.bytes_per_slot_per_level <= 0:
-            raise ValueError("bytes_per_slot_per_level must be positive")
+        if not 0 < self.bytes_per_slot_per_level < math.inf:
+            raise ValueError("bytes_per_slot_per_level must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -121,9 +127,6 @@ class EngineStats:
 
     def snapshot(self) -> "EngineStats":
         return replace(self)
-
-    def rotations_since(self, before: "EngineStats") -> int:
-        return self.rotations - before.rotations
 
 
 class SlotEngine:
@@ -235,12 +238,21 @@ class SlotEngine:
             raise DepthBudgetError(f"drop_to_depth: target {depth} exceeds budget {self.config.depth_budget}")
         return self._result(v.slots, depth, v.kind)
 
-    def eval_chebyshev(self, v: SlotVector, coeffs) -> SlotVector:
+    def eval_chebyshev(self, v: SlotVector, coeffs, pairs=None) -> SlotVector:
         """Evaluate a Chebyshev series slot-wise.
 
         Requires slots in [-1, 1] up to ``DOMAIN_TOLERANCE``; NaN slots
         raise ``DomainError`` too.  Consumes ceil(log2(degree + 1)) + 1
         levels on ciphertexts.
+
+        ``pairs`` is an optional ``(lo, hi)`` of slot index arrays, such as
+        :meth:`PackedLayout.transpose_pairs`.  When the series is an odd one
+        plus a constant and the clipped slots satisfy ``x[hi] == -x[lo]``
+        exactly, each pair is evaluated once (see ``_kernels``); otherwise
+        every slot is.  The result is the same either way.  This is a
+        shortcut in host time only: a real CKKS backend evaluates the whole
+        ciphertext, and the depth and ``cheb_evals`` charge the full
+        evaluation.
         """
         coeffs = np.asarray(coeffs, dtype=np.float64)
         degree = coeffs.size - 1
@@ -259,7 +271,7 @@ class SlotEngine:
             depth = self._charge(depth, levels, "eval_chebyshev")
         self.stats.cheb_evals += 1
         x = v.slots if amax <= 1.0 else np.clip(v.slots, -1.0, 1.0)
-        out = eval_series(coeffs, x)
+        out = eval_series(coeffs, x, pairs)
         return self._result(out, depth, v.kind)
 
     # ------------------------------------------------------------------

@@ -256,7 +256,7 @@ def test_acceptance_08_no_padding_replication():
                 slots[ref.slot_index(layout, 0, b, start)] = b + 1.5
             before = eng.stats.snapshot()
             out = repl_no_padding(eng, eng.encrypt(slots), start, layout, axis=COLUMN)
-            rotations = eng.stats.rotations_since(before)
+            rotations = eng.stats.rotations - before.rotations
             worst = max(worst, rotations)
             got = ref.blocks_of(layout, eng.decrypt(out))
             for b in range(layout.blocks_per_ct):

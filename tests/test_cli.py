@@ -1,7 +1,11 @@
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vpkmeans.cli import main
 
@@ -148,13 +152,23 @@ def test_invalid_config_exits_nonzero(tmp_path, capsys):
     {"engine": {"slot_count": 1024.5}},
     {"budget": {"composition": "auto"}},
     {"engine": {"approx_perturbation": 1e-4}},
+    {"feature_split": [[0], [True]]},
+    {"feature_split": 5},
+    {"feature_split": [[0], 1]},
+    {"bound": "inf"},
+    {"bound": 1e308},
+    {"seeds": [-1]},
+    {"init_separation": "nan"},
+    {"engine": {"size_model": {"bytes_per_slot_per_level": float("nan")}}},
 ], ids=["even-degree", "negative-epsilon", "misspelled-key", "removed-key", "k-not-a-number",
         "seed-count-not-a-number", "separation-not-a-number", "k-too-large", "negative-rounds",
         "misspelled-budget-key", "misspelled-top-key", "misspelled-engine-key",
         "misspelled-seeds-key", "misspelled-synthetic-key", "misspelled-csv-key",
         "removed-compute-seconds", "k-not-whole", "rounds-not-whole", "seed-count-not-whole",
         "seed-base-not-whole", "seed-list-entry-not-whole", "rounds-boolean",
-        "slot-count-not-whole", "removed-composition-key", "removed-perturbation-key"])
+        "slot-count-not-whole", "removed-composition-key", "removed-perturbation-key",
+        "split-boolean-column", "split-not-a-list", "split-party-not-a-list", "infinite-bound",
+        "bound-too-wide", "negative-seed", "separation-nan", "bytes-per-slot-nan"])
 def test_invalid_parameter_values_exit_nonzero(tmp_path, capsys, bad):
     config = {
         "dataset": {"synthetic": {"n": 50, "k": 2, "d": 2, "bound": 1.0,
@@ -245,3 +259,81 @@ def test_baseline_csv_that_cannot_be_read_exits_2(tmp_path, capsys, content):
         path.write_bytes(content)
     assert main(["baseline", "--csv", str(path), "--k", "2"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+# values no key accepts, or accepts only in some places; huge numbers only
+# where they cost no time, so a count never asks for 1e308 iterations
+JUNK = [None, True, -1, 0, 2.5, float("nan"), float("inf"), "x", "nan", "inf", "1/n",
+        [], [1], [[0], [True]], {}, {"a": 1}]
+REAL_JUNK = JUNK + [1e308, -1e308, 1e-320]
+# the keys that may take REAL_JUNK
+HUGE_OK = {"bound", "cluster_std", "seed", "min_center_dist", "epsilon", "delta", "tie_margin",
+          "bytes_per_slot_per_level", "init_separation"}
+
+
+def some(**fields):
+    """A JSON object with any subset of ``fields``."""
+    return st.fixed_dictionaries({}, optional=fields)
+
+
+@st.composite
+def valid_configs(draw):
+    """A small config that runs: n <= 60, k <= 4, at most 2 rounds and
+    seeds, and every optional key drawn in or left out."""
+    k, d = draw(st.integers(2, 4)), draw(st.integers(2, 3))
+    splits = [[[0], [1]], [[1], [0]]] if d == 2 else [[[0, 1], [2]], [[0], [1], [2]], [[2], [0, 1]]]
+    synthetic = draw(st.fixed_dictionaries(
+        {"n": st.integers(k, 60), "k": st.just(k), "d": st.just(d), "cluster_std": st.sampled_from([0.0, 0.05])},
+        optional={"bound": st.sampled_from([0.5, 1.0]), "seed": st.integers(0, 3),
+                  "min_center_dist": st.sampled_from([0.1, 0.5])}))
+    return draw(st.fixed_dictionaries(
+        {"dataset": st.just({"synthetic": synthetic}), "k": st.just(k), "rounds": st.integers(1, 2)},
+        optional={
+            "name": st.just("prop"),
+            "bound": st.sampled_from([1.0, 2.0]),
+            "feature_split": st.sampled_from(splits),
+            "model": st.sampled_from(["server-aided", "mpc-simulated"]),
+            "budget": some(epsilon=st.sampled_from([0.5, 2.0]), delta=st.sampled_from([1e-3, "1/n"])),
+            "sign": some(degree=st.sampled_from([5, 31, 127]), tie_margin=st.sampled_from([0.05, 0.1])),
+            "engine": some(slot_count=st.sampled_from([64, 1024]),
+                           size_model=some(bytes_per_slot_per_level=st.just(8.0))),
+            "seeds": st.one_of(some(count=st.integers(1, 2), base=st.integers(0, 5)),
+                               st.lists(st.integers(0, 5), min_size=1, max_size=2)),
+            "init_separation": st.sampled_from([0.0, 0.2]),
+            "network_profiles": st.sampled_from([[], ["LAN500", "regWAN100"]]),
+        }))
+
+
+def value_paths(node, path=()):
+    """Every key path and list index path below ``node``."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield path + (key,)
+        yield from value_paths(child, path + (key,))
+
+
+@st.composite
+def run_configs(draw):
+    """A config that should run, in three of four examples with one value
+    replaced by junk, so that each example probes one check with every
+    other value valid."""
+    config = draw(valid_configs())
+    paths = list(value_paths(config)) + [("output",)]
+    if draw(st.integers(0, 3)):
+        path = draw(st.sampled_from(paths))
+        parent = config
+        for step in path[:-1]:
+            parent = parent[step]
+        parent[path[-1]] = draw(st.sampled_from(REAL_JUNK if path[-1] in HUGE_OK else JUNK))
+    return config
+
+
+@given(config=run_configs())
+@settings(max_examples=60, deadline=None)
+def test_run_exits_0_or_2_on_any_config(config):
+    """A config either runs or is refused with exit code 2 and an error line;
+    no value may escape as a traceback (exit code 1)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(config))
+        assert main(["run", str(path), "-o", str(Path(tmp) / "report.json")]) in (0, 2)

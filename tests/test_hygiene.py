@@ -64,3 +64,64 @@ def test_every_config_key_is_read():
     read = set().union(*(keys_read(path.read_text()) for path in MODULES))
     accepted = set().union(*bench._CONFIG_KEYS.values())
     assert sorted(accepted - read) == []
+
+
+ROOT = Path(vpkmeans.__file__).resolve().parents[2]
+# Public names that only tests reach, kept on purpose, with the reason.
+TEST_ONLY = {
+    "PackedLayout.from_slots": "decodes a slot vector into the (k, blocks, k) grid for tests of the argmin",
+    "s1_style_config": "the S1 stand-in run config of the acceptance tests",
+}
+
+
+def public_definitions(source: str) -> list[str]:
+    """Module-level public functions and classes, and the public methods of
+    those classes, as ``name`` or ``Class.method``."""
+    names = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            names.append(node.name)
+        if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            names += [f"{node.name}.{sub.name}" for sub in node.body
+                      if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("_")]
+    return names
+
+
+def names_referenced(source: str) -> set[str]:
+    """Names read, looked up as attributes or imported, except inside the
+    definition that binds the same name (a recursive call is no use)."""
+    found = set()
+
+    def visit(node, enclosing):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            enclosing = enclosing | {node.name}
+        name = None
+        if isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, ast.alias):
+            name = node.name
+        if name is not None and name not in enclosing:
+            found.add(name)
+        for child in ast.iter_child_nodes(node):
+            visit(child, enclosing)
+
+    visit(ast.parse(source), frozenset())
+    return found
+
+
+def test_reference_check_ignores_a_definition_and_its_own_body():
+    source = "def f(n):\n    return f(n - 1)\nclass A:\n    def m(self):\n        return g.h\n"
+    assert public_definitions(source) == ["f", "A", "A.m"]
+    assert names_referenced(source) == {"n", "g", "h"}
+
+
+def test_every_public_name_is_reached_outside_tests():
+    """A public function, method or class that only tests call is code the
+    program does not need; keep it only with a reason in ``TEST_ONLY``."""
+    sources = [p.read_text() for p in MODULES + sorted((ROOT / "perfbench").glob("*.py"))]
+    used = set().union(*(names_referenced(s) for s in sources))
+    unreached = [q for p in MODULES for q in public_definitions(p.read_text())
+                 if q.rsplit(".", 1)[-1] not in used]
+    assert sorted(unreached) == sorted(TEST_ONLY)

@@ -50,6 +50,18 @@ def test_layout_rejects_bad_params():
         PackedLayout(3, slot_count=64, blocks_per_ct=9)
 
 
+@pytest.mark.parametrize("k, slot_count", [(2, 64), (3, 64), (5, 1 << 10), (15, 1 << 14)])
+def test_transpose_pairs_mirror_every_upper_slot(k, slot_count):
+    lay = PackedLayout(k, slot_count=slot_count)
+    lo, hi = lay.transpose_pairs()
+    want = {ref.slot_index(lay, r, b, c): ref.slot_index(lay, c, b, r)
+            for b in range(lay.blocks_per_ct) for r in range(k) for c in range(r + 1, k)}
+    assert lo.size == hi.size == len(want)
+    assert dict(zip(lo.tolist(), hi.tolist())) == want
+    assert len(set(lo.tolist()) | set(hi.tolist())) == 2 * lo.size  # no slot twice
+    assert np.shares_memory(lay.transpose_pairs()[1], hi) and not hi.flags.writeable  # cached like the masks
+
+
 # -- mask ---------------------------------------------------------------------
 
 
@@ -136,7 +148,7 @@ def test_repl_no_padding_k14_uses_196_slots_and_5_rotations():
         slots[ref.slot_index(lay, 0, b, 0)] = b + 1.0
     before = eng.stats.snapshot()
     out = repl_no_padding(eng, eng.encrypt(slots), 0, lay, axis=COLUMN)
-    assert eng.stats.rotations_since(before) == 5  # doubling 2,4,8 then +4,+2
+    assert eng.stats.rotations - before.rotations == 5  # doubling 2,4,8 then +4,+2
     got = ref.blocks_of(lay, eng.decrypt(out))
     for b in range(lay.blocks_per_ct):
         assert np.array_equal(got[b][0], np.full(14, b + 1.0))
@@ -153,7 +165,7 @@ def test_repl_no_padding_all_ones_rotation_counts(k, rotations):
         for axis in (COLUMN, ROW):
             before = eng.stats.snapshot()
             repl_no_padding(eng, eng.encrypt(np.zeros(256)), start, lay, axis=axis)
-            assert eng.stats.rotations_since(before) == rotations, (k, start, axis)
+            assert eng.stats.rotations - before.rotations == rotations, (k, start, axis)
 
 
 def test_repl_no_padding_rejects_bad_start():

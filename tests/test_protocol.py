@@ -159,11 +159,17 @@ def test_run_rejects_duplicate_owner_names():
     (dict(init=CentroidSet(np.full((3, 2), 1.5), bound=1.0)), "inside the domain bound"),
     (dict(points=np.zeros((40, 2)), bound=0.0), "bound must be positive"),
     (dict(bound=-1.0), "bound must be positive"),
+    (dict(bound=math.inf), "bound must be positive and finite"),
+    (dict(bound=1e308), "bound must be positive and finite"),  # [-B, B] is wider than any float
+    (dict(points=np.zeros((40, 2)), bound=1e-160), "too small or too large for 2 features"),
+    (dict(bound=1e160), "too small or too large for 2 features"),
     (dict(k=200), "k=200 needs 40000 slots"),
     (dict(rounds=-1), "non-negative"),
     (dict(split=[[0, 1], []]), "no party besides the computing one"),
 ], ids=["budget-shorter-than-run", "init-too-wide", "init-too-many", "init-outside-bound",
-        "zero-bound", "negative-bound", "k-too-large", "negative-rounds", "nothing-encrypted"])
+        "zero-bound", "negative-bound", "infinite-bound", "bound-too-wide", "scale-overflows",
+        "scale-underflows", "k-too-large",
+        "negative-rounds", "nothing-encrypted"])
 def test_run_rejects_bad_arguments(change, message, monkeypatch):
     # every case fails before setup: nothing is encrypted
     args = dict(points=uniform_instance(2, n=40, d=2), split=[[0], [1]], budget=None, rounds=2,
@@ -240,6 +246,19 @@ def test_deterministic_under_seed():
     a = run(parts[0], parts[1], budget, 3, k=3, bound=1.0, seed=9)
     b = run(parts[0], parts[1], budget, 3, k=3, bound=1.0, seed=9)
     assert np.array_equal(a.centroids.centers, b.centroids.centers)
+
+
+def test_every_comparison_evaluates_mirrored_pairs_once(bsgs_sizes):
+    """The argmin's difference grid is antisymmetric, so each comparator call
+    takes the kernel's paired path; a silent fall-back would keep every
+    result and lose the saving."""
+    eng = SlotEngine(EngineConfig(slot_count=1 << 10, depth_budget=required_depth(4)))
+    parts = split_features(uniform_instance(8, n=300, d=3), [[0], [1], [2]])
+    res = run_multiparty(parts, protocol.MPC_SIMULATED, PrivacyBudget(1.0, 1e-3, 2), 2, k=4,
+                         bound=1.0, engine=eng, seed=3)
+    paired = eng.config.slot_count - PackedLayout(4, slot_count=1 << 10).transpose_pairs()[1].size
+    assert res.engine.stats.cheb_evals == len(bsgs_sizes) > 0
+    assert bsgs_sizes == [paired] * len(bsgs_sizes)
 
 
 # -- batching edge cases ---------------------------------------------------------
@@ -361,14 +380,14 @@ def test_round_grids_give_plaintext_distance_differences(k, d, bound, seed):
     centers = rng.uniform(-bound, bound, size=(k, d))
     points = rng.uniform(-bound, bound, size=(count, d))
     eng = SlotEngine(EngineConfig(slot_count=slots))
-    state = _ComputingState(eng, layout, k, count, bound, SignApproxConfig(), list(points.T), {})
+    scale = 1.0 / (d * (2.0 * bound) ** 2)
+    state = _ComputingState(eng, layout, k, count, scale, SignApproxConfig(), list(points.T), {})
     grids = state._round_grids(CentroidSet(centers, bound))
     assert len(grids) == d + 1
     u = np.array(grids[0].slots)  # coordinate 0 is 1 for every point
     for l, g in enumerate(grids[1:]):
         x = points[:, l] if k == 2 else layout.to_slots(layout.grid(points[None, :, l, None]))
         u += x * g.slots
-    scale = 1.0 / (d * (2.0 * bound) ** 2)
     dist = scale * ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)  # count x k
     if k == 2:
         want = dist[:, 0] - dist[:, 1]

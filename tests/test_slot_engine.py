@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial.chebyshev import chebval
 
+from vpkmeans.packed_matrix import PackedLayout
 from vpkmeans.secure_argmin import SignApproxConfig, cmp_series, sign_series
 from vpkmeans.slot_engine import (
     CIPHERTEXT,
@@ -201,6 +202,61 @@ def test_comparator_tie_is_exactly_half():
     assert np.all(out == 0.5)
 
 
+def mirrored_grid(k: int):
+    """A layout and its row - column grid, d_c - d_r at (r, b, c), with the
+    last two blocks unused and two pairs at +-(1 + 1e-7), where the clip
+    runs."""
+    lay = PackedLayout(k)
+    used = lay.blocks_per_ct - 2
+    d = np.random.default_rng(k).uniform(-0.5, 0.5, size=(used, k))
+    grid = lay.grid()
+    grid[:, :used, :] = d[None, :, :] - d.T[:, :, None]
+    for r, b, c in ((0, 0, 1), (k - 2, used - 1, k - 1)):
+        grid[r, b, c], grid[c, b, r] = 1 + 1e-7, -(1 + 1e-7)
+    return lay, lay.to_slots(grid)
+
+
+def eval_both_ways(x, coeffs, pairs):
+    """(slots, depth, stats) of eval_chebyshev on a fresh engine, without
+    and with ``pairs``."""
+    runs = []
+    for p in (None, pairs):
+        eng = SlotEngine(EngineConfig(depth_budget=12))
+        out = eng.eval_chebyshev(eng.encrypt(x), coeffs, p)
+        runs.append((eng.decrypt(out), out.depth_consumed, eng.stats))
+    return runs
+
+
+@pytest.mark.parametrize("k", [3, 8, 15])
+def test_paired_evaluation_is_bit_identical(k, bsgs_sizes):
+    lay, x = mirrored_grid(k)
+    lo, hi = lay.transpose_pairs()
+    (full, full_depth, full_stats), (paired, depth, stats) = eval_both_ways(
+        x, cmp_series(SignApproxConfig()), (lo, hi))
+    assert bsgs_sizes == [x.size, x.size - hi.size]  # the second call took the paired path
+    assert np.array_equal(paired, full)
+    assert depth == full_depth
+    assert stats == full_stats
+
+
+@pytest.mark.parametrize("k", [3, 8, 15])
+def test_paired_evaluation_falls_back_when_a_pair_is_broken(k, bsgs_sizes):
+    lay, x = mirrored_grid(k)
+    lo, hi = lay.transpose_pairs()
+    x[hi[len(hi) // 2]] += 1e-3
+    (full, _, _), (paired, _, _) = eval_both_ways(x, cmp_series(SignApproxConfig()), (lo, hi))
+    assert bsgs_sizes == [x.size, x.size]
+    assert np.array_equal(paired, full)
+
+
+def test_paired_evaluation_needs_a_folded_series(bsgs_sizes):
+    lay, x = mirrored_grid(3)
+    (full, _, _), (paired, _, _) = eval_both_ways(x, cmp_series(SignApproxConfig(degree=5)),
+                                                  lay.transpose_pairs())
+    assert bsgs_sizes == [x.size, x.size]  # degree 5 is too short to fold
+    assert np.array_equal(paired, full)
+
+
 def test_chebyshev_depth_model(engine):
     v = engine.encrypt(np.zeros(16))
     out = engine.eval_chebyshev(v, np.ones(8))  # degree 7 -> 3 + 1 levels
@@ -327,6 +383,6 @@ def test_stats_counters(engine):
     engine.rotate(v, 3)
     engine.mul(v, v)
     engine.mul(v, engine.plaintext(np.ones(16)))
-    assert engine.stats.rotations_since(before) == 1
+    assert engine.stats.rotations - before.rotations == 1
     assert engine.stats.ct_mults == before.ct_mults + 1
     assert engine.stats.pt_mults == before.pt_mults + 1
