@@ -47,7 +47,6 @@ from .secure_argmin import (
     compare,
     indicator_phi,
     rank,
-    sign_series,
 )
 from .slot_engine import (
     CIPHERTEXT,

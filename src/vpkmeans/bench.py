@@ -442,12 +442,23 @@ def _check_keys(spec, section: str) -> None:
         raise BenchError(f"unknown key {unknown[0]!r} in {section}")
 
 
+def _numbers(spec, section: str, keys=None):
+    """``spec``, after checking that none of ``keys`` (default: all of its
+    keys) holds a boolean, which would pass for the number 1 or 0.  A spec
+    that is not an object is left for its consumer to reject."""
+    if isinstance(spec, dict):
+        for key in spec if keys is None else keys:
+            if isinstance(spec.get(key), bool):
+                raise BenchError(f"{section}{key} must be a number, got {spec[key]!r}")
+    return spec
+
+
 def _build_dataset(spec: dict) -> Dataset:
     if not isinstance(spec, dict) or len(spec) != 1 or not set(spec) <= {"synthetic", "csv"}:
         raise BenchError("dataset spec needs exactly one 'synthetic' or 'csv' entry")
     if "synthetic" in spec:
-        return gen_synthetic(**{"bound": 1.0, "seed": 0, **spec["synthetic"]})
-    c = {"normalize": True, "recenter": True, **spec["csv"]}
+        return gen_synthetic(**{"bound": 1.0, "seed": 0, **_numbers(spec["synthetic"], "dataset.synthetic.")})
+    c = {"normalize": True, "recenter": True, **_numbers(spec["csv"], "dataset.csv.", ["label_column"])}
     centered = c.pop("recenter") and c["normalize"]
     ds = load_csv(**c)
     return recenter(ds) if centered else ds
@@ -477,6 +488,7 @@ def run_experiment(config: dict) -> dict:
     # the objects built here validate their fields: a bad value is a config error
     try:
         _check_keys(config, "config")
+        _numbers(config, "", ["bound", "init_separation"])
         ds = _build_dataset(config["dataset"])
         k = _whole(config["k"], "k")
         rounds = _whole(config["rounds"], "rounds")
@@ -488,6 +500,7 @@ def run_experiment(config: dict) -> dict:
         if config.get("budget"):
             b = config["budget"]
             _check_keys(b, "budget")
+            _numbers(b, "budget.")
             delta = b.get("delta", 1e-5)
             if isinstance(delta, str):
                 if delta.strip() != "1/n":
@@ -499,13 +512,16 @@ def run_experiment(config: dict) -> dict:
                 rounds=rounds,
             )
 
-        sign = SignApproxConfig(**config.get("sign", {}))
+        sign_spec = _numbers(config.get("sign", {}), "sign.")
+        if isinstance(sign_spec, dict) and "degree" in sign_spec:
+            sign_spec = {**sign_spec, "degree": _whole(sign_spec["degree"], "sign.degree")}
+        sign = SignApproxConfig(**sign_spec)
         eng_cfg = config.get("engine", {})
         _check_keys(eng_cfg, "engine")
         engine_config = EngineConfig(
             slot_count=_whole(eng_cfg.get("slot_count", 1 << 14), "engine.slot_count"),
             depth_budget=proto.required_depth(k, sign.degree),
-            size_model=SizeModel(**eng_cfg.get("size_model", {})),
+            size_model=SizeModel(**_numbers(eng_cfg.get("size_model", {}), "engine.size_model.")),
         )
 
         seeds_cfg = config.get("seeds", {})

@@ -103,8 +103,6 @@ def gaussian_sigma(sensitivity: float, eps: float, delta: float) -> float:
         raise ValueError("eps must be positive")
     if not 0 < delta < 1:
         raise ValueError("delta must lie in (0, 1)")
-    if sensitivity == 0:
-        return 0.0
     return math.sqrt(2.0 * math.log(1.25 / delta)) * sensitivity / eps
 
 
@@ -120,13 +118,11 @@ def perturb_aggregates(
 
     Noise is sampled by the computing party and added homomorphically just
     before release; with a fixed generator the output is bit-identical
-    across runs.  Zero scales return the inputs unchanged.
+    across runs.  A zero scale adds exact zeros.
     """
     idx = np.asarray(list(meaningful_slots), dtype=np.intp)
 
     def noisy(v: SlotVector, sigma: float) -> SlotVector:
-        if sigma == 0.0:
-            return v
         noise = np.zeros(engine.config.slot_count)
         noise[idx] = rng.normal(0.0, sigma, size=idx.size)
         return engine.add(v, engine.plaintext(noise))

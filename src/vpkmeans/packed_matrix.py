@@ -388,6 +388,4 @@ def reduce_blocks(engine: SlotEngine, v: SlotVector, layout: PackedLayout) -> Sl
     """Sum all blocks of the ciphertext into block 0 (rotations only; block 0
     is the meaningful one afterwards, the rest is garbage for the caller to
     mask)."""
-    if layout.blocks_per_ct == 1:
-        return v
     return _run_lane_sum(engine, v, layout.k, layout.blocks_per_ct)

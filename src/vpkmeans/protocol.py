@@ -1,4 +1,6 @@
-"""Alice/Bob state machines for the private clustering protocol.
+"""The private clustering protocol: the computing party's round state
+(``_ComputingState``), the two- and N-party drivers, and the depth and
+transcript ledgers the runs are checked against.
 
 One round, run entirely by the computing party (Alice) on encrypted data:
 
@@ -50,7 +52,7 @@ from . import packed_matrix as pm
 from . import secure_argmin as sa
 from .dp_accounting import NoiseScales, PrivacyBudget, RoundBudget, per_round_budget, perturb_aggregates
 from .packed_matrix import COLUMN, ROW, PackedLayout
-from .slot_engine import EngineConfig, SlotEngine, SlotVector, ciphertext_size_bytes
+from .slot_engine import EngineConfig, SlotEngine, SlotVector, chebyshev_depth, ciphertext_size_bytes
 
 COMPUTING = "computing"
 KEY_HOLDER = "key-holder"
@@ -279,7 +281,9 @@ def release_depths(k: int, degree: int = sa.DEFAULT_DEGREE) -> tuple[int, int]:
     ciphertexts, a + 2 for both, where a is the argmin marker's depth; the
     run then drops both to level 0 before release.  A k below 2 raises
     ``ProtocolError``."""
-    cheb = sa.chebyshev_depth(degree)
+    if k < 2:
+        raise ProtocolError("k must be at least 2")
+    cheb = chebyshev_depth(degree)
     if k == 2:
         a = 1 + cheb  # uploaded feature times G_l, then the comparison series
     else:

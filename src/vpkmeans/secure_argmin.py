@@ -17,8 +17,7 @@ product tree then has ceil((k - 1) / 2) leaves instead of k - 1; with the
 squaring that is also its count of ciphertext products for k >= 3, about
 half of the unpaired tree's k - 2.  Its depth is unchanged: the squaring
 spends the level that halving the leaves saves, and the first-row mask goes
-on a leaf with slack, which the middle factor has for even k because it
-skips the squaring.
+on the last leaf, whose path is the shortest (:func:`phi_depth`).
 
 The comparison polynomial is a single Chebyshev interpolation of a steep
 sign surrogate erf(alpha * x).  Interpolating the discontinuous sign itself
@@ -39,7 +38,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import slot_engine
 from .packed_matrix import ROW, PackedLayout, axis_sum
 from .slot_engine import SlotEngine, SlotVector
 
@@ -69,46 +67,31 @@ class SignApproxConfig:
             raise ValueError("tie_margin must lie in (0, 1)")
 
 
-def sign_series(cfg: SignApproxConfig) -> np.ndarray:
-    """Chebyshev coefficients approximating sign on [-1, 1].
+@functools.lru_cache(maxsize=16)
+def cmp_series(cfg: SignApproxConfig) -> np.ndarray:
+    """Chebyshev coefficients of sign(x)/2 + 0.5 on [-1, 1]; the shift is
+    folded into the coefficients so a comparison costs exactly one series
+    evaluation.
 
     Interpolates erf(STEEPNESS / tie_margin * x) at Chebyshev nodes of the
-    first kind; even coefficients are zeroed so the series is exactly odd
-    (ties evaluate to 0 with no rounding residue).
+    first kind and zeroes the even coefficients, so the series is 0.5 plus
+    an exactly odd part (ties evaluate to 0.5 with no rounding residue).
     """
-    return _sign_series(cfg.degree, cfg.tie_margin)
-
-
-@functools.lru_cache(maxsize=16)
-def _sign_series(degree: int, tie_margin: float) -> np.ndarray:
     # imported here: scipy.fft adds about 50 ms to the package import, and
     # only the first series a process builds needs it
     from scipy.fft import dct
 
-    n = degree + 1
+    n = cfg.degree + 1
     nodes = np.cos((np.arange(n) + 0.5) * np.pi / n)
-    alpha = STEEPNESS / tie_margin
+    alpha = STEEPNESS / cfg.tie_margin
     # math.erf, not scipy.special: the node values are a one-off n calls,
     # and scipy.special would be most of the package import
     values = np.array([math.erf(alpha * x) for x in nodes])
     # the interpolant's coefficients are the DCT-II of the node values
     c = dct(values, type=2) / n
-    c[0] /= 2
     c[::2] = 0.0
-    c.setflags(write=False)
-    return c
-
-
-def cmp_series(cfg: SignApproxConfig) -> np.ndarray:
-    """Series for sign(x)/2 + 0.5; the shift is folded into the coefficients
-    so a comparison costs exactly one series evaluation."""
-    return _cmp_series(cfg.degree, cfg.tie_margin)
-
-
-@functools.lru_cache(maxsize=16)
-def _cmp_series(degree: int, tie_margin: float) -> np.ndarray:
-    c = 0.5 * _sign_series(degree, tie_margin)
-    c[0] += 0.5
+    c *= 0.5
+    c[0] = 0.5  # the shift
     c.setflags(write=False)
     return c
 
@@ -149,58 +132,6 @@ def rank(
     return engine.add(r, engine.plaintext(layout.axis_mask(ROW, 0, 0.5)))
 
 
-@dataclass(frozen=True)
-class _PhiPlan:
-    """How :func:`indicator_phi` evaluates phi for one k.
-
-    Leaves are listed pairs first, the lone middle factor (k even) last; a
-    pair leaf costs the shared squaring, so it starts one level deeper.
-    """
-
-    centre: float  # c = (k + 2) / 2
-    offsets: tuple[float, ...]  # (c - j)^2 for each pair (j, k + 2 - j), j < c
-    middle: bool  # k even: s = r - c is a leaf of its own
-    norm: float  # 1 / prod_{j=2..k} (1 - j)
-    fold_at: int  # leaf that carries the normalized first-row mask
-    depth: int  # levels consumed by the whole indicator
-
-
-def _merge_counts(n: int) -> list[int]:
-    """Multiplications on each leaf's path in the left-to-right pairing tree."""
-    counts = [0] * n
-    nodes = [[i] for i in range(n)]
-    while len(nodes) > 1:
-        merged = []
-        for i in range(0, len(nodes) - 1, 2):
-            both = nodes[i] + nodes[i + 1]
-            for leaf in both:
-                counts[leaf] += 1
-            merged.append(both)
-        if len(nodes) % 2:
-            merged.append(nodes[-1])
-        nodes = merged
-    return counts
-
-
-@functools.lru_cache(maxsize=64)
-def _phi_plan(k: int) -> _PhiPlan:
-    if k < 2:
-        # imported here: protocol imports this module
-        from .protocol import ProtocolError
-
-        raise ProtocolError("k must be at least 2")
-    centre = (k + 2) / 2
-    offsets = tuple((centre - j) ** 2 for j in range(2, math.ceil(centre)))
-    middle = k % 2 == 0
-    norm = 1.0 / math.prod(1.0 - j for j in range(2, k + 1))
-    leaf_depths = [1] * len(offsets) + ([0] if middle else [])
-    # levels each leaf adds to the root: its own depth plus its tree path
-    reach = [d + path for d, path in zip(leaf_depths, _merge_counts(len(leaf_depths)))]
-    fold_at = int(np.argmin(reach))
-    reach[fold_at] += 1
-    return _PhiPlan(centre, offsets, middle, norm, fold_at, max(reach))
-
-
 def indicator_phi(engine: SlotEngine, r: SlotVector, layout: PackedLayout) -> SlotVector:
     """Evaluate the rank-1 indicator polynomial slot-wise.
 
@@ -210,22 +141,24 @@ def indicator_phi(engine: SlotEngine, r: SlotVector, layout: PackedLayout) -> Sl
     (x - j)(x - (k + 2 - j)) = s^2 - (c - j)^2 with c = (k + 2) / 2 and
     s = x - c, so one squaring serves every pair and the balanced product
     tree runs over ceil((k - 1) / 2) leaves; for even k, s itself is the
-    middle leaf.  The normalization constant times the first-row mask is
-    folded onto the leaf whose depth plus tree path is smallest, so masking
-    is free whenever the tree leaves slack.  Blocks that carry no point are
-    not masked: the caller multiplies the marker by each coordinate, which
-    is 0 there.  The constants are cached on ``layout``.
+    last leaf.  The normalization constant times the first-row mask is
+    folded onto the last leaf, which costs no level beyond the tree's
+    (:func:`phi_depth`).  Blocks that carry no point are not masked: the
+    caller multiplies the marker by each coordinate, which is 0 there.  The
+    constants are cached on ``layout``.
     """
-    plan = _phi_plan(layout.k)
-    s = engine.sub(r, engine.plaintext(layout.filled(plan.centre)))
+    k = layout.k
+    centre = (k + 2) / 2
+    s = engine.sub(r, engine.plaintext(layout.filled(centre)))
     leaves = []
-    if plan.offsets:
+    if k >= 3:
         square = engine.mul(s, s)
-        leaves = [engine.sub(square, engine.plaintext(layout.filled(a))) for a in plan.offsets]
-    if plan.middle:
+        leaves = [engine.sub(square, engine.plaintext(layout.filled((centre - j) ** 2)))
+                  for j in range(2, math.ceil(centre))]
+    if k % 2 == 0:
         leaves.append(s)
-    mask = engine.plaintext(layout.axis_mask(ROW, 0, plan.norm))
-    leaves[plan.fold_at] = engine.mul(leaves[plan.fold_at], mask)
+    norm = 1.0 / math.prod(1.0 - j for j in range(2, k + 1))
+    leaves[-1] = engine.mul(leaves[-1], engine.plaintext(layout.axis_mask(ROW, 0, norm)))
 
     while len(leaves) > 1:
         merged = [engine.mul(leaves[i], leaves[i + 1]) for i in range(0, len(leaves) - 1, 2)]
@@ -260,19 +193,29 @@ def argmin_two(engine: SlotEngine, diff: SlotVector, cfg: SignApproxConfig) -> S
     return compare(engine, diff, cfg)
 
 
-# levels of one comparison: the engine charges them, so it defines the formula
-chebyshev_depth = slot_engine.chebyshev_depth
-
-
 def phi_depth(k: int) -> int:
-    """Levels consumed by the masked indicator for k clusters, read from the
-    plan :func:`indicator_phi` follows.
+    """Levels consumed by the masked indicator for k clusters:
+    (k - 1).bit_length().
 
-    The squaring costs the pair leaves one level but halves the leaf count,
-    so the tree is one level shallower: the total is the floor(log2(k-1)) + 1
-    of a masked tree over all k - 1 factors, for every k.  With k odd and
-    (k - 1) / 2 not a power of two, the mask sits on a leaf with a shorter
-    path; with k even, on the middle leaf, which skipped the squaring.
-    A k below 2 raises ``ProtocolError``.
+    Each level of :func:`indicator_phi`'s tree pairs its nodes left to
+    right and passes an odd last node up unmerged.  Every other node is
+    merged at every level, so the last leaf's path is never longer than
+    any other leaf's, and the mask it carries can lift the depth only
+    where all paths are equally long.  With n = ceil((k - 1) / 2) leaves
+    the tree has height h = ceil(log2 n), and the depth is:
+
+    * k odd: every leaf is a pair leaf, one level deep for the squaring.
+      If n is a power of two, every path is h long and the total is h + 2;
+      otherwise some level passes the last node up, its path is at most
+      h - 1 and the total is h + 1.  Here k - 1 = 2n, whose bit length is
+      h + 2 if n = 2^h and h + 1 if 2^(h-1) < n < 2^h.
+    * k even: the last leaf is s, zero levels deep, so the mask lifts it to
+      at most h + 1, and for k >= 4 the first pair leaf reaches h + 1; k = 2
+      is the masked s alone, depth 1 = h + 1.  Here k - 1 = 2n - 1 lies in
+      (2^h, 2^(h+1)) for k >= 4 and is 1 for k = 2: bit length h + 1.
+
+    A k below 2 raises ``ValueError``, as :class:`PackedLayout` does.
     """
-    return _phi_plan(k).depth
+    if k < 2:
+        raise ValueError(f"k must be at least 2, got {k}")
+    return (k - 1).bit_length()

@@ -31,7 +31,7 @@ and the depth and counters charge the full evaluation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -124,9 +124,6 @@ class EngineStats:
     cheb_evals: int = 0
     encryptions: int = 0
     max_depth_seen: int = 0
-
-    def snapshot(self) -> "EngineStats":
-        return replace(self)
 
 
 class SlotEngine:

@@ -126,6 +126,18 @@ def test_invalid_config_exits_nonzero(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+# a boolean where a number belongs, and the key the error must name
+BOOLEAN_NUMBERS = [
+    ({"bound": True}, "bound"),
+    ({"budget": {"epsilon": True}}, "budget.epsilon"),
+    ({"init_separation": False}, "init_separation"),
+    ({"sign": {"degree": True}}, "sign.degree"),
+    ({"dataset": {"synthetic": {"n": 50, "k": 2, "d": 2, "cluster_std": True}}}, "dataset.synthetic.cluster_std"),
+    ({"engine": {"size_model": {"bytes_per_slot_per_level": True}}}, "engine.size_model.bytes_per_slot_per_level"),
+    ({"dataset": {"csv": {"path": "x.csv", "label_column": True}}}, "dataset.csv.label_column"),
+]
+
+
 @pytest.mark.parametrize("bad", [
     {"sign": {"degree": 4}},
     {"budget": {"epsilon": -1}},
@@ -160,6 +172,8 @@ def test_invalid_config_exits_nonzero(tmp_path, capsys):
     {"seeds": [-1]},
     {"init_separation": "nan"},
     {"engine": {"size_model": {"bytes_per_slot_per_level": float("nan")}}},
+    {"sign": {"degree": 63.5}},
+    *[bad for bad, _ in BOOLEAN_NUMBERS],
 ], ids=["even-degree", "negative-epsilon", "misspelled-key", "removed-key", "k-not-a-number",
         "seed-count-not-a-number", "separation-not-a-number", "k-too-large", "negative-rounds",
         "misspelled-budget-key", "misspelled-top-key", "misspelled-engine-key",
@@ -168,7 +182,8 @@ def test_invalid_config_exits_nonzero(tmp_path, capsys):
         "seed-base-not-whole", "seed-list-entry-not-whole", "rounds-boolean",
         "slot-count-not-whole", "removed-composition-key", "removed-perturbation-key",
         "split-boolean-column", "split-not-a-list", "split-party-not-a-list", "infinite-bound",
-        "bound-too-wide", "negative-seed", "separation-nan", "bytes-per-slot-nan"])
+        "bound-too-wide", "negative-seed", "separation-nan", "bytes-per-slot-nan", "degree-not-whole",
+        *[f"{key}-boolean" for _, key in BOOLEAN_NUMBERS]])
 def test_invalid_parameter_values_exit_nonzero(tmp_path, capsys, bad):
     config = {
         "dataset": {"synthetic": {"n": 50, "k": 2, "d": 2, "bound": 1.0,
@@ -182,6 +197,16 @@ def test_invalid_parameter_values_exit_nonzero(tmp_path, capsys, bad):
     rc = main(["run", str(p), "-o", str(tmp_path / "report.json")])
     assert rc == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad, key", BOOLEAN_NUMBERS, ids=[key for _, key in BOOLEAN_NUMBERS])
+def test_boolean_at_a_numeric_key_is_named(tmp_path, capsys, bad, key):
+    config = {"dataset": {"synthetic": {"n": 50, "k": 2, "d": 2, "cluster_std": 0.05}},
+              "k": 2, "rounds": 1, **bad}
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(config))
+    assert main(["run", str(p), "-o", str(tmp_path / "report.json")]) == 2
+    assert f"{key} must be a number" in capsys.readouterr().err
 
 
 def test_baseline_scores_one_based_labels_as_zero_based(tmp_path, capsys):

@@ -547,6 +547,13 @@ def test_release_depths_match_measured():
         assert max(release_depths(k)) == required_depth(k)
 
 
+@pytest.mark.parametrize("k", [1, 0, -3])
+def test_depth_ledger_rejects_fewer_than_two_clusters(k):
+    for ledger in (release_depths, required_depth):
+        with pytest.raises(ProtocolError, match="k must be at least 2"):
+            ledger(k)
+
+
 def test_engine_budget_too_small_rejected():
     pts = uniform_instance(2, n=50, d=2)
     parts = split_features(pts, [[0], [1]])

@@ -6,20 +6,17 @@ from numpy.polynomial.chebyshev import chebval
 
 import reference_ops as ref
 from vpkmeans.packed_matrix import ROW, PackedLayout
-from vpkmeans.protocol import ProtocolError
 from vpkmeans.secure_argmin import (
     SignApproxConfig,
     argmin_packed,
     argmin_two,
-    chebyshev_depth,
     cmp_series,
     compare,
     indicator_phi,
     phi_depth,
     rank,
-    sign_series,
 )
-from vpkmeans.slot_engine import EngineConfig, SlotEngine
+from vpkmeans.slot_engine import EngineConfig, SlotEngine, chebyshev_depth
 
 
 CFG = SignApproxConfig()
@@ -54,14 +51,16 @@ def test_config_validation():
         SignApproxConfig(tie_margin=1.5)
 
 
-def test_sign_series_is_odd_and_accurate():
-    c = sign_series(CFG)
-    assert np.all(c[::2] == 0.0)
-    assert abs(chebval(0.0, c)) == 0.0
-    assert abs(chebval(0.8, c) - 1.0) < 0.01  # in [0.98, 1.02]
-    # the contract: within 0.02 of sign for |x| >= tie_margin
+def test_cmp_series_is_odd_and_accurate():
+    c = cmp_series(CFG)
+    odd = c.copy()
+    odd[0] = 0.0  # sign(x) / 2
+    assert c[0] == 0.5 and np.all(odd[::2] == 0.0)
+    assert chebval(0.0, c) == 0.5
+    assert abs(chebval(0.8, c) - 1.0) < 0.005  # sign within 0.01 of 1
+    # the contract: within 0.01 of {0, 1} (0.02 of sign) for |x| >= tie_margin
     xs = np.linspace(CFG.tie_margin, 1.0, 4001)
-    assert np.max(np.abs(chebval(xs, c) - 1.0)) <= 0.02
+    assert np.max(np.abs(chebval(xs, c) - 1.0)) <= 0.01
 
 
 def test_cmp_examples():
@@ -204,10 +203,10 @@ def _old_tree_depth(k):
 
 
 def test_indicator_phi_depth_ledger():
-    for k in range(2, 33):
-        eng = make(slot_count=1024, depth=10)
-        lay = PackedLayout(k, slot_count=1024)
-        out = indicator_phi(eng, eng.encrypt(np.zeros(1024)), lay)
+    for k in range(2, 65):
+        eng = make(slot_count=4096, depth=10)
+        lay = PackedLayout(k, slot_count=4096)
+        out = indicator_phi(eng, eng.encrypt(np.zeros(4096)), lay)
         assert out.depth_consumed == phi_depth(k) == _old_tree_depth(k), k
 
 
@@ -222,7 +221,7 @@ def test_indicator_phi_pairs_halve_the_products(k):
 
 @pytest.mark.parametrize("k", [1, 0, -3])
 def test_phi_depth_rejects_fewer_than_two_clusters(k):
-    with pytest.raises(ProtocolError, match="k must be at least 2"):
+    with pytest.raises(ValueError, match="k must be at least 2"):
         phi_depth(k)
 
 

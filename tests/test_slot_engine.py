@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,7 @@ from hypothesis import strategies as st
 from numpy.polynomial.chebyshev import chebval
 
 from vpkmeans.packed_matrix import PackedLayout
-from vpkmeans.secure_argmin import SignApproxConfig, cmp_series, sign_series
+from vpkmeans.secure_argmin import SignApproxConfig, cmp_series
 from vpkmeans.slot_engine import (
     CIPHERTEXT,
     PLAINTEXT,
@@ -168,8 +170,9 @@ def test_chebyshev_agrees_with_scalar_clenshaw(engine):
     rng = np.random.default_rng(3)
     xs = rng.uniform(-1, 1, 16)
     generic = rng.normal(size=40) / np.arange(1, 41)
-    odd = sign_series(SignApproxConfig(degree=63))  # takes the x * q(2x^2 - 1) fold
     shifted = cmp_series(SignApproxConfig(degree=63))  # c0 = 0.5 plus the fold
+    odd = shifted.copy()
+    odd[0] = 0.0  # takes the x * q(2x^2 - 1) fold
     for coeffs in (generic, odd, shifted):
         got = engine.decrypt(engine.eval_chebyshev(engine.encrypt(xs), coeffs))
         want = [_scalar_clenshaw(coeffs, x) for x in xs]
@@ -354,14 +357,14 @@ def test_size_negative_levels_rejected():
 
 def test_drop_to_depth_is_free_and_shrinks(engine):
     v = engine.mul(engine.encrypt(np.arange(16.0)), engine.plaintext(np.full(16, 0.5)))
-    before = engine.stats.snapshot()
+    before = replace(engine.stats)
     same = engine.drop_to_depth(v, 1)
     low = engine.drop_to_depth(v, engine.config.depth_budget)
     assert same.depth_consumed == 1 and low.depth_consumed == 10
     assert np.array_equal(engine.decrypt(low), engine.decrypt(v))
     assert low.kind == CIPHERTEXT
     assert engine.size_bytes(low) == ciphertext_size_bytes(0, engine.config) < engine.size_bytes(v)
-    stats = engine.stats.snapshot()
+    stats = replace(engine.stats)
     assert stats.max_depth_seen == 10
     stats.max_depth_seen = before.max_depth_seen
     assert stats == before  # no operation is counted
@@ -378,7 +381,7 @@ def test_drop_to_depth_rejects_plaintext_and_bad_targets(engine):
 
 
 def test_stats_counters(engine):
-    before = engine.stats.snapshot()
+    before = replace(engine.stats)
     v = engine.encrypt(np.ones(16))
     engine.rotate(v, 3)
     engine.mul(v, v)
