@@ -201,6 +201,17 @@ def _sq_distances(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     return dist
 
 
+def _chebval(x: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """numpy's ``chebval`` in chunks of 32,768 elements: the same values, but
+    the recurrence's temporaries stay cache-sized."""
+    chunk = 1 << 15
+    flat = x.reshape(-1)
+    out = np.empty_like(flat)
+    for start in range(0, flat.size, chunk):
+        out[start : start + chunk] = chebval(flat[start : start + chunk], coeffs)
+    return out.reshape(x.shape)
+
+
 def _soft_memberships(points: np.ndarray, centers: np.ndarray, sign: SignApproxConfig, scale: float) -> np.ndarray:
     """Per-point memberships exactly as the encrypted pipeline computes them:
     scaled squared distances, polynomial comparisons, ranks, indicator."""
@@ -209,12 +220,12 @@ def _soft_memberships(points: np.ndarray, centers: np.ndarray, sign: SignApproxC
     dist = _sq_distances(points * sqrt_s, centers * sqrt_s)  # n x k, scaled
     coeffs = cmp_series(sign)
     if k == 2:
-        a2 = chebval(np.clip(dist[:, 0] - dist[:, 1], -1.0, 1.0), coeffs)
+        a2 = _chebval(np.clip(dist[:, 0] - dist[:, 1], -1.0, 1.0), coeffs)
         return np.stack([1.0 - a2, a2], axis=1)
     # the comparison series is c0 plus an odd series, so cmp(-u) = 1 - cmp(u)
     # up to rounding and cmp(0) = c0: only the pairs c < r need the series
     c, r = np.triu_indices(k, 1)
-    upper = chebval(np.clip(dist[:, c] - dist[:, r], -1.0, 1.0), coeffs)
+    upper = _chebval(np.clip(dist[:, c] - dist[:, r], -1.0, 1.0), coeffs)
     comps = np.empty((dist.shape[0], k, k))  # comps[i, c, r] = cmp(d_c - d_r)
     comps[:, c, r] = upper
     comps[:, r, c] = 1.0 - upper
@@ -288,21 +299,19 @@ def normalized_loss(data: Dataset | np.ndarray, centroids: CentroidSet | np.ndar
     return float(_sq_distances(points, centers).min(axis=1).mean())
 
 
-def cluster_accuracy(data: Dataset, centroids: CentroidSet | np.ndarray, labels=None) -> float:
+def cluster_accuracy(data: Dataset, centroids: CentroidSet | np.ndarray) -> float:
     """Fraction of points whose nearest centroid matches the ground-truth
     label under the best centroid-to-label matching (assignment solver);
     the labels may be any integer ids."""
-    labels = data.labels if labels is None else np.asarray(labels)
-    if labels is None:
+    if data.labels is None:
         raise BenchError("cluster_accuracy needs ground-truth labels")
     centers = centroids.centers if isinstance(centroids, CentroidSet) else np.asarray(centroids)
-    points = data.points if isinstance(data, Dataset) else np.asarray(data)
-    pred = np.argmin(_sq_distances(points, centers), axis=1)
-    ids, label_index = np.unique(labels, return_inverse=True)
+    pred = np.argmin(_sq_distances(data.points, centers), axis=1)
+    ids, label_index = np.unique(data.labels, return_inverse=True)
     agree = np.zeros((centers.shape[0], ids.size))
     np.add.at(agree, (pred, label_index), 1.0)
     rows, cols = linear_sum_assignment(-agree)
-    return float(agree[rows, cols].sum()) / points.shape[0]
+    return float(agree[rows, cols].sum()) / data.n
 
 
 # ---------------------------------------------------------------------------
@@ -377,16 +386,13 @@ def wallclock_seconds(
 # ---------------------------------------------------------------------------
 
 
-def calibrate_size_model(
-    target_bytes: float, n: int, k: int, d: int, d_bob: int, rounds: int,
-    slot_count: int = 1 << 14,
-) -> SizeModel:
+def calibrate_size_model(target_bytes: float, n: int, k: int, d: int, d_bob: int, rounds: int) -> SizeModel:
     """Fit bytes-per-slot-per-level so the modeled total for one reference
-    configuration hits a measured grand total."""
+    configuration, on the default engine slots, hits a measured grand total."""
     if not math.isfinite(target_bytes):
         raise BenchError(f"calibration target {target_bytes} is not a finite byte count")
     unit = SizeModel(bytes_per_slot_per_level=1.0)
-    cfg = EngineConfig(slot_count=slot_count, depth_budget=proto.required_depth(k), size_model=unit)
+    cfg = EngineConfig(depth_budget=proto.required_depth(k), size_model=unit)
     tr = proto.estimate_transcript(n, k, d, d_bob, rounds, cfg)
     ct_bytes = sum(m.byte_size for m in tr.messages if m.ciphertext_count or m.kind == proto.PUBLIC_KEY)
     plain_bytes = tr.total_bytes - ct_bytes
@@ -562,12 +568,8 @@ def run_experiment(config: dict) -> dict:
     for seed, init in zip(seeds, inits):
         engine = SlotEngine(engine_config)
         parts = split_features(ds.points, split)
-        if len(split) == 2 and model == proto.TWO_PARTY:
-            result = proto.run(parts[0], parts[1], budget, rounds, k=k, bound=bound,
-                               engine=engine, seed=seed, sign=sign, init=init)
-        else:
-            result = proto.run_multiparty(parts, model, budget, rounds, k=k, bound=bound,
-                                          engine=engine, seed=seed, sign=sign, init=init)
+        result = proto.run_multiparty(parts, model, budget, rounds, k=k, bound=bound,
+                                      engine=engine, seed=seed, sign=sign, init=init)
         base = lloyd_plaintext(ds, init, rounds, tie_rule=STANDARD, seed=seed)
         entry = {
             "seed": seed,

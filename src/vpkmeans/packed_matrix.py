@@ -33,28 +33,20 @@ COLUMN = "column"
 
 @dataclass(frozen=True)
 class PackedLayout:
-    """How k x k blocks tile a slot vector, k*k slots per block.
-
-    ``blocks_per_ct`` may be pinned explicitly (useful for reproducing small
-    worked examples); by default every block that fits is used.
-    """
+    """How k x k blocks tile a slot vector, k*k slots per block; every block
+    that fits is used, ``blocks_per_ct`` = slot_count // k^2 of them."""
 
     k: int
     slot_count: int = 1 << 14
-    blocks_per_ct: int = 0
     _mask_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         if self.k < 2:
             raise ValueError("k must be at least 2")
-        max_blocks = self.slot_count // self.stride
-        if self.blocks_per_ct == 0:
-            object.__setattr__(self, "blocks_per_ct", max_blocks)
-        if not 1 <= self.blocks_per_ct <= max_blocks:
-            raise ValueError(
-                f"blocks_per_ct {self.blocks_per_ct} outside [1, {max_blocks}] "
-                f"for k={self.k}, slot_count={self.slot_count}"
-            )
+        # a plain attribute, not a property: it is read on every replication step
+        object.__setattr__(self, "blocks_per_ct", self.slot_count // self.stride)
+        if self.blocks_per_ct < 1:
+            raise ValueError(f"no {self.k} x {self.k} block fits in {self.slot_count} slots")
 
     @property
     def stride(self) -> int:

@@ -118,15 +118,14 @@ class DataPartition:
         return self.features.shape[0]
 
 
-def split_features(points: np.ndarray, split: list[list[int]], owners=None) -> list[DataPartition]:
-    """Partition the columns of a joint matrix among parties."""
+def split_features(points: np.ndarray, split: list[list[int]]) -> list[DataPartition]:
+    """Partition the columns of a joint matrix among ``party0``, ``party1``, ..."""
     points = np.asarray(points, dtype=np.float64)
     claimed = [i for cols in split for i in cols]
     if sorted(claimed) != list(range(points.shape[1])):
         raise ProtocolError(f"split {split} is not a partition of {points.shape[1]} features")
-    owners = owners or [f"party{i}" for i in range(len(split))]
     return [
-        DataPartition(owner=owners[i], features=points[:, cols], feature_indices=tuple(cols))
+        DataPartition(owner=f"party{i}", features=points[:, cols], feature_indices=tuple(cols))
         for i, cols in enumerate(split)
     ]
 
@@ -295,8 +294,7 @@ def release_depths(k: int, degree: int = sa.DEFAULT_DEGREE) -> tuple[int, int]:
 
 def required_depth(k: int, degree: int = sa.DEFAULT_DEGREE) -> int:
     """Multiplicative depth of one protocol round for k clusters."""
-    t_depth, s_depth = release_depths(k, degree)
-    return max(t_depth, s_depth)
+    return max(release_depths(k, degree))
 
 
 # ---------------------------------------------------------------------------
@@ -567,14 +565,12 @@ def run(
     sign: sa.SignApproxConfig | None = None,
     init: CentroidSet | None = None,
 ) -> RunResult:
-    """Execute setup plus ``rounds`` iterations between two parties.
-
+    """Execute setup plus ``rounds`` iterations between two parties:
+    :func:`run_multiparty` under the two-party model, with its admission.
     ``alice`` is the computing party (plaintext features), ``bob`` the key
-    holder (encrypted features): the server-aided deployment with two
-    parties.  See :func:`run_multiparty` for the other arguments.
-    """
-    return run_multiparty([alice, bob], SERVER_AIDED, budget, rounds, k, bound, engine=engine,
-                          seed=seed, sign=sign, init=init, computing_party=alice.owner)
+    holder (encrypted features)."""
+    return run_multiparty([alice, bob], TWO_PARTY, budget, rounds, k, bound, engine=engine,
+                          seed=seed, sign=sign, init=init)
 
 
 def run_multiparty(
@@ -592,14 +588,14 @@ def run_multiparty(
 ) -> RunResult:
     """Execute setup plus ``rounds`` iterations among N parties.
 
-    The roles are decided here and nowhere else.  The computing party
-    (Alice) is ``computing_party``, or else the party with the most
-    features; the others follow by feature count.  server-aided: the first
-    of them holds the key (Bob), and everyone else encrypts under Bob's key
-    and uploads.  mpc-simulated: the key is shared by all non-computing
-    parties; decryption of each round's aggregates is modeled as one
-    additive share per party whose sum is the plaintext, and the computing
-    party performs the centroid update itself.
+    The computing party (Alice) is ``computing_party``, else the first
+    party under two-party (server-aided with two parties) and the party
+    with the most features otherwise; the others follow by feature count.
+    server-aided: the first of them holds the key (Bob), and everyone else
+    encrypts under Bob's key and uploads.  mpc-simulated: the key is shared
+    by all non-computing parties; decryption of each round's aggregates is
+    modeled as one additive share per party whose sum is the plaintext, and
+    the computing party performs the centroid update itself.
 
     The run executes exactly ``rounds`` rounds.  With ``budget=None`` no
     noise is added; otherwise the privacy split uses ``budget.rounds``,
@@ -611,60 +607,45 @@ def run_multiparty(
     checked against :func:`release_depths`, recorded in ``round_depths``,
     dropped to level 0 and only then noised and released; the run raises
     ``ProtocolError`` if a circuit depth differs from the ledger or a
-    measured ciphertext size differs from the plan.  Arguments the run
-    cannot honour raise ``ProtocolError`` before setup.
+    measured ciphertext size differs from the plan.
+
+    Admission: a run that cannot happen raises ``ProtocolError`` before
+    setup.  The checks on model, parties, k, n, rounds, uploads and engine
+    are one function shared with :func:`estimate_transcript`, so both refuse
+    alike; the checks on names, data, bound, budget and ``init`` are the
+    run's own.
     """
-    if model not in (SERVER_AIDED, MPC_SIMULATED):
-        raise ProtocolError(f"unknown deployment model {model!r}")
-    if len(partitions) < 2:
-        raise ProtocolError("need at least two partitions")
     names = [p.owner for p in partitions]
     if len(set(names)) != len(names):
         raise ProtocolError(f"party names must be unique, got {names}")
     if computing_party is not None and computing_party not in names:
         raise ProtocolError(f"computing party {computing_party!r} is not one of {names}")
-    ordered = sorted(partitions, key=lambda p: (p.owner != computing_party, -p.features.shape[1]))
-    roles = [COMPUTING, KEY_HOLDER if model == SERVER_AIDED else DATA_OWNER]
-    roles += [DATA_OWNER] * (len(ordered) - 2)
+    n = partitions[0].n if partitions else 0
+    if any(p.n != n for p in partitions):
+        raise ProtocolError("all parties must hold the same number of records")
+    sign = sign or sa.SignApproxConfig()
+    model, cfg, plan = _admit(model, [(p.owner, p.features.shape[1]) for p in partitions], computing_party,
+                              n, k, rounds, engine.config if engine is not None else None, sign.degree)
+    ordered = [partitions[names.index(name)] for name, _, _ in plan]
 
-    if rounds < 0:
-        raise ProtocolError(f"rounds must be non-negative, got {rounds}")
     if budget is not None and budget.rounds < rounds:
         raise ProtocolError(f"{rounds} rounds exceed the {budget.rounds} the privacy budget is split over")
     _check_bound(bound)
-    if k < 2:
-        raise ProtocolError("k must be at least 2")
-    sign = sign or sa.SignApproxConfig()
-    n = ordered[0].n
-    if any(p.n != n for p in ordered):
-        raise ProtocolError("all parties must hold the same number of records")
-    if n == 0:
-        raise ProtocolError("no records to cluster")
     for p in ordered:
         if not _within(p.features, bound):
             raise ProtocolError(f"features of {p.owner!r} exceed the domain bound {bound}")
     columns = _feature_columns(ordered)
     d = len(columns)
     scale = _difference_scale(d, bound)
-    uploaded = [g for p in ordered[1:] for g in p.feature_indices]
-    if not uploaded:
-        raise ProtocolError("no party besides the computing one holds a feature")
     if init is not None and (init.centers.shape != (k, d) or not _within(init.centers, bound)):
         raise ProtocolError(f"init must be {k} x {d} centers inside the domain bound {bound}, "
                             f"got shape {init.centers.shape}")
-    depth = required_depth(k, sign.degree)
     if engine is None:
-        engine = SlotEngine(EngineConfig(depth_budget=depth))
-    elif engine.config.depth_budget < depth:
-        raise ProtocolError(
-            f"engine depth budget {engine.config.depth_budget} below required {depth} for k={k}"
-        )
-    if k * k > engine.config.slot_count:
-        raise ProtocolError(f"k={k} needs {k * k} slots per block, the engine has {engine.config.slot_count}")
-    layout = PackedLayout(k, slot_count=engine.config.slot_count)
+        engine = SlotEngine(cfg)
+    layout = PackedLayout(k, slot_count=cfg.slot_count)
 
     # setup: feature upload, cache building
-    encrypted = _encrypt_features(engine, {g: columns[g] for g in uploaded})
+    encrypted = _encrypt_features(engine, {g: columns[g] for p in ordered[1:] for g in p.feature_indices})
     upload_bytes = [
         sum(engine.size_bytes(ct) for g in p.feature_indices for ct in encrypted[g])
         for p in ordered[1:]
@@ -710,9 +691,7 @@ def run_multiparty(
         centroids = update_centroids(sums, counts, bound, seed, t)
         history.append(np.array(centroids.centers))
 
-    plan = [(p.owner, role, 0 if role == COMPUTING else len(p.feature_indices))
-            for p, role in zip(ordered, roles)]
-    transcript = plan_transcript(n, k, d, rounds, model, engine.config, plan)
+    transcript = plan_transcript(n, k, d, rounds, model, cfg, plan)
     planned_uploads = [m.byte_size for m in transcript.by_kind(ENCRYPTED_FEATURES)]
     planned_aggregates = [m.byte_size for m in transcript.by_kind(NOISY_AGGREGATES)]
     if upload_bytes != planned_uploads or aggregate_bytes != planned_aggregates:
@@ -791,6 +770,41 @@ def plan_transcript(
     return Transcript(messages)
 
 
+def _admit(model: str, holdings: list[tuple[str, int]], computing: str | None, n: int, k: int, rounds: int,
+           cfg: EngineConfig | None, degree: int) -> tuple[str, EngineConfig, list[tuple[str, str, int]]]:
+    """The admission check of a run and of its estimate, before setup.
+
+    ``holdings`` lists ``(name, feature count)`` per party.  Raises
+    ``ProtocolError`` for a model, party count, k, n, rounds, uploads or
+    engine no run can have.  Returns the model the run executes, the engine
+    config (default: sized to ``required_depth(k, degree)``) and the role
+    plan of :func:`plan_transcript`, ordered as :func:`run_multiparty` says.
+    """
+    if model not in (TWO_PARTY, SERVER_AIDED, MPC_SIMULATED):
+        raise ProtocolError(f"unknown deployment model {model!r}")
+    if len(holdings) < 2 or (model == TWO_PARTY and len(holdings) != 2):
+        raise ProtocolError(f"the {model} model cannot have {len(holdings)} parties")
+    if model == TWO_PARTY:
+        model, computing = SERVER_AIDED, computing or holdings[0][0]
+    depth = required_depth(k, degree)
+    if n < 1:
+        raise ProtocolError("no records to cluster")
+    if rounds < 0:
+        raise ProtocolError(f"rounds must be non-negative, got {rounds}")
+    ordered = sorted(holdings, key=lambda h: (h[0] != computing, -h[1]))
+    if not any(count for _, count in ordered[1:]):
+        raise ProtocolError("no party besides the computing one holds a feature")
+    cfg = cfg or EngineConfig(depth_budget=depth)
+    if cfg.depth_budget < depth:
+        raise ProtocolError(f"engine depth budget {cfg.depth_budget} below required {depth} for k={k}")
+    if k * k > cfg.slot_count:
+        raise ProtocolError(f"k={k} needs {k * k} slots per block, the engine has {cfg.slot_count}")
+    roles = [COMPUTING, KEY_HOLDER if model == SERVER_AIDED else DATA_OWNER]
+    roles += [DATA_OWNER] * (len(ordered) - 2)
+    plan = [(name, role, 0 if role == COMPUTING else count) for (name, count), role in zip(ordered, roles)]
+    return model, cfg, plan
+
+
 def estimate_transcript(
     n: int,
     k: int,
@@ -804,30 +818,17 @@ def estimate_transcript(
 ) -> Transcript:
     """Predict the transcript of a run without executing it.
 
-    The plan of :func:`plan_transcript` with placeholder party names, in
-    which one party uploads all ``d_bob`` encrypted features (a run with
-    more than two parties sends one upload per party, with the same bytes
-    and ciphertexts in total).  ``cfg`` defaults to an engine sized to
-    ``required_depth(k, degree)``; a given ``cfg`` is used as it is, as a
-    run on an engine with that config would.  Sizes no run could have raise
-    ``ProtocolError``, with :func:`run_multiparty`'s message where it has one.
+    The plan of :func:`plan_transcript` in which ``party0`` computes and
+    ``party1`` uploads all ``d_bob`` encrypted features (a run with more
+    parties sends one upload per party, with the same bytes and ciphertexts
+    in total), on ``cfg`` as given or sized as a run's default engine.  An
+    estimate of a run that :func:`run_multiparty` refuses before setup
+    raises the same ``ProtocolError`` through the same check, and so does
+    ``d_bob`` above ``d``.
     """
-    if parties < 2 or (model == TWO_PARTY and parties != 2):
-        raise ProtocolError(f"the {model} model cannot have {parties} parties")
-    if k < 2:
-        raise ProtocolError("k must be at least 2")
-    if n < 1:
-        raise ProtocolError("no records to cluster")
-    if rounds < 0:
-        raise ProtocolError(f"rounds must be non-negative, got {rounds}")
-    if d_bob < 1:
-        raise ProtocolError("no party besides the computing one holds a feature")
     if d_bob > d:
         raise ProtocolError(f"{d_bob} uploaded features exceed the {d} features")
-    if model == TWO_PARTY:
-        model = SERVER_AIDED
-    cfg = cfg or EngineConfig(depth_budget=required_depth(k, degree))
-    uploader = KEY_HOLDER if model == SERVER_AIDED else DATA_OWNER
-    plan = [("computing", COMPUTING, 0), ("keyholder", uploader, d_bob)]
-    plan += [(f"party{i}", DATA_OWNER, 0) for i in range(2, parties)]
+    held = {0: d - d_bob, 1: d_bob}
+    holdings = [(f"party{i}", held.get(i, 0)) for i in range(parties)]
+    model, cfg, plan = _admit(model, holdings, "party0", n, k, rounds, cfg, degree)
     return plan_transcript(n, k, d, rounds, model, cfg, plan)

@@ -61,8 +61,10 @@ class SignApproxConfig:
     tie_margin: float = 0.01
 
     def __post_init__(self):
-        if self.degree < 1 or self.degree % 2 == 0:
-            raise ValueError("degree must be odd and positive")
+        # a bool would pass for 1 and a fraction would move the Chebyshev nodes
+        whole = isinstance(self.degree, (int, np.integer)) and not isinstance(self.degree, bool)
+        if not whole or self.degree < 1 or self.degree % 2 == 0:
+            raise ValueError(f"degree must be an odd positive whole number, got {self.degree!r}")
         if not 0 < self.tie_margin < 1:
             raise ValueError("tie_margin must lie in (0, 1)")
 

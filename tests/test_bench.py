@@ -250,8 +250,8 @@ def test_accuracy_takes_any_integer_label_ids():
     ds = gen_synthetic(300, 3, 2, 1.0, cluster_std=0.1, seed=15)
     centers = init_centroids(3, 2, 1.0, 15).centers
     base = cluster_accuracy(ds, centers)
-    assert cluster_accuracy(ds, centers, labels=ds.labels + 1) == base
-    assert cluster_accuracy(ds, centers, labels=10 * ds.labels - 7) == base
+    for labels in (ds.labels + 1, 10 * ds.labels - 7):
+        assert cluster_accuracy(bench.Dataset(points=ds.points, labels=labels), centers) == base
 
 
 def test_accuracy_exhaustive_matches_assignment_solver():

@@ -100,8 +100,10 @@ def test_estimate_from_mpc_report_matches_report(tmp_path, capsys):
     (["--compute-seconds", "-5"], "compute seconds must be non-negative"),
     (["--calibrate-bytes", "nan"], "not a finite byte count"),
     (["--calibrate-bytes", "inf"], "not a finite byte count"),
+    (["--k", "200"], "needs 40000 slots"),
 ], ids=["k-one", "k-zero", "k-negative", "no-records", "negative-rounds", "d-bob-above-d",
-        "d-bob-zero", "negative-compute-seconds", "nan-calibration", "infinite-calibration"])
+        "d-bob-zero", "negative-compute-seconds", "nan-calibration", "infinite-calibration",
+        "k-block-above-slots"])
 def test_estimate_rejects_sizes_no_run_could_have(capsys, args, message):
     rc = main(["estimate", *args, "--profile", "LAN500"])
     assert rc == 2
@@ -116,6 +118,15 @@ def test_run_config_with_one_cluster_names_k(tmp_path, capsys):
     p.write_text(json.dumps(config))
     assert main(["run", str(p), "-o", str(tmp_path / "report.json")]) == 2
     assert "k must be at least 2" in capsys.readouterr().err
+
+
+def test_two_party_config_with_three_parties_names_the_party_count(tmp_path, capsys):
+    config = {"dataset": {"synthetic": {"n": 50, "k": 2, "d": 3, "cluster_std": 0.05}},
+              "k": 2, "rounds": 1, "model": "two-party", "feature_split": [[0], [1], [2]]}
+    p = tmp_path / "two-party.json"
+    p.write_text(json.dumps(config))
+    assert main(["run", str(p), "-o", str(tmp_path / "report.json")]) == 2
+    assert "the two-party model cannot have 3 parties" in capsys.readouterr().err
 
 
 def test_invalid_config_exits_nonzero(tmp_path, capsys):

@@ -133,3 +133,107 @@ def test_every_public_name_is_reached_outside_tests():
     unreached = [q for p in MODULES for q in public_definitions(p.read_text())
                  if q.rsplit(".", 1)[-1] not in (looked_up if "." in q else used)]
     assert sorted(unreached) == sorted(TEST_ONLY)
+
+
+# Defaulted values that no call in the program sets, kept on purpose, with the reason.
+UNSET_KEPT = {
+    "run_multiparty(computing_party=)": "a deployment setting: which party computes",
+    "s1_style_config(seed=)": "s1_style_config is in TEST_ONLY; the seed is the dataset draw the acceptance "
+                              "windows were set at",
+    "SignApproxConfig(degree=)": "set from a run config's sign section and perfbench's workloads, through **",
+    "SignApproxConfig(tie_margin=)": "set from a run config's sign section and perfbench's workloads, through **",
+    **{f"EngineStats({name}=)": "an operation counter that starts at zero; the engine counts up from there"
+       for name in ("rotations", "ct_mults", "pt_mults", "additions", "cheb_evals", "encryptions",
+                    "max_depth_seen")},
+}
+
+
+def _defaulted(fn: ast.FunctionDef, method: bool) -> list[tuple[str, int | None]]:
+    """``(parameter, position)`` of every defaulted parameter, the position
+    counted without ``self`` or ``cls`` and ``None`` when keyword-only."""
+    args = (fn.args.posonlyargs + fn.args.args)[1 if method else 0:]
+    first = len(args) - len(fn.args.defaults)
+    found = [(a.arg, i) for i, a in enumerate(args) if i >= first]
+    return found + [(a.arg, None) for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults) if d is not None]
+
+
+def defaulted_values(source: str) -> list[tuple[str, str, int | None]]:
+    """``(callee, parameter, position)`` for every defaulted parameter of a
+    public function or method and every defaulted public field of a
+    dataclass.  The callee is the name a call uses: the function's, the
+    method's, or the class's for ``__init__`` and dataclass fields."""
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            found += [(node.name, name, pos) for name, pos in _defaulted(node, method=False)]
+        if not isinstance(node, ast.ClassDef) or node.name.startswith("_"):
+            continue
+        decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+        if any(isinstance(d, ast.Name) and d.id == "dataclass" for d in decorators):
+            fields = [sub for sub in node.body if isinstance(sub, ast.AnnAssign)]
+            found += [(node.name, f.target.id, i) for i, f in enumerate(fields)
+                      if f.value is not None and not f.target.id.startswith("_")]
+        for sub in node.body:
+            if isinstance(sub, ast.FunctionDef) and (sub.name == "__init__" or not sub.name.startswith("_")):
+                callee = node.name if sub.name == "__init__" else sub.name
+                found += [(callee, name, pos) for name, pos in _defaulted(sub, method=True)]
+    return found
+
+
+def values_set(source: str) -> dict[str, tuple[int, set[str]]]:
+    """Per called name, the most positional arguments any call passes and
+    every keyword any call passes, counting the keywords of a ``dict(...)``
+    assigned to a name that a call unpacks with ``**``."""
+    tree = ast.parse(source)
+    unpacked = {}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Assign) and len(node.targets) == 1 and isinstance(node.targets[0], ast.Name)
+                and isinstance(node.value, ast.Call) and getattr(node.value.func, "id", None) == "dict"):
+            unpacked.setdefault(node.targets[0].id, set()).update(kw.arg for kw in node.value.keywords)
+    calls: dict = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+            name = node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+            positional, keywords = calls.get(name, (0, set()))
+            for kw in node.keywords:
+                if kw.arg is not None:
+                    keywords.add(kw.arg)
+                elif isinstance(kw.value, ast.Name):
+                    keywords |= unpacked.get(kw.value.id, set())
+            calls[name] = (max(positional, len(node.args)), keywords)
+    return calls
+
+
+def unset_values(definitions: str, callers: list[str]) -> list[str]:
+    """The defaulted values of ``definitions`` that no call in ``callers``
+    sets, by keyword or by position, as ``callee(parameter=)``."""
+    calls: dict = {}
+    for source in callers:
+        for name, (positional, keywords) in values_set(source).items():
+            most, seen = calls.get(name, (0, set()))
+            calls[name] = (max(most, positional), seen | keywords)
+    unset = []
+    for callee, name, pos in defaulted_values(definitions):
+        positional, keywords = calls.get(callee, (0, set()))
+        if name not in keywords and (pos is None or positional <= pos):
+            unset.append(f"{callee}({name}=)")
+    return unset
+
+
+def test_unset_value_check_counts_keyword_and_positional_calls():
+    source = (
+        "@dataclass\nclass C:\n    a: int\n    b: int = 0\n    c: int = 0\n    _d: int = 0\n"
+        "class K:\n    def __init__(self, x=1):\n        pass\n    def m(self, y=1, *, z=2):\n        pass\n"
+        "def f(p, q=1, r=2):\n    pass\n"
+    )
+    calls = "f(0, 5)\nC(1, 2)\nk.m(3)\nkw = dict(z=4)\nK(**kw)\n"
+    assert unset_values(source, [calls]) == ["C(c=)", "K(x=)", "m(z=)", "f(r=)"]
+    assert unset_values(source, [calls, "f(0, r=1)\nC(1, c=2)\nK(x=2)\nk.m(**kw)\nkw = dict(z=4)\n"]) == []
+
+
+def test_every_defaulted_value_is_set_outside_tests():
+    """A default that only tests change is an option the program does not
+    need; keep it only with a reason in ``UNSET_KEPT``."""
+    callers = [p.read_text() for p in MODULES + sorted((ROOT / "perfbench").glob("*.py"))]
+    unset = [v for p in MODULES for v in unset_values(p.read_text(), callers)]
+    assert sorted(unset) == sorted(UNSET_KEPT)

@@ -44,10 +44,8 @@ def test_layout_invariants():
 def test_layout_rejects_bad_params():
     with pytest.raises(ValueError):
         PackedLayout(1)
-    with pytest.raises(ValueError):
-        PackedLayout(5, slot_count=16)  # no block fits
-    with pytest.raises(ValueError):
-        PackedLayout(3, slot_count=64, blocks_per_ct=9)
+    with pytest.raises(ValueError, match="no 5 x 5 block fits in 16 slots"):
+        PackedLayout(5, slot_count=16)
 
 
 @pytest.mark.parametrize("k, slot_count", [(2, 64), (3, 64), (5, 1 << 10), (15, 1 << 14)])
@@ -204,22 +202,22 @@ def test_repl_no_padding_all_starts_both_axes(k):
 
 
 def test_batch_extract_fig_instance():
-    # 18 live slots as a 3 x 6 grid embedded in a 32-slot vector:
-    # two 3x3 blocks, extract the 6th element of each (x9 and x12, 1-indexed)
+    # 27 live slots as a 3 x 9 grid embedded in a 32-slot vector: three 3x3
+    # blocks, extract the 6th element of the first two (x12 and x15, 1-indexed)
     eng = make(slot_count=32, depth=8)
-    lay = PackedLayout(3, slot_count=32, blocks_per_ct=2)
-    compact = eng.encrypt(np.arange(1.0, 19.0))
-    positions = [8, 11]  # x9 and x12
+    lay = PackedLayout(3, slot_count=32)
+    compact = eng.encrypt(np.arange(1.0, 28.0))
+    positions = [11, 14]  # x12 and x15
     out = batch_extract_replicate(eng, compact, positions, lay)
     blocks = dec_blocks(eng, lay, out)
-    assert np.array_equal(blocks[0], np.full((3, 3), 9.0))
-    assert np.array_equal(blocks[1], np.full((3, 3), 12.0))
+    assert np.array_equal(blocks[0], np.full((3, 3), 12.0))
+    assert np.array_equal(blocks[1], np.full((3, 3), 15.0))
     assert out.depth_consumed == 1  # one plaintext mask multiplication
 
 
 def test_batch_extract_single_block_position0():
     eng = make(slot_count=32, depth=8)
-    lay = PackedLayout(3, slot_count=32, blocks_per_ct=1)
+    lay = PackedLayout(3, slot_count=32)
     compact = eng.encrypt([4.0] + [0] * 31)
     out = dec_blocks(eng, lay, batch_extract_replicate(eng, compact, [0], lay))
     assert np.array_equal(out[0], np.full((3, 3), 4.0))
@@ -227,7 +225,7 @@ def test_batch_extract_single_block_position0():
 
 def test_batch_extract_zero_source():
     eng = make(slot_count=32, depth=8)
-    lay = PackedLayout(3, slot_count=32, blocks_per_ct=2)
+    lay = PackedLayout(3, slot_count=32)
     compact = eng.encrypt(np.zeros(32))
     out = dec_blocks(eng, lay, batch_extract_replicate(eng, compact, [0, 3], lay))
     assert np.array_equal(out[0], np.zeros((3, 3)))
@@ -236,10 +234,10 @@ def test_batch_extract_zero_source():
 
 def test_batch_extract_mismatched_offsets_rejected():
     eng = make(slot_count=32, depth=8)
-    lay = PackedLayout(3, slot_count=32, blocks_per_ct=2)
+    lay = PackedLayout(3, slot_count=32)
     compact = eng.encrypt(np.arange(32.0))
     with pytest.raises(EngineError, match="offset"):
-        batch_extract_replicate(eng, compact, [8, 10], lay)
+        batch_extract_replicate(eng, compact, [2, 4], lay)  # (0, 2) of block 0, (0, 1) of block 1
 
 
 def test_batch_extract_equals_independent_single_extracts():
@@ -268,15 +266,15 @@ def test_batch_extract_takes_arrays():
 
 
 @pytest.mark.parametrize("positions,message", [
-    ([0, 3, 6], "more positions than blocks"),  # the layout has 2 blocks
+    ([0, 3, 6, 9], "more positions than blocks"),  # the layout has 3 blocks
     ([0, 0], "position 0 does not address block 1"),
     ([-6], "does not address block 0"),
-    ([0, 27], "does not address block 1"),  # row 4 of a 3-row block
+    ([0, 30], "does not address block 1"),  # row 4 of a 3-row block
     ([], "offset"),
 ])
 def test_batch_extract_rejects_bad_positions(positions, message):
     eng = make(slot_count=32, depth=8)
-    lay = PackedLayout(3, slot_count=32, blocks_per_ct=2)
+    lay = PackedLayout(3, slot_count=32)
     with pytest.raises(EngineError, match=message):
         batch_extract_replicate(eng, eng.encrypt(np.arange(32.0)), positions, lay)
 

@@ -135,7 +135,7 @@ def test_run_rejects_unknown_computing_party():
     # a misspelt name must not hand the computation, and so the other
     # party's encrypted features, to whoever holds the most features
     pts = uniform_instance(1, n=20, d=3)
-    parts = split_features(pts, [[0], [1, 2]], owners=["alice", "bob"])
+    parts = [DataPartition("alice", pts[:, [0]], (0,)), DataPartition("bob", pts[:, 1:], (1, 2))]
     with pytest.raises(ProtocolError, match="alcie"):
         run_multiparty(parts, protocol.SERVER_AIDED, None, 1, k=3, bound=1.0,
                        computing_party="alcie")
@@ -145,7 +145,7 @@ def test_run_rejects_duplicate_owner_names():
     # with two owners named alike the key holder's features would be
     # treated as the computing party's and never encrypted
     pts = uniform_instance(1, n=20, d=2)
-    parts = split_features(pts, [[0], [1]], owners=["x", "x"])
+    parts = [DataPartition("x", pts[:, [0]], (0,)), DataPartition("x", pts[:, [1]], (1,))]
     with pytest.raises(ProtocolError, match="unique"):
         run(parts[0], parts[1], None, 1, k=3, bound=1.0)
     with pytest.raises(ProtocolError, match="unique"):
@@ -560,6 +560,43 @@ def test_engine_budget_too_small_rejected():
     eng = SlotEngine(EngineConfig(slot_count=1 << 14, depth_budget=5))
     with pytest.raises(ProtocolError, match="depth budget"):
         run(parts[0], parts[1], None, 1, k=3, bound=1.0, engine=eng)
+
+
+def test_estimate_rejects_engine_budget_too_small():
+    with pytest.raises(ProtocolError, match="depth budget"):
+        estimate_transcript(1000, 15, 2, 1, 10, EngineConfig(depth_budget=5))
+
+
+@pytest.mark.parametrize("change,message", [
+    (dict(k=1), "k must be at least 2"),
+    (dict(n=0), "no records to cluster"),
+    (dict(rounds=-1), "rounds must be non-negative"),
+    (dict(split=[[0, 1], []]), "no party besides the computing one holds a feature"),
+    (dict(k=200), "k=200 needs 40000 slots"),
+    (dict(depth_budget=5), "engine depth budget 5 below required"),
+    (dict(split=[[0], [1], [2]], model=protocol.TWO_PARTY), "the two-party model cannot have 3 parties"),
+], ids=["k-one", "no-records", "negative-rounds", "nothing-uploaded", "k-block-above-slots",
+        "depth-budget-too-small", "two-party-with-three"])
+def test_run_and_estimate_refuse_alike(change, message, monkeypatch):
+    # one admission check serves both: the same refusal, before any setup
+    args = dict(n=40, split=[[0], [1]], k=3, rounds=2, model=protocol.SERVER_AIDED, depth_budget=None)
+    args.update(change)
+    split = args["split"]
+    d = sum(len(cols) for cols in split)
+    cfg = None if args["depth_budget"] is None else EngineConfig(depth_budget=args["depth_budget"])
+    parts = split_features(uniform_instance(3, n=args["n"], d=d), split)
+
+    def no_setup(*a, **kw):
+        raise AssertionError("setup ran")
+
+    monkeypatch.setattr(protocol, "_encrypt_features", no_setup)
+    with pytest.raises(ProtocolError, match=message) as refused_run:
+        run_multiparty(parts, args["model"], None, args["rounds"], k=args["k"], bound=1.0,
+                       engine=cfg and SlotEngine(cfg))
+    with pytest.raises(ProtocolError) as refused_estimate:
+        estimate_transcript(args["n"], args["k"], d, d - len(split[0]), args["rounds"], cfg=cfg,
+                            parties=len(split), model=args["model"])
+    assert str(refused_estimate.value) == str(refused_run.value)
 
 
 # -- multiparty -------------------------------------------------------------------

@@ -51,6 +51,14 @@ def test_config_validation():
         SignApproxConfig(tie_margin=1.5)
 
 
+@pytest.mark.parametrize("degree", [True, 63.5], ids=["bool", "fraction"])
+def test_config_rejects_degree_that_is_not_a_whole_number(degree):
+    # True would pass for degree 1 and 63.5 would build its series from
+    # nodes that are not Chebyshev nodes
+    with pytest.raises(ValueError, match="whole number"):
+        SignApproxConfig(degree=degree)
+
+
 def test_cmp_series_is_odd_and_accurate():
     c = cmp_series(CFG)
     odd = c.copy()
