@@ -792,7 +792,7 @@ def _admit(model: str, holdings: list[tuple[str, int]], computing: str | None, n
     if rounds < 0:
         raise ProtocolError(f"rounds must be non-negative, got {rounds}")
     ordered = sorted(holdings, key=lambda h: (h[0] != computing, -h[1]))
-    if not any(count for _, count in ordered[1:]):
+    if not any(count > 0 for _, count in ordered[1:]):
         raise ProtocolError("no party besides the computing one holds a feature")
     cfg = cfg or EngineConfig(depth_budget=depth)
     if cfg.depth_budget < depth:

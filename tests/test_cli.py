@@ -97,12 +97,13 @@ def test_estimate_from_mpc_report_matches_report(tmp_path, capsys):
     (["--rounds", "-2"], "rounds must be non-negative"),
     (["--d", "2", "--d-bob", "5"], "exceed the 2 features"),
     (["--d-bob", "0"], "no party besides the computing one"),
+    (["--d-bob", "-1"], "no party besides the computing one"),
     (["--compute-seconds", "-5"], "compute seconds must be non-negative"),
     (["--calibrate-bytes", "nan"], "not a finite byte count"),
     (["--calibrate-bytes", "inf"], "not a finite byte count"),
     (["--k", "200"], "needs 40000 slots"),
 ], ids=["k-one", "k-zero", "k-negative", "no-records", "negative-rounds", "d-bob-above-d",
-        "d-bob-zero", "negative-compute-seconds", "nan-calibration", "infinite-calibration",
+        "d-bob-zero", "d-bob-negative", "negative-compute-seconds", "nan-calibration", "infinite-calibration",
         "k-block-above-slots"])
 def test_estimate_rejects_sizes_no_run_could_have(capsys, args, message):
     rc = main(["estimate", *args, "--profile", "LAN500"])

@@ -217,10 +217,11 @@ def test_batch_extract_fig_instance():
 
 def test_batch_extract_single_block_position0():
     eng = make(slot_count=32, depth=8)
-    lay = PackedLayout(3, slot_count=32)
+    lay = PackedLayout(5, slot_count=32)
+    assert lay.blocks_per_ct == 1 and lay.width == lay.k
     compact = eng.encrypt([4.0] + [0] * 31)
     out = dec_blocks(eng, lay, batch_extract_replicate(eng, compact, [0], lay))
-    assert np.array_equal(out[0], np.full((3, 3), 4.0))
+    assert np.array_equal(out[0], np.full((5, 5), 4.0))
 
 
 def test_batch_extract_zero_source():

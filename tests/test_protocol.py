@@ -567,6 +567,12 @@ def test_estimate_rejects_engine_budget_too_small():
         estimate_transcript(1000, 15, 2, 1, 10, EngineConfig(depth_budget=5))
 
 
+@pytest.mark.parametrize("d_bob", [0, -1])
+def test_estimate_rejects_no_positive_upload(d_bob):
+    with pytest.raises(ProtocolError, match="no party besides the computing one holds a feature"):
+        estimate_transcript(1000, 5, 2, d_bob, 10)
+
+
 @pytest.mark.parametrize("change,message", [
     (dict(k=1), "k must be at least 2"),
     (dict(n=0), "no records to cluster"),
