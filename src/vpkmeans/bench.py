@@ -162,8 +162,8 @@ def gen_synthetic(
         raise BenchError(f"need at least one feature, got d={d}")
     if not bound > 0:
         raise BenchError(f"the domain bound must be positive, got {bound}")
-    if not cluster_std >= 0:
-        raise BenchError(f"the cluster spread must be non-negative, got {cluster_std}")
+    if not 0 <= cluster_std < math.inf:
+        raise BenchError(f"the cluster spread must be non-negative and finite, got {cluster_std}")
     centers = init_centroids(k, d, bound, seed, min_separation=min_center_dist).centers
     rng = np.random.default_rng([seed, 0xB10B])
     counts = [n // k + (1 if j < n % k else 0) for j in range(k)]
@@ -407,15 +407,15 @@ def calibrate_size_model(target_bytes: float, n: int, k: int, d: int, d_bob: int
 # ---------------------------------------------------------------------------
 
 
-def s1_style_config(seed: int = 7, **overrides) -> dict:
+def s1_style_config() -> dict:
     """Synthetic stand-in for the classic 15-cluster 2-d benchmark set:
     5,000 points, well-separated Gaussian blobs, plaintext loss ~0.003."""
-    cfg = {
+    return {
         "name": "S1-synthetic",
         "dataset": {
             "synthetic": {
                 "n": 5000, "k": 15, "d": 2, "bound": 0.5,
-                "cluster_std": 0.03, "min_center_dist": 0.24, "seed": seed,
+                "cluster_std": 0.03, "min_center_dist": 0.24, "seed": 7,
             }
         },
         "k": 15,
@@ -425,8 +425,6 @@ def s1_style_config(seed: int = 7, **overrides) -> dict:
         "seeds": {"count": 10, "base": 100},
         "network_profiles": ["LAN1000", "regWAN100"],
     }
-    cfg.update(overrides)
-    return cfg
 
 
 # the keys each section of an experiment config may hold; the dataset
@@ -503,7 +501,7 @@ def run_experiment(config: dict) -> dict:
         init_sep = None if init_sep is None else float(init_sep)
 
         budget = None
-        if config.get("budget"):
+        if config.get("budget") is not None:
             b = config["budget"]
             _check_keys(b, "budget")
             _numbers(b, "budget.")

@@ -12,9 +12,11 @@ schedule.  Row operations shift by multiples of ``width``, column operations
 by small offsets inside the stripe.  Replication works for any k: most
 schedules double a replicated segment as far as possible and then fill the
 remainder from cached partial results, and k=7 rotates sums other than that
-segment to save a rotation.  The test suite checks every schedule's output
-for every start and k up to 64, and its rotation count against a bound; it
-does not check that a schedule is rotation-minimal.
+segment to save a rotation.  A sum of lanes into the first is the
+replication from the last, with the same shift set, so sums and
+replications run one executor.  The test suite checks every schedule's
+output for every start and k up to 64, and its rotation count against a
+bound; it does not check that a schedule is rotation-minimal.
 """
 
 from __future__ import annotations
@@ -199,14 +201,19 @@ def _fill_lengths(count: int) -> list[int]:
 
 def _prefix_schedule(count: int, start: int) -> ReplicationSchedule:
     lengths = _fill_lengths(count)
-    # Pick which extensions go left so the segment ends exactly at 0.
-    dp: dict[int, list[int]] = {0: []}
+    # Pick which extensions go left so the segment ends exactly at 0: first[t]
+    # is the first extension with which some sum to t (a lane sum over 2^14
+    # lanes starts at 16,383, too many lanes for a dict of index lists).
+    unset = len(lengths)
+    first = np.full(start + 1, unset)
+    first[0] = -1
     for idx, p in enumerate(lengths):
-        for s, sel in list(dp.items()):
-            t = s + p
-            if t <= start and t not in dp:
-                dp[t] = sel + [idx]
-    left = set(dp[start])
+        if p <= start:
+            first[p:][(first[p:] == unset) & (first[: start + 1 - p] < idx)] = idx
+    left, t = set(), start
+    while t:
+        left.add(int(first[t]))
+        t -= lengths[first[t]]
 
     lo, hi = start, start + 1
     snapshot = {1: (start, 0)}  # segment length -> (low lane, last vector in it)
@@ -292,22 +299,10 @@ def _run_replication(
 
 
 def _run_lane_sum(engine: SlotEngine, v: SlotVector, unit: int, count: int) -> SlotVector:
-    """Sum ``count`` lanes into lane 0 (other lanes hold garbage, mask after)."""
-    m = count.bit_length() - 1
-    partials = [v]  # partials[i] at lane l sums lanes l .. l + 2^i - 1
-    acc = v
-    for i in range(m):
-        acc = engine.add(acc, engine.rotate(acc, unit << i))
-        partials.append(acc)
-    total = acc
-    offset = 1 << m
-    rem = count - offset
-    for i in reversed(range(m)):
-        if rem >> i & 1:
-            total = engine.add(total, engine.rotate(partials[i], unit * offset))
-            offset += 1 << i
-            rem -= 1 << i
-    return total
+    """Sum ``count`` lanes into lane 0 (other lanes hold garbage, mask after):
+    the replication from lane ``count - 1``, as both add ``v`` rotated by 0,
+    ``unit``, ..., ``(count - 1) * unit`` over the whole slot vector."""
+    return _run_replication(engine, v, unit, count, count - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -317,9 +312,10 @@ def _run_lane_sum(engine: SlotEngine, v: SlotVector, unit: int, count: int) -> S
 
 def axis_sum(engine: SlotEngine, v: SlotVector, axis: str, layout: PackedLayout) -> SlotVector:
     """Per block, sum all rows (resp. columns) into the first (rotations
-    only).  As with :func:`reduce_blocks`, only the first row (resp. column)
-    is meaningful afterwards; the other lanes hold partial sums for the
-    caller to mask."""
+    only): the replication from the last row (resp. column), at
+    ``len(replication_schedule(k, k - 1).steps)`` rotations.  As with
+    :func:`reduce_blocks`, only the first row (resp. column) is meaningful
+    afterwards; the other lanes hold partial sums for the caller to mask."""
     return _run_lane_sum(engine, v, _axis_unit(layout, axis), layout.k)
 
 
@@ -379,5 +375,5 @@ def batch_extract_replicate(
 def reduce_blocks(engine: SlotEngine, v: SlotVector, layout: PackedLayout) -> SlotVector:
     """Sum all blocks of the ciphertext into block 0 (rotations only; block 0
     is the meaningful one afterwards, the rest is garbage for the caller to
-    mask)."""
+    mask): the replication from the last block, a block being the lane."""
     return _run_lane_sum(engine, v, layout.k, layout.blocks_per_ct)

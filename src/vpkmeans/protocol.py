@@ -522,7 +522,8 @@ class _ComputingState:
             # a marks centroid 1, so P_l = sum of a * x_l belongs to cluster
             # 1, and cluster 0 is what it leaves of the round-invariant total
             # X_l: the release is X_l*e0 + rotsum(P_l)*(e1 - e0), with one
-            # rotate-and-sum per aggregate and round, as rotsum is linear
+            # rotate-and-sum per aggregate and round, as rotsum is linear; it is
+            # the replication from slot S - 1, run like the packed lane sums
             S = eng.config.slot_count
             split = eng.plaintext(_unit(S, 1) - _unit(S, 0))
             return [eng.add(head, eng.mul(pm._run_lane_sum(eng, p, 1, S), split))

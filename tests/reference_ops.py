@@ -12,26 +12,24 @@ def slot_index(layout, row, block, col):
     return row * (layout.blocks_per_ct * layout.k) + block * layout.k + col
 
 
+def _slot_grid(layout, blocks):
+    """Slot of every (block, row, col), from ``slot_index`` on broadcast
+    index arrays: entry [b, r, c] is slot_index(layout, r, b, c)."""
+    m = layout.k
+    b = np.arange(blocks)[:, None, None]
+    r = np.arange(m)[None, :, None]
+    c = np.arange(m)[None, None, :]
+    return slot_index(layout, r, b, c)
+
+
 def blocks_of(layout, slots):
     """Extract every block as a dense matrix via explicit slot arithmetic."""
-    m = layout.k
-    out = []
-    for b in range(layout.blocks_per_ct):
-        mat = np.zeros((m, m))
-        for r in range(m):
-            for c in range(m):
-                mat[r, c] = slots[slot_index(layout, r, b, c)]
-        out.append(mat)
-    return out
+    return list(np.asarray(slots)[_slot_grid(layout, layout.blocks_per_ct)])
 
 
 def slots_of(layout, blocks, slot_count):
-    m = layout.k
     out = np.zeros(slot_count)
-    for b, mat in enumerate(blocks):
-        for r in range(m):
-            for c in range(m):
-                out[slot_index(layout, r, b, c)] = mat[r, c]
+    out[_slot_grid(layout, len(blocks))] = np.asarray(blocks)
     return out
 
 

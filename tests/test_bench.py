@@ -175,7 +175,8 @@ def test_gen_synthetic_table_shape():
     (2, -1.0, 0.05, "bound must be positive"),
     (2, 1.0, -1.0, "spread must be non-negative"),
     (2, 1.0, float("nan"), "spread must be non-negative"),
-], ids=["no-features", "zero-bound", "negative-bound", "negative-std", "nan-std"])
+    (2, 1.0, float("inf"), "spread must be non-negative and finite"),
+], ids=["no-features", "zero-bound", "negative-bound", "negative-std", "nan-std", "infinite-std"])
 def test_gen_synthetic_rejects_impossible_datasets(d, bound, std, message):
     with pytest.raises(BenchError, match=message):
         gen_synthetic(30, 3, d, bound, std, seed=1)

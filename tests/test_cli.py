@@ -130,6 +130,24 @@ def test_two_party_config_with_three_parties_names_the_party_count(tmp_path, cap
     assert "the two-party model cannot have 3 parties" in capsys.readouterr().err
 
 
+def _run_report(tmp_path, **extra):
+    config = {"dataset": {"synthetic": {"n": 50, "k": 2, "d": 2, "cluster_std": 0.05}},
+              "k": 2, "rounds": 1, "seeds": [1], **extra}
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(config))
+    report_path = tmp_path / "report.json"
+    assert main(["run", str(p), "-o", str(report_path)]) == 0
+    return json.loads(report_path.read_text())
+
+
+def test_empty_budget_takes_the_defaults_and_only_null_runs_noise_free(tmp_path):
+    defaults = _run_report(tmp_path, budget={"epsilon": 1.0, "delta": 1e-5})["dp"]
+    assert defaults is not None
+    assert _run_report(tmp_path, budget={})["dp"] == defaults
+    assert _run_report(tmp_path, budget=None)["dp"] is None
+    assert _run_report(tmp_path)["dp"] is None
+
+
 def test_invalid_config_exits_nonzero(tmp_path, capsys):
     p = tmp_path / "bad.json"
     p.write_text(json.dumps({"k": 3}))
@@ -185,6 +203,10 @@ BOOLEAN_NUMBERS = [
     {"init_separation": "nan"},
     {"engine": {"size_model": {"bytes_per_slot_per_level": float("nan")}}},
     {"sign": {"degree": 63.5}},
+    {"budget": 0},
+    {"budget": False},
+    {"budget": []},
+    {"budget": ""},
     *[bad for bad, _ in BOOLEAN_NUMBERS],
 ], ids=["even-degree", "negative-epsilon", "misspelled-key", "removed-key", "k-not-a-number",
         "seed-count-not-a-number", "separation-not-a-number", "k-too-large", "negative-rounds",
@@ -195,6 +217,7 @@ BOOLEAN_NUMBERS = [
         "slot-count-not-whole", "removed-composition-key", "removed-perturbation-key",
         "split-boolean-column", "split-not-a-list", "split-party-not-a-list", "infinite-bound",
         "bound-too-wide", "negative-seed", "separation-nan", "bytes-per-slot-nan", "degree-not-whole",
+        "budget-zero", "budget-false", "budget-empty-list", "budget-empty-string",
         *[f"{key}-boolean" for _, key in BOOLEAN_NUMBERS]])
 def test_invalid_parameter_values_exit_nonzero(tmp_path, capsys, bad):
     config = {
@@ -260,6 +283,7 @@ def test_missing_file_exits_nonzero(capsys):
 
 @pytest.mark.parametrize("command,args,message", [
     ("gen", ["--std", "-1"], "spread must be non-negative"),
+    ("gen", ["--std", "inf"], "spread must be non-negative and finite, got inf"),
     ("gen", ["--bound", "-1"], "bound must be positive"),
     ("gen", ["--bound", "0"], "bound must be positive"),
     ("gen", ["--d", "0"], "at least one feature"),
@@ -269,7 +293,7 @@ def test_missing_file_exits_nonzero(capsys):
     ("baseline", ["--seeds", "0"], "--seeds must be at least 1"),
     ("baseline", ["--seeds", "-2"], "--seeds must be at least 1"),
     ("baseline", ["--rounds", "-1"], "--rounds must be non-negative"),
-], ids=["gen-negative-std", "gen-negative-bound", "gen-zero-bound", "gen-no-features",
+], ids=["gen-negative-std", "gen-infinite-std", "gen-negative-bound", "gen-zero-bound", "gen-no-features",
         "baseline-negative-std", "baseline-negative-bound", "baseline-no-features",
         "baseline-zero-seeds", "baseline-negative-seeds", "baseline-negative-rounds"])
 def test_gen_and_baseline_reject_bad_numbers(tmp_path, capsys, command, args, message):

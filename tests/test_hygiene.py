@@ -138,8 +138,6 @@ def test_every_public_name_is_reached_outside_tests():
 # Defaulted values that no call in the program sets, kept on purpose, with the reason.
 UNSET_KEPT = {
     "run_multiparty(computing_party=)": "a deployment setting: which party computes",
-    "s1_style_config(seed=)": "s1_style_config is in TEST_ONLY; the seed is the dataset draw the acceptance "
-                              "windows were set at",
     "SignApproxConfig(degree=)": "set from a run config's sign section and perfbench's workloads, through **",
     "SignApproxConfig(tie_margin=)": "set from a run config's sign section and perfbench's workloads, through **",
     **{f"EngineStats({name}=)": "an operation counter that starts at zero; the engine counts up from there"

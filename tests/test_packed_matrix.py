@@ -110,18 +110,26 @@ def test_sum_examples():
     assert np.array_equal(rows[1], np.zeros((2, 2)))
 
 
-@pytest.mark.parametrize("k", [2, 4, 3, 5, 7])
+@pytest.mark.parametrize("k", range(2, 65))
 @pytest.mark.parametrize("axis", [ROW, COLUMN])
 def test_sum_matches_reference(k, axis):
-    eng = make(slot_count=256)
-    lay = PackedLayout(k, slot_count=256)
+    # at least two blocks, so a sum that leaks across stripes shows
+    slot_count = max(256, 1 << (2 * k * k - 1).bit_length())
+    eng = make(slot_count=slot_count)
+    lay = PackedLayout(k, slot_count=slot_count)
     rng = np.random.default_rng(k * 11 + (axis == ROW))
     blocks = [rng.normal(size=(k, k)) for _ in range(lay.blocks_per_ct)]
-    summed = axis_sum(eng, enc_blocks(eng, lay, blocks), axis, lay)
+    v = enc_blocks(eng, lay, blocks)
+    before = eng.stats.rotations
+    summed = axis_sum(eng, v, axis, lay)
+    rotations = eng.stats.rotations - before
     got = dec_blocks(eng, lay, mask(eng, summed, axis, 0, lay))
     want = ref.ref_sum(blocks, axis)
     for g, w in zip(got, want):
         assert np.allclose(g, w, atol=1e-12)
+    # a lane sum is the replication from the last lane; acceptance 08's bound
+    assert rotations == len(replication_schedule(k, k - 1).steps)
+    assert rotations <= max(2 * (k.bit_length() - 1) - 1, (k - 1).bit_length())
 
 
 # -- replication without padding ---------------------------------------------
@@ -281,12 +289,18 @@ def test_batch_extract_rejects_bad_positions(positions, message):
 
 
 def test_reduce_blocks_sums_into_block0():
-    eng = make(slot_count=256, depth=8)
-    lay = PackedLayout(3, slot_count=256)  # 28 blocks
-    rng = np.random.default_rng(4)
-    blocks = [rng.normal(size=(3, 3)) for _ in range(lay.blocks_per_ct)]
-    got = dec_blocks(eng, lay, reduce_blocks(eng, enc_blocks(eng, lay, blocks), lay))[0]
-    assert np.allclose(got, ref.ref_reduce_blocks(blocks), atol=1e-12)
+    # 28 blocks; 72 as at k=15 and 256 as at k=8 in 2^14 slots
+    for k, slot_count, count in [(3, 256, 28), (15, 1 << 14, 72), (8, 1 << 14, 256)]:
+        eng = make(slot_count=slot_count, depth=8)
+        lay = PackedLayout(k, slot_count=slot_count)
+        assert lay.blocks_per_ct == count
+        rng = np.random.default_rng(4)
+        blocks = [rng.normal(size=(k, k)) for _ in range(count)]
+        v = enc_blocks(eng, lay, blocks)
+        before = eng.stats.rotations
+        got = dec_blocks(eng, lay, reduce_blocks(eng, v, lay))[0]
+        assert np.allclose(got, ref.ref_reduce_blocks(blocks), atol=1e-12)
+        assert eng.stats.rotations - before == len(replication_schedule(count, count - 1).steps)
 
 
 def test_sum_then_repl_gives_block_dim_times_row():
