@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial.chebyshev import chebval
-from scipy.optimize import linear_sum_assignment
 
 from . import protocol as proto
 from .dp_accounting import SCOPE, PrivacyBudget
@@ -191,24 +190,30 @@ class LloydResult:
     unassigned: list[int] = field(default_factory=list)
 
 
+# rows or elements per step of the metric and oracle loops: their
+# temporaries stay cache-sized whatever the dataset's size
+_CHUNK = 1 << 15
+
+
 def _sq_distances(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """n x k squared distances, one centroid at a time: no n x k x d
-    temporary, and the same values as the broadcast form."""
+    """n x k squared distances, one centroid and 32,768 points at a time: no
+    n x k x d or n x d temporary, and the same values as the broadcast form."""
     dist = np.empty((points.shape[0], centers.shape[0]))
-    for j, c in enumerate(centers):
-        diff = points - c
-        dist[:, j] = np.einsum("il,il->i", diff, diff)
+    for start in range(0, points.shape[0], _CHUNK):
+        block = points[start : start + _CHUNK]
+        for j, c in enumerate(centers):
+            diff = block - c
+            dist[start : start + _CHUNK, j] = np.einsum("il,il->i", diff, diff)
     return dist
 
 
 def _chebval(x: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     """numpy's ``chebval`` in chunks of 32,768 elements: the same values, but
     the recurrence's temporaries stay cache-sized."""
-    chunk = 1 << 15
     flat = x.reshape(-1)
     out = np.empty_like(flat)
-    for start in range(0, flat.size, chunk):
-        out[start : start + chunk] = chebval(flat[start : start + chunk], coeffs)
+    for start in range(0, flat.size, _CHUNK):
+        out[start : start + _CHUNK] = chebval(flat[start : start + _CHUNK], coeffs)
     return out.reshape(x.shape)
 
 
@@ -310,8 +315,50 @@ def cluster_accuracy(data: Dataset, centroids: CentroidSet | np.ndarray) -> floa
     ids, label_index = np.unique(data.labels, return_inverse=True)
     agree = np.zeros((centers.shape[0], ids.size))
     np.add.at(agree, (pred, label_index), 1.0)
-    rows, cols = linear_sum_assignment(-agree)
-    return float(agree[rows, cols].sum()) / data.n
+    return _max_matching(agree) / data.n
+
+
+def _max_matching(weight: np.ndarray) -> float:
+    """Largest total weight of a matching of rows to distinct columns, for a
+    rectangular matrix: the Hungarian method with potentials, O(n^3) on the
+    zero-padded n x n square.
+
+    Row i enters by a shortest augmenting path on the reduced costs
+    -gain - u - v, found in one pass per column that the path reaches.
+    ``match[j]`` is the row on column j and ``via[j]`` the column before j
+    on the path; index 0 is the virtual start, so rows and columns count
+    from 1.
+    """
+    n = max(weight.shape)
+    gain = np.zeros((n + 1, n + 1))
+    gain[1 : weight.shape[0] + 1, 1 : weight.shape[1] + 1] = weight
+    u = np.zeros(n + 1)
+    v = np.zeros(n + 1)
+    match = np.zeros(n + 1, dtype=np.int64)
+    via = np.zeros(n + 1, dtype=np.int64)
+    for i in range(1, n + 1):
+        match[0] = i
+        col = 0
+        slack = np.full(n + 1, np.inf)
+        done = np.zeros(n + 1, dtype=bool)
+        while match[col]:
+            done[col] = True
+            row = match[col]
+            reduced = -gain[row] - u[row] - v
+            closer = ~done & (reduced < slack)
+            slack[closer] = reduced[closer]
+            via[closer] = col
+            open_slack = np.where(done, np.inf, slack)
+            nxt = int(np.argmin(open_slack))
+            delta = open_slack[nxt]
+            u[match[done]] += delta
+            v[done] -= delta
+            slack[~done] -= delta
+            col = nxt
+        while col:
+            match[col] = match[via[col]]
+            col = via[col]
+    return float(gain[match[1:], np.arange(1, n + 1)].sum())
 
 
 # ---------------------------------------------------------------------------
@@ -371,10 +418,15 @@ def wallclock_seconds(
     round counts as one sequential exchange (two if decryption shares flow
     back), plus one for setup.  Jitter and packet loss are not modelled:
     the estimator targets order-of-magnitude comparisons and has no
-    retransmission model.  Negative compute seconds raise ``BenchError``.
+    retransmission model.  Negative compute seconds, and a byte total or
+    round count that is not a non-negative whole number, raise
+    ``BenchError``.
     """
     if not compute_seconds >= 0:
         raise BenchError(f"compute seconds must be non-negative, got {compute_seconds}")
+    for value, name in ((total_bytes, "byte total"), (rounds, "round count")):
+        if _whole(value, name) < 0:
+            raise BenchError(f"{name} must be non-negative, got {value!r}")
     bits = total_bytes * 8.0
     transfer = bits / (net.bandwidth_mbps * 1e6)
     exchanges = 1 + (2 if decryption_shares else 1) * rounds

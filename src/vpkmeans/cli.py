@@ -82,14 +82,17 @@ def _cmd_estimate(args) -> int:
     if args.report:
         with open(args.report) as fh:
             report = json.load(fh)
-        summary = report["transcript"]
+        summary = report.get("transcript") if isinstance(report, dict) else None
+        if not isinstance(summary, dict) or not isinstance(summary.get("bytes_by_kind", {}), dict):
+            raise BenchError(f"{args.report}: the report, its transcript and the transcript's "
+                             "bytes_by_kind must be JSON objects")
         total_bytes = summary["bytes"]
         shares = bool(summary.get("bytes_by_kind", {}).get(protocol.DECRYPTION_SHARE))
         seconds = bench.wallclock_seconds(total_bytes, report["rounds"], shares, profile,
                                           args.compute_seconds)
     else:
         size_model = SizeModel()
-        if args.calibrate_bytes:
+        if args.calibrate_bytes is not None:
             size_model = bench.calibrate_size_model(
                 args.calibrate_bytes, n=1000, k=2, d=2, d_bob=1, rounds=args.rounds)
         cfg = EngineConfig(depth_budget=protocol.required_depth(args.k), size_model=size_model)

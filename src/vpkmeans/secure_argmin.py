@@ -78,21 +78,20 @@ def cmp_series(cfg: SignApproxConfig) -> np.ndarray:
     Interpolates erf(STEEPNESS / tie_margin * x) at Chebyshev nodes of the
     first kind and zeroes the even coefficients, so the series is 0.5 plus
     an exactly odd part (ties evaluate to 0.5 with no rounding residue).
-    """
-    # imported here: scipy.fft adds about 50 ms to the package import, and
-    # only the first series a process builds needs it
-    from scipy.fft import dct
 
+    The interpolant's coefficients are the DCT-II of the node values, over
+    n.  It is computed with one complex FFT of length n (Makhoul's
+    reordering): n = degree + 1 is even, so v = (x_0, x_2, ..., x_{n-2},
+    x_{n-1}, ..., x_3, x_1) and DCT-II[k] = 2 Re(FFT(v)[k] exp(-i pi k / 2n)).
+    """
     n = cfg.degree + 1
     nodes = np.cos((np.arange(n) + 0.5) * np.pi / n)
     alpha = STEEPNESS / cfg.tie_margin
-    # math.erf, not scipy.special: the node values are a one-off n calls,
-    # and scipy.special would be most of the package import
     values = np.array([math.erf(alpha * x) for x in nodes])
-    # the interpolant's coefficients are the DCT-II of the node values
-    c = dct(values, type=2) / n
+    v = np.concatenate([values[::2], values[::-2]])
+    shift = np.exp(-0.5j * np.pi * np.arange(n) / n)
+    c = (np.fft.fft(v) * shift).real / n  # half the coefficients: sign(x) / 2
     c[::2] = 0.0
-    c *= 0.5
     c[0] = 0.5  # the shift
     c.setflags(write=False)
     return c

@@ -269,15 +269,44 @@ def test_accuracy_exhaustive_matches_assignment_solver():
     brute = max(sum(agree[c, pi[c]] for c in range(6)) for pi in perms(range(6))) / ds.n
     assert cluster_accuracy(ds, centers) == pytest.approx(brute)
 
+    # the solver against scipy's on count matrices: rectangular ones, zero
+    # rows and ties included; integer weights make both totals exact
+    from scipy.optimize import linear_sum_assignment
+
+    def scipy_best(weight):
+        return weight[linear_sum_assignment(-weight)].sum()
+
+    @st.composite
+    def count_matrices(draw):
+        rows, cols = draw(st.integers(1, 16)), draw(st.integers(1, 16))
+        cells = draw(st.lists(st.integers(0, 6), min_size=rows * cols, max_size=rows * cols))
+        weight = np.array(cells, dtype=np.float64).reshape(rows, cols)
+        weight[sorted(draw(st.sets(st.integers(0, rows - 1))))] = 0.0
+        return weight
+
+    @settings(max_examples=300, deadline=None)
+    @given(count_matrices())
+    @example(np.zeros((1, 1)))
+    @example(np.ones((16, 3)))
+    @example(np.ones((3, 16)))
+    def solver_matches_scipy(weight):
+        assert bench._max_matching(weight) == scipy_best(weight)
+
+    solver_matches_scipy()
+    weight = np.random.default_rng(64).integers(0, 1000, size=(64, 64)).astype(np.float64)
+    assert bench._max_matching(weight) == scipy_best(weight)
+
 
 def test_squared_distances_equal_the_broadcast_form():
-    # one centroid at a time gives the n x k x d form's values bit for bit
+    # one centroid and one chunk at a time gives the n x k x d form's values
+    # bit for bit; 70,001 rows cross the 32,768-row chunk boundary twice
     rng = np.random.default_rng(15)
-    for d in (1, 2, 8):
-        pts = rng.uniform(-0.5, 0.5, size=(500, d))
-        centers = rng.uniform(-0.5, 0.5, size=(7, d))
-        diff = pts[:, None, :] - centers[None, :, :]
-        assert np.array_equal(bench._sq_distances(pts, centers), np.einsum("ijl,ijl->ij", diff, diff))
+    for n in (500, 70_001):
+        for d in (1, 2, 8):
+            pts = rng.uniform(-0.5, 0.5, size=(n, d))
+            centers = rng.uniform(-0.5, 0.5, size=(7, d))
+            diff = pts[:, None, :] - centers[None, :, :]
+            assert np.array_equal(bench._sq_distances(pts, centers), np.einsum("ijl,ijl->ij", diff, diff))
 
 
 @pytest.mark.parametrize("k,degree,margin", [(3, 1023, 0.01), (8, 127, 0.05), (15, 1023, 0.01)])

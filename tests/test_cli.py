@@ -101,10 +101,11 @@ def test_estimate_from_mpc_report_matches_report(tmp_path, capsys):
     (["--compute-seconds", "-5"], "compute seconds must be non-negative"),
     (["--calibrate-bytes", "nan"], "not a finite byte count"),
     (["--calibrate-bytes", "inf"], "not a finite byte count"),
+    (["--calibrate-bytes", "0"], "calibration target smaller than the plaintext share"),
     (["--k", "200"], "needs 40000 slots"),
 ], ids=["k-one", "k-zero", "k-negative", "no-records", "negative-rounds", "d-bob-above-d",
         "d-bob-zero", "d-bob-negative", "negative-compute-seconds", "nan-calibration", "infinite-calibration",
-        "k-block-above-slots"])
+        "zero-calibration", "k-block-above-slots"])
 def test_estimate_rejects_sizes_no_run_could_have(capsys, args, message):
     rc = main(["estimate", *args, "--profile", "LAN500"])
     assert rc == 2
@@ -310,6 +311,25 @@ def test_estimate_from_report_rejects_negative_compute_seconds(tmp_path, capsys)
     p.write_text(json.dumps({"transcript": {"bytes": 10_000}, "rounds": 2}))
     assert main(["estimate", "--report", str(p), "--profile", "LAN500", "--compute-seconds", "-5"]) == 2
     assert "compute seconds must be non-negative" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("report,message", [
+    ({"transcript": {"bytes": 10_000}, "rounds": -4}, "round count must be non-negative"),
+    ({"transcript": {"bytes": 10_000}, "rounds": True}, "round count must be a whole number"),
+    ({"transcript": {"bytes": 10_000}, "rounds": 2.5}, "round count must be a whole number"),
+    ({"transcript": {"bytes": -5}, "rounds": 2}, "byte total must be non-negative"),
+    ({"transcript": {"bytes": "12"}, "rounds": 2}, "byte total must be a whole number"),
+    ([{"transcript": {"bytes": 10_000}, "rounds": 2}], "must be JSON objects"),
+    ({"transcript": [10_000], "rounds": 2}, "must be JSON objects"),
+    ({"transcript": {"bytes": 10_000, "bytes_by_kind": []}, "rounds": 2}, "must be JSON objects"),
+], ids=["negative-rounds", "boolean-rounds", "fractional-rounds", "negative-bytes", "string-bytes",
+        "list-report", "list-transcript", "list-bytes-by-kind"])
+def test_estimate_from_report_rejects_numbers_no_run_could_have(tmp_path, capsys, report, message):
+    p = tmp_path / "report.json"
+    p.write_text(json.dumps(report))
+    assert main(["estimate", "--report", str(p), "--profile", "LAN500"]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and message in err
 
 
 @pytest.mark.parametrize("content", [b"caf\xe9,x\n1,2\n3,4\n", None], ids=["latin-1-file", "directory"])

@@ -1,6 +1,10 @@
-"""Static checks on the package source, with the standard library only."""
+"""Static checks on the package source, and one on the modules it loads,
+with the standard library only."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -235,3 +239,29 @@ def test_every_defaulted_value_is_set_outside_tests():
     callers = [p.read_text() for p in MODULES + sorted((ROOT / "perfbench").glob("*.py"))]
     unset = [v for p in MODULES for v in unset_values(p.read_text(), callers)]
     assert sorted(unset) == sorted(UNSET_KEPT)
+
+
+# a short run through every entry point: the CLI, a protocol run, the
+# accuracy metric and a comparison series
+SCIPY_PROBE = """
+import sys
+import vpkmeans, vpkmeans.bench, vpkmeans.cli
+from vpkmeans import bench, protocol
+from vpkmeans.secure_argmin import SignApproxConfig, cmp_series
+ds = bench.gen_synthetic(90, 3, 2, 0.5, 0.05, seed=1)
+alice, bob = protocol.split_features(ds.points, [[0], [1]])
+result = protocol.run(alice, bob, None, 2, k=3, bound=0.5, seed=1)
+bench.cluster_accuracy(ds, result.centroids)
+cmp_series(SignApproxConfig(degree=127))
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+
+
+def test_a_run_loads_no_scipy():
+    """scipy is a test-only reference: the program computes its DCT and its
+    assignment with numpy, and a run never loads it."""
+    src = str(Path(vpkmeans.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", SCIPY_PROBE], env=env, capture_output=True, text=True,
+                         timeout=120, check=True)
+    assert out.stdout.strip() == "[]"

@@ -7,6 +7,7 @@ from numpy.polynomial.chebyshev import chebval
 import reference_ops as ref
 from vpkmeans.packed_matrix import ROW, PackedLayout
 from vpkmeans.secure_argmin import (
+    STEEPNESS,
     SignApproxConfig,
     argmin_packed,
     argmin_two,
@@ -69,6 +70,19 @@ def test_cmp_series_is_odd_and_accurate():
     # the contract: within 0.01 of {0, 1} (0.02 of sign) for |x| >= tie_margin
     xs = np.linspace(CFG.tie_margin, 1.0, 4001)
     assert np.max(np.abs(chebval(xs, c) - 1.0)) <= 0.01
+
+    # the FFT-based DCT against scipy's, on the same node values
+    from scipy.fft import dct
+
+    for degree in (1, 5, 63, 127, 1023):
+        cfg = SignApproxConfig(degree=degree)
+        c = cmp_series(cfg)
+        n = degree + 1
+        nodes = np.cos((np.arange(n) + 0.5) * np.pi / n)
+        values = np.array([math.erf(STEEPNESS / cfg.tie_margin * x) for x in nodes])
+        want = dct(values, type=2) / (2 * n)
+        assert c[0] == 0.5 and np.all(c[2::2] == 0.0)
+        assert np.max(np.abs(c[1::2] - want[1::2])) <= 1e-15
 
 
 def test_cmp_examples():
