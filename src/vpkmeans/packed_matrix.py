@@ -81,6 +81,18 @@ class PackedLayout:
         out[: flat.size] = flat
         return out
 
+    def spread(self, values: np.ndarray) -> np.ndarray:
+        """``values[b]`` on every slot of block b and zeros past the blocks,
+        as ``to_slots(grid(values[None, :, None]))`` gives them, but written
+        once into a fresh array that is returned read-only."""
+        slots = np.empty(self.slot_count)
+        slots[self.usable_slots :] = 0.0
+        # every grid row is the values repeated k times: one small repeat,
+        # then one broadcast write, twice as fast as the strided (1, B, 1) one
+        slots[: self.usable_slots].reshape(self.k, -1)[...] = np.repeat(values, self.k)
+        slots.setflags(write=False)
+        return slots
+
     def from_slots(self, slots: np.ndarray) -> np.ndarray:
         return np.array(slots[: self.usable_slots]).reshape(
             self.k, self.blocks_per_ct, self.k
@@ -366,6 +378,7 @@ def batch_extract_replicate(
     row0, col0 = int(r[0]), int(c[0])
     sel = np.zeros(layout.slot_count)
     sel[pos] = 1.0
+    sel.setflags(write=False)  # wrapped without a copy
 
     selected = engine.mul(x, engine.plaintext(sel))
     filled = repl_no_padding(engine, selected, col0, layout, axis=COLUMN)

@@ -10,7 +10,8 @@ One round, run entirely by the computing party (Alice) on encrypted data:
    which is linear: sum_l x_l * G_l, where the G_l are plaintext grids
    built once per round from the centroids.  Every batch of points takes
    one product per coordinate, with Bob's cached extracted blocks or
-   Alice's plaintext encodings of the same shape;
+   Alice's plaintext values spread into the same shape as the batch is
+   processed (only ciphertexts and shared masks are kept across rounds);
 2. packed argmin over every block at once (k = 2 bypasses packing and
    compares the compact differences d_0 - d_1 directly);
 3. the d + 1 aggregates sum_i a_i * x_l, counts (l = 0) first and then the
@@ -396,13 +397,20 @@ def _difference_terms(centers: np.ndarray, scale: float) -> np.ndarray:
 class _ComputingState:
     """Alice: owns the plaintext side, all encrypted evaluation, and noise.
 
-    ``encodings[l][i]`` is coordinate ``l`` of unit ``i`` (a batch, or at
-    k = 2 a compact ciphertext), built once.  Coordinate 0 is a plaintext,
-    1 on the unit's points and 0 elsewhere; coordinate l > 0 is feature
-    l - 1 of ``columns`` (every feature's values, in global order): the
-    extracted block or uploaded ciphertext of a feature in ``encrypted``
-    (global index -> uploaded ciphertexts), or Alice's plaintext of the
-    same shape.  All take the same products in the same order.
+    Coordinate ``l`` of unit ``i`` (a batch, or at k = 2 a compact
+    ciphertext) is what :meth:`_coordinates` returns.  Coordinate 0 is a
+    plaintext, 1 on the unit's points and 0 elsewhere; coordinate l > 0 is
+    feature l - 1 of ``columns`` (every feature's values, in global order):
+    the extracted block or uploaded ciphertext of a feature in ``encrypted``
+    (global index -> uploaded ciphertexts), or Alice's plaintext of the same
+    shape.  All take the same products in the same order.
+
+    Kept across rounds is what cannot be rebuilt cheaply: ``encodings[l][i]``
+    for the valid masks, the extracted or uploaded ciphertexts and, at
+    k = 2, Alice's compact plaintexts.  On the packed path Alice's features
+    keep only their values per unit and block, ``block_values[l][i]``, and
+    are spread into the layout when the unit is processed: a cached
+    plaintext would cost k^2 slots per point and feature.
     """
 
     def __init__(
@@ -424,7 +432,8 @@ class _ComputingState:
         self.scale = scale
         self.sign = sign
         self.batches = None if k == 2 else _plan_batches(n, layout)
-        self.encodings: list = []
+        self.encodings: list = []  # per coordinate: its units' encodings, or None if spread
+        self.block_values: dict = {}  # packed path: coordinate -> units x blocks values
         self.heads: list = []  # k = 2: the total X_l of coordinate l, times e0
         if k == 2:
             self._cache_compact(columns, encrypted)
@@ -447,18 +456,15 @@ class _ComputingState:
         return pm.repl_no_padding(eng, filled, 0, lay, axis=ROW)
 
     def _cache_packed(self, columns: list, encrypted: dict) -> None:
-        lay = self.layout
         # the batches' shared valid masks, wrapped without a copy
         self.encodings.append([self.engine.plaintext(b.valid_mask) for b in self.batches])
+        points = np.stack([b.points for b in self.batches])
         for l, values in enumerate(columns):
             if l in encrypted:
                 self.encodings.append([self._extract(encrypted[l][b.ct_index], b) for b in self.batches])
-                continue
-            blocks = []
-            for b in self.batches:
-                vals = np.where(b.points >= 0, values[np.maximum(b.points, 0)], 0.0)
-                blocks.append(self.engine.plaintext(lay.to_slots(lay.grid(vals[None, :, None]))))
-            self.encodings.append(blocks)
+            else:
+                self.encodings.append(None)
+                self.block_values[l + 1] = np.where(points >= 0, values[np.maximum(points, 0)], 0.0)
 
     def _cache_compact(self, columns: list, encrypted: dict) -> None:
         """Every coordinate's compact encodings, valid-slot masks first, and
@@ -488,6 +494,12 @@ class _ComputingState:
 
     # -- per-round circuits -------------------------------------------------
 
+    def _coordinates(self, i: int) -> list:
+        """Coordinates 0 .. d of unit ``i``, Alice's packed features spread
+        now and wrapped without a copy."""
+        return [self.engine.plaintext(self.layout.spread(self.block_values[l][i])) if cached is None
+                else cached[i] for l, cached in enumerate(self.encodings)]
+
     def _round_grids(self, centroids: CentroidSet) -> list:
         """Plaintexts G_0 .. G_d of this round's distance differences: entry
         (r, c) of every block, or at k = 2 the compact d_0 - d_1, which is
@@ -507,7 +519,8 @@ class _ComputingState:
         eng = self.engine
         grids = self._round_grids(centroids)
         totals = [None] * (self.d + 1)
-        for xs in zip(*self.encodings):
+        for i in range(len(self.encodings[0])):
+            xs = self._coordinates(i)
             u = eng.mul(xs[0], grids[0])
             for x, g in zip(xs[1:], grids[1:]):
                 u = eng.add(u, eng.mul(x, g))
@@ -538,7 +551,8 @@ class _ComputingState:
 
 
 def _feature_columns(partitions: list[DataPartition]) -> list[np.ndarray]:
-    """Every feature's values, in global feature order."""
+    """Every feature's values, in global feature order, as read-only views:
+    the engine wraps a contiguous full ciphertext's worth without a copy."""
     d = sum(p.features.shape[1] for p in partitions)
     columns = [None] * d
     for p in partitions:
@@ -546,6 +560,7 @@ def _feature_columns(partitions: list[DataPartition]) -> list[np.ndarray]:
             if not 0 <= gidx < d or columns[gidx] is not None:
                 raise ProtocolError("feature_indices do not form a partition")
             columns[gidx] = p.features[:, col]
+            columns[gidx].setflags(write=False)
     return columns
 
 
@@ -654,6 +669,7 @@ def run_multiparty(
     ]
 
     alice = _ComputingState(engine, layout, k, n, scale, sign, columns, encrypted)
+    del encrypted  # released on the packed path, whose cache holds the extractions
 
     round_budget = noise = None
     noise_rng = np.random.default_rng([seed, 0xD9])

@@ -142,17 +142,21 @@ class SlotEngine:
     # ------------------------------------------------------------------
 
     def _pad(self, values) -> np.ndarray:
-        arr = np.asarray(values, dtype=np.float64).ravel()
+        """``values`` as ``slot_count`` float64 slots, zero-padded.  A
+        writeable array is copied, so that no caller can change a vector's
+        slots; a read-only one, such as a layout's cached mask, is kept as
+        the caller's promise that its values do not change."""
+        arr = np.asarray(values, dtype=np.float64)
         n = self.config.slot_count
         if arr.size > n:
             raise EngineError(f"{arr.size} values exceed {n} slots")
         if arr.size < n:
-            arr = np.concatenate([arr, np.zeros(n - arr.size)])
-        return arr
+            return np.concatenate([arr.ravel(), np.zeros(n - arr.size)])
+        return arr.copy().ravel() if arr.flags.writeable else arr.ravel()
 
     def encrypt(self, values) -> SlotVector:
-        """Wrap values (zero-padded) as a fresh ciphertext at depth 0; NaN
-        or infinite values raise ``EngineError``."""
+        """Wrap values (zero-padded, copied unless read-only) as a fresh
+        ciphertext at depth 0; NaN or infinite values raise ``EngineError``."""
         slots = self._pad(values)
         if not np.all(np.isfinite(slots)):
             raise EngineError("encrypt: values must be finite")
@@ -160,7 +164,8 @@ class SlotEngine:
         return SlotVector(slots, 0, CIPHERTEXT)
 
     def plaintext(self, values) -> SlotVector:
-        """Wrap values (zero-padded) as a plaintext-kind vector."""
+        """Wrap values (zero-padded, copied unless read-only) as a
+        plaintext-kind vector."""
         return SlotVector(self._pad(values), 0, PLAINTEXT)
 
     def decrypt(self, v: SlotVector) -> np.ndarray:

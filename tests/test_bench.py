@@ -1,5 +1,6 @@
 import json
 import math
+import time
 import warnings
 
 import numpy as np
@@ -159,6 +160,33 @@ def test_gen_synthetic_reproducible():
     b = gen_synthetic(100, 3, 2, 1.0, 0.05, seed=9)
     assert np.array_equal(a.points, b.points)
     assert np.array_equal(a.labels, b.labels)
+
+
+def per_cluster_blobs(n, k, d, bound, cluster_std, seed, min_center_dist=None):
+    """The dataset built one cluster at a time: a draw per cluster around its
+    center, concatenated, clipped and shuffled."""
+    centers = init_centroids(k, d, bound, seed, min_separation=min_center_dist).centers
+    rng = np.random.default_rng([seed, 0xB10B])
+    counts = [n // k + (1 if j < n % k else 0) for j in range(k)]
+    pts = [centers[j] + rng.normal(0.0, cluster_std, size=(cnt, d)) for j, cnt in enumerate(counts)]
+    labels = np.concatenate([np.full(cnt, j, dtype=np.int64) for j, cnt in enumerate(counts)])
+    points = np.clip(np.concatenate(pts), -bound, bound)
+    order = rng.permutation(n)
+    return points[order], labels[order]
+
+
+@pytest.mark.parametrize("n,k,d,bound,std,seed,sep", [
+    (5000, 15, 2, 0.5, 0.03, 1, 0.24),  # the S1 stand-in
+    (200_000, 8, 8, 0.5, 0.05, 1, None),
+    (200_000, 8, 8, 0.5, 0.05, 5, None),
+    (1003, 7, 3, 1.0, 0.4, 2, None),  # uneven clusters, clipped points
+    (9, 3, 2, 1.0, 0.0, 4, None),
+])
+def test_gen_synthetic_equals_per_cluster_construction(n, k, d, bound, std, seed, sep):
+    ds = gen_synthetic(n, k, d, bound, std, seed=seed, min_center_dist=sep)
+    points, labels = per_cluster_blobs(n, k, d, bound, std, seed, sep)
+    assert np.array_equal(ds.points, points)
+    assert np.array_equal(ds.labels, labels) and ds.labels.dtype == np.int64
 
 
 def test_gen_synthetic_table_shape():
@@ -421,6 +449,27 @@ def test_run_experiment_smoke_sections():
     assert set(report["estimated_wallclock_seconds"]) == {"LAN500", "ccWAN50"}
     assert report["transcript"]["bytes"] > 0
     json.dumps(report)  # must be serializable
+
+
+def test_report_estimates_wallclock_from_one_protocol_run(monkeypatch):
+    # every seed's plaintext baseline takes at least 0.2 s here; the estimate
+    # charges one run's transcript with the mean protocol time of one seed
+    lloyd = bench.lloyd_plaintext
+
+    def slow_baseline(*args, **kwargs):
+        time.sleep(0.2)
+        return lloyd(*args, **kwargs)
+
+    monkeypatch.setattr(bench, "lloyd_plaintext", slow_baseline)
+    cfg = smoke_config()
+    cfg["seeds"] = {"count": 3}
+    report = run_experiment(cfg)
+    assert report["compute_seconds"] >= 0.6
+    assert 0 < report["protocol_seconds"] < 0.2
+    for name, seconds in report["estimated_wallclock_seconds"].items():
+        own = wallclock_seconds(report["transcript"]["bytes"], report["rounds"], False,
+                                NETWORK_PROFILES[name], report["protocol_seconds"])
+        assert seconds == own
 
 
 def test_run_experiment_reproducible():

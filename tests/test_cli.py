@@ -83,7 +83,7 @@ def test_estimate_from_mpc_report_matches_report(tmp_path, capsys):
     report = json.loads(report_path.read_text())
     capsys.readouterr()
     rc = main(["estimate", "--report", str(report_path), "--profile", "regWAN100",
-               "--compute-seconds", str(report["compute_seconds"])])
+               "--compute-seconds", str(report["protocol_seconds"])])
     assert rc == 0
     own = report["estimated_wallclock_seconds"]["regWAN100"]
     assert f"estimated {own:.2f}s on regWAN100" in capsys.readouterr().out

@@ -63,6 +63,15 @@ def test_transpose_pairs_mirror_every_upper_slot(k, slot_count):
 # -- mask ---------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("k, slot_count", [(2, 64), (3, 64), (8, 1 << 14), (15, 1 << 14)])
+def test_spread_puts_each_value_on_its_block(k, slot_count):
+    layout = PackedLayout(k, slot_count=slot_count)
+    values = np.random.default_rng(k).uniform(-1, 1, layout.blocks_per_ct)
+    slots = layout.spread(values)
+    assert np.array_equal(slots, layout.to_slots(layout.grid(values[None, :, None])))
+    assert not slots.flags.writeable
+
+
 def test_mask_row_example():
     eng = make()
     lay = PackedLayout(2, slot_count=64)

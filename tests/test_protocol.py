@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -337,6 +338,24 @@ def test_batches_share_one_valid_mask_per_used_block_count(k, n):
         assert np.array_equal(b.valid_mask, layout.to_slots(g))
         used.add(int(np.count_nonzero(b.points >= 0)))
     assert len({id(b.valid_mask) for b in batches}) == len(used)
+
+
+def test_packed_run_keeps_only_ciphertexts_across_rounds():
+    # the computing party's 2 features cost no slot vector per batch: the
+    # run's peak is the key holder's extracted ciphertexts (2 per batch) and
+    # a fixed allowance for the uploads, the data and one round's temporaries
+    n, k, slots = 20_000, 8, 1 << 14
+    parts = split_features(bench.gen_synthetic(n, k, 4, 0.5, 0.04, seed=1).points, [[0, 1], [2, 3]])
+    extracted = 2 * len(_plan_batches(n, PackedLayout(k, slot_count=slots)))
+    allowance = 96
+    tracemalloc.start()
+    try:
+        res = run(parts[0], parts[1], None, 1, k=k, bound=0.5, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.engine.config.slot_count == slots
+    assert peak < (extracted + allowance) * 8 * slots, peak / (8 * slots)
 
 
 def test_multiple_ciphertexts_per_feature():

@@ -122,6 +122,25 @@ def test_decrypt_plaintext_returns_slots(engine):
     assert np.allclose(engine.decrypt(p)[:2], [7, 8])
 
 
+@pytest.mark.parametrize("wrap", ["encrypt", "plaintext"])
+@pytest.mark.parametrize("shape", [(16,), (4, 4)])
+def test_wrapping_copies_a_writeable_array(engine, wrap, shape):
+    values = np.arange(16.0).reshape(shape)
+    v = getattr(engine, wrap)(values)
+    values[0] = 99.0
+    assert np.array_equal(v.slots, np.arange(16.0))
+    assert values.flags.writeable
+
+
+@pytest.mark.parametrize("wrap", ["encrypt", "plaintext"])
+def test_wrapping_keeps_a_read_only_array(engine, wrap):
+    values = np.arange(16.0)
+    values.setflags(write=False)
+    v = getattr(engine, wrap)(values)
+    assert np.shares_memory(v.slots, values)
+    assert np.array_equal(v.slots, np.arange(16.0))
+
+
 def test_encrypt_too_many_values(engine):
     with pytest.raises(EngineError):
         engine.encrypt(np.ones(17))
