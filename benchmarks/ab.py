@@ -113,10 +113,8 @@ def parse_args(argv):
     p.add_argument("--label", required=True, help="names the output file BENCH_<label>.json")
     p.add_argument("--parent", default="HEAD", help="the commit to compare the working tree against")
     p.add_argument("--claim", nargs=2, metavar=("METRIC", "WORKLOAD"), required=True)
-    p.add_argument("--workloads", nargs="+", default=None, help="default: every workload in BENCHMARK.json")
     p.add_argument("--seeds", nargs="+", type=int, default=[1, 5])
     p.add_argument("--pairs", type=int, default=10)
-    p.add_argument("--seconds", type=float, default=None, help="default: run_seconds of BENCHMARK.json")
     return p.parse_args(argv)
 
 
@@ -124,8 +122,8 @@ def main(argv=None) -> int:
     args = parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] == "lower" for m in spec["end_to_end"]}
-    workloads = args.workloads or [w["name"] for w in spec["workloads"]]
-    seconds = args.seconds if args.seconds is not None else spec["run_seconds"]
+    workloads = [w["name"] for w in spec["workloads"]]
+    seconds = spec["run_seconds"]
     metric, claimed = args.claim
     if metric not in better or claimed not in workloads:
         raise SystemExit(f"the claim {metric} on {claimed} names no measured metric and workload")

@@ -620,7 +620,7 @@ def run_experiment(config: dict) -> dict:
     transcript = None
     dp_info = None
     protocol_times = []
-    t0 = time.monotonic()
+    t0 = time.perf_counter()
     for seed, init in zip(seeds, inits):
         engine = SlotEngine(engine_config)
         parts = split_features(ds.points, split)
@@ -650,7 +650,7 @@ def run_experiment(config: dict) -> dict:
                     "sigma_count": result.noise.sigma_count,
                     "scope": SCOPE,
                 }
-    compute_seconds = time.monotonic() - t0
+    compute_seconds = time.perf_counter() - t0
     protocol_seconds = float(np.mean(protocol_times))
 
     def seed_mean(key):

@@ -407,9 +407,9 @@ class _ComputingState:
 
     Kept across rounds is what cannot be rebuilt cheaply: ``encodings[l][i]``
     for the valid masks, the extracted or uploaded ciphertexts and, at
-    k = 2, Alice's compact plaintexts.  On the packed path Alice's features
-    keep only their values per unit and block, ``block_values[l][i]``, and
-    are spread into the layout when the unit is processed: a cached
+    k = 2, Alice's compact plaintexts.  On the packed path an Alice feature's
+    ``encodings[l]`` is instead one array of its values per unit and block,
+    and row i is spread into the layout when unit i is processed: a cached
     plaintext would cost k^2 slots per point and feature.
     """
 
@@ -432,8 +432,7 @@ class _ComputingState:
         self.scale = scale
         self.sign = sign
         self.batches = None if k == 2 else _plan_batches(n, layout)
-        self.encodings: list = []  # per coordinate: its units' encodings, or None if spread
-        self.block_values: dict = {}  # packed path: coordinate -> units x blocks values
+        self.encodings: list = []  # per coordinate: its units' encodings, or units x blocks values
         self.heads: list = []  # k = 2: the total X_l of coordinate l, times e0
         if k == 2:
             self._cache_compact(columns, encrypted)
@@ -463,8 +462,7 @@ class _ComputingState:
             if l in encrypted:
                 self.encodings.append([self._extract(encrypted[l][b.ct_index], b) for b in self.batches])
             else:
-                self.encodings.append(None)
-                self.block_values[l + 1] = np.where(points >= 0, values[np.maximum(points, 0)], 0.0)
+                self.encodings.append(np.where(points >= 0, values[np.maximum(points, 0)], 0.0))
 
     def _cache_compact(self, columns: list, encrypted: dict) -> None:
         """Every coordinate's compact encodings, valid-slot masks first, and
@@ -497,8 +495,8 @@ class _ComputingState:
     def _coordinates(self, i: int) -> list:
         """Coordinates 0 .. d of unit ``i``, Alice's packed features spread
         now and wrapped without a copy."""
-        return [self.engine.plaintext(self.layout.spread(self.block_values[l][i])) if cached is None
-                else cached[i] for l, cached in enumerate(self.encodings)]
+        return [self.engine.plaintext(self.layout.spread(cached[i])) if isinstance(cached, np.ndarray)
+                else cached[i] for cached in self.encodings]
 
     def _round_grids(self, centroids: CentroidSet) -> list:
         """Plaintexts G_0 .. G_d of this round's distance differences: entry

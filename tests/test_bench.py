@@ -453,7 +453,8 @@ def test_run_experiment_smoke_sections():
 
 def test_report_estimates_wallclock_from_one_protocol_run(monkeypatch):
     # every seed's plaintext baseline takes at least 0.2 s here; the estimate
-    # charges one run's transcript with the mean protocol time of one seed
+    # charges one run's transcript with the mean protocol time of one seed,
+    # which the same loop times, so the three baselines come on top of it
     lloyd = bench.lloyd_plaintext
 
     def slow_baseline(*args, **kwargs):
@@ -464,8 +465,8 @@ def test_report_estimates_wallclock_from_one_protocol_run(monkeypatch):
     cfg = smoke_config()
     cfg["seeds"] = {"count": 3}
     report = run_experiment(cfg)
-    assert report["compute_seconds"] >= 0.6
-    assert 0 < report["protocol_seconds"] < 0.2
+    assert report["protocol_seconds"] > 0
+    assert 3 * report["protocol_seconds"] + 0.6 <= report["compute_seconds"] + 1e-6
     for name, seconds in report["estimated_wallclock_seconds"].items():
         own = wallclock_seconds(report["transcript"]["bytes"], report["rounds"], False,
                                 NETWORK_PROFILES[name], report["protocol_seconds"])
