@@ -441,14 +441,15 @@ def wallclock_seconds(
 # ---------------------------------------------------------------------------
 
 
-def calibrate_size_model(target_bytes: float, n: int, k: int, d: int, d_bob: int, rounds: int) -> SizeModel:
-    """Fit bytes-per-slot-per-level so the modeled total for one reference
-    configuration, on the default engine slots, hits a measured grand total."""
+def calibrate_size_model(target_bytes: float) -> SizeModel:
+    """Fit bytes-per-slot-per-level so the modeled total of the fixed
+    reference run (n = 1000, k = 2, d = 2 with one uploaded feature, 10
+    rounds), on the default engine slots, hits its measured grand total."""
     if not math.isfinite(target_bytes):
         raise BenchError(f"calibration target {target_bytes} is not a finite byte count")
     unit = SizeModel(bytes_per_slot_per_level=1.0)
-    cfg = EngineConfig(depth_budget=proto.required_depth(k), size_model=unit)
-    tr = proto.estimate_transcript(n, k, d, d_bob, rounds, cfg)
+    cfg = EngineConfig(depth_budget=proto.required_depth(2), size_model=unit)
+    tr = proto.estimate_transcript(1000, 2, 2, 1, 10, cfg)
     ct_bytes = sum(m.byte_size for m in tr.messages if m.ciphertext_count or m.kind == proto.PUBLIC_KEY)
     plain_bytes = tr.total_bytes - ct_bytes
     b = (target_bytes - plain_bytes) / ct_bytes
@@ -503,11 +504,12 @@ def _check_keys(spec, section: str) -> None:
 
 def _numbers(spec, section: str, keys=None):
     """``spec``, after checking that none of ``keys`` (default: all of its
-    keys) holds a boolean, which would pass for the number 1 or 0.  A spec
-    that is not an object is left for its consumer to reject."""
+    keys) holds a boolean, which would pass for the number 1 or 0, or a
+    string, which ``float`` would parse.  A spec that is not an object is
+    left for its consumer to reject."""
     if isinstance(spec, dict):
         for key in spec if keys is None else keys:
-            if isinstance(spec.get(key), bool):
+            if isinstance(spec.get(key), (bool, str)):
                 raise BenchError(f"{section}{key} must be a number, got {spec[key]!r}")
     return spec
 
@@ -517,10 +519,9 @@ def _build_dataset(spec: dict) -> Dataset:
         raise BenchError("dataset spec needs exactly one 'synthetic' or 'csv' entry")
     if "synthetic" in spec:
         return gen_synthetic(**{"bound": 1.0, "seed": 0, **_numbers(spec["synthetic"], "dataset.synthetic.")})
-    c = {"normalize": True, "recenter": True, **_numbers(spec["csv"], "dataset.csv.", ["label_column"])}
-    centered = c.pop("recenter") and c["normalize"]
+    c = {"normalize": True, **_numbers(spec["csv"], "dataset.csv.", ["label_column"])}
     ds = load_csv(**c)
-    return recenter(ds) if centered else ds
+    return recenter(ds) if c["normalize"] else ds
 
 
 def _whole(value, key: str) -> int:
@@ -543,6 +544,8 @@ def run_experiment(config: dict) -> dict:
     malformed key raises ``BenchError``, and a value the protocol cannot run
     raises ``ProtocolError`` before any setup.
     """
+    if not isinstance(config, dict):
+        raise BenchError(f"config must be a JSON object, got {config!r}")
     for key in ("dataset", "k", "rounds"):
         if key not in config:
             raise BenchError(f"config is missing required field {key!r}")
@@ -561,12 +564,12 @@ def run_experiment(config: dict) -> dict:
         if config.get("budget") is not None:
             b = config["budget"]
             _check_keys(b, "budget")
-            _numbers(b, "budget.")
             delta = b.get("delta", 1e-5)
-            if isinstance(delta, str):
+            if isinstance(delta, str):  # the one string a numeric key takes
                 if delta.strip() != "1/n":
                     raise BenchError(f"unsupported delta spec {delta!r}")
                 delta = 1.0 / ds.n
+            _numbers({**b, "delta": delta}, "budget.")
             budget = PrivacyBudget(
                 epsilon_total=float(b.get("epsilon", 1.0)),
                 delta_total=float(delta),
@@ -595,7 +598,9 @@ def run_experiment(config: dict) -> dict:
         if not seeds:
             raise BenchError("the config runs no seeds")
 
-        profiles = list(config.get("network_profiles", []))
+        profiles = config.get("network_profiles", [])
+        if not isinstance(profiles, list):
+            raise BenchError(f"network_profiles must be a list of profile names, got {profiles!r}")
         for name in profiles:
             if name not in NETWORK_PROFILES:
                 raise BenchError(f"unknown network profile {name!r}")

@@ -93,8 +93,7 @@ def _cmd_estimate(args) -> int:
     else:
         size_model = SizeModel()
         if args.calibrate_bytes is not None:
-            size_model = bench.calibrate_size_model(
-                args.calibrate_bytes, n=1000, k=2, d=2, d_bob=1, rounds=args.rounds)
+            size_model = bench.calibrate_size_model(args.calibrate_bytes)
         cfg = EngineConfig(depth_budget=protocol.required_depth(args.k), size_model=size_model)
         tr = protocol.estimate_transcript(args.n, args.k, args.d, args.d_bob, args.rounds, cfg)
         total_bytes = tr.total_bytes
@@ -146,7 +145,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d-bob", type=int, default=1)
     p.add_argument("--rounds", type=int, default=10)
     p.add_argument("--calibrate-bytes", type=float, default=None,
-                   help="measured bytes of the (n=1000, k=2, d=2) reference run")
+                   help="measured bytes of the reference run: n=1000, k=2, d=2 "
+                        "with one uploaded feature, 10 rounds")
     p.add_argument("--profile", choices=sorted(NETWORK_PROFILES), required=True)
     p.add_argument("--compute-seconds", type=float, default=0.0)
     p.set_defaults(func=_cmd_estimate)

@@ -5,10 +5,14 @@ columns (C-order), so block ``b`` occupies a ``k``-wide column stripe:
 slot(r, b, c) = r*width + b*k + c.  Each point's k x k block takes exactly
 k*k slots, with no padding to a power of two.  The grid stores the first
 row of every block, then the second row, and so on; any slots past the grid
-are unused.
+are unused.  :class:`PackedLayout` is the one place that knows this format.
 
-All operations act on every block simultaneously with the same rotation
-schedule.  Row operations shift by multiples of ``width``, column operations
+The packed argmin uses one shape of each operation, and only that shape is
+offered: rows summed into the first row (:func:`axis_sum`), a mask on the
+first row of every block, one entry of each block replicated over the block
+(:func:`batch_extract_replicate`), and blocks summed into block 0
+(:func:`reduce_blocks`).  Each acts on every block at once with the same
+rotation schedule: row steps shift by multiples of ``width``, column steps
 by small offsets inside the stripe.  Replication works for any k: most
 schedules double a replicated segment as far as possible and then fill the
 remainder from cached partial results, and k=7 rotates sums other than that
@@ -107,36 +111,36 @@ class PackedLayout:
             self._mask_cache[key] = arr
         return self._mask_cache[key]
 
-    def axis_mask(self, axis: str, index: int, scale: float = 1.0) -> np.ndarray:
-        """``scale`` on row/column ``index`` of every block, 0 elsewhere."""
-        if not 0 <= index < self.k:
-            raise IndexError(f"{axis} index {index} outside [0, {self.k})")
+    def _grid_mask(self, key, rows, columns, value: float) -> np.ndarray:
+        """``value`` on ``[rows, columns]`` of the k x width grid, 0 elsewhere."""
 
         def build():
-            g = self.grid()
-            if axis == ROW:
-                g[index, :, :] = scale
-            elif axis == COLUMN:
-                g[:, :, index] = scale
-            else:
-                raise ValueError(f"axis must be {ROW!r} or {COLUMN!r}, got {axis!r}")
-            return self.to_slots(g)
+            slots = np.zeros(self.slot_count)
+            slots[: self.usable_slots].reshape(self.k, self.width)[rows, columns] = value
+            return slots
 
-        return self._mask(("axis", axis, index, scale), build)
+        return self._mask(key, build)
+
+    def first_row(self, scale: float) -> np.ndarray:
+        """``scale`` on the first row of every block, 0 elsewhere."""
+        return self._grid_mask(("first_row", scale), 0, slice(None), scale)
+
+    def head_mask(self) -> np.ndarray:
+        """1.0 on block 0's first row, where :func:`reduce_blocks` leaves
+        the per-cluster totals."""
+        return self._grid_mask(("head",), 0, slice(self.k), 1.0)
+
+    def used_blocks(self, count: int) -> np.ndarray:
+        """1.0 on every slot of the first ``count`` blocks, 0 elsewhere."""
+        return self._grid_mask(("used", count), slice(None), slice(count * self.k), 1.0)
 
     def filled(self, value: float) -> np.ndarray:
         """``value`` in every slot, grid or not."""
         return self._mask(("filled", value), lambda: np.full(self.slot_count, float(value)))
 
-    def head_mask(self, count: int) -> np.ndarray:
-        """1.0 on the first ``count`` columns of block 0's first row."""
-
-        def build():
-            g = self.grid()
-            g[0, 0, :count] = 1.0
-            return self.to_slots(g)
-
-        return self._mask(("head", count), build)
+    def entry_slots(self, row: int, col: int) -> np.ndarray:
+        """The slot of entry (row, col) in each block, block 0 first."""
+        return row * self.width + col + self.k * np.arange(self.blocks_per_ct)
 
     def transpose_pairs(self) -> tuple[np.ndarray, np.ndarray]:
         """Slot indices ``(lo, hi)`` pairing every slot (r, b, c) with
@@ -322,13 +326,13 @@ def _run_lane_sum(engine: SlotEngine, v: SlotVector, unit: int, count: int) -> S
 # ---------------------------------------------------------------------------
 
 
-def axis_sum(engine: SlotEngine, v: SlotVector, axis: str, layout: PackedLayout) -> SlotVector:
-    """Per block, sum all rows (resp. columns) into the first (rotations
-    only): the replication from the last row (resp. column), at
-    ``len(replication_schedule(k, k - 1).steps)`` rotations.  As with
-    :func:`reduce_blocks`, only the first row (resp. column) is meaningful
-    afterwards; the other lanes hold partial sums for the caller to mask."""
-    return _run_lane_sum(engine, v, _axis_unit(layout, axis), layout.k)
+def axis_sum(engine: SlotEngine, v: SlotVector, layout: PackedLayout) -> SlotVector:
+    """Per block, sum all rows into the first (rotations only): the
+    replication from the last row, at ``len(replication_schedule(k, k -
+    1).steps)`` rotations.  As with :func:`reduce_blocks`, only the first
+    row is meaningful afterwards; the other rows hold partial sums for the
+    caller to mask."""
+    return _run_lane_sum(engine, v, layout.width, layout.k)
 
 
 def repl_no_padding(
@@ -350,39 +354,28 @@ def repl_no_padding(
 def batch_extract_replicate(
     engine: SlotEngine,
     x: SlotVector,
-    positions,
+    row: int,
+    col: int,
+    count: int,
     layout: PackedLayout,
 ) -> SlotVector:
-    """Fill each block with one value taken from the compact encoding ``x``.
+    """Fill each of the first ``count`` blocks with its own entry (row, col)
+    of ``x``, and zero the rest.
 
-    ``positions`` holds one integer source slot per output block, for a
-    prefix of the blocks; all sources must sit at the same (row, column)
-    offset of their stripes so a single mask plus the two replication
-    passes re-encode every block at once.  Total cost: one plaintext
-    multiplication and rotations.
+    One mask selects the entries and the two replication passes re-encode
+    every block at once.  Total cost: one plaintext multiplication and
+    rotations.
     """
-    pos = np.asarray(positions, dtype=np.int64)
-    blocks = np.arange(pos.size)
-    r, rest = np.divmod(pos, layout.width)
-    blk, c = np.divmod(rest, layout.k)
-    too_many = blocks >= layout.blocks_per_ct
-    bad = too_many | (blk != blocks) | (r < 0) | (r >= layout.k)
-    if bad.any():
-        i = int(np.argmax(bad))
-        if too_many[i]:
-            raise EngineError("more positions than blocks in the layout")
-        raise EngineError(f"position {pos[i]} does not address block {blocks[i]}")
-    if pos.size == 0 or np.any(r != r[0]) or np.any(c != c[0]):
-        offsets = sorted(set(zip(r.tolist(), c.tolist())))
-        raise EngineError(f"positions must share one in-block offset, got {offsets}")
-    row0, col0 = int(r[0]), int(c[0])
+    if not (0 <= row < layout.k and 0 <= col < layout.k and 0 < count <= layout.blocks_per_ct):
+        raise EngineError(f"entry ({row}, {col}) of {count} blocks is outside the layout's "
+                          f"{layout.blocks_per_ct} blocks of {layout.k} x {layout.k}")
     sel = np.zeros(layout.slot_count)
-    sel[pos] = 1.0
+    sel[layout.entry_slots(row, col)[:count]] = 1.0
     sel.setflags(write=False)  # wrapped without a copy
 
     selected = engine.mul(x, engine.plaintext(sel))
-    filled = repl_no_padding(engine, selected, col0, layout, axis=COLUMN)
-    return repl_no_padding(engine, filled, row0, layout, axis=ROW)
+    filled = repl_no_padding(engine, selected, col, layout, axis=COLUMN)
+    return repl_no_padding(engine, filled, row, layout, axis=ROW)
 
 
 def reduce_blocks(engine: SlotEngine, v: SlotVector, layout: PackedLayout) -> SlotVector:

@@ -307,48 +307,31 @@ def required_depth(k: int, degree: int = sa.DEFAULT_DEGREE) -> int:
 class _Batch:
     ct_index: int
     points: np.ndarray  # blocks_per_ct global point ids, -1 for unused
-    positions: np.ndarray | None  # aligned batches: source slot of each used block
-    tail_items: list[tuple[int, int]]  # (slot within ct, target block)
-    valid_mask: np.ndarray | None = None  # slot-space 0/1 over valid blocks, shared
+    entry: tuple[int, int] | None  # aligned batches: the entry each used block is filled from
+    valid_mask: np.ndarray  # slot-space 0/1 over the used blocks, shared by the layout
 
 
 def _plan_batches(n: int, layout: PackedLayout) -> list[_Batch]:
-    S = layout.slot_count
-    M, B, W = layout.k, layout.blocks_per_ct, layout.width
-    usable = layout.usable_slots
+    """Per ciphertext, one batch per in-block entry (row, col) with points,
+    then the points past the aligned grid in chunks of ``blocks_per_ct``."""
+    S, B = layout.slot_count, layout.blocks_per_ct
     batches = []
     for m in range(math.ceil(n / S)):
         in_ct = min(S, n - m * S)
-        aligned = min(in_ct, usable)
-        for r_off in range(M):
-            for c_off in range(M):
-                base = r_off * W + c_off
-                if base >= aligned:
-                    break
-                slots = base + M * np.arange(B)
-                positions = slots[slots < aligned]  # the used blocks are a prefix
-                points = np.full(B, -1, dtype=np.int64)
-                points[: positions.size] = m * S + positions
-                batches.append(_Batch(m, points, positions, []))
+        planned = []  # (entry or None for the tail, slots within the ciphertext)
+        for row in range(layout.k):
+            for col in range(layout.k):
+                slots = layout.entry_slots(row, col)
+                slots = slots[slots < in_ct]  # the used blocks are a prefix
+                if slots.size:
+                    planned.append(((row, col), slots))
         # points past the aligned grid are re-packed one by one at setup
-        tail = list(range(usable, in_ct))
-        for start in range(0, len(tail), B):
-            chunk = tail[start : start + B]
+        planned += [(None, np.arange(start, min(start + B, in_ct)))
+                    for start in range(layout.usable_slots, in_ct, B)]
+        for entry, slots in planned:
             points = np.full(B, -1, dtype=np.int64)
-            items = []
-            for b, slot in enumerate(chunk):
-                points[b] = m * S + slot
-                items.append((slot, b))
-            batches.append(_Batch(m, points, None, items))
-    masks: dict = {}  # the used blocks are a prefix: one mask per used-block count
-    for batch in batches:
-        used = int(np.count_nonzero(batch.points >= 0))
-        if used not in masks:
-            g = layout.grid()
-            g[:, :used, :] = 1.0
-            masks[used] = layout.to_slots(g)
-            masks[used].setflags(write=False)
-        batch.valid_mask = masks[used]
+            points[: slots.size] = m * S + slots
+            batches.append(_Batch(m, points, entry, layout.used_blocks(slots.size)))
     return batches
 
 
@@ -443,13 +426,14 @@ class _ComputingState:
 
     def _extract(self, ct: SlotVector, batch: _Batch) -> SlotVector:
         eng, lay = self.engine, self.layout
-        if batch.positions is not None:
-            return pm.batch_extract_replicate(eng, ct, batch.positions, lay)
+        S = eng.config.slot_count
+        slots = (batch.points[batch.points >= 0] - batch.ct_index * S).tolist()
+        if batch.entry is not None:
+            return pm.batch_extract_replicate(eng, ct, *batch.entry, len(slots), lay)
         # tail points: per-point mask and rotate into block-aligned slots
         selected = None
-        for slot, block in batch.tail_items:
-            single = eng.rotate(eng.mul(ct, eng.plaintext(_unit(eng.config.slot_count, slot))),
-                                slot - block * lay.k)
+        for block, slot in enumerate(slots):
+            single = eng.rotate(eng.mul(ct, eng.plaintext(_unit(S, slot))), slot - block * lay.k)
             selected = single if selected is None else eng.add(selected, single)
         filled = pm.repl_no_padding(eng, selected, 0, lay, axis=COLUMN)
         return pm.repl_no_padding(eng, filled, 0, lay, axis=ROW)
@@ -539,7 +523,7 @@ class _ComputingState:
             split = eng.plaintext(_unit(S, 1) - _unit(S, 0))
             return [eng.add(head, eng.mul(pm._run_lane_sum(eng, p, 1, S), split))
                     for head, p in zip(self.heads, totals)]
-        head = eng.plaintext(self.layout.head_mask(self.k))
+        head = eng.plaintext(self.layout.head_mask())
         return [eng.mul(pm.reduce_blocks(eng, v, self.layout), head) for v in totals]
 
 

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .packed_matrix import ROW, PackedLayout, axis_sum
+from .packed_matrix import PackedLayout, axis_sum
 from .slot_engine import SlotEngine, SlotVector
 
 # erf steepness per unit of tie margin: erfc(1.7) ~ 0.0164, half the 0.02
@@ -117,7 +117,8 @@ def rank(
     ``diff`` holds d_c - d_r at entry (r, c) of every block, for one
     per-block vector d; comparing it slot-wise and summing rows counts, for
     each column c, how many elements are smaller than d_c, and the
-    self-comparison contributes the remaining 0.5.  The other rows keep the
+    self-comparison contributes the remaining 0.5, added on the first row
+    (:meth:`PackedLayout.first_row`).  The other rows keep the
     partial sums of :func:`axis_sum` unmasked: :func:`indicator_phi` folds
     a first-row mask into its product anyway, so a mask here would only
     cost a level.
@@ -129,8 +130,8 @@ def rank(
     the charged cost are those of the full evaluation.
     """
     c = compare(engine, diff, cfg, layout.transpose_pairs())
-    r = axis_sum(engine, c, ROW, layout)
-    return engine.add(r, engine.plaintext(layout.axis_mask(ROW, 0, 0.5)))
+    r = axis_sum(engine, c, layout)
+    return engine.add(r, engine.plaintext(layout.first_row(0.5)))
 
 
 def indicator_phi(engine: SlotEngine, r: SlotVector, layout: PackedLayout) -> SlotVector:
@@ -159,7 +160,7 @@ def indicator_phi(engine: SlotEngine, r: SlotVector, layout: PackedLayout) -> Sl
     if k % 2 == 0:
         leaves.append(s)
     norm = 1.0 / math.prod(1.0 - j for j in range(2, k + 1))
-    leaves[-1] = engine.mul(leaves[-1], engine.plaintext(layout.axis_mask(ROW, 0, norm)))
+    leaves[-1] = engine.mul(leaves[-1], engine.plaintext(layout.first_row(norm)))
 
     while len(leaves) > 1:
         merged = [engine.mul(leaves[i], leaves[i + 1]) for i in range(0, len(leaves) - 1, 2)]

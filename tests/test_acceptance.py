@@ -208,7 +208,7 @@ def test_acceptance_06_communication_accounting():
         and all(m.byte_size == 2 * 2 * 8 for m in res.transcript.by_kind(protocol.CENTROIDS))
     )
     # one-time calibration on the (n=1000, k=2) cell, then the two big cells
-    sm = calibrate_size_model(17.9e6, n=1000, k=2, d=2, d_bob=1, rounds=10)
+    sm = calibrate_size_model(17.9e6)
     def total(n, k):
         cfg = EngineConfig(slot_count=slot_count, depth_budget=required_depth(k), size_model=sm)
         return estimate_transcript(n, k, 2, 1, 10, cfg).total_bytes

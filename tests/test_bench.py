@@ -523,7 +523,7 @@ def test_run_experiment_rejects_two_dataset_sources():
 
 def test_calibration_hits_target_exactly():
     target = 17.9e6
-    sm = calibrate_size_model(target, n=1000, k=2, d=2, d_bob=1, rounds=10)
+    sm = calibrate_size_model(target)  # the reference run: n=1000, k=2, d=2, d_bob=1, 10 rounds
     from vpkmeans.slot_engine import EngineConfig
 
     cfg = EngineConfig(depth_budget=protocol.required_depth(2), size_model=sm)

@@ -55,6 +55,17 @@ def test_estimate_subcommand(capsys):
     assert "bytes" in text and "regWAN100" in text
 
 
+def test_calibrated_estimate_grows_with_the_estimated_rounds(capsys):
+    # the size model is fitted on its fixed reference run, whatever --rounds says
+    printed = {}
+    for rounds in (1, 10):
+        assert main(["estimate", "--n", "100000", "--k", "5", "--rounds", str(rounds),
+                     "--calibrate-bytes", "17.9e6", "--profile", "LAN1000"]) == 0
+        printed[rounds] = int(capsys.readouterr().out.split()[0])
+    assert printed[1] < printed[10]
+    assert printed == {1: 46_240_920, 10: 54_296_496}
+
+
 def test_estimate_from_report(tmp_path, capsys):
     report = {"transcript": {"bytes": 10_000_000, "ciphertexts": 12}, "rounds": 10}
     p = tmp_path / "report.json"
@@ -243,6 +254,48 @@ def test_boolean_at_a_numeric_key_is_named(tmp_path, capsys, bad, key):
     p.write_text(json.dumps(config))
     assert main(["run", str(p), "-o", str(tmp_path / "report.json")]) == 2
     assert f"{key} must be a number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad, key", [
+    ({"bound": "0.5"}, "bound"),
+    ({"init_separation": "0.01"}, "init_separation"),
+    ({"budget": {"epsilon": "2"}}, "budget.epsilon"),
+], ids=["bound", "init_separation", "budget.epsilon"])
+def test_numeric_string_at_a_numeric_key_is_named(tmp_path, capsys, bad, key):
+    config = {"dataset": {"synthetic": {"n": 50, "k": 2, "d": 2, "cluster_std": 0.05}},
+              "k": 2, "rounds": 1, **bad}
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(config))
+    assert main(["run", str(p), "-o", str(tmp_path / "report.json")]) == 2
+    assert f"{key} must be a number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("config", [None, 3, [1, 2], "cfg"], ids=["null", "number", "list", "string"])
+def test_config_that_is_not_an_object_exits_2(tmp_path, capsys, config):
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(config))
+    assert main(["run", str(p)]) == 2
+    assert "config must be a JSON object" in capsys.readouterr().err
+
+
+def test_network_profiles_must_be_a_list(tmp_path, capsys):
+    config = {"dataset": {"synthetic": {"n": 50, "k": 2, "d": 2, "cluster_std": 0.05}},
+              "k": 2, "rounds": 1, "network_profiles": "LAN1000"}
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(config))
+    assert main(["run", str(p), "-o", str(tmp_path / "report.json")]) == 2
+    assert "network_profiles must be a list of profile names" in capsys.readouterr().err
+
+
+def test_csv_recenter_key_is_unknown(tmp_path, capsys):
+    # a normalized CSV is always recentered; the key that switched it off is gone
+    data = tmp_path / "blobs.csv"
+    assert main(["gen", "--n", "60", "--k", "2", "--seed", "1", "-o", str(data)]) == 0
+    config = {"dataset": {"csv": {"path": str(data), "recenter": False}}, "k": 2, "rounds": 1}
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(config))
+    assert main(["run", str(p), "-o", str(tmp_path / "report.json")]) == 2
+    assert "recenter" in capsys.readouterr().err
 
 
 def test_baseline_scores_one_based_labels_as_zero_based(tmp_path, capsys):

@@ -150,13 +150,27 @@ UNSET_KEPT = {
 }
 
 
-def _defaulted(fn: ast.FunctionDef, method: bool) -> list[tuple[str, int | None]]:
-    """``(parameter, position)`` of every defaulted parameter, the position
-    counted without ``self`` or ``cls`` and ``None`` when keyword-only."""
+def _parameters(fn: ast.FunctionDef, method: bool) -> list[tuple[str, int | None, bool]]:
+    """``(parameter, position, defaulted)`` of every named parameter, the
+    position counted without ``self`` or ``cls`` and ``None`` when
+    keyword-only."""
     args = (fn.args.posonlyargs + fn.args.args)[1 if method else 0:]
     first = len(args) - len(fn.args.defaults)
-    found = [(a.arg, i) for i, a in enumerate(args) if i >= first]
-    return found + [(a.arg, None) for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults) if d is not None]
+    return ([(a.arg, i, i >= first) for i, a in enumerate(args)]
+            + [(a.arg, None, d is not None) for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults)])
+
+
+def _callables(nodes: list):
+    """``(callee, function, is_method)`` for every public function and every
+    public method or ``__init__`` of a public class among ``nodes``, the
+    callee named as a call names it: the class's name for ``__init__``."""
+    for node in nodes:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            yield node.name, node, False
+        if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            for sub in node.body:
+                if isinstance(sub, ast.FunctionDef) and (sub.name == "__init__" or not sub.name.startswith("_")):
+                    yield node.name if sub.name == "__init__" else sub.name, sub, True
 
 
 def defaulted_values(source: str) -> list[tuple[str, str, int | None]]:
@@ -166,19 +180,14 @@ def defaulted_values(source: str) -> list[tuple[str, str, int | None]]:
     method's, or the class's for ``__init__`` and dataclass fields."""
     found = []
     for node in ast.parse(source).body:
-        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
-            found += [(node.name, name, pos) for name, pos in _defaulted(node, method=False)]
-        if not isinstance(node, ast.ClassDef) or node.name.startswith("_"):
-            continue
-        decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
-        if any(isinstance(d, ast.Name) and d.id == "dataclass" for d in decorators):
-            fields = [sub for sub in node.body if isinstance(sub, ast.AnnAssign)]
-            found += [(node.name, f.target.id, i) for i, f in enumerate(fields)
-                      if f.value is not None and not f.target.id.startswith("_")]
-        for sub in node.body:
-            if isinstance(sub, ast.FunctionDef) and (sub.name == "__init__" or not sub.name.startswith("_")):
-                callee = node.name if sub.name == "__init__" else sub.name
-                found += [(callee, name, pos) for name, pos in _defaulted(sub, method=True)]
+        if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+            if any(isinstance(d, ast.Name) and d.id == "dataclass" for d in decorators):
+                fields = [sub for sub in node.body if isinstance(sub, ast.AnnAssign)]
+                found += [(node.name, f.target.id, i) for i, f in enumerate(fields)
+                          if f.value is not None and not f.target.id.startswith("_")]
+        found += [(callee, name, pos) for callee, fn, method in _callables([node])
+                  for name, pos, defaulted in _parameters(fn, method) if defaulted]
     return found
 
 
@@ -239,6 +248,66 @@ def test_every_defaulted_value_is_set_outside_tests():
     callers = [p.read_text() for p in MODULES + sorted((ROOT / "perfbench").glob("*.py"))]
     unset = [v for p in MODULES for v in unset_values(p.read_text(), callers)]
     assert sorted(unset) == sorted(UNSET_KEPT)
+
+
+# Parameters that every call passes the same constant, kept on purpose, with the reason.
+CONSTANT_KEPT = {}
+
+
+def _constant(node) -> str | None:
+    """The text of a literal or of a module constant (an upper-case name,
+    bare or looked up on a module), else ``None``."""
+    if isinstance(node, ast.UnaryOp) and isinstance(node.operand, ast.Constant):
+        return ast.unparse(node)
+    if isinstance(node, ast.Constant):
+        return repr(node.value)
+    name = node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else ""
+    return name if name.isupper() else None
+
+
+def constant_arguments(definitions: str, callers: list[str]) -> list[str]:
+    """The parameters of ``definitions`` to which every call in
+    ``callers`` passes the same constant, by keyword or by position, as
+    ``callee(parameter)``.  A call with ``*`` or ``**`` is skipped."""
+    calls: dict = {}
+    for source in callers:
+        for node in ast.walk(ast.parse(source)):
+            if (isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute))
+                    and not any(isinstance(a, ast.Starred) for a in node.args)
+                    and all(kw.arg is not None for kw in node.keywords)):
+                name = node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+                calls.setdefault(name, []).append(node)
+    flagged = []
+    for callee, fn, method in _callables(ast.parse(definitions).body):
+        for name, pos, _ in _parameters(fn, method):
+            passed = set()
+            for call in calls.get(callee, []):
+                keyword = [kw.value for kw in call.keywords if kw.arg == name]
+                positional = call.args[pos:pos + 1] if pos is not None else []
+                passed.add(_constant((keyword or positional or [None])[0]))  # None: left out
+            if len(passed) == 1 and None not in passed:
+                flagged.append(f"{callee}({name})")
+    return flagged
+
+
+def test_constant_argument_check_counts_positional_and_keyword_literals():
+    source = (
+        "def f(a, b, c=0, *, d=1):\n    pass\n"
+        "class K:\n    def m(self, x, y):\n        pass\n"
+    )
+    calls = "f(1, ROW, d=2)\nf(1, pm.ROW, 3, d=2)\nf(*args)\nk.m(-1, y=v)\nk.m(-1, 2)\n"
+    # a is 1 twice, b the module constant ROW twice and d the keyword 2
+    # twice; c is left out once and y is once a variable
+    assert constant_arguments(source, [calls]) == ["f(a)", "f(b)", "f(d)", "m(x)"]
+
+
+def test_no_argument_is_the_same_constant_at_every_call():
+    """A parameter to which every call passes the same literal or module
+    constant is an option nothing varies; keep it only with a reason in
+    ``CONSTANT_KEPT``."""
+    callers = [p.read_text() for p in MODULES + sorted((ROOT / "perfbench").glob("*.py"))]
+    flagged = [v for p in MODULES for v in constant_arguments(p.read_text(), callers)]
+    assert sorted(flagged) == sorted(CONSTANT_KEPT)
 
 
 # a short run through every entry point: the CLI, a protocol run, the

@@ -27,10 +27,6 @@ def dec_blocks(engine, layout, v):
     return ref.blocks_of(layout, engine.decrypt(v))
 
 
-def mask(engine, v, axis, index, layout):
-    return engine.mul(v, engine.plaintext(layout.axis_mask(axis, index)))
-
-
 # -- layout -------------------------------------------------------------------
 
 
@@ -76,53 +72,55 @@ def test_mask_row_example():
     eng = make()
     lay = PackedLayout(2, slot_count=64)
     blocks = [np.array([[1.0, 2], [3, 4]])] + [np.zeros((2, 2))] * (lay.blocks_per_ct - 1)
-    out = dec_blocks(eng, lay, mask(eng, enc_blocks(eng, lay, blocks), ROW, 0, lay))
-    assert np.array_equal(out[0], [[1, 2], [0, 0]])
+    masked = eng.mul(enc_blocks(eng, lay, blocks), eng.plaintext(lay.first_row(0.5)))
+    assert np.array_equal(dec_blocks(eng, lay, masked)[0], [[0.5, 1], [0, 0]])
 
 
-def test_mask_column_example():
-    eng = make()
-    lay = PackedLayout(2, slot_count=64)
-    blocks = [np.array([[1.0, 2], [3, 4]])] + [np.zeros((2, 2))] * (lay.blocks_per_ct - 1)
-    out = dec_blocks(eng, lay, mask(eng, enc_blocks(eng, lay, blocks), COLUMN, 1, lay))
-    assert np.array_equal(out[0], [[0, 2], [0, 4]])
-
-
-def test_mask_two_blocks_row1():
+def test_first_row_two_blocks():
     eng = make(slot_count=8)
     lay = PackedLayout(2, slot_count=8)
     blocks = [np.array([[1.0, 2], [3, 4]]), np.array([[5.0, 6], [7, 8]])]
-    out = dec_blocks(eng, lay, mask(eng, enc_blocks(eng, lay, blocks), ROW, 1, lay))
-    assert np.array_equal(out[0], [[0, 0], [3, 4]])
-    assert np.array_equal(out[1], [[0, 0], [7, 8]])
+    out = dec_blocks(eng, lay, eng.mul(enc_blocks(eng, lay, blocks), eng.plaintext(lay.first_row(1.0))))
+    assert np.array_equal(out[0], [[1, 2], [0, 0]])
+    assert np.array_equal(out[1], [[5, 6], [0, 0]])
+    assert np.array_equal(lay.head_mask(), [1.0, 1.0] + [0.0] * 6)  # block 0's first row only
 
 
-def test_mask_index_out_of_range():
-    lay = PackedLayout(3, slot_count=64)
-    with pytest.raises(IndexError):
-        lay.axis_mask(ROW, 3)
+@pytest.mark.parametrize("k, slot_count", [(3, 64), (5, 1 << 10), (15, 1 << 14)])
+def test_used_blocks_cover_a_prefix_of_blocks(k, slot_count):
+    lay = PackedLayout(k, slot_count=slot_count)
+    for count in (1, lay.blocks_per_ct // 2, lay.blocks_per_ct):
+        want = np.zeros(slot_count)
+        for b in range(count):
+            for r in range(k):
+                for c in range(k):
+                    want[ref.slot_index(lay, r, b, c)] = 1.0
+        assert np.array_equal(lay.used_blocks(count), want)
+        assert lay.used_blocks(count) is lay.used_blocks(count)  # one shared array per count
 
 
 # -- sum vs the loop reference -----------------------------------------------
+
+
+def first_row(engine, v, layout):
+    return dec_blocks(engine, layout, engine.mul(v, engine.plaintext(layout.first_row(1.0))))
 
 
 def test_sum_examples():
     eng = make(slot_count=8)
     lay = PackedLayout(2, slot_count=8)
     blocks = [np.array([[1.0, 2], [3, 4]]), np.zeros((2, 2))]
-    summed = axis_sum(eng, enc_blocks(eng, lay, blocks), ROW, lay)
-    rows = dec_blocks(eng, lay, mask(eng, summed, ROW, 0, lay))
+    rows = first_row(eng, axis_sum(eng, enc_blocks(eng, lay, blocks), lay), lay)
     assert np.array_equal(rows[0], [[4, 6], [0, 0]])
-    summed = axis_sum(eng, enc_blocks(eng, lay, blocks), COLUMN, lay)
-    cols = dec_blocks(eng, lay, mask(eng, summed, COLUMN, 0, lay))
-    assert np.array_equal(cols[0], [[3, 0], [7, 0]])
     assert np.array_equal(rows[1], np.zeros((2, 2)))
 
 
 @pytest.mark.parametrize("k", range(2, 65))
 @pytest.mark.parametrize("axis", [ROW, COLUMN])
 def test_sum_matches_reference(k, axis):
-    # at least two blocks, so a sum that leaks across stripes shows
+    # at least two blocks, so a sum that leaks across stripes shows.  Rows
+    # are summed by axis_sum; a column sum is the replication from the last
+    # column, the same executor along the unit-1 lanes of the k = 2 path
     slot_count = max(256, 1 << (2 * k * k - 1).bit_length())
     eng = make(slot_count=slot_count)
     lay = PackedLayout(k, slot_count=slot_count)
@@ -130,12 +128,16 @@ def test_sum_matches_reference(k, axis):
     blocks = [rng.normal(size=(k, k)) for _ in range(lay.blocks_per_ct)]
     v = enc_blocks(eng, lay, blocks)
     before = eng.stats.rotations
-    summed = axis_sum(eng, v, axis, lay)
+    if axis == ROW:
+        summed = axis_sum(eng, v, lay)
+    else:
+        summed = repl_no_padding(eng, v, k - 1, lay, axis=COLUMN)
     rotations = eng.stats.rotations - before
-    got = dec_blocks(eng, lay, mask(eng, summed, axis, 0, lay))
+    got = dec_blocks(eng, lay, summed)
     want = ref.ref_sum(blocks, axis)
     for g, w in zip(got, want):
-        assert np.allclose(g, w, atol=1e-12)
+        lane = (g[0], w[0]) if axis == ROW else (g[:, 0], w[:, 0])
+        assert np.allclose(*lane, atol=1e-12)
     # a lane sum is the replication from the last lane; acceptance 08's bound
     assert rotations == len(replication_schedule(k, k - 1).steps)
     assert rotations <= max(2 * (k.bit_length() - 1) - 1, (k - 1).bit_length())
@@ -220,15 +222,15 @@ def test_repl_no_padding_all_starts_both_axes(k):
 
 def test_batch_extract_fig_instance():
     # 27 live slots as a 3 x 9 grid embedded in a 32-slot vector: three 3x3
-    # blocks, extract the 6th element of the first two (x12 and x15, 1-indexed)
+    # blocks; x12 and x15 (1-indexed) are entry (1, 2) of blocks 0 and 1
     eng = make(slot_count=32, depth=8)
     lay = PackedLayout(3, slot_count=32)
     compact = eng.encrypt(np.arange(1.0, 28.0))
-    positions = [11, 14]  # x12 and x15
-    out = batch_extract_replicate(eng, compact, positions, lay)
+    out = batch_extract_replicate(eng, compact, 1, 2, 2, lay)
     blocks = dec_blocks(eng, lay, out)
     assert np.array_equal(blocks[0], np.full((3, 3), 12.0))
     assert np.array_equal(blocks[1], np.full((3, 3), 15.0))
+    assert np.array_equal(blocks[2], np.zeros((3, 3)))
     assert out.depth_consumed == 1  # one plaintext mask multiplication
 
 
@@ -237,7 +239,7 @@ def test_batch_extract_single_block_position0():
     lay = PackedLayout(5, slot_count=32)
     assert lay.blocks_per_ct == 1 and lay.width == lay.k
     compact = eng.encrypt([4.0] + [0] * 31)
-    out = dec_blocks(eng, lay, batch_extract_replicate(eng, compact, [0], lay))
+    out = dec_blocks(eng, lay, batch_extract_replicate(eng, compact, 0, 0, 1, lay))
     assert np.array_equal(out[0], np.full((5, 5), 4.0))
 
 
@@ -245,56 +247,32 @@ def test_batch_extract_zero_source():
     eng = make(slot_count=32, depth=8)
     lay = PackedLayout(3, slot_count=32)
     compact = eng.encrypt(np.zeros(32))
-    out = dec_blocks(eng, lay, batch_extract_replicate(eng, compact, [0, 3], lay))
+    out = dec_blocks(eng, lay, batch_extract_replicate(eng, compact, 0, 0, 2, lay))
     assert np.array_equal(out[0], np.zeros((3, 3)))
     assert np.array_equal(out[1], np.zeros((3, 3)))
 
 
-def test_batch_extract_mismatched_offsets_rejected():
-    eng = make(slot_count=32, depth=8)
-    lay = PackedLayout(3, slot_count=32)
-    compact = eng.encrypt(np.arange(32.0))
-    with pytest.raises(EngineError, match="offset"):
-        batch_extract_replicate(eng, compact, [2, 4], lay)  # (0, 2) of block 0, (0, 1) of block 1
-
-
 def test_batch_extract_equals_independent_single_extracts():
+    # every block, a prefix of 7 and a single block, each at its own entry
     eng = make(slot_count=256, depth=8)
     lay = PackedLayout(4, slot_count=256)  # 16 blocks
-    rng = np.random.default_rng(9)
-    values = rng.normal(size=256)
+    values = np.random.default_rng(9).normal(size=256)
     compact = eng.encrypt(values)
-    positions = [ref.slot_index(lay, 2, b, 1) for b in range(lay.blocks_per_ct)]
-    got = dec_blocks(eng, lay, batch_extract_replicate(eng, compact, positions, lay))
-    want = ref.ref_extract_replicate(lay, values, positions)
-    for g, w in zip(got, want):
-        assert np.allclose(g, w, atol=1e-12)
+    for row, col, count in [(2, 1, 16), (1, 3, 7), (3, 3, 1)]:
+        positions = [ref.slot_index(lay, row, b, col) for b in range(count)]
+        got = dec_blocks(eng, lay, batch_extract_replicate(eng, compact, row, col, count, lay))
+        want = ref.ref_extract_replicate(lay, values, positions)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w), (row, col, count)
 
 
-def test_batch_extract_takes_arrays():
-    eng = make(slot_count=256, depth=8)
-    lay = PackedLayout(4, slot_count=256)  # 16 blocks
-    values = np.random.default_rng(3).normal(size=256)
-    compact = eng.encrypt(values)
-    positions = np.array([ref.slot_index(lay, 1, b, 3) for b in range(7)])
-    got = dec_blocks(eng, lay, batch_extract_replicate(eng, compact, positions, lay))
-    want = ref.ref_extract_replicate(lay, values, list(positions))
-    for g, w in zip(got, want):
-        assert np.array_equal(g, w)
-
-
-@pytest.mark.parametrize("positions,message", [
-    ([0, 3, 6, 9], "more positions than blocks"),  # the layout has 3 blocks
-    ([0, 0], "position 0 does not address block 1"),
-    ([-6], "does not address block 0"),
-    ([0, 30], "does not address block 1"),  # row 4 of a 3-row block
-    ([], "offset"),
-])
-def test_batch_extract_rejects_bad_positions(positions, message):
+def test_batch_extract_rejects_entry_or_count_outside_the_layout():
     eng = make(slot_count=32, depth=8)
-    lay = PackedLayout(3, slot_count=32)
-    with pytest.raises(EngineError, match=message):
-        batch_extract_replicate(eng, eng.encrypt(np.arange(32.0)), positions, lay)
+    lay = PackedLayout(3, slot_count=32)  # 3 blocks of 3 x 3
+    compact = eng.encrypt(np.arange(32.0))
+    for row, col, count in [(0, 0, 4), (0, 0, 0), (3, 0, 1), (0, -1, 1)]:
+        with pytest.raises(EngineError, match="outside the layout"):
+            batch_extract_replicate(eng, compact, row, col, count, lay)
 
 
 def test_reduce_blocks_sums_into_block0():
@@ -320,5 +298,5 @@ def test_sum_then_repl_gives_block_dim_times_row():
     blocks = [np.zeros((4, 4))]
     blocks[0][0] = row
     filled = repl_no_padding(eng, enc_blocks(eng, lay, blocks), 0, lay, axis=ROW)
-    summed = dec_blocks(eng, lay, axis_sum(eng, filled, ROW, lay))[0]
+    summed = dec_blocks(eng, lay, axis_sum(eng, filled, lay))[0]
     assert np.allclose(summed[0], 4 * row, atol=1e-12)

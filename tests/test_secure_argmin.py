@@ -5,7 +5,7 @@ import pytest
 from numpy.polynomial.chebyshev import chebval
 
 import reference_ops as ref
-from vpkmeans.packed_matrix import ROW, PackedLayout
+from vpkmeans.packed_matrix import PackedLayout
 from vpkmeans.secure_argmin import (
     STEEPNESS,
     SignApproxConfig,
@@ -344,7 +344,7 @@ def test_argmin_packed_is_zero_outside_first_row(k):
     vals = [rng.permutation(np.linspace(0.05, 0.95, k)) for _ in range(lay.blocks_per_ct)]
     v_row, v_col = encode_row_col(eng, lay, vals)
     out = eng.decrypt(argmin_packed(eng, eng.sub(v_row, v_col), lay, CFG))
-    assert np.all(out[lay.axis_mask(ROW, 0) == 0] == 0.0)
+    assert np.all(out[lay.first_row(1.0) == 0] == 0.0)
     blocks = ref.blocks_of(lay, out)
     for i in range(lay.blocks_per_ct):
         assert np.array_equal(blocks[i][0] > 0.5, ref.ref_argmin_onehot(vals[i]) > 0.5), (k, i)
