@@ -266,13 +266,33 @@ def test_batch_extract_equals_independent_single_extracts():
             assert np.array_equal(g, w), (row, col, count)
 
 
-def test_batch_extract_rejects_entry_or_count_outside_the_layout():
+def test_batch_extract_takes_arrays():
+    # entry and count read from an integer array arrive as numpy scalars
+    eng = make(slot_count=256, depth=8)
+    lay = PackedLayout(4, slot_count=256)  # 16 blocks
+    values = np.random.default_rng(3).normal(size=256)
+    compact = eng.encrypt(values)
+    row, col, count = np.array([1, 3, 7])
+    positions = [ref.slot_index(lay, 1, b, 3) for b in range(7)]
+    got = dec_blocks(eng, lay, batch_extract_replicate(eng, compact, row, col, count, lay))
+    want = ref.ref_extract_replicate(lay, values, positions)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+
+
+# Each id names the slot list whose fault the entry and count reproduce.
+@pytest.mark.parametrize("row, col, count", [
+    pytest.param(0, 0, 4, id="positions0-more positions than blocks"),  # the layout has 3 blocks
+    pytest.param(0, 3, 2, id="positions1-position 0 does not address block 1"),  # col past the block
+    pytest.param(0, -1, 1, id="positions2-does not address block 0"),
+    pytest.param(3, 0, 2, id="positions3-does not address block 1"),  # row 4 of a 3-row block
+    pytest.param(0, 0, 0, id="positions4-offset"),  # no block to fill
+])
+def test_batch_extract_rejects_bad_positions(row, col, count):
     eng = make(slot_count=32, depth=8)
-    lay = PackedLayout(3, slot_count=32)  # 3 blocks of 3 x 3
-    compact = eng.encrypt(np.arange(32.0))
-    for row, col, count in [(0, 0, 4), (0, 0, 0), (3, 0, 1), (0, -1, 1)]:
-        with pytest.raises(EngineError, match="outside the layout"):
-            batch_extract_replicate(eng, compact, row, col, count, lay)
+    lay = PackedLayout(3, slot_count=32)
+    with pytest.raises(EngineError, match="outside the layout"):
+        batch_extract_replicate(eng, eng.encrypt(np.arange(32.0)), row, col, count, lay)
 
 
 def test_reduce_blocks_sums_into_block0():
