@@ -16,6 +16,9 @@ run's end-to-end metrics with their median and quartiles, the wins of each
 side per metric, failed and attempted operations, and the claim: the change
 wins at least nine of ten pairs and the median gap exceeds the parent's
 interquartile range.  Which direction is better comes from BENCHMARK.json.
+Per workload, one more ``--trace 1`` process per side, at the first seed,
+records the layer figures of ``LAYER_METRICS``, which show where a change
+in ``run_s`` lands.
 """
 
 from __future__ import annotations
@@ -34,6 +37,9 @@ import numpy
 
 ROOT = Path(__file__).resolve().parent.parent
 WIN_SHARE = 0.9
+# the per-layer figures that a traced run adds to the bench file
+LAYER_METRICS = ("slot_engine.eval_chebyshev_s", "slot_engine.cheb_ms_per_ct",
+                 "secure_argmin.indicator_phi_s", "slot_engine.mul_s", "slot_engine.add_s")
 
 
 def export(rev: str, into: Path) -> None:
@@ -43,10 +49,10 @@ def export(rev: str, into: Path) -> None:
     subprocess.run(["tar", "-x", "-C", str(into)], input=archive, check=True)
 
 
-def bench_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+def bench_once(tree: Path, workload: str, seed: int, seconds: float, trace: bool = False) -> dict:
     """One perfbench process: its final JSON line, plus the exit code."""
     proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-                           "--seconds", str(seconds), "--trace", "0"],
+                           "--seconds", str(seconds), "--trace", str(int(trace))],
                           cwd=tree, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if not lines:
@@ -80,8 +86,18 @@ def claim_met(cmp: dict, pairs: int) -> bool:
     return cmp["change_wins"] >= WIN_SHARE * pairs and cmp["median_gap"] > cmp["parent_iqr"]
 
 
-def run_pairs(parent: Path, workload: str, seed: int, pairs: int, seconds: float, better: dict) -> dict:
-    sides = {"parent": parent, "change": ROOT}
+def trace_sides(sides: dict, workload: str, seed: int, seconds: float) -> dict:
+    """One ``--trace 1`` process per side: its ``LAYER_METRICS`` figures
+    and whether every gate passed."""
+    out = {}
+    for name, tree in sides.items():
+        r = bench_once(tree, workload, seed, seconds, trace=True)
+        out[name] = {m: r["metrics"][m]["value"] for m in LAYER_METRICS}
+        out[name]["all_gates_passed"] = r["correct"] and r["returncode"] == 0
+    return out
+
+
+def run_pairs(sides: dict, workload: str, seed: int, pairs: int, seconds: float, better: dict) -> dict:
     results: dict = {name: [] for name in sides}
     first = []
     for i in range(pairs):
@@ -142,14 +158,18 @@ def main(argv=None) -> int:
                           "the parent's IQR",
                   "by_seed": {}},
         "workloads": {},
+        "layers": {"command": f"python3 perfbench/run.py --workload W --seed {args.seeds[0]} "
+                              f"--seconds {seconds:g} --trace 1", "by_workload": {}},
     }
     with tempfile.TemporaryDirectory(prefix="ab-parent-") as tmp:
         parent = Path(tmp)
         export(rev, parent)
+        sides = {"parent": parent, "change": ROOT}
         for workload in workloads:
+            report["layers"]["by_workload"][workload] = trace_sides(sides, workload, args.seeds[0], seconds)
             report["workloads"][workload] = {}
             for seed in args.seeds:
-                entry = run_pairs(parent, workload, seed, args.pairs, seconds, better)
+                entry = run_pairs(sides, workload, seed, args.pairs, seconds, better)
                 report["workloads"][workload][f"seed{seed}"] = entry
                 if workload == claimed:
                     cmp = entry["compare"][metric]

@@ -520,6 +520,8 @@ def _build_dataset(spec: dict) -> Dataset:
     if "synthetic" in spec:
         return gen_synthetic(**{"bound": 1.0, "seed": 0, **_numbers(spec["synthetic"], "dataset.synthetic.")})
     c = {"normalize": True, **_numbers(spec["csv"], "dataset.csv.", ["label_column"])}
+    if not isinstance(c["normalize"], bool):  # a string such as "false" would read as true
+        raise BenchError(f"dataset.csv.normalize must be true or false, got {c['normalize']!r}")
     ds = load_csv(**c)
     return recenter(ds) if c["normalize"] else ds
 

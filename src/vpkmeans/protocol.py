@@ -17,7 +17,14 @@ One round, run entirely by the computing party (Alice) on encrypted data:
 3. the d + 1 aggregates sum_i a_i * x_l, counts (l = 0) first and then the
    per-dimension sums, added up over the batches and ciphertexts and then
    reduced once each (k = 2 derives cluster 0 from the round-invariant
-   coordinate totals, n for the counts);
+   coordinate totals, n for the counts).  For k >= 3 the products and sums
+   run on the first grid row only, as does the indicator before them, and
+   each total is widened with zeros before the reduction.  This is exact:
+   the indicator's first-row mask makes the marker a zero on every other
+   slot, its products there are zeros, and the reduction carries only the
+   first row into the released head (a sum over blocks, i.e. shifts by
+   multiples of k that stay inside the row).  A real backend computes
+   every slot, with ``SlotEngine.restrict`` and ``widen`` as the identity;
 4. every aggregate dropped to level 0, which is free and leaves the
    smallest ciphertext, then Gaussian noise on the meaningful slots;
 5. release to the key holder, who decrypts, divides, and returns the next
@@ -497,7 +504,9 @@ class _ComputingState:
         """Per unit: u = sum_l x_l * G_l, the argmin marker a of u, and the
         products a * x_l, added into the d + 1 aggregates (counts first),
         which are then reduced once each.  An unused block has u = 0, and
-        its marker is multiplied by x_0 = 0."""
+        its marker is multiplied by x_0 = 0.  For k >= 3 the marker is 0
+        past the first grid row, so the products and sums run on that row
+        (``SlotEngine.restrict``) and each total is widened once."""
         eng = self.engine
         grids = self._round_grids(centroids)
         totals = [None] * (self.d + 1)
@@ -509,7 +518,9 @@ class _ComputingState:
             if self.k == 2:
                 a = sa.argmin_two(eng, u, self.sign)
             else:
-                a = sa.argmin_packed(eng, u, self.layout, self.sign)
+                width = self.layout.width
+                a = eng.restrict(sa.argmin_packed(eng, u, self.layout, self.sign), width)
+                xs = [eng.restrict(x, width) for x in xs]
             for l, x in enumerate(xs):
                 term = eng.mul(a, x)
                 totals[l] = term if totals[l] is None else eng.add(totals[l], term)
@@ -524,7 +535,7 @@ class _ComputingState:
             return [eng.add(head, eng.mul(pm._run_lane_sum(eng, p, 1, S), split))
                     for head, p in zip(self.heads, totals)]
         head = eng.plaintext(self.layout.head_mask())
-        return [eng.mul(pm.reduce_blocks(eng, v, self.layout), head) for v in totals]
+        return [eng.mul(pm.reduce_blocks(eng, eng.widen(v), self.layout), head) for v in totals]
 
 
 # ---------------------------------------------------------------------------

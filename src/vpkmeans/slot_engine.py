@@ -25,7 +25,20 @@ Exceeding the depth budget raises ``DepthBudgetError`` -- never silent.
 packed argmin's mirrored comparisons) and then evaluates an odd-plus-
 constant series once per pair.  That saves host time only: the result is
 bit-identical, a real CKKS backend still evaluates the whole ciphertext,
-and the depth and counters charge the full evaluation.
+and the depth and counters charge the full evaluation.  Such a series is
+also evaluated on non-zero slots only: at a zero slot its value is its
+constant.
+
+``restrict`` and ``widen`` are the same kind of shortcut, for a circuit
+whose result is known to depend on a prefix of the slots only: ``restrict``
+keeps the first ``count`` slots and ``widen`` zero-pads back to
+``slot_count``.  Both are free, uncounted and keep depth and kind, and a
+real backend implements both as the identity, computing every slot.  They
+are exact only where every dropped slot is multiplied by zero before it
+reaches a released value: the widened zeros then stand for the products
+that a full evaluation would have computed as zeros.  Arithmetic on
+restricted vectors is slot-wise as before; ``rotate`` refuses them, since
+a rotation would bring dropped slots back in.
 """
 
 from __future__ import annotations
@@ -222,6 +235,8 @@ class SlotEngine:
         """Cyclic left shift by ``r`` (negative rotates right); depth-free.
         A shift by a multiple of the slot count is no rotation and is not
         counted."""
+        if v.slots.size != self.config.slot_count:
+            raise EngineError(f"rotate: a restricted vector of {v.slots.size} slots cannot rotate")
         r = r % self.config.slot_count
         if r == 0:
             return v
@@ -239,6 +254,21 @@ class SlotEngine:
         if depth > self.config.depth_budget:
             raise DepthBudgetError(f"drop_to_depth: target {depth} exceeds budget {self.config.depth_budget}")
         return self._result(v.slots, depth, v.kind)
+
+    def restrict(self, v: SlotVector, count: int) -> SlotVector:
+        """The first ``count`` slots of ``v``, with its depth and kind; free
+        and not counted.  The identity in a real backend, so exact only
+        where the dropped slots are multiplied by zero before they reach a
+        released value (see the module docstring).  A count outside
+        ``1 .. len(v.slots)`` raises ``EngineError``."""
+        if not 0 < count <= v.slots.size:
+            raise EngineError(f"restrict: {count} slots of a vector of {v.slots.size}")
+        return SlotVector(v.slots[:count], v.depth_consumed, v.kind)
+
+    def widen(self, v: SlotVector) -> SlotVector:
+        """``v`` zero-padded back to ``slot_count`` slots, with its depth and
+        kind; free and not counted, and the identity in a real backend."""
+        return SlotVector(self._pad(v.slots), v.depth_consumed, v.kind)
 
     def eval_chebyshev(self, v: SlotVector, coeffs, pairs=None) -> SlotVector:
         """Evaluate a Chebyshev series slot-wise.

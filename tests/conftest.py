@@ -5,8 +5,8 @@ from vpkmeans import _kernels
 
 @pytest.fixture
 def bsgs_sizes(monkeypatch):
-    """Slots each kernel series evaluation ran on, in call order: a paired
-    evaluation runs on fewer slots than the ciphertext has."""
+    """Slots each kernel series evaluation ran on, in call order: a folded
+    series skips zero slots, and a paired evaluation the mirrored ones."""
     sizes = []
     original = _kernels._bsgs
 

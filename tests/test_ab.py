@@ -1,6 +1,7 @@
 """The pair statistics and claim rule of ``benchmarks/ab.py``."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -29,3 +30,26 @@ def test_claim_needs_nine_tenths_of_the_pairs_and_a_gap_above_the_parent_iqr(win
 def test_summary_uses_inclusive_quartiles():
     s = ab.summary([1.0, 2.0, 3.0, 4.0, 5.0])
     assert (s["q1"], s["median"], s["q3"], s["n"]) == (2.0, 3.0, 4.0, 5)
+
+
+def test_layer_figures_are_perfbench_metrics():
+    spec = json.loads((Path(__file__).resolve().parent.parent / "BENCHMARK.json").read_text())
+    assert set(ab.LAYER_METRICS) <= {m["name"] for m in spec["per_layer"]}
+
+
+def test_each_side_gets_one_traced_run_with_the_layer_figures(monkeypatch):
+    calls = []
+
+    def fake(tree, workload, seed, seconds, trace=False):
+        calls.append((tree, workload, seed, trace))
+        metrics = {m: {"value": float(len(calls)), "unit": "s"} for m in ab.LAYER_METRICS}
+        metrics["slot_engine.rotations"] = {"value": 7.0, "unit": "count"}
+        return {"correct": tree == "p", "returncode": 0, "metrics": metrics}
+
+    monkeypatch.setattr(ab, "bench_once", fake)
+    out = ab.trace_sides({"parent": "p", "change": "c"}, "s1-k15", 5, 10.0)
+    assert calls == [("p", "s1-k15", 5, True), ("c", "s1-k15", 5, True)]
+    assert out == {
+        "parent": {**{m: 1.0 for m in ab.LAYER_METRICS}, "all_gates_passed": True},
+        "change": {**{m: 2.0 for m in ab.LAYER_METRICS}, "all_gates_passed": False},
+    }

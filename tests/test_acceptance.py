@@ -2,16 +2,19 @@
 
 Run as ``pytest -s tests/test_acceptance.py`` to see the per-criterion lines.
 
-Criterion 4 (the S1 utility window) is known red, and no privacy accountant
-can turn it green on the synthetic S1 stand-in: even with zero noise the
-protocol misses the window.  Over seeds 100-109 the noise-free protocol
-oracle ``lloyd_plaintext(MATCHING)`` reaches mean accuracy 0.839 and loss
-0.0037, and plaintext ``lloyd_plaintext(STANDARD)`` reaches 0.863 and
-0.00317, against an accuracy window of [0.85, 0.96].  The DP run with
-sigma 47.2 reaches 0.693 and 0.0213.  The window may belong to the real S1
-set, which is not in the repository, or to a tighter comparator tie margin
-than ``SignApproxConfig().tie_margin``.  The test states its targets as
-they are and fails honestly.
+Criterion 4 (the S1 utility window) is known red, and what keeps it red is
+the noise scale, not the comparator.  The DP runs add noise at
+sigma_sum = sigma_count = 47.2, from today's per-round rule, and reach mean
+accuracy 0.693 and loss 0.0213 against a window of [0.85, 0.96] and
+<= 0.012.  The noise-free protocol oracle ``lloyd_plaintext(MATCHING)``
+reaches only 0.839 over seeds 100-109, but that does not bound the noisy
+runs: noise moves centroids out of local optima that a noise-free run
+keeps.  The same oracle, drawing the protocol's noise stream with an erf
+surrogate for the comparator, reaches 0.930 at sigma 5, 0.852 at sigma 20
+and 0.684 at sigma 47.2, and 0.868 at the sound scales of the same
+(epsilon, delta), sigma_sum 13.5 and sigma_count 19.0.  So a recalibrated
+accountant can turn it green; the test states its targets as they are and
+fails honestly until the program changes.
 
 Criterion 8 (no-padding replication) holds every k in 2..64 to
 ``2*floor(log2 k) - 1`` rotations, raised to the proven floor
@@ -147,8 +150,8 @@ S1_LOSS_LIMIT = 0.012
 
 
 def test_acceptance_04_s1_end_to_end_utility():
-    """Known red: the noise-free protocol itself stays below the accuracy
-    window on this stand-in (see the module docstring)."""
+    """Known red: the noise at today's per-round scales keeps the accuracy
+    below the window (see the module docstring)."""
     report_data = run_experiment(s1_style_config())
     acc = report_data["mean"]["secure_accuracy"]
     loss = report_data["mean"]["secure_loss"]

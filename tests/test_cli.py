@@ -298,6 +298,18 @@ def test_csv_recenter_key_is_unknown(tmp_path, capsys):
     assert "recenter" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["false", 0, None], ids=["string", "number", "null"])
+def test_csv_normalize_must_be_a_boolean(tmp_path, capsys, value):
+    data = tmp_path / "blobs.csv"
+    assert main(["gen", "--n", "60", "--k", "2", "--seed", "1", "-o", str(data)]) == 0
+    capsys.readouterr()
+    config = {"dataset": {"csv": {"path": str(data), "normalize": value}}, "k": 2, "rounds": 1}
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(config))
+    assert main(["run", str(p), "-o", str(tmp_path / "report.json")]) == 2
+    assert "dataset.csv.normalize must be true or false" in capsys.readouterr().err
+
+
 def test_baseline_scores_one_based_labels_as_zero_based(tmp_path, capsys):
     out = tmp_path / "blobs.csv"
     assert main(["gen", "--n", "90", "--k", "2", "--d", "2", "--std", "0.05",

@@ -1,12 +1,13 @@
 import math
 import tracemalloc
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from vpkmeans import bench, protocol
+from vpkmeans import bench, protocol, slot_engine
 from vpkmeans.dp_accounting import PrivacyBudget
 from vpkmeans.packed_matrix import PackedLayout
 from vpkmeans.protocol import (
@@ -249,17 +250,44 @@ def test_deterministic_under_seed():
     assert np.array_equal(a.centroids.centers, b.centroids.centers)
 
 
-def test_every_comparison_evaluates_mirrored_pairs_once(bsgs_sizes):
+def test_every_comparison_evaluates_mirrored_pairs_once(bsgs_sizes, monkeypatch):
     """The argmin's difference grid is antisymmetric, so each comparator call
-    takes the kernel's paired path; a silent fall-back would keep every
-    result and lose the saving."""
+    takes the kernel's paired path and evaluates the non-zero slots outside
+    ``hi``; a silent fall-back would keep every result and lose the saving."""
+    kept = []  # per comparator call: the slots outside hi that are not zero
+    original = slot_engine.eval_series
+
+    def spy(coeffs, x, pairs=None):
+        kept.append(np.count_nonzero(np.delete(x, pairs[1])))
+        return original(coeffs, x, pairs)
+
+    monkeypatch.setattr(slot_engine, "eval_series", spy)
     eng = SlotEngine(EngineConfig(slot_count=1 << 10, depth_budget=required_depth(4)))
     parts = split_features(uniform_instance(8, n=300, d=3), [[0], [1], [2]])
     res = run_multiparty(parts, protocol.MPC_SIMULATED, PrivacyBudget(1.0, 1e-3, 2), 2, k=4,
                          bound=1.0, engine=eng, seed=3)
-    paired = eng.config.slot_count - PackedLayout(4, slot_count=1 << 10).transpose_pairs()[1].size
     assert res.engine.stats.cheb_evals == len(bsgs_sizes) > 0
-    assert bsgs_sizes == [paired] * len(bsgs_sizes)
+    assert bsgs_sizes == kept
+
+
+@pytest.mark.parametrize("model", [protocol.SERVER_AIDED, protocol.MPC_SIMULATED])
+@pytest.mark.parametrize("k, slots, n", [(3, 64, 200), (8, 1024, 300), (15, 1024, 300)])
+def test_first_row_restriction_is_exact(monkeypatch, model, k, slots, n):
+    """A real backend computes every slot: with ``restrict`` and ``widen``
+    as the identity, noisy runs keep every history bit, counter and depth.
+    (3, 64, 200) has batches past the aligned grid."""
+
+    def runs():
+        eng = SlotEngine(EngineConfig(slot_count=slots, depth_budget=required_depth(k)))
+        parts = split_features(uniform_instance(k, n=n, d=3), [[0], [1], [2]])
+        res = run_multiparty(parts, model, PrivacyBudget(1.0, 1e-3, 2), 2, k=k, bound=1.0,
+                             engine=eng, seed=5)
+        return [h.tobytes() for h in res.history], asdict(res.engine.stats), res.round_depths
+
+    shortcut = runs()
+    monkeypatch.setattr(SlotEngine, "restrict", lambda self, v, count: v)
+    monkeypatch.setattr(SlotEngine, "widen", lambda self, v: v)
+    assert runs() == shortcut
 
 
 # -- batching edge cases ---------------------------------------------------------

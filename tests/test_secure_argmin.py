@@ -241,6 +241,33 @@ def test_indicator_phi_pairs_halve_the_products(k):
     assert eng.stats.pt_mults == 1  # the normalized first-row mask
 
 
+@pytest.mark.parametrize("k", [3, 8, 15])
+def test_indicator_phi_reads_only_the_first_grid_row(k, monkeypatch):
+    """Random ranks in every row and past the grid give the first row of a
+    first-row-only input, exact zeros elsewhere, and the same counters;
+    the whole vector's evaluation (``restrict`` and ``widen`` as the
+    identity, as in a real backend) has the same values."""
+    lay = PackedLayout(k, slot_count=1024)
+    ranks = np.random.default_rng(k).uniform(0.5, k + 0.5, 1024)
+    first = np.where(np.arange(1024) < lay.width, ranks, 0.0)
+
+    def phi(values):
+        eng = make(slot_count=1024, depth=10)
+        out = indicator_phi(eng, eng.encrypt(values), lay)
+        assert out.depth_consumed == phi_depth(k)
+        return eng.decrypt(out), eng.stats
+
+    (out, stats), (out_first, stats_first) = phi(ranks), phi(first)
+    assert out.tobytes() == out_first.tobytes()
+    assert np.all(out[lay.width:] == 0.0) and not np.any(np.signbit(out[lay.width:]))
+    assert stats == stats_first
+    monkeypatch.setattr(SlotEngine, "restrict", lambda self, v, count: v)
+    monkeypatch.setattr(SlotEngine, "widen", lambda self, v: v)
+    whole, whole_stats = phi(ranks)
+    assert np.array_equal(whole, out)  # bit for bit, but for the sign of a zero
+    assert whole_stats == stats
+
+
 @pytest.mark.parametrize("k", [1, 0, -3])
 def test_phi_depth_rejects_fewer_than_two_clusters(k):
     with pytest.raises(ValueError, match="k must be at least 2"):

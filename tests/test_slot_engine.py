@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial.chebyshev import chebval
 
+from vpkmeans import _kernels
 from vpkmeans.packed_matrix import PackedLayout
 from vpkmeans.secure_argmin import SignApproxConfig, cmp_series
 from vpkmeans.slot_engine import (
@@ -255,7 +256,9 @@ def test_paired_evaluation_is_bit_identical(k, bsgs_sizes):
     lo, hi = lay.transpose_pairs()
     (full, full_depth, full_stats), (paired, depth, stats) = eval_both_ways(
         x, cmp_series(SignApproxConfig()), (lo, hi))
-    assert bsgs_sizes == [x.size, x.size - hi.size]  # the second call took the paired path
+    # the diagonal and the unused blocks are zeros, which neither call evaluates;
+    # the second call took the paired path and skips hi too
+    assert bsgs_sizes == [np.count_nonzero(x), np.count_nonzero(np.delete(x, hi))]
     assert np.array_equal(paired, full)
     assert depth == full_depth
     assert stats == full_stats
@@ -267,7 +270,7 @@ def test_paired_evaluation_falls_back_when_a_pair_is_broken(k, bsgs_sizes):
     lo, hi = lay.transpose_pairs()
     x[hi[len(hi) // 2]] += 1e-3
     (full, _, _), (paired, _, _) = eval_both_ways(x, cmp_series(SignApproxConfig()), (lo, hi))
-    assert bsgs_sizes == [x.size, x.size]
+    assert bsgs_sizes == [np.count_nonzero(x)] * 2
     assert np.array_equal(paired, full)
 
 
@@ -275,8 +278,69 @@ def test_paired_evaluation_needs_a_folded_series(bsgs_sizes):
     lay, x = mirrored_grid(3)
     (full, _, _), (paired, _, _) = eval_both_ways(x, cmp_series(SignApproxConfig(degree=5)),
                                                   lay.transpose_pairs())
-    assert bsgs_sizes == [x.size, x.size]  # degree 5 is too short to fold
+    # degree 5 is too short to fold, so both calls evaluate every slot, zeros included
+    assert bsgs_sizes == [x.size, x.size]
     assert np.array_equal(paired, full)
+
+
+def every_slot(coeffs, x):
+    """The folded series evaluated on every slot, zeros included, as the
+    kernel did before it skipped zero slots."""
+    c0, leaves = _kernels._plan(coeffs.tobytes())
+    return c0 + x * _kernels._bsgs(leaves, 2.0 * x * x - 1.0)
+
+
+@pytest.mark.parametrize("zero", [0.0, -0.0], ids=["+0", "-0"])
+def test_zero_slots_take_c0_without_a_series_evaluation(zero, bsgs_sizes):
+    coeffs = cmp_series(SignApproxConfig())
+    x = np.full(64, zero)
+    for pairs in (None, (np.arange(32), np.arange(32, 64))):
+        out = _kernels.eval_series(coeffs, x, pairs)
+        assert out.tobytes() == np.full(64, coeffs[0]).tobytes()
+    assert bsgs_sizes == []
+
+
+def test_a_vector_without_zero_slots_is_evaluated_whole(bsgs_sizes):
+    coeffs = cmp_series(SignApproxConfig())
+    x = np.random.default_rng(4).uniform(0.01, 1.0, 64) * np.resize([1.0, -1.0], 64)
+    out = _kernels.eval_series(coeffs, x)
+    assert bsgs_sizes[0] == x.size
+    assert out.tobytes() == every_slot(coeffs, x).tobytes()
+
+
+def test_skipping_zero_slots_is_bit_identical(bsgs_sizes):
+    coeffs = cmp_series(SignApproxConfig())
+    x = np.random.default_rng(5).uniform(-1.0, 1.0, 64)
+    x[::3] = 0.0
+    x[1::7] = -0.0
+    out = _kernels.eval_series(coeffs, x)
+    assert bsgs_sizes[0] == np.count_nonzero(x) < x.size
+    assert out.tobytes() == every_slot(coeffs, x).tobytes()
+
+
+def test_rotate_refuses_a_restricted_vector(engine):
+    v = engine.restrict(engine.encrypt(np.arange(16.0)), 8)
+    with pytest.raises(EngineError, match="restricted"):
+        engine.rotate(v, 1)
+    with pytest.raises(EngineError, match="mismatch"):
+        engine.add(v, engine.encrypt(np.ones(16)))
+
+
+def test_restrict_and_widen_are_free_and_keep_depth_and_kind(engine):
+    ct = engine.mul(engine.encrypt(np.arange(1.0, 17.0)), engine.plaintext(np.ones(16)))
+    pt = engine.plaintext(np.arange(16.0))
+    before = replace(engine.stats)
+    short = engine.restrict(ct, 5)
+    wide = engine.widen(short)
+    assert engine.stats == before
+    assert (short.depth_consumed, short.kind) == (wide.depth_consumed, wide.kind) == (1, CIPHERTEXT)
+    assert np.array_equal(engine.decrypt(short), np.arange(1.0, 6.0))
+    assert np.array_equal(engine.decrypt(wide), np.concatenate([np.arange(1.0, 6.0), np.zeros(11)]))
+    assert engine.restrict(pt, 16).kind == engine.widen(pt).kind == PLAINTEXT
+    assert np.array_equal(engine.decrypt(engine.widen(ct)), engine.decrypt(ct))
+    for count in (0, 17):
+        with pytest.raises(EngineError):
+            engine.restrict(ct, count)
 
 
 def test_chebyshev_depth_model(engine):
