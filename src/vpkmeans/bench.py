@@ -494,23 +494,27 @@ _CONFIG_KEYS = {
 }
 
 
-def _check_keys(spec, section: str) -> None:
+def _check_object(spec, section: str) -> None:
     if not isinstance(spec, dict):
         raise BenchError(f"{section} must be a JSON object, got {spec!r}")
+
+
+def _check_keys(spec, section: str) -> None:
+    _check_object(spec, section)
     unknown = sorted(set(spec) - _CONFIG_KEYS[section])
     if unknown:
         raise BenchError(f"unknown key {unknown[0]!r} in {section}")
 
 
 def _numbers(spec, section: str, keys=None):
-    """``spec``, after checking that none of ``keys`` (default: all of its
-    keys) holds a boolean, which would pass for the number 1 or 0, or a
-    string, which ``float`` would parse.  A spec that is not an object is
-    left for its consumer to reject."""
-    if isinstance(spec, dict):
-        for key in spec if keys is None else keys:
-            if isinstance(spec.get(key), (bool, str)):
-                raise BenchError(f"{section}{key} must be a number, got {spec[key]!r}")
+    """``spec``, after checking that it is an object and that none of
+    ``keys`` (default: all of its keys) holds a boolean, which would pass
+    for the number 1 or 0, or a string, which ``float`` would parse."""
+    _check_object(spec, section)
+    prefix = "" if section == "config" else f"{section}."
+    for key in spec if keys is None else keys:
+        if isinstance(spec.get(key), (bool, str)):
+            raise BenchError(f"{prefix}{key} must be a number, got {spec[key]!r}")
     return spec
 
 
@@ -518,8 +522,8 @@ def _build_dataset(spec: dict) -> Dataset:
     if not isinstance(spec, dict) or len(spec) != 1 or not set(spec) <= {"synthetic", "csv"}:
         raise BenchError("dataset spec needs exactly one 'synthetic' or 'csv' entry")
     if "synthetic" in spec:
-        return gen_synthetic(**{"bound": 1.0, "seed": 0, **_numbers(spec["synthetic"], "dataset.synthetic.")})
-    c = {"normalize": True, **_numbers(spec["csv"], "dataset.csv.", ["label_column"])}
+        return gen_synthetic(**{"bound": 1.0, "seed": 0, **_numbers(spec["synthetic"], "dataset.synthetic")})
+    c = {"normalize": True, **_numbers(spec["csv"], "dataset.csv", ["label_column"])}
     if not isinstance(c["normalize"], bool):  # a string such as "false" would read as true
         raise BenchError(f"dataset.csv.normalize must be true or false, got {c['normalize']!r}")
     ds = load_csv(**c)
@@ -554,7 +558,7 @@ def run_experiment(config: dict) -> dict:
     # the objects built here validate their fields: a bad value is a config error
     try:
         _check_keys(config, "config")
-        _numbers(config, "", ["bound", "init_separation"])
+        _numbers(config, "config", ["bound", "init_separation"])
         ds = _build_dataset(config["dataset"])
         k = _whole(config["k"], "k")
         rounds = _whole(config["rounds"], "rounds")
@@ -571,15 +575,15 @@ def run_experiment(config: dict) -> dict:
                 if delta.strip() != "1/n":
                     raise BenchError(f"unsupported delta spec {delta!r}")
                 delta = 1.0 / ds.n
-            _numbers({**b, "delta": delta}, "budget.")
+            _numbers({**b, "delta": delta}, "budget")
             budget = PrivacyBudget(
                 epsilon_total=float(b.get("epsilon", 1.0)),
                 delta_total=float(delta),
                 rounds=rounds,
             )
 
-        sign_spec = _numbers(config.get("sign", {}), "sign.")
-        if isinstance(sign_spec, dict) and "degree" in sign_spec:
+        sign_spec = _numbers(config.get("sign", {}), "sign")
+        if "degree" in sign_spec:
             sign_spec = {**sign_spec, "degree": _whole(sign_spec["degree"], "sign.degree")}
         sign = SignApproxConfig(**sign_spec)
         eng_cfg = config.get("engine", {})
@@ -587,7 +591,7 @@ def run_experiment(config: dict) -> dict:
         engine_config = EngineConfig(
             slot_count=_whole(eng_cfg.get("slot_count", 1 << 14), "engine.slot_count"),
             depth_budget=proto.required_depth(k, sign.degree),
-            size_model=SizeModel(**_numbers(eng_cfg.get("size_model", {}), "engine.size_model.")),
+            size_model=SizeModel(**_numbers(eng_cfg.get("size_model", {}), "engine.size_model")),
         )
 
         seeds_cfg = config.get("seeds", {})

@@ -2,6 +2,11 @@
 (``_ComputingState``), the two- and N-party drivers, and the depth and
 transcript ledgers the runs are checked against.
 
+Setup: every data owner uploads each feature once, ``usable_slots`` =
+blocks_per_ct * k^2 points per ciphertext (all of ``slot_count`` at every
+power-of-two k), so every point lies on the aligned grid and the shifts of
+the replication schedules are the only rotation steps a run takes.
+
 One round, run entirely by the computing party (Alice) on encrypted data:
 
 1. distance differences: with every point read as (1, x_1, ..., x_d) and
@@ -59,7 +64,7 @@ import numpy as np
 from . import packed_matrix as pm
 from . import secure_argmin as sa
 from .dp_accounting import NoiseScales, PrivacyBudget, RoundBudget, per_round_budget, perturb_aggregates
-from .packed_matrix import COLUMN, ROW, PackedLayout
+from .packed_matrix import PackedLayout
 from .slot_engine import EngineConfig, SlotEngine, SlotVector, chebyshev_depth, ciphertext_size_bytes
 
 COMPUTING = "computing"
@@ -314,31 +319,27 @@ def required_depth(k: int, degree: int = sa.DEFAULT_DEGREE) -> int:
 class _Batch:
     ct_index: int
     points: np.ndarray  # blocks_per_ct global point ids, -1 for unused
-    entry: tuple[int, int] | None  # aligned batches: the entry each used block is filled from
+    count: int  # used blocks, a prefix
+    entry: tuple[int, int]  # the in-block entry each used block is filled from
     valid_mask: np.ndarray  # slot-space 0/1 over the used blocks, shared by the layout
 
 
 def _plan_batches(n: int, layout: PackedLayout) -> list[_Batch]:
-    """Per ciphertext, one batch per in-block entry (row, col) with points,
-    then the points past the aligned grid in chunks of ``blocks_per_ct``."""
-    S, B = layout.slot_count, layout.blocks_per_ct
+    """Per upload ciphertext, one batch per in-block entry (row, col) with
+    points.  An upload holds ``usable_slots`` points, so every point lies
+    on the aligned grid."""
+    chunk = layout.usable_slots
     batches = []
-    for m in range(math.ceil(n / S)):
-        in_ct = min(S, n - m * S)
-        planned = []  # (entry or None for the tail, slots within the ciphertext)
+    for m in range(math.ceil(n / chunk)):
+        in_ct = min(chunk, n - m * chunk)
         for row in range(layout.k):
             for col in range(layout.k):
                 slots = layout.entry_slots(row, col)
                 slots = slots[slots < in_ct]  # the used blocks are a prefix
                 if slots.size:
-                    planned.append(((row, col), slots))
-        # points past the aligned grid are re-packed one by one at setup
-        planned += [(None, np.arange(start, min(start + B, in_ct)))
-                    for start in range(layout.usable_slots, in_ct, B)]
-        for entry, slots in planned:
-            points = np.full(B, -1, dtype=np.int64)
-            points[: slots.size] = m * S + slots
-            batches.append(_Batch(m, points, entry, layout.used_blocks(slots.size)))
+                    points = np.full(layout.blocks_per_ct, -1, dtype=np.int64)
+                    points[: slots.size] = m * chunk + slots
+                    batches.append(_Batch(m, points, slots.size, (row, col), layout.used_blocks(slots.size)))
     return batches
 
 
@@ -353,11 +354,10 @@ def _unit(slots: int, i: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _encrypt_features(engine: SlotEngine, columns: dict) -> dict:
+def _encrypt_features(engine: SlotEngine, columns: dict, chunk: int) -> dict:
     """Setup of every non-computing party: each feature (global index ->
-    values) encrypted under the shared key in ``slot_count`` chunks."""
-    S = engine.config.slot_count
-    return {g: [engine.encrypt(v[m * S : (m + 1) * S]) for m in range(math.ceil(v.size / S))]
+    values) encrypted under the shared key, ``chunk`` points per ciphertext."""
+    return {g: [engine.encrypt(v[m * chunk : (m + 1) * chunk]) for m in range(math.ceil(v.size / chunk))]
             for g, v in columns.items()}
 
 
@@ -431,27 +431,14 @@ class _ComputingState:
 
     # -- one-time encoding -------------------------------------------------
 
-    def _extract(self, ct: SlotVector, batch: _Batch) -> SlotVector:
-        eng, lay = self.engine, self.layout
-        S = eng.config.slot_count
-        slots = (batch.points[batch.points >= 0] - batch.ct_index * S).tolist()
-        if batch.entry is not None:
-            return pm.batch_extract_replicate(eng, ct, *batch.entry, len(slots), lay)
-        # tail points: per-point mask and rotate into block-aligned slots
-        selected = None
-        for block, slot in enumerate(slots):
-            single = eng.rotate(eng.mul(ct, eng.plaintext(_unit(S, slot))), slot - block * lay.k)
-            selected = single if selected is None else eng.add(selected, single)
-        filled = pm.repl_no_padding(eng, selected, 0, lay, axis=COLUMN)
-        return pm.repl_no_padding(eng, filled, 0, lay, axis=ROW)
-
     def _cache_packed(self, columns: list, encrypted: dict) -> None:
         # the batches' shared valid masks, wrapped without a copy
         self.encodings.append([self.engine.plaintext(b.valid_mask) for b in self.batches])
         points = np.stack([b.points for b in self.batches])
         for l, values in enumerate(columns):
             if l in encrypted:
-                self.encodings.append([self._extract(encrypted[l][b.ct_index], b) for b in self.batches])
+                self.encodings.append([pm.batch_extract_replicate(self.engine, encrypted[l][b.ct_index], *b.entry,
+                                                                  b.count, self.layout) for b in self.batches])
             else:
                 self.encodings.append(np.where(points >= 0, values[np.maximum(points, 0)], 0.0))
 
@@ -460,18 +447,19 @@ class _ComputingState:
         the round-invariant coordinate totals of both parties."""
         eng = self.engine
         S = eng.config.slot_count
-        count = math.ceil(self.n / S)
-        full = eng.plaintext(np.ones(S))  # one shared mask for every full ciphertext
+        chunk = self.layout.usable_slots  # the upload chunk: every slot at k = 2
+        count = math.ceil(self.n / chunk)
+        full = eng.plaintext(np.ones(chunk))  # one shared mask for every full ciphertext
         masks = []
         for m in range(count):
-            rest = self.n - m * S
-            masks.append(full if rest >= S else eng.plaintext(np.arange(S) < rest))
+            rest = self.n - m * chunk
+            masks.append(full if rest >= chunk else eng.plaintext(np.arange(chunk) < rest))
         self.encodings.append(masks)
         for l, values in enumerate(columns):
             if l in encrypted:
                 self.encodings.append(encrypted[l])
             else:
-                self.encodings.append([eng.plaintext(values[m * S : (m + 1) * S]) for m in range(count)])
+                self.encodings.append([eng.plaintext(values[m * chunk : (m + 1) * chunk]) for m in range(count)])
         # X_l * e0: every point's coordinate l summed into slot 0, once per run; X_0 = n
         self.heads.append(eng.plaintext(self.n * _unit(S, 0)))
         e0 = eng.plaintext(_unit(S, 0))
@@ -654,7 +642,8 @@ def run_multiparty(
     layout = PackedLayout(k, slot_count=cfg.slot_count)
 
     # setup: feature upload, cache building
-    encrypted = _encrypt_features(engine, {g: columns[g] for p in ordered[1:] for g in p.feature_indices})
+    encrypted = _encrypt_features(engine, {g: columns[g] for p in ordered[1:] for g in p.feature_indices},
+                                  layout.usable_slots)
     upload_bytes = [
         sum(engine.size_bytes(ct) for g in p.feature_indices for ct in encrypted[g])
         for p in ordered[1:]
@@ -739,7 +728,8 @@ def plan_transcript(
 
     ``parties`` lists ``(name, role, encrypted feature count)`` per party,
     in the order the run assigned roles.  Setup publishes the key and
-    uploads ``ceil(n / slots)`` fresh ciphertexts per encrypted feature;
+    uploads ``ceil(n / usable_slots)`` fresh ciphertexts per encrypted
+    feature, at the stride of ``PackedLayout(k, cfg.slot_count)``;
     every round sends d + 1 aggregate ciphertexts and gets back either the
     k*d plaintext centroid reals or, under MPC, one decryption share per
     key-share holder; finally the centroids reach every data owner.
@@ -757,7 +747,7 @@ def plan_transcript(
     aggregates = (d + 1) * ciphertext_size_bytes(0, cfg)
     share = math.ceil(aggregates / 2)
     centroids = k * d * 8
-    per_feature = math.ceil(n / cfg.slot_count)
+    per_feature = math.ceil(n / PackedLayout(k, slot_count=cfg.slot_count).usable_slots)
 
     key_receivers = [computing] if mpc else [name for name, _, _ in parties if name != key_owner]
     messages = [Message(SETUP_ROUND, key_owner, name, PUBLIC_KEY, fresh) for name in key_receivers]
@@ -831,7 +821,8 @@ def estimate_transcript(
     The plan of :func:`plan_transcript` in which ``party0`` computes and
     ``party1`` uploads all ``d_bob`` encrypted features (a run with more
     parties sends one upload per party, with the same bytes and ciphertexts
-    in total), on ``cfg`` as given or sized as a run's default engine.  An
+    in total), on ``cfg`` as given or sized as a run's default engine.
+    Uploads are counted at the layout's stride, as the run packs them.  An
     estimate of a run that :func:`run_multiparty` refuses before setup
     raises the same ``ProtocolError`` through the same check, and so does
     ``d_bob`` above ``d``.

@@ -278,6 +278,21 @@ def test_config_that_is_not_an_object_exits_2(tmp_path, capsys, config):
     assert "config must be a JSON object" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("section,bad", [
+    ("dataset.csv", {"dataset": {"csv": "x.csv"}}),
+    ("dataset.synthetic", {"dataset": {"synthetic": [50, 2, 2]}}),
+    ("sign", {"sign": 127}),
+    ("engine.size_model", {"engine": {"size_model": None}}),
+], ids=["dataset.csv", "dataset.synthetic", "sign", "engine.size_model"])
+def test_config_section_that_is_not_an_object_is_named(tmp_path, capsys, section, bad):
+    config = {"dataset": {"synthetic": {"n": 50, "k": 2, "d": 2, "cluster_std": 0.05}},
+              "k": 2, "rounds": 1, **bad}
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(config))
+    assert main(["run", str(p), "-o", str(tmp_path / "report.json")]) == 2
+    assert f"{section} must be a JSON object" in capsys.readouterr().err
+
+
 def test_network_profiles_must_be_a_list(tmp_path, capsys):
     config = {"dataset": {"synthetic": {"n": 50, "k": 2, "d": 2, "cluster_std": 0.05}},
               "k": 2, "rounds": 1, "network_profiles": "LAN1000"}

@@ -70,6 +70,35 @@ def test_every_config_key_is_read():
     assert sorted(accepted - read) == []
 
 
+def rotate_callers(source: str) -> set[str]:
+    """The functions that call a ``rotate`` attribute, each named by its
+    innermost ``def``; ``<module>`` for a call outside any."""
+    found = set()
+
+    def visit(node, enclosing):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            enclosing = node.name
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "rotate":
+            found.add(enclosing)
+        for child in ast.iter_child_nodes(node):
+            visit(child, enclosing)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_rotate_caller_check_names_the_innermost_function():
+    source = "def f(e):\n    def g():\n        return e.rotate(1, 2)\n    return g\nx.rotate(3)\ny = e.rotate\n"
+    assert rotate_callers(source) == {"g", "<module>"}
+
+
+def test_only_the_replication_executor_rotates():
+    """Every rotation step is a shift of a replication schedule, so the
+    schedules alone fix the rotation keys a run needs."""
+    callers = {f"{p.stem}.{name}" for p in MODULES for name in rotate_callers(p.read_text())}
+    assert callers == {"packed_matrix._run_replication"}
+
+
 ROOT = Path(vpkmeans.__file__).resolve().parents[2]
 # Public names that only tests reach, kept on purpose, with the reason.
 TEST_ONLY = {

@@ -293,16 +293,52 @@ def test_first_row_restriction_is_exact(monkeypatch, model, k, slots, n):
 # -- batching edge cases ---------------------------------------------------------
 
 
-def test_tail_points_are_processed():
-    # slot_count 64, k=3: 63 usable grid slots, so point 63 lands in the tail
-    eng = SlotEngine(EngineConfig(slot_count=64, depth_budget=required_depth(3)))
-    pts = uniform_instance(6, n=64, d=2)
+def test_one_point_past_the_stride_takes_a_second_upload():
+    # slot_count 64, k=3: an upload holds the 63 grid slots, so point 63
+    # opens a second upload ciphertext and is extracted by entry (0, 0)
+    k, slots = 3, 64
+    layout = PackedLayout(k, slot_count=slots)
+    n = layout.usable_slots + 1
+    batches = _plan_batches(n, layout)
+    assert [b.entry for b in batches] == [(r, c) for r in range(k) for c in range(k)] + [(0, 0)]
+    assert np.array_equal(np.sort(np.concatenate([b.points[b.points >= 0] for b in batches])), np.arange(n))
+    assert (batches[-1].ct_index, batches[-1].count, batches[-1].points[0]) == (1, 1, n - 1)
+    eng = SlotEngine(EngineConfig(slot_count=slots, depth_budget=required_depth(k)))
+    pts = uniform_instance(6, n=n, d=2)
     parts = split_features(pts, [[0], [1]])
-    res = run(parts[0], parts[1], None, 2, k=3, bound=1.0, seed=13, engine=eng)
+    res = run(parts[0], parts[1], None, 2, k=k, bound=1.0, seed=13, engine=eng)
+    assert [m.ciphertext_count for m in res.transcript.by_kind(protocol.ENCRYPTED_FEATURES)] == [2]
     oracle = bench.lloyd_plaintext(pts, CentroidSet(res.history[0], bound=1.0), 2,
                                    tie_rule=bench.MATCHING, seed=13)
     for mine, ref in zip(res.history, oracle.history):
         assert np.max(np.abs(mine - ref)) < 1e-6
+
+
+class StepRecorder(SlotEngine):
+    """An engine that records every rotation step, modulo the slot count:
+    a real backend needs one Galois key per distinct step."""
+
+    def __init__(self, config):
+        super().__init__(config)
+        self.steps = set()
+
+    def rotate(self, v, r):
+        self.steps.add(r % self.config.slot_count)
+        return super().rotate(v, r)
+
+
+@pytest.mark.parametrize("k", [5, 7])
+def test_key_set_does_not_grow_past_the_grid(k):
+    # at 64 slots k=5 has 50 grid slots and k=7 has 49: every point past
+    # them goes to a second upload and takes the same replication shifts
+    slots = 64
+    steps = []
+    for n in (PackedLayout(k, slot_count=slots).usable_slots, slots):
+        eng = StepRecorder(EngineConfig(slot_count=slots, depth_budget=required_depth(k)))
+        parts = split_features(uniform_instance(4, n=n, d=2), [[0], [1]])
+        run(parts[0], parts[1], None, 1, k=k, bound=1.0, seed=2, engine=eng)
+        steps.append(eng.steps)
+    assert steps[1] == steps[0]
 
 
 @st.composite
@@ -322,7 +358,7 @@ def run_shapes(draw):
 
 @given(shape=run_shapes())
 @example(shape=(3, 2, [[0], [1]], 0, protocol.SERVER_AIDED, 2, 1))  # fewer points than clusters
-@example(shape=(3, 128, [[0], [1]], 0, protocol.SERVER_AIDED, 2, 2))  # a tail batch per ciphertext
+@example(shape=(3, 128, [[0], [1]], 0, protocol.SERVER_AIDED, 2, 2))  # 3 uploads of 63 grid slots
 @example(shape=(2, 100, [[0], [1]], 0, protocol.SERVER_AIDED, 2, 3))  # partial last ciphertext
 @example(shape=(3, 50, [[0], [1]], 0, protocol.MPC_SIMULATED, 0, 4))  # zero rounds
 @example(shape=(3, 70, [[0], [1], [2]], 1, protocol.MPC_SIMULATED, 2, 5))  # one feature per party
@@ -354,8 +390,8 @@ def test_run_shapes_match_oracle_and_estimate(shape):
 
 @pytest.mark.parametrize("k,n", [(3, 64), (3, 150), (8, 20000), (15, 5000)])
 def test_batches_share_one_valid_mask_per_used_block_count(k, n):
-    # 64 and 150 points at 64 slots leave tail batches and a partial last
-    # ciphertext; the others are the benchmark's packed shapes
+    # 64 and 150 points at 64 slots take 2 and 3 uploads of 63 grid slots,
+    # the last one partial; the others are the benchmark's packed shapes
     slots = 64 if n < 200 else 1 << 14
     layout = PackedLayout(k, slot_count=slots)
     batches = _plan_batches(n, layout)
@@ -468,7 +504,8 @@ def test_each_key_holder_feature_adds_one_ct_mult_per_unit_and_round(k):
 def transcript_checks(res, n, k, d, d_bob, rounds, slot_count):
     tr = res.transcript
     uploads = tr.by_kind(protocol.ENCRYPTED_FEATURES)
-    assert sum(m.ciphertext_count for m in uploads) == d_bob * math.ceil(n / slot_count)
+    assert sum(m.ciphertext_count for m in uploads) == d_bob * math.ceil(
+        n / PackedLayout(k, slot_count=slot_count).usable_slots)
     per_round = tr.by_kind(protocol.NOISY_AGGREGATES)
     assert len(per_round) == rounds
     assert all(m.ciphertext_count == d + 1 for m in per_round)
@@ -481,6 +518,16 @@ def test_transcript_invariants_two_party():
     parts = split_features(pts, [[0], [1, 2]])
     res = run(parts[0], parts[1], None, 3, k=4, bound=1.0, seed=1)
     transcript_checks(res, 300, 4, 3, 2, 3, 1 << 14)
+
+
+@pytest.mark.parametrize("k,n,uploads", [
+    (15, 16_200, 1), (15, 16_201, 2), (15, 16_384, 2), (2, 16_384, 1), (8, 16_384, 1),
+])
+def test_estimate_charges_uploads_at_the_stride(k, n, uploads):
+    # at the default 16,384 slots an upload holds k = 15's 16,200 grid
+    # slots, and every slot at k = 2 and k = 8
+    est = estimate_transcript(n, k, 2, 1, 1)
+    assert [m.ciphertext_count for m in est.by_kind(protocol.ENCRYPTED_FEATURES)] == [uploads]
 
 
 def test_estimator_matches_real_run_exactly():
