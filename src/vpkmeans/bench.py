@@ -483,51 +483,88 @@ def s1_style_config() -> dict:
     }
 
 
-# the keys each section of an experiment config may hold; the dataset
-# sections are the keyword arguments of gen_synthetic and load_csv
-_CONFIG_KEYS = {
-    "config": {"name", "dataset", "k", "rounds", "bound", "feature_split", "model", "budget",
-               "sign", "engine", "seeds", "init_separation", "network_profiles", "output"},
-    "budget": {"epsilon", "delta"},
-    "engine": {"slot_count", "size_model"},
-    "seeds": {"count", "base"},
+@dataclass(frozen=True)
+class _List:
+    item: object  # the config type of every item
+    noun: str  # what the items are, for an error
+
+
+# Every key of every section of an experiment config as (type, default), a
+# default of ... for a key the config must give.  A type is float (any
+# number), int (a whole number), str, bool, a _List, a dict (a section), a
+# string (that string only) or a tuple of types (a union).  The dataset
+# sections are the keyword arguments of gen_synthetic and load_csv.
+_SCHEMA = {
+    "name": (str, None),
+    "dataset": ({"synthetic": ({"n": (int, ...), "k": (int, ...), "d": (int, ...), "bound": (float, 1.0),
+                               "cluster_std": (float, ...), "seed": (int, 0), "min_center_dist": (float, None)}, None),
+                 "csv": ({"path": (str, ...), "normalize": (bool, True), "label_column": (int, None)}, None)}, ...),
+    "k": (int, ...),
+    "rounds": (int, ...),
+    "bound": (float, None),
+    "feature_split": (_List(_List(int, "column numbers"), "column lists"), None),
+    "model": (str, None),
+    "budget": ({"epsilon": (float, 1.0), "delta": ((float, "1/n"), 1e-5)}, None),
+    "sign": ({"degree": (int, SignApproxConfig.degree), "tie_margin": (float, SignApproxConfig.tie_margin)}, {}),
+    "engine": ({"slot_count": (int, EngineConfig.slot_count),
+                "size_model": ({"bytes_per_slot_per_level": (float, SizeModel.bytes_per_slot_per_level)}, {})}, {}),
+    "seeds": (({"count": (int, 1), "base": (int, 0)}, _List(int, "whole numbers")), {}),
+    "init_separation": (float, None),
+    "network_profiles": (_List(tuple(NETWORK_PROFILES), "profile names"), []),
+    "output": (str, "report.json"),
 }
 
+# each scalar config type's exact JSON value types (a bool is no number) and name
+_SCALARS = {float: ((int, float), "a number"), int: ((int, float), "a number"),
+            str: ((str,), "a string"), bool: ((bool,), "true or false")}
 
-def _check_object(spec, section: str) -> None:
-    if not isinstance(spec, dict):
-        raise BenchError(f"{section} must be a JSON object, got {spec!r}")
+
+def _noun(kind) -> str:
+    if isinstance(kind, (dict, _List)):
+        return f"a list of {kind.noun}" if isinstance(kind, _List) else "a JSON object"
+    return repr(kind) if isinstance(kind, str) else _SCALARS[kind][1]
 
 
-def _check_keys(spec, section: str) -> None:
-    _check_object(spec, section)
-    unknown = sorted(set(spec) - _CONFIG_KEYS[section])
+def _checked(value, kind, key: str = ""):
+    """``value``, at the dotted path ``key`` (empty for the whole config),
+    checked against the config type ``kind`` and with its sections' defaults
+    filled in; a wrong type or an unknown or missing key is a ``BenchError``."""
+    name = key or "config"
+    options = kind if isinstance(kind, tuple) else (kind,)
+    for kind in options:
+        if isinstance(kind, _List) and isinstance(value, list):
+            return [_checked(item, kind.item, f"{key}[{i}]") for i, item in enumerate(value)]
+        if isinstance(kind, type) and type(value) in _SCALARS[kind][0]:
+            return _whole(value, key) if kind is int else value
+        if isinstance(kind, str) and value == kind:
+            return value
+        if isinstance(kind, dict) and isinstance(value, dict):
+            break
+    else:
+        raise BenchError(f"{name} must be {' or '.join(map(_noun, options))}, got {value!r}")
+    unknown = sorted(set(value) - set(kind))
     if unknown:
-        raise BenchError(f"unknown key {unknown[0]!r} in {section}")
-
-
-def _numbers(spec, section: str, keys=None):
-    """``spec``, after checking that it is an object and that none of
-    ``keys`` (default: all of its keys) holds a boolean, which would pass
-    for the number 1 or 0, or a string, which ``float`` would parse."""
-    _check_object(spec, section)
-    prefix = "" if section == "config" else f"{section}."
-    for key in spec if keys is None else keys:
-        if isinstance(spec.get(key), (bool, str)):
-            raise BenchError(f"{prefix}{key} must be a number, got {spec[key]!r}")
-    return spec
+        raise BenchError(f"unknown key {unknown[0]!r} in {name}")
+    section = {}
+    for sub, (sub_kind, default) in kind.items():
+        if sub not in value and default is ...:
+            raise BenchError(f"{name} is missing required field {sub!r}")
+        given = value.get(sub, default)
+        # null stands for a default of none; anywhere else it has the wrong type
+        section[sub] = (None if given is None and default is None
+                        else _checked(given, sub_kind, f"{key}.{sub}" if key else sub))
+    return section
 
 
 def _build_dataset(spec: dict) -> Dataset:
-    if not isinstance(spec, dict) or len(spec) != 1 or not set(spec) <= {"synthetic", "csv"}:
+    """The dataset of a checked ``dataset`` section: one source, every key given."""
+    if [spec.get("synthetic"), spec.get("csv")].count(None) != 1:
         raise BenchError("dataset spec needs exactly one 'synthetic' or 'csv' entry")
-    if "synthetic" in spec:
-        return gen_synthetic(**{"bound": 1.0, "seed": 0, **_numbers(spec["synthetic"], "dataset.synthetic")})
-    c = {"normalize": True, **_numbers(spec["csv"], "dataset.csv", ["label_column"])}
-    if not isinstance(c["normalize"], bool):  # a string such as "false" would read as true
-        raise BenchError(f"dataset.csv.normalize must be true or false, got {c['normalize']!r}")
-    ds = load_csv(**c)
-    return recenter(ds) if c["normalize"] else ds
+    if spec.get("synthetic") is not None:
+        return gen_synthetic(**spec["synthetic"])
+    csv = spec["csv"]
+    ds = load_csv(csv["path"], normalize=csv["normalize"], label_column=csv["label_column"])
+    return recenter(ds) if csv["normalize"] else ds
 
 
 def _whole(value, key: str) -> int:
@@ -546,86 +583,50 @@ def run_experiment(config: dict) -> dict:
     the seeds; ``protocol_seconds`` is the mean time of one protocol run,
     which the wall-clock estimates charge with one run's transcript.
 
-    Every value is parsed before the first run: a missing, unknown or
-    malformed key raises ``BenchError``, and a value the protocol cannot run
-    raises ``ProtocolError`` before any setup.
+    The config is checked against ``_SCHEMA`` before the first run: a
+    missing or unknown key or a value of the wrong JSON type raises
+    ``BenchError`` naming its dotted path, and a value the protocol cannot
+    run raises ``ProtocolError`` before any setup.  Null means the default
+    where the default is none (``budget``: no noise) and is a wrong type
+    elsewhere; the one string a number key takes is ``budget.delta``'s
+    ``"1/n"``, one over the dataset's size.
     """
-    if not isinstance(config, dict):
-        raise BenchError(f"config must be a JSON object, got {config!r}")
-    for key in ("dataset", "k", "rounds"):
-        if key not in config:
-            raise BenchError(f"config is missing required field {key!r}")
+    cfg = _checked(config, _SCHEMA)
     # the objects built here validate their fields: a bad value is a config error
     try:
-        _check_keys(config, "config")
-        _numbers(config, "config", ["bound", "init_separation"])
-        ds = _build_dataset(config["dataset"])
-        k = _whole(config["k"], "k")
-        rounds = _whole(config["rounds"], "rounds")
-        bound = float(config.get("bound", ds.bound if ds.bound else 1.0))
-        init_sep = config.get("init_separation")
-        init_sep = None if init_sep is None else float(init_sep)
+        ds = _build_dataset(cfg["dataset"])
+        k, rounds = cfg["k"], cfg["rounds"]
+        bound = float((ds.bound or 1.0) if cfg["bound"] is None else cfg["bound"])
 
-        budget = None
-        if config.get("budget") is not None:
-            b = config["budget"]
-            _check_keys(b, "budget")
-            delta = b.get("delta", 1e-5)
-            if isinstance(delta, str):  # the one string a numeric key takes
-                if delta.strip() != "1/n":
-                    raise BenchError(f"unsupported delta spec {delta!r}")
-                delta = 1.0 / ds.n
-            _numbers({**b, "delta": delta}, "budget")
-            budget = PrivacyBudget(
-                epsilon_total=float(b.get("epsilon", 1.0)),
-                delta_total=float(delta),
-                rounds=rounds,
-            )
+        budget = cfg["budget"]
+        if budget is not None:
+            delta = 1.0 / ds.n if budget["delta"] == "1/n" else float(budget["delta"])
+            budget = PrivacyBudget(float(budget["epsilon"]), delta, rounds)
 
-        sign_spec = _numbers(config.get("sign", {}), "sign")
-        if "degree" in sign_spec:
-            sign_spec = {**sign_spec, "degree": _whole(sign_spec["degree"], "sign.degree")}
-        sign = SignApproxConfig(**sign_spec)
-        eng_cfg = config.get("engine", {})
-        _check_keys(eng_cfg, "engine")
-        engine_config = EngineConfig(
-            slot_count=_whole(eng_cfg.get("slot_count", 1 << 14), "engine.slot_count"),
-            depth_budget=proto.required_depth(k, sign.degree),
-            size_model=SizeModel(**_numbers(eng_cfg.get("size_model", {}), "engine.size_model")),
-        )
+        sign = SignApproxConfig(**cfg["sign"])
+        engine_config = EngineConfig(slot_count=cfg["engine"]["slot_count"],
+                                     depth_budget=proto.required_depth(k, sign.degree),
+                                     size_model=SizeModel(**cfg["engine"]["size_model"]))
 
-        seeds_cfg = config.get("seeds", {})
-        if isinstance(seeds_cfg, list):
-            seeds = [_whole(s, f"seeds[{i}]") for i, s in enumerate(seeds_cfg)]
-        else:
-            _check_keys(seeds_cfg, "seeds")
-            base = _whole(seeds_cfg.get("base", 0), "seeds.base")
-            seeds = [base + i for i in range(_whole(seeds_cfg.get("count", 1), "seeds.count"))]
+        seeds = cfg["seeds"]
+        if isinstance(seeds, dict):
+            seeds = list(range(seeds["base"], seeds["base"] + seeds["count"]))
         if not seeds:
             raise BenchError("the config runs no seeds")
 
-        profiles = config.get("network_profiles", [])
-        if not isinstance(profiles, list):
-            raise BenchError(f"network_profiles must be a list of profile names, got {profiles!r}")
-        for name in profiles:
-            if name not in NETWORK_PROFILES:
-                raise BenchError(f"unknown network profile {name!r}")
-
-        d = ds.d
-        split = config.get("feature_split")
+        split = cfg["feature_split"]
         if split is None:
-            cut = (d + 1) // 2
-            split = [list(range(cut)), list(range(cut, d))]
-        elif not isinstance(split, list) or not all(isinstance(cols, list) for cols in split):
-            raise BenchError(f"feature_split must be a list of column lists, got {split!r}")
-        else:
-            split = [[_whole(c, "feature_split entry") for c in cols] for cols in split]
+            cut = (ds.d + 1) // 2
+            split = [list(range(cut)), list(range(cut, ds.d))]
         # drawn here so that a bound, separation or seed they cannot use fails before any run
-        inits = [init_centroids(k, d, bound, seed, min_separation=init_sep) for seed in seeds]
+        inits = [init_centroids(k, ds.d, bound, seed, min_separation=cfg["init_separation"])
+                 for seed in seeds]
     except (TypeError, ValueError) as exc:
         raise BenchError(f"invalid config: {exc}") from exc
 
-    model = config.get("model", proto.TWO_PARTY if len(split) == 2 else proto.SERVER_AIDED)
+    model = cfg["model"]
+    if model is None:
+        model = proto.TWO_PARTY if len(split) == 2 else proto.SERVER_AIDED
 
     per_seed = []
     transcript = None
@@ -671,10 +672,10 @@ def run_experiment(config: dict) -> dict:
     # one run's transfer goes with one run's compute: the mean protocol time
     # per seed, without the other seeds, the baselines or the metrics
     wallclock = {name: estimate_wallclock(transcript, NETWORK_PROFILES[name], protocol_seconds)
-                 for name in profiles}
+                 for name in cfg["network_profiles"]}
 
     report = {
-        "name": config.get("name", ds.name),
+        "name": ds.name if cfg["name"] is None else cfg["name"],
         "dataset": {"name": ds.name, "n": ds.n, "d": ds.d, "preprocessing": ds.preprocessing},
         "k": k,
         "rounds": rounds,

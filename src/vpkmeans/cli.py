@@ -26,8 +26,6 @@ def _cmd_run(args) -> int:
         config = json.load(fh)
     report = bench.run_experiment(config)
     out = args.output or config.get("output", "report.json")
-    if not isinstance(out, str):
-        raise BenchError(f"output must be a file name, got {out!r}")
     with open(out, "w") as fh:
         json.dump(report, fh, indent=2)
     print(f"wrote {out}")
@@ -58,9 +56,8 @@ def _cmd_baseline(args) -> int:
     if args.rounds < 0:
         raise BenchError(f"--rounds must be non-negative, got {args.rounds}")
     if args.csv:
-        ds = bench.load_csv(args.csv, normalize=args.normalize, label_column=args.label_column)
-        if args.normalize:
-            ds = bench.recenter(ds)
+        ds = bench._build_dataset({"csv": {"path": args.csv, "normalize": args.normalize,
+                                           "label_column": args.label_column}})
     else:
         ds = bench.gen_synthetic(args.n, args.k, args.d, args.bound, args.std, args.seed)
     bound = ds.bound or float(np.max(np.abs(ds.points)))

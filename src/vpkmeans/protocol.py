@@ -233,11 +233,14 @@ def init_centroids(
     """Uniform draws in [-B, B]^d, resampling candidates that land within
     ``min_separation`` of an accepted one (default B * sqrt(d) / (2k));
     after ``INIT_MAX_ATTEMPTS`` the candidate is accepted unconditionally.
-    A bound that is not positive and finite, or a separation that is
-    negative, NaN or infinite, raises ``ProtocolError``."""
+    A bound that is not positive and finite, a separation that is
+    negative, NaN or infinite, or a seed that is not a non-negative whole
+    number raises ``ProtocolError``."""
     if k < 2:
         raise ProtocolError("k must be at least 2")
     _check_bound(bound)
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ProtocolError(f"the seed must be a non-negative whole number, got {seed!r}")
     if min_separation is None:
         min_separation = 2 * bound * math.sqrt(d) / (4 * k)
     elif not 0 <= min_separation < math.inf:

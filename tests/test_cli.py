@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import tempfile
 from pathlib import Path
@@ -7,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vpkmeans import bench, protocol
 from vpkmeans.cli import main
 
 
@@ -293,6 +296,41 @@ def test_config_section_that_is_not_an_object_is_named(tmp_path, capsys, section
     assert f"{section} must be a JSON object" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad, key", [
+    ({"dataset": {"csv": {"path": 0}}}, "dataset.csv.path"),
+    ({"name": [1]}, "name"),
+    ({"dataset": {"synthetic": {"n": 60.5, "k": 2, "d": 2, "cluster_std": 0.05}}}, "dataset.synthetic.n"),
+    ({"output": 5}, "output"),
+], ids=["csv-path-number", "name-list", "synthetic-n-not-whole", "output-number"])
+def test_value_of_a_wrong_type_is_named_before_any_run(tmp_path, capsys, monkeypatch, bad, key):
+    def spy(*args, **kwargs):
+        raise AssertionError("a run started before the config was checked")
+
+    monkeypatch.setattr(protocol, "run_multiparty", spy)
+    monkeypatch.chdir(tmp_path)  # the config's own output, with no -o
+    config = {"dataset": {"synthetic": {"n": 50, "k": 2, "d": 2, "cluster_std": 0.05}},
+              "k": 2, "rounds": 1, **bad}
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(config))
+    assert main(["run", str(p)]) == 2
+    assert f"error: {key} must be " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("source", ["synthetic", "csv"])
+def test_whole_number_floats_read_like_ints(tmp_path, source):
+    data = tmp_path / "blobs.csv"
+    assert main(["gen", "--n", "60", "--k", "2", "--seed", "1", "--labels", "-o", str(data)]) == 0
+
+    def dataset(number):
+        if source == "csv":
+            return {"csv": {"path": str(data), "label_column": number(2)}}
+        return {"synthetic": {"n": number(50), "k": number(2), "d": number(2), "cluster_std": 0.05,
+                              "seed": number(1)}}
+
+    runs = [_run_report(tmp_path, dataset=dataset(number))["per_seed"] for number in (int, float)]
+    assert runs[0] == runs[1] and "secure_accuracy" in runs[0][0]
+
+
 def test_network_profiles_must_be_a_list(tmp_path, capsys):
     config = {"dataset": {"synthetic": {"n": 50, "k": 2, "d": 2, "cluster_std": 0.05}},
               "k": 2, "rounds": 1, "network_profiles": "LAN1000"}
@@ -374,9 +412,12 @@ def test_missing_file_exits_nonzero(capsys):
     ("baseline", ["--seeds", "0"], "--seeds must be at least 1"),
     ("baseline", ["--seeds", "-2"], "--seeds must be at least 1"),
     ("baseline", ["--rounds", "-1"], "--rounds must be non-negative"),
+    ("gen", ["--seed", "-1"], "seed must be a non-negative whole number"),
+    ("baseline", ["--seed", "-1"], "seed must be a non-negative whole number"),
 ], ids=["gen-negative-std", "gen-infinite-std", "gen-negative-bound", "gen-zero-bound", "gen-no-features",
         "baseline-negative-std", "baseline-negative-bound", "baseline-no-features",
-        "baseline-zero-seeds", "baseline-negative-seeds", "baseline-negative-rounds"])
+        "baseline-zero-seeds", "baseline-negative-seeds", "baseline-negative-rounds",
+        "gen-negative-seed", "baseline-negative-seed"])
 def test_gen_and_baseline_reject_bad_numbers(tmp_path, capsys, command, args, message):
     out = ["-o", str(tmp_path / "out.csv")] if command == "gen" else []
     rc = main([command, "--n", "30", "--k", "3", *args, *out])
@@ -498,3 +539,52 @@ def test_run_exits_0_or_2_on_any_config(config):
         path = Path(tmp) / "config.json"
         path.write_text(json.dumps(config))
         assert main(["run", str(path), "-o", str(Path(tmp) / "report.json")]) in (0, 2)
+
+
+def schema_paths(kind, path=""):
+    """``(dotted path, type, default)`` of every key of every section of
+    the config type ``kind``."""
+    for option in kind if isinstance(kind, tuple) else (kind,):
+        if isinstance(option, dict):
+            for key, (sub, default) in option.items():
+                child = f"{path}.{key}" if path else key
+                yield child, sub, default
+                yield from schema_paths(sub, child)
+
+
+def takes(kind, value) -> bool:
+    """Whether the config type ``kind`` takes JSON values of ``value``'s
+    JSON type; a string literal takes only itself."""
+    fits = {bool: {bool}, float: {int, float}, str: {str}, list: {bench._List}, dict: {dict}}[type(value)]
+    return any(option == value if isinstance(option, str)
+               else (option if isinstance(option, type) else type(option)) in fits
+               for option in (kind if isinstance(kind, tuple) else (kind,)))
+
+
+@st.composite
+def wrong_type_at_a_key(draw):
+    """A key path of the config table and a value of a JSON type the key
+    does not take; null only where the key has a default other than none."""
+    path, kind, default = draw(st.sampled_from(list(schema_paths(bench._SCHEMA))))
+    wrong = [v for v in [True, 0.5, "x", [], {}] if not takes(kind, v)] + ([None] if default is not None else [])
+    return path, draw(st.sampled_from(wrong))
+
+
+@given(case=wrong_type_at_a_key())
+@settings(max_examples=150, deadline=None)
+def test_a_wrong_type_at_any_key_exits_2_naming_its_path(case):
+    path, value = case
+    synthetic = {"synthetic": {"n": 50, "k": 2, "d": 2, "cluster_std": 0.05}}
+    config = {"dataset": {"csv": {"path": "points.csv"}} if path.startswith("dataset.csv") else synthetic,
+              "k": 2, "rounds": 1}
+    *parents, last = path.split(".")
+    node = config
+    for key in parents:
+        node = node.setdefault(key, {})
+    node[last] = value
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err):
+        config_path = Path(tmp) / "config.json"
+        config_path.write_text(json.dumps(config))
+        assert main(["run", str(config_path), "-o", str(Path(tmp) / "report.json")]) == 2
+    assert f"error: {path} must be " in err.getvalue()

@@ -2,6 +2,7 @@
 with the standard library only."""
 
 import ast
+import inspect
 import os
 import subprocess
 import sys
@@ -63,11 +64,42 @@ def test_key_read_check_ignores_keys_only_written():
     assert keys_read(source) == {"x", "y", "z"}
 
 
+# the config sections that a call spreads into keyword arguments: a key
+# that is no parameter of the callee fails the call, so none is ignored
+SPREAD = {"synthetic", "sign", "size_model"}
+
+
+def schema_keys(kind) -> set[str]:
+    """The keys of every section of the config type ``kind`` (a type of
+    ``bench._SCHEMA``), except the keys of the sections in ``SPREAD``."""
+    keys = set()
+    for option in kind if isinstance(kind, tuple) else (kind,):
+        if isinstance(option, bench._List):
+            keys |= schema_keys(option.item)
+        elif isinstance(option, dict):
+            for key, (sub, _) in option.items():
+                keys |= {key} | (set() if key in SPREAD else schema_keys(sub))
+    return keys
+
+
 def test_every_config_key_is_read():
     """A config key that no module reads would be accepted and ignored."""
     read = set().union(*(keys_read(path.read_text()) for path in MODULES))
-    accepted = set().union(*bench._CONFIG_KEYS.values())
+    accepted = schema_keys(bench._SCHEMA)
     assert sorted(accepted - read) == []
+
+
+@pytest.mark.parametrize("section, builder", [("synthetic", bench.gen_synthetic), ("csv", bench.load_csv)])
+def test_dataset_sections_match_their_builders(section, builder):
+    """A dataset section's keys are the parameters of the function it is
+    passed to.  The config requires none that the function defaults, and a
+    key it leaves unset (null) is one the function defaults to None; it may
+    give a default of its own, as it does for the synthetic bound and seed."""
+    keys = bench._SCHEMA["dataset"][0][section][0]
+    params = inspect.signature(builder).parameters
+    assert set(keys) == set(params)
+    assert all(params[key].default is params[key].empty for key, (_, default) in keys.items() if default is ...)
+    assert all(params[key].default is None for key, (_, default) in keys.items() if default is None)
 
 
 def rotate_callers(source: str) -> set[str]:
