@@ -586,7 +586,8 @@ def run_experiment(config: dict) -> dict:
     The config is checked against ``_SCHEMA`` before the first run: a
     missing or unknown key or a value of the wrong JSON type raises
     ``BenchError`` naming its dotted path, and a value the protocol cannot
-    run raises ``ProtocolError`` before any setup.  Null means the default
+    run raises ``ProtocolError`` through the protocol's admission check,
+    before any initial centroid is drawn.  Null means the default
     where the default is none (``budget``: no noise) and is a wrong type
     elsewhere; the one string a number key takes is ``budget.delta``'s
     ``"1/n"``, one over the dataset's size.
@@ -608,25 +609,27 @@ def run_experiment(config: dict) -> dict:
                                      depth_budget=proto.required_depth(k, sign.degree),
                                      size_model=SizeModel(**cfg["engine"]["size_model"]))
 
+        split = cfg["feature_split"]
+        if split is None:
+            cut = (ds.d + 1) // 2
+            split = [list(range(cut)), list(range(cut, ds.d))]
+        model = cfg["model"]
+        if model is None:
+            model = proto.TWO_PARTY if len(split) == 2 else proto.SERVER_AIDED
+        # the runs' own admission check, before k initial centroids are drawn
+        proto._admit(model, [(f"party{i}", len(cols)) for i, cols in enumerate(split)], None, ds.n, k, rounds,
+                     engine_config, sign.degree)
+
         seeds = cfg["seeds"]
         if isinstance(seeds, dict):
             seeds = list(range(seeds["base"], seeds["base"] + seeds["count"]))
         if not seeds:
             raise BenchError("the config runs no seeds")
-
-        split = cfg["feature_split"]
-        if split is None:
-            cut = (ds.d + 1) // 2
-            split = [list(range(cut)), list(range(cut, ds.d))]
         # drawn here so that a bound, separation or seed they cannot use fails before any run
         inits = [init_centroids(k, ds.d, bound, seed, min_separation=cfg["init_separation"])
                  for seed in seeds]
     except (TypeError, ValueError) as exc:
         raise BenchError(f"invalid config: {exc}") from exc
-
-    model = cfg["model"]
-    if model is None:
-        model = proto.TWO_PARTY if len(split) == 2 else proto.SERVER_AIDED
 
     per_seed = []
     transcript = None

@@ -97,6 +97,16 @@ class PackedLayout:
         slots.setflags(write=False)
         return slots
 
+    def block_values(self, slots: np.ndarray) -> np.ndarray:
+        """The inverse of :meth:`spread`: one value per block, read from
+        the block's first slot into a fresh array.  Raises ``EngineError``
+        unless ``spread`` of the values gives ``slots`` back, compared by
+        value, so a zero slot may hold -0.0."""
+        values = np.array(slots[: self.width : self.k], dtype=np.float64)
+        if values.size != self.blocks_per_ct or not np.array_equal(self.spread(values), slots):
+            raise EngineError(f"the slots do not hold one value per block of {self.k} x {self.k}")
+        return values
+
     def from_slots(self, slots: np.ndarray) -> np.ndarray:
         return np.array(slots[: self.usable_slots]).reshape(
             self.k, self.blocks_per_ct, self.k
@@ -129,10 +139,6 @@ class PackedLayout:
         """1.0 on block 0's first row, where :func:`reduce_blocks` leaves
         the per-cluster totals."""
         return self._grid_mask(("head",), 0, slice(self.k), 1.0)
-
-    def used_blocks(self, count: int) -> np.ndarray:
-        """1.0 on every slot of the first ``count`` blocks, 0 elsewhere."""
-        return self._grid_mask(("used", count), slice(None), slice(count * self.k), 1.0)
 
     def filled(self, value: float) -> np.ndarray:
         """``value`` in every slot, grid or not."""

@@ -14,9 +14,10 @@ One round, run entirely by the computing party (Alice) on encrypted data:
    scaled squared distance to centroid c minus the one to centroid r,
    which is linear: sum_l x_l * G_l, where the G_l are plaintext grids
    built once per round from the centroids.  Every batch of points takes
-   one product per coordinate, with Bob's cached extracted blocks or
-   Alice's plaintext values spread into the same shape as the batch is
-   processed (only ciphertexts and shared masks are kept across rounds);
+   one product per coordinate; each coordinate of the batch (Bob's
+   extracted blocks, Alice's plaintext values and the used-block mask) is
+   kept as one value per block and spread into the layout as the batch is
+   processed;
 2. packed argmin over every block at once (k = 2 bypasses packing and
    compares the compact differences d_0 - d_1 directly);
 3. the d + 1 aggregates sum_i a_i * x_l, counts (l = 0) first and then the
@@ -65,7 +66,7 @@ from . import packed_matrix as pm
 from . import secure_argmin as sa
 from .dp_accounting import NoiseScales, PrivacyBudget, RoundBudget, per_round_budget, perturb_aggregates
 from .packed_matrix import PackedLayout
-from .slot_engine import EngineConfig, SlotEngine, SlotVector, chebyshev_depth, ciphertext_size_bytes
+from .slot_engine import PLAINTEXT, EngineConfig, SlotEngine, SlotVector, chebyshev_depth, ciphertext_size_bytes
 
 COMPUTING = "computing"
 KEY_HOLDER = "key-holder"
@@ -324,7 +325,6 @@ class _Batch:
     points: np.ndarray  # blocks_per_ct global point ids, -1 for unused
     count: int  # used blocks, a prefix
     entry: tuple[int, int]  # the in-block entry each used block is filled from
-    valid_mask: np.ndarray  # slot-space 0/1 over the used blocks, shared by the layout
 
 
 def _plan_batches(n: int, layout: PackedLayout) -> list[_Batch]:
@@ -342,7 +342,7 @@ def _plan_batches(n: int, layout: PackedLayout) -> list[_Batch]:
                 if slots.size:
                     points = np.full(layout.blocks_per_ct, -1, dtype=np.int64)
                     points[: slots.size] = m * chunk + slots
-                    batches.append(_Batch(m, points, slots.size, (row, col), layout.used_blocks(slots.size)))
+                    batches.append(_Batch(m, points, slots.size, (row, col)))
     return batches
 
 
@@ -398,12 +398,17 @@ class _ComputingState:
     (global index -> uploaded ciphertexts), or Alice's plaintext of the same
     shape.  All take the same products in the same order.
 
-    Kept across rounds is what cannot be rebuilt cheaply: ``encodings[l][i]``
-    for the valid masks, the extracted or uploaded ciphertexts and, at
-    k = 2, Alice's compact plaintexts.  On the packed path an Alice feature's
-    ``encodings[l]`` is instead one array of its values per unit and block,
-    and row i is spread into the layout when unit i is processed: a cached
-    plaintext would cost k^2 slots per point and feature.
+    Kept across rounds, at k = 2: ``encodings[l][i]``, the valid masks, the
+    uploaded ciphertexts and Alice's compact plaintexts.  On the packed path
+    every slot of a block holds the same value, so ``encodings[l]`` is
+    ``(values, depth, kind)``: one units x blocks array of those values,
+    with the depth and kind of the vectors they stand for, and row i is
+    spread into the layout when unit i is processed.  Each extraction still
+    runs on the engine at setup and is read back with
+    :meth:`PackedLayout.block_values`, which checks that it is one value per
+    block.  A slot vector per unit would cost k^2 slots per point and
+    coordinate; keeping the values is a host-only shortcut, and a real
+    backend keeps the extracted ciphertexts.
     """
 
     def __init__(
@@ -425,7 +430,8 @@ class _ComputingState:
         self.scale = scale
         self.sign = sign
         self.batches = None if k == 2 else _plan_batches(n, layout)
-        self.encodings: list = []  # per coordinate: its units' encodings, or units x blocks values
+        self.units = math.ceil(n / layout.usable_slots) if k == 2 else len(self.batches)
+        self.encodings: list = []  # per coordinate: its units' encodings, or (values, depth, kind)
         self.heads: list = []  # k = 2: the total X_l of coordinate l, times e0
         if k == 2:
             self._cache_compact(columns, encrypted)
@@ -435,15 +441,25 @@ class _ComputingState:
     # -- one-time encoding -------------------------------------------------
 
     def _cache_packed(self, columns: list, encrypted: dict) -> None:
-        # the batches' shared valid masks, wrapped without a copy
-        self.encodings.append([self.engine.plaintext(b.valid_mask) for b in self.batches])
+        """Every coordinate's block values, the used-block mask first."""
         points = np.stack([b.points for b in self.batches])
+        used = points >= 0
+        self.encodings.append((used.astype(np.float64), 0, PLAINTEXT))
         for l, values in enumerate(columns):
             if l in encrypted:
-                self.encodings.append([pm.batch_extract_replicate(self.engine, encrypted[l][b.ct_index], *b.entry,
-                                                                  b.count, self.layout) for b in self.batches])
+                self.encodings.append(self._extract(encrypted[l]))
             else:
-                self.encodings.append(np.where(points >= 0, values[np.maximum(points, 0)], 0.0))
+                self.encodings.append((np.where(used, values[np.maximum(points, 0)], 0.0), 0, PLAINTEXT))
+
+    def _extract(self, uploads: list) -> tuple:
+        """An uploaded feature's batches extracted on the engine, each slot
+        vector read back as its block values and dropped."""
+        values = np.empty((self.units, self.layout.blocks_per_ct))
+        for i, b in enumerate(self.batches):
+            ct = pm.batch_extract_replicate(self.engine, uploads[b.ct_index], *b.entry, b.count, self.layout)
+            values[i] = self.layout.block_values(ct.slots)
+        # every extraction is one product of a fresh upload: one depth and kind
+        return values, ct.depth_consumed, ct.kind
 
     def _cache_compact(self, columns: list, encrypted: dict) -> None:
         """Every coordinate's compact encodings, valid-slot masks first, and
@@ -451,10 +467,9 @@ class _ComputingState:
         eng = self.engine
         S = eng.config.slot_count
         chunk = self.layout.usable_slots  # the upload chunk: every slot at k = 2
-        count = math.ceil(self.n / chunk)
         full = eng.plaintext(np.ones(chunk))  # one shared mask for every full ciphertext
         masks = []
-        for m in range(count):
+        for m in range(self.units):
             rest = self.n - m * chunk
             masks.append(full if rest >= chunk else eng.plaintext(np.arange(chunk) < rest))
         self.encodings.append(masks)
@@ -462,7 +477,8 @@ class _ComputingState:
             if l in encrypted:
                 self.encodings.append(encrypted[l])
             else:
-                self.encodings.append([eng.plaintext(values[m * chunk : (m + 1) * chunk]) for m in range(count)])
+                self.encodings.append([eng.plaintext(values[m * chunk : (m + 1) * chunk])
+                                       for m in range(self.units)])
         # X_l * e0: every point's coordinate l summed into slot 0, once per run; X_0 = n
         self.heads.append(eng.plaintext(self.n * _unit(S, 0)))
         e0 = eng.plaintext(_unit(S, 0))
@@ -475,10 +491,11 @@ class _ComputingState:
     # -- per-round circuits -------------------------------------------------
 
     def _coordinates(self, i: int) -> list:
-        """Coordinates 0 .. d of unit ``i``, Alice's packed features spread
-        now and wrapped without a copy."""
-        return [self.engine.plaintext(self.layout.spread(cached[i])) if isinstance(cached, np.ndarray)
-                else cached[i] for cached in self.encodings]
+        """Coordinates 0 .. d of unit ``i``; on the packed path spread from
+        their block values now, at their depth and kind."""
+        if self.k == 2:
+            return [units[i] for units in self.encodings]
+        return [SlotVector(self.layout.spread(values[i]), depth, kind) for values, depth, kind in self.encodings]
 
     def _round_grids(self, centroids: CentroidSet) -> list:
         """Plaintexts G_0 .. G_d of this round's distance differences: entry
@@ -501,7 +518,7 @@ class _ComputingState:
         eng = self.engine
         grids = self._round_grids(centroids)
         totals = [None] * (self.d + 1)
-        for i in range(len(self.encodings[0])):
+        for i in range(self.units):
             xs = self._coordinates(i)
             u = eng.mul(xs[0], grids[0])
             for x, g in zip(xs[1:], grids[1:]):
@@ -654,7 +671,7 @@ def run_multiparty(
     ]
 
     alice = _ComputingState(engine, layout, k, n, scale, sign, columns, encrypted)
-    del encrypted  # released on the packed path, whose cache holds the extractions
+    del encrypted  # released on the packed path, which keeps the extractions' block values
 
     round_budget = noise = None
     noise_rng = np.random.default_rng([seed, 0xD9])

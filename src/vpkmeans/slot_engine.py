@@ -39,6 +39,14 @@ reaches a released value: the widened zeros then stand for the products
 that a full evaluation would have computed as zeros.  Arithmetic on
 restricted vectors is slot-wise as before; ``rotate`` refuses them, since
 a rotation would bring dropped slots back in.
+
+The packed protocol takes one more such shortcut, in memory: a vector
+whose every packed block holds one value, such as an extracted
+ciphertext, is kept as those values (``PackedLayout.block_values``, which
+checks that the vector is exactly that) and rebuilt with
+``PackedLayout.spread`` at its depth and kind each time it is used.  The
+engine counts the extraction once, as before; a real backend cannot read a
+ciphertext's slots and keeps the ciphertext.
 """
 
 from __future__ import annotations

@@ -1,6 +1,10 @@
 import contextlib
 import io
 import json
+import os
+import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -9,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import vpkmeans
 from vpkmeans import bench, protocol
 from vpkmeans.cli import main
 
@@ -134,6 +139,21 @@ def test_run_config_with_one_cluster_names_k(tmp_path, capsys):
     p.write_text(json.dumps(config))
     assert main(["run", str(p), "-o", str(tmp_path / "report.json")]) == 2
     assert "k must be at least 2" in capsys.readouterr().err
+
+
+def test_run_config_with_a_huge_k_is_refused_before_any_centroid_is_drawn(tmp_path):
+    # drawing 10^15 initial centroids would not end: the run's admission
+    # refuses k for its slots first (in a child process, so a hang times out)
+    config = {"dataset": {"synthetic": {"n": 50, "k": 2, "d": 2, "cluster_std": 0.05}},
+              "k": 1e15, "rounds": 1}
+    p = tmp_path / "huge-k.json"
+    p.write_text(json.dumps(config))
+    src = str(Path(vpkmeans.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    command = [sys.executable, "-m", "vpkmeans.cli", "run", str(p), "-o", str(tmp_path / "report.json")]
+    out = subprocess.run(command, env=env, capture_output=True, text=True, timeout=60)
+    assert out.returncode == 2, out.stderr
+    assert re.search(r"k=1000000000000000 needs \d+ slots per block", out.stderr)
 
 
 def test_two_party_config_with_three_parties_names_the_party_count(tmp_path, capsys):

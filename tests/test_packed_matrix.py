@@ -88,15 +88,41 @@ def test_first_row_two_blocks():
 
 @pytest.mark.parametrize("k, slot_count", [(3, 64), (5, 1 << 10), (15, 1 << 14)])
 def test_used_blocks_cover_a_prefix_of_blocks(k, slot_count):
+    # a batch's coordinate 0 is its 0/1 used-block values spread over the
+    # layout: 1.0 on every slot of the first count blocks, 0 elsewhere
     lay = PackedLayout(k, slot_count=slot_count)
     for count in (1, lay.blocks_per_ct // 2, lay.blocks_per_ct):
-        want = np.zeros(slot_count)
-        for b in range(count):
-            for r in range(k):
-                for c in range(k):
-                    want[ref.slot_index(lay, r, b, c)] = 1.0
-        assert np.array_equal(lay.used_blocks(count), want)
-        assert lay.used_blocks(count) is lay.used_blocks(count)  # one shared array per count
+        g = lay.grid()
+        g[:, :count, :] = 1.0
+        want = lay.to_slots(g)
+        assert sorted(np.flatnonzero(want)) == sorted(ref.slot_index(lay, r, b, c) for b in range(count)
+                                                      for r in range(k) for c in range(k))
+        values = (np.arange(lay.blocks_per_ct) < count).astype(np.float64)
+        assert np.array_equal(lay.spread(values), want)
+        assert np.array_equal(lay.block_values(want), values)
+
+
+@pytest.mark.parametrize("k, slot_count", [(2, 64), (3, 64), (7, 256), (15, 1 << 14)])
+def test_block_values_invert_spread_and_refuse_any_other_vector(k, slot_count):
+    lay = PackedLayout(k, slot_count=slot_count)
+    values = np.random.default_rng(k).uniform(-1, 1, lay.blocks_per_ct)
+    values[::2] = 0.0
+    slots = lay.spread(values)
+    read = lay.block_values(slots)
+    assert np.array_equal(read, values) and read.flags.writeable and not np.shares_memory(read, slots)
+    # a zero slot may hold -0.0, as an extraction leaves some
+    signed = np.array(slots)
+    signed[signed == 0.0] = -0.0
+    assert np.array_equal(lay.block_values(signed), values)
+    # one changed slot: block 1's first, one inside block 0, the last grid
+    # slot and the last slot, which is past the grid unless k is a power of two
+    for slot in (k, 1, lay.usable_slots - 1, slot_count - 1):
+        bad = np.array(slots)
+        bad[slot] += 0.5
+        with pytest.raises(EngineError, match="one value per block"):
+            lay.block_values(bad)
+    with pytest.raises(EngineError, match="one value per block"):
+        lay.block_values(slots[: lay.width])
 
 
 # -- sum vs the loop reference -----------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 from dataclasses import asdict
@@ -8,6 +9,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from vpkmeans import bench, protocol, slot_engine
+from vpkmeans import packed_matrix as pm
 from vpkmeans.dp_accounting import PrivacyBudget
 from vpkmeans.packed_matrix import PackedLayout
 from vpkmeans.protocol import (
@@ -391,17 +393,34 @@ def test_run_shapes_match_oracle_and_estimate(shape):
 @pytest.mark.parametrize("k,n", [(3, 64), (3, 150), (8, 20000), (15, 5000)])
 def test_batches_share_one_valid_mask_per_used_block_count(k, n):
     # 64 and 150 points at 64 slots take 2 and 3 uploads of 63 grid slots,
-    # the last one partial; the others are the benchmark's packed shapes
+    # the last one partial; the others are the benchmark's packed shapes.
+    # A batch's coordinate 0 is spread from its 0/1 used-block values.
     slots = 64 if n < 200 else 1 << 14
     layout = PackedLayout(k, slot_count=slots)
-    batches = _plan_batches(n, layout)
-    used = set()
-    for b in batches:
+    state = _ComputingState(SlotEngine(EngineConfig(slot_count=slots)), layout, k, n, 1.0, SignApproxConfig(),
+                            [np.zeros(n)], {})
+    masks, used = set(), set()
+    for i, b in enumerate(state.batches):
         g = layout.grid()
         g[:, b.points >= 0, :] = 1.0
-        assert np.array_equal(b.valid_mask, layout.to_slots(g))
+        x0 = state._coordinates(i)[0]
+        assert np.array_equal(x0.slots, layout.to_slots(g))
+        assert (x0.depth_consumed, x0.kind) == (0, slot_engine.PLAINTEXT)
+        masks.add(x0.slots.tobytes())
         used.add(int(np.count_nonzero(b.points >= 0)))
-    assert len({id(b.valid_mask) for b in batches}) == len(used)
+    assert len(masks) == len(used)
+
+
+def _packed_round_peak(n: int) -> int:
+    """The tracemalloc peak of one noise-free k = 8 round on n points, the
+    computing party and the key holder holding 2 features each."""
+    parts = split_features(bench.gen_synthetic(n, 8, 4, 0.5, 0.04, seed=1).points, [[0, 1], [2, 3]])
+    tracemalloc.start()
+    try:
+        run(parts[0], parts[1], None, 1, k=8, bound=0.5, seed=1)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def test_packed_run_keeps_only_ciphertexts_across_rounds():
@@ -420,6 +439,47 @@ def test_packed_run_keeps_only_ciphertexts_across_rounds():
         tracemalloc.stop()
     assert res.engine.config.slot_count == slots
     assert peak < (extracted + allowance) * 8 * slots, peak / (8 * slots)
+
+
+def test_packed_run_state_does_not_grow_per_batch():
+    # doubling the points doubles the batches (80 -> 160) but adds only
+    # the block values (8 bytes per grid point and coordinate), one more
+    # upload per encrypted feature and the larger data: far below one slot
+    # vector per batch
+    vector = 8 * (1 << 14)
+    small, large = _packed_round_peak(20_000), _packed_round_peak(40_000)
+    assert large - small < 16 * vector, (small / vector, large / vector)
+
+
+def _digest(v):
+    """A slot vector's slots, with -0.0 read as 0.0 (adding 0.0 does that),
+    depth and kind, in a few bytes."""
+    return hashlib.sha256((v.slots + 0.0).tobytes()).digest(), v.depth_consumed, v.kind
+
+
+@pytest.mark.parametrize("k,slots,n", [(k, 1 << 14, 1 << 14) for k in [*range(3, 17), 31, 64]]
+                         + [(3, 64, 200), (5, 1024, 3000), (7, 256, 700), (15, 1 << 14, 17000)])
+def test_rebuilt_coordinates_equal_the_extracted_ciphertexts(monkeypatch, k, slots, n):
+    # the key holder's feature is kept as block values: every batch's
+    # coordinate is rebuilt to the slots, depth and kind of its extraction,
+    # recorded by digest: at k = 64 the 4,096 slot vectors would take 512 MB
+    extracted = []
+
+    def recorded(*args):
+        ct = extract(*args)
+        extracted.append(_digest(ct))
+        return ct
+
+    extract = pm.batch_extract_replicate
+    monkeypatch.setattr(pm, "batch_extract_replicate", recorded)
+    layout = PackedLayout(k, slot_count=slots)
+    eng = SlotEngine(EngineConfig(slot_count=slots))
+    values = np.random.default_rng(k).uniform(-1, 1, n)
+    uploads = protocol._encrypt_features(eng, {0: values}, layout.usable_slots)[0]
+    state = _ComputingState(eng, layout, k, n, 1.0, SignApproxConfig(), [values], {0: uploads})
+    assert len(extracted) == state.units == len(state.batches)
+    assert all(_digest(state._coordinates(i)[1]) == want for i, want in enumerate(extracted))
+    assert extracted[0][1:] == (1, slot_engine.CIPHERTEXT)
 
 
 def test_multiple_ciphertexts_per_feature():
