@@ -621,13 +621,14 @@ def run_experiment(config: dict) -> dict:
                      engine_config, sign.degree)
 
         seeds = cfg["seeds"]
-        if isinstance(seeds, dict):
-            seeds = list(range(seeds["base"], seeds["base"] + seeds["count"]))
+        if isinstance(seeds, dict):  # a range, as its count may be any whole number
+            seeds = range(seeds["base"], seeds["base"] + seeds["count"])
         if not seeds:
             raise BenchError("the config runs no seeds")
-        # drawn here so that a bound, separation or seed they cannot use fails before any run
-        inits = [init_centroids(k, ds.d, bound, seed, min_separation=cfg["init_separation"])
-                 for seed in seeds]
+        # drawn here so that a bound, separation or seed they cannot use fails
+        # before any run: the smallest seed is the only one that can fail
+        init_centroids(k, ds.d, bound, seeds[0] if isinstance(seeds, range) else min(seeds),
+                       min_separation=cfg["init_separation"])
     except (TypeError, ValueError) as exc:
         raise BenchError(f"invalid config: {exc}") from exc
 
@@ -636,7 +637,8 @@ def run_experiment(config: dict) -> dict:
     dp_info = None
     protocol_times = []
     t0 = time.perf_counter()
-    for seed, init in zip(seeds, inits):
+    for seed in seeds:
+        init = init_centroids(k, ds.d, bound, seed, min_separation=cfg["init_separation"])
         engine = SlotEngine(engine_config)
         parts = split_features(ds.points, split)
         started = time.perf_counter()

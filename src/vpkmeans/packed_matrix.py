@@ -68,6 +68,20 @@ class PackedLayout:
     def usable_slots(self) -> int:
         return self.blocks_per_ct * self.stride
 
+    def feature_rows(self, n: int) -> int:
+        """Grid rows one uploaded feature of ``n`` points takes in its
+        party's upload stream.  A feature starts on a row of its own, so
+        every point keeps its block and column; at k = 2 it takes whole
+        ciphertexts, as the compact path combines ciphertexts slot by slot."""
+        rows = -(-n // self.width)
+        return rows if self.k > 2 else -(-rows // self.k) * self.k
+
+    def uploads(self, features: int, n: int) -> int:
+        """Ciphertexts a party uploading ``features`` features of ``n``
+        points sends: its features' rows, one after another, k per
+        ciphertext."""
+        return -(-features * self.feature_rows(n) // self.k)
+
     def grid(self, values=None) -> np.ndarray:
         """A zeroed (or filled) (k, blocks_per_ct, k) tensor.
 

@@ -2,10 +2,14 @@
 (``_ComputingState``), the two- and N-party drivers, and the depth and
 transcript ledgers the runs are checked against.
 
-Setup: every data owner uploads each feature once, ``usable_slots`` =
-blocks_per_ct * k^2 points per ciphertext (all of ``slot_count`` at every
-power-of-two k), so every point lies on the aligned grid and the shifts of
-the replication schedules are the only rotation steps a run takes.
+Setup: every data owner uploads each feature once.  A party lays its
+features out one after another in one stream of grid rows, each feature
+starting on a row of its own (``PackedLayout.feature_rows``; whole
+ciphertexts at k = 2), and encrypts the stream ``usable_slots`` =
+blocks_per_ct * k^2 slots per ciphertext (all of ``slot_count`` at every
+power-of-two k).  So every point lies on the aligned grid, in its block and
+column, and the shifts of the replication schedules are the only rotation
+steps a run takes.
 
 One round, run entirely by the computing party (Alice) on encrypted data:
 
@@ -328,9 +332,10 @@ class _Batch:
 
 
 def _plan_batches(n: int, layout: PackedLayout) -> list[_Batch]:
-    """Per upload ciphertext, one batch per in-block entry (row, col) with
-    points.  An upload holds ``usable_slots`` points, so every point lies
-    on the aligned grid."""
+    """Per ``usable_slots`` points of a feature (k of its grid rows), one
+    batch per in-block entry (row, col) with points, so every point lies on
+    the aligned grid.  ``ct_index`` and the row count from the feature's
+    first row, wherever its party's upload stream puts it."""
     chunk = layout.usable_slots
     batches = []
     for m in range(math.ceil(n / chunk)):
@@ -357,11 +362,34 @@ def _unit(slots: int, i: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _encrypt_features(engine: SlotEngine, columns: dict, chunk: int) -> dict:
-    """Setup of every non-computing party: each feature (global index ->
-    values) encrypted under the shared key, ``chunk`` points per ciphertext."""
-    return {g: [engine.encrypt(v[m * chunk : (m + 1) * chunk]) for m in range(math.ceil(v.size / chunk))]
-            for g, v in columns.items()}
+def _encrypt_features(engine: SlotEngine, columns: list, layout: PackedLayout) -> list:
+    """Setup of one non-computing party: its features (each n values) laid
+    out one after another in one stream of grid rows, feature j from row
+    j * ``layout.feature_rows(n)``, and encrypted under the shared key,
+    ``usable_slots`` stream slots per ciphertext (``layout.uploads`` of
+    them).  A ciphertext inside one feature's range wraps that feature's
+    values as they are, zero-padded; only one that holds parts of two or
+    more features is assembled, once."""
+    n = columns[0].size
+    span = layout.feature_rows(n) * layout.width  # stream slots per feature
+    chunk = layout.usable_slots
+    uploads = []
+    for m in range(layout.uploads(len(columns), n)):
+        lo = m * chunk
+        # (feature, first, end) of every feature with points in [lo, lo + chunk);
+        # a ciphertext starts on a row, so inside a feature's rows it starts below n
+        parts = [(j, max(lo - j * span, 0), min(lo + chunk - j * span, n))
+                 for j in range(lo // span, min(len(columns), -(-(lo + chunk) // span)))]
+        if len(parts) == 1:
+            j, first, end = parts[0]
+            values = columns[j][first:end]
+        else:
+            values = np.zeros(engine.config.slot_count)
+            for j, first, end in parts:
+                values[j * span + first - lo : j * span + end - lo] = columns[j][first:end]
+            values.setflags(write=False)  # wrapped without a copy
+        uploads.append(engine.encrypt(values))
+    return uploads
 
 
 def _difference_scale(d: int, bound: float) -> float:
@@ -395,8 +423,9 @@ class _ComputingState:
     plaintext, 1 on the unit's points and 0 elsewhere; coordinate l > 0 is
     feature l - 1 of ``columns`` (every feature's values, in global order):
     the extracted block or uploaded ciphertext of a feature in ``encrypted``
-    (global index -> uploaded ciphertexts), or Alice's plaintext of the same
-    shape.  All take the same products in the same order.
+    (global index -> its party's uploads and the feature's first row in
+    them), or Alice's plaintext of the same shape.  All take the same
+    products in the same order.
 
     Kept across rounds, at k = 2: ``encodings[l][i]``, the valid masks, the
     uploaded ciphertexts and Alice's compact plaintexts.  On the packed path
@@ -447,16 +476,20 @@ class _ComputingState:
         self.encodings.append((used.astype(np.float64), 0, PLAINTEXT))
         for l, values in enumerate(columns):
             if l in encrypted:
-                self.encodings.append(self._extract(encrypted[l]))
+                self.encodings.append(self._extract(*encrypted[l]))
             else:
                 self.encodings.append((np.where(used, values[np.maximum(points, 0)], 0.0), 0, PLAINTEXT))
 
-    def _extract(self, uploads: list) -> tuple:
-        """An uploaded feature's batches extracted on the engine, each slot
-        vector read back as its block values and dropped."""
+    def _extract(self, uploads: list, first: int) -> tuple:
+        """The batches of a feature uploaded from row ``first`` of its
+        party's ``uploads``, extracted on the engine, each slot vector read
+        back as its block values and dropped.  Its row ``m * k + row`` is
+        stream row ``m * k + row + first``, with every block and column kept."""
+        k = self.k
         values = np.empty((self.units, self.layout.blocks_per_ct))
         for i, b in enumerate(self.batches):
-            ct = pm.batch_extract_replicate(self.engine, uploads[b.ct_index], *b.entry, b.count, self.layout)
+            m, row = divmod(b.ct_index * k + b.entry[0] + first, k)
+            ct = pm.batch_extract_replicate(self.engine, uploads[m], row, b.entry[1], b.count, self.layout)
             values[i] = self.layout.block_values(ct.slots)
         # every extraction is one product of a fresh upload: one depth and kind
         return values, ct.depth_consumed, ct.kind
@@ -475,7 +508,8 @@ class _ComputingState:
         self.encodings.append(masks)
         for l, values in enumerate(columns):
             if l in encrypted:
-                self.encodings.append(encrypted[l])
+                uploads, first = encrypted[l]  # a feature takes whole ciphertexts at k = 2
+                self.encodings.append(uploads[first // self.k : first // self.k + self.units])
             else:
                 self.encodings.append([eng.plaintext(values[m * chunk : (m + 1) * chunk])
                                        for m in range(self.units)])
@@ -662,16 +696,17 @@ def run_multiparty(
     layout = PackedLayout(k, slot_count=cfg.slot_count)
 
     # setup: feature upload, cache building
-    encrypted = _encrypt_features(engine, {g: columns[g] for p in ordered[1:] for g in p.feature_indices},
-                                  layout.usable_slots)
-    upload_bytes = [
-        sum(engine.size_bytes(ct) for g in p.feature_indices for ct in encrypted[g])
-        for p in ordered[1:]
-        if p.feature_indices
-    ]
+    encrypted = {}
+    upload_bytes = []
+    rows = layout.feature_rows(n)
+    for p in ordered[1:]:
+        if p.feature_indices:
+            uploads = _encrypt_features(engine, [columns[g] for g in p.feature_indices], layout)
+            upload_bytes.append(sum(engine.size_bytes(ct) for ct in uploads))
+            encrypted.update({g: (uploads, j * rows) for j, g in enumerate(p.feature_indices)})
 
     alice = _ComputingState(engine, layout, k, n, scale, sign, columns, encrypted)
-    del encrypted  # released on the packed path, which keeps the extractions' block values
+    del encrypted, uploads  # released on the packed path, which keeps the extractions' block values
 
     round_budget = noise = None
     noise_rng = np.random.default_rng([seed, 0xD9])
@@ -747,12 +782,14 @@ def plan_transcript(
     """The messages of a run that executes ``rounds`` rounds.
 
     ``parties`` lists ``(name, role, encrypted feature count)`` per party,
-    in the order the run assigned roles.  Setup publishes the key and
-    uploads ``ceil(n / usable_slots)`` fresh ciphertexts per encrypted
-    feature, at the stride of ``PackedLayout(k, cfg.slot_count)``;
-    every round sends d + 1 aggregate ciphertexts and gets back either the
-    k*d plaintext centroid reals or, under MPC, one decryption share per
-    key-share holder; finally the centroids reach every data owner.
+    in the order the run assigned roles.  Setup publishes the key, and
+    every party with f encrypted features uploads ``layout.uploads(f, n)``
+    fresh ciphertexts, ceil(f * ``feature_rows(n)`` / k), of
+    ``PackedLayout(k, cfg.slot_count)``: its features packed one after
+    another, each from a row of its own.  Every round sends d + 1 aggregate
+    ciphertexts and gets back either the k*d plaintext centroid reals or,
+    under MPC, one decryption share per key-share holder; finally the
+    centroids reach every data owner.
     Ciphertext sizes come from the engine's size model: uploads and the key
     are fresh, at ``cfg.depth_budget`` levels, and every aggregate is
     released at level 0.
@@ -767,13 +804,13 @@ def plan_transcript(
     aggregates = (d + 1) * ciphertext_size_bytes(0, cfg)
     share = math.ceil(aggregates / 2)
     centroids = k * d * 8
-    per_feature = math.ceil(n / PackedLayout(k, slot_count=cfg.slot_count).usable_slots)
+    layout = PackedLayout(k, slot_count=cfg.slot_count)
 
     key_receivers = [computing] if mpc else [name for name, _, _ in parties if name != key_owner]
     messages = [Message(SETUP_ROUND, key_owner, name, PUBLIC_KEY, fresh) for name in key_receivers]
     for name, _, enc in others:
         if enc:
-            cts = enc * per_feature
+            cts = layout.uploads(enc, n)
             messages.append(Message(SETUP_ROUND, name, computing, ENCRYPTED_FEATURES, cts * fresh, cts))
     for t in range(1, rounds + 1):
         messages.append(Message(t, computing, "broadcast" if mpc else key_owner,
@@ -839,17 +876,19 @@ def estimate_transcript(
     """Predict the transcript of a run without executing it.
 
     The plan of :func:`plan_transcript` in which ``party0`` computes and
-    ``party1`` uploads all ``d_bob`` encrypted features (a run with more
-    parties sends one upload per party, with the same bytes and ciphertexts
-    in total), on ``cfg`` as given or sized as a run's default engine.
-    Uploads are counted at the layout's stride, as the run packs them.  An
-    estimate of a run that :func:`run_multiparty` refuses before setup
-    raises the same ``ProtocolError`` through the same check, and so does
-    ``d_bob`` above ``d``.
+    the ``d_bob`` encrypted features are spread evenly over the other
+    ``parties - 1`` parties, the first ones taking one more where they do
+    not divide, on ``cfg`` as given or sized as a run's default engine.
+    Uploads are counted as the run packs them, so the split matters: a
+    party's features share its ciphertexts, and a run with an uneven split
+    can upload more or fewer.  An estimate of a run that
+    :func:`run_multiparty` refuses before setup raises the same
+    ``ProtocolError`` through the same check, and so does ``d_bob`` above
+    ``d``.
     """
     if d_bob > d:
         raise ProtocolError(f"{d_bob} uploaded features exceed the {d} features")
-    held = {0: d - d_bob, 1: d_bob}
-    holdings = [(f"party{i}", held.get(i, 0)) for i in range(parties)]
+    each, rest = divmod(d_bob, max(parties - 1, 1))
+    holdings = [(f"party{i}", each + (i <= rest) if i else d - d_bob) for i in range(parties)]
     model, cfg, plan = _admit(model, holdings, "party0", n, k, rounds, cfg, degree)
     return plan_transcript(n, k, d, rounds, model, cfg, plan)

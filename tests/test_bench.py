@@ -1,6 +1,7 @@
 import json
 import math
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -478,6 +479,30 @@ def test_run_experiment_reproducible():
     second = run_experiment(smoke_config())
     assert first["per_seed"] == second["per_seed"]
     assert first["dp"] == second["dp"]
+
+
+def test_a_huge_seed_count_reaches_the_first_run_without_a_seed_list(monkeypatch):
+    # a count of 10^12 seeds stays a range: the first run starts with no
+    # list of seeds or initial centroids built, well under 1 MB of memory
+    class FirstRun(Exception):
+        pass
+
+    def first_run(*args, **kwargs):
+        raise FirstRun(kwargs["seed"])
+
+    monkeypatch.setattr(bench.proto, "run_multiparty", first_run)
+    cfg = smoke_config()
+    cfg["dataset"]["synthetic"]["n"] = 40
+    cfg["seeds"] = {"count": 1e12, "base": 3}
+    tracemalloc.start()
+    try:
+        with pytest.raises(FirstRun) as reached:
+            run_experiment(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert reached.value.args == (3,)
+    assert peak < 1 << 20, peak
 
 
 def test_report_bytes_equal_transcript_sum():

@@ -365,6 +365,8 @@ def run_shapes(draw):
 @example(shape=(3, 50, [[0], [1]], 0, protocol.MPC_SIMULATED, 0, 4))  # zero rounds
 @example(shape=(3, 70, [[0], [1], [2]], 1, protocol.MPC_SIMULATED, 2, 5))  # one feature per party
 @example(shape=(2, 70, [[], [0, 1]], 0, protocol.SERVER_AIDED, 2, 6))  # computing party holds none
+@example(shape=(3, 20, [[0], [1, 2], []], 0, protocol.SERVER_AIDED, 1, 7))  # uneven: 1 upload, estimate 2
+@example(shape=(4, 20, [[1], [0, 2]], 0, protocol.MPC_SIMULATED, 1, 8))  # two features in one upload
 # data drawn with the init's seed puts the two points on the two centroids,
 # so each cluster's count is exactly one point up to rounding
 @example(shape=(2, 2, [[0], []], 1, protocol.SERVER_AIDED, 1, 3))
@@ -385,9 +387,21 @@ def test_run_shapes_match_oracle_and_estimate(shape):
     est = estimate_transcript(n, k, d, d - len(split[computing]), rounds, cfg=eng.config,
                               parties=len(split), model=model)
     tr = res.transcript
-    assert tr.total_bytes == est.total_bytes
-    assert tr.total_ciphertexts == est.total_ciphertexts
-    assert tr.bytes_by_kind() == est.bytes_by_kind()
+    # uploads in the run's role order: the non-computing parties, most features first
+    held = sorted((len(cols) for p, cols in enumerate(split) if p != computing), reverse=True)
+    assert [m.ciphertext_count for m in tr.by_kind(protocol.ENCRYPTED_FEATURES)] == [
+        packed_uploads(f, n, k, 64) for f in held if f]
+    # the estimate spreads the uploaded features evenly; the rest of the
+    # transcript does not depend on the split (the names may differ)
+    def rest(t):
+        return [(m.round, m.kind, m.byte_size, m.ciphertext_count) for m in t.messages
+                if m.kind != protocol.ENCRYPTED_FEATURES]
+
+    assert rest(tr) == rest(est)
+    if max(held) - min(held) <= 1:
+        assert tr.total_bytes == est.total_bytes
+        assert tr.total_ciphertexts == est.total_ciphertexts
+        assert tr.bytes_by_kind() == est.bytes_by_kind()
 
 
 @pytest.mark.parametrize("k,n", [(3, 64), (3, 150), (8, 20000), (15, 5000)])
@@ -475,11 +489,77 @@ def test_rebuilt_coordinates_equal_the_extracted_ciphertexts(monkeypatch, k, slo
     layout = PackedLayout(k, slot_count=slots)
     eng = SlotEngine(EngineConfig(slot_count=slots))
     values = np.random.default_rng(k).uniform(-1, 1, n)
-    uploads = protocol._encrypt_features(eng, {0: values}, layout.usable_slots)[0]
-    state = _ComputingState(eng, layout, k, n, 1.0, SignApproxConfig(), [values], {0: uploads})
+    uploads = protocol._encrypt_features(eng, [values], layout)
+    state = _ComputingState(eng, layout, k, n, 1.0, SignApproxConfig(), [values], {0: (uploads, 0)})
     assert len(extracted) == state.units == len(state.batches)
     assert all(_digest(state._coordinates(i)[1]) == want for i, want in enumerate(extracted))
     assert extracted[0][1:] == (1, slot_engine.CIPHERTEXT)
+
+
+def _upload_stream(columns, n, k, slots):
+    """Independent of the program: a party's features laid out one after
+    another, each from a grid row of its own (whole ciphertexts at k = 2),
+    cut into ciphertexts of k rows and zero-padded to the slots."""
+    width = slots // (k * k) * k
+    rows = math.ceil(n / width)
+    if k == 2:
+        rows = math.ceil(rows / k) * k
+    stream = np.zeros((len(columns) * rows + k - 1) // k * k * width)
+    for j, values in enumerate(columns):
+        stream[j * rows * width : j * rows * width + n] = values
+    cts = stream.reshape(-1, k * width)
+    return np.hstack([cts, np.zeros((len(cts), slots - k * width))])
+
+
+def _upload_shapes():
+    """(k, slots, n) with n at and just past a row and a ciphertext boundary."""
+    for slots in (64, 1024, 1 << 14):
+        for k in (2, 3, 5, 8, 15):
+            if k * k <= slots:
+                layout = PackedLayout(k, slot_count=slots)
+                for n in (layout.width, layout.width + 1, layout.usable_slots, layout.usable_slots + 1):
+                    yield k, slots, n
+
+
+@pytest.mark.parametrize("k,slots,n", list(_upload_shapes()))
+def test_uploads_pack_a_partys_features_by_grid_row(k, slots, n):
+    # f features take ceil(f * ceil(n / width) / k) ciphertexts, and at k = 2
+    # f * ceil(n / slots): one feature per ciphertext, as before
+    layout = PackedLayout(k, slot_count=slots)
+    for f in (1, 2, 3):
+        columns = [np.random.default_rng([n, j]).uniform(-1, 1, n) for j in range(f)]
+        for v in columns:
+            v.setflags(write=False)  # as a run's feature columns are
+        eng = SlotEngine(EngineConfig(slot_count=slots, depth_budget=required_depth(k)))
+        uploads = protocol._encrypt_features(eng, columns, layout)
+        assert len(uploads) == eng.stats.encryptions == packed_uploads(f, n, k, slots), f
+        assert np.array_equal(np.stack([ct.slots for ct in uploads]), _upload_stream(columns, n, k, slots))
+        if layout.usable_slots == slots < n:
+            # a ciphertext inside one feature's range wraps its values without a copy
+            assert np.shares_memory(uploads[0].slots, columns[0])
+        est = estimate_transcript(n, k, f, f, 1, cfg=eng.config)
+        assert [m.ciphertext_count for m in est.by_kind(protocol.ENCRYPTED_FEATURES)] == [len(uploads)]
+
+
+@pytest.mark.parametrize("k,slots,n,f", [
+    (3, 64, 21, 3), (3, 64, 50, 3), (4, 64, 129, 2), (5, 1024, 300, 3), (7, 256, 700, 2),
+    (8, 1 << 14, 20_000, 2), (15, 1 << 14, 5000, 2),
+])
+def test_every_uploaded_feature_keeps_its_values_at_the_batch_points(k, slots, n, f):
+    # the oracle reads each feature's values at the batch's points (0 on
+    # unused blocks), whatever ciphertext and row its extraction came from
+    layout = PackedLayout(k, slot_count=slots)
+    eng = SlotEngine(EngineConfig(slot_count=slots))
+    columns = [np.random.default_rng([k, j]).uniform(-1, 1, n) for j in range(f)]
+    uploads = protocol._encrypt_features(eng, columns, layout)
+    rows = layout.feature_rows(n)
+    state = _ComputingState(eng, layout, k, n, 1.0, SignApproxConfig(), columns,
+                            {j: (uploads, j * rows) for j in range(f)})
+    points = np.stack([b.points for b in state.batches])
+    for j, v in enumerate(columns):
+        values, depth, kind = state.encodings[j + 1]
+        assert np.array_equal(values, np.where(points >= 0, v[np.maximum(points, 0)], 0.0)), j
+        assert (depth, kind) == (1, slot_engine.CIPHERTEXT)
 
 
 def test_multiple_ciphertexts_per_feature():
@@ -561,11 +641,19 @@ def test_each_key_holder_feature_adds_one_ct_mult_per_unit_and_round(k):
 # -- transcript accounting -------------------------------------------------------
 
 
+def packed_uploads(features, n, k, slot_count):
+    """Upload ciphertexts of one party's features: each from a grid row of
+    its own, k rows per ciphertext; one feature per ciphertext at k = 2."""
+    if k == 2:
+        return features * math.ceil(n / slot_count)
+    width = slot_count // (k * k) * k
+    return math.ceil(features * math.ceil(n / width) / k)
+
+
 def transcript_checks(res, n, k, d, d_bob, rounds, slot_count):
     tr = res.transcript
     uploads = tr.by_kind(protocol.ENCRYPTED_FEATURES)
-    assert sum(m.ciphertext_count for m in uploads) == d_bob * math.ceil(
-        n / PackedLayout(k, slot_count=slot_count).usable_slots)
+    assert sum(m.ciphertext_count for m in uploads) == packed_uploads(d_bob, n, k, slot_count)
     per_round = tr.by_kind(protocol.NOISY_AGGREGATES)
     assert len(per_round) == rounds
     assert all(m.ciphertext_count == d + 1 for m in per_round)
@@ -591,11 +679,14 @@ def test_estimate_charges_uploads_at_the_stride(k, n, uploads):
 
 
 def test_estimator_matches_real_run_exactly():
+    # the estimate spreads the uploaded features evenly, as every split here does
     cases = (
         (2, 2, [[0], [1]], protocol.TWO_PARTY),
         (5, 3, [[0, 1], [2]], protocol.TWO_PARTY),
         (3, 4, [[0, 1], [2], [3]], protocol.SERVER_AIDED),
         (3, 4, [[0, 1], [2], [3]], protocol.MPC_SIMULATED),
+        (3, 6, [[0, 1], [2, 3], [4, 5]], protocol.SERVER_AIDED),
+        (3, 6, [[0, 1], [2, 3], [4, 5]], protocol.MPC_SIMULATED),
     )
     for k, d, split, model in cases:
         pts = uniform_instance(6 + k, n=500, d=d)
@@ -609,8 +700,7 @@ def test_estimator_matches_real_run_exactly():
         assert est.total_bytes == res.transcript.total_bytes
         assert est.total_ciphertexts == res.transcript.total_ciphertexts
         assert est.bytes_by_kind() == res.transcript.bytes_by_kind()
-        if len(split) == 2:
-            assert len(est.messages) == len(res.transcript.messages)
+        assert len(est.messages) == len(res.transcript.messages)
 
 
 def test_estimator_rejects_two_party_model_with_more_parties():
