@@ -16,6 +16,8 @@ run's end-to-end metrics with their median and quartiles, the wins of each
 side per metric, failed and attempted operations, and the claim: the change
 wins at least nine of ten pairs and the median gap exceeds the parent's
 interquartile range.  Which direction is better comes from BENCHMARK.json.
+Without ``--claim`` the file keeps the same pairs and its claim is null, the
+record of a change that claims no gain.
 Per workload, one more ``--trace 1`` process per side, at the first seed,
 records the layer figures of ``LAYER_METRICS``, which show where a change
 in ``run_s`` lands.
@@ -124,11 +126,18 @@ def run_pairs(sides: dict, workload: str, seed: int, pairs: int, seconds: float,
     return entry
 
 
+def resolve(rev: str) -> str:
+    """The short hash of ``rev``."""
+    return subprocess.run(["git", "-C", str(ROOT), "rev-parse", "--short", rev],
+                          check=True, capture_output=True, text=True).stdout.strip()
+
+
 def parse_args(argv):
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--label", required=True, help="names the output file BENCH_<label>.json")
     p.add_argument("--parent", default="HEAD", help="the commit to compare the working tree against")
-    p.add_argument("--claim", nargs=2, metavar=("METRIC", "WORKLOAD"), required=True)
+    p.add_argument("--claim", nargs=2, metavar=("METRIC", "WORKLOAD"), default=None,
+                   help="the gain to judge; without it the pairs are recorded with a null claim")
     p.add_argument("--seeds", nargs="+", type=int, default=[1, 5])
     p.add_argument("--pairs", type=int, default=10)
     return p.parse_args(argv)
@@ -140,11 +149,10 @@ def main(argv=None) -> int:
     better = {m["name"]: m["better"] == "lower" for m in spec["end_to_end"]}
     workloads = [w["name"] for w in spec["workloads"]]
     seconds = spec["run_seconds"]
-    metric, claimed = args.claim
-    if metric not in better or claimed not in workloads:
+    metric, claimed = args.claim or (None, None)
+    if args.claim and (metric not in better or claimed not in workloads):
         raise SystemExit(f"the claim {metric} on {claimed} names no measured metric and workload")
-    rev = subprocess.run(["git", "-C", str(ROOT), "rev-parse", "--short", args.parent],
-                         check=True, capture_output=True, text=True).stdout.strip()
+    rev = resolve(args.parent)
 
     report = {
         "label": args.label,
@@ -153,10 +161,10 @@ def main(argv=None) -> int:
         "change": "the working tree of the commit that adds this file",
         "order": "alternating: even pairs (0, 2, ...) run the parent first, odd pairs the change first",
         "quartiles": "statistics.quantiles(n=4, method='inclusive')",
-        "claim": {"metric": metric, "workload": claimed,
-                  "rule": "change wins at least nine tenths of the pairs and the median gap exceeds "
-                          "the parent's IQR",
-                  "by_seed": {}},
+        "claim": None if metric is None else {
+            "metric": metric, "workload": claimed,
+            "rule": "change wins at least nine tenths of the pairs and the median gap exceeds the parent's IQR",
+            "by_seed": {}},
         "workloads": {},
         "layers": {"command": f"python3 perfbench/run.py --workload W --seed {args.seeds[0]} "
                               f"--seconds {seconds:g} --trace 1", "by_workload": {}},
@@ -181,8 +189,11 @@ def main(argv=None) -> int:
                          "python": platform.python_version(), "numpy": numpy.__version__}
     out = ROOT / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(report, indent=1) + "\n")
-    print(f"wrote {out}; claim met on every seed: "
-          f"{all(s['met'] for s in report['claim']['by_seed'].values())}")
+    if args.claim:
+        print(f"wrote {out}; claim met on every seed: "
+              f"{all(s['met'] for s in report['claim']['by_seed'].values())}")
+    else:
+        print(f"wrote {out}; no claim")
     return 0
 
 

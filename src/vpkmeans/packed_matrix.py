@@ -158,9 +158,21 @@ class PackedLayout:
         """``value`` in every slot, grid or not."""
         return self._mask(("filled", value), lambda: np.full(self.slot_count, float(value)))
 
-    def entry_slots(self, row: int, col: int) -> np.ndarray:
-        """The slot of entry (row, col) in each block, block 0 first."""
+    def entry_slots(self, row, col) -> np.ndarray:
+        """The slot of entry (row, col) in each block, block 0 first.  A row
+        past the first k is a row of an upload stream, k per ciphertext, and
+        gives that row's stream slots; arrays broadcast against the blocks."""
         return row * self.width + col + self.k * np.arange(self.blocks_per_ct)
+
+    def batches(self, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The packed batch plan of a feature of ``n`` points, from its first
+        stream row: ``(rows, cols, points)``, one batch per stream row and
+        column whose first point, row * width + col, is below n, in stream
+        order, and ``points = entry_slots(rows[:, None], cols[:, None])``.
+        Points at or past n mark unused blocks, the last of a batch."""
+        full, rest = divmod(n, self.width)  # only the last, partial row can lack columns
+        rows, cols = np.divmod(np.arange(full * self.k + min(rest, self.k)), self.k)
+        return rows, cols, self.entry_slots(rows[:, None], cols[:, None])
 
     def transpose_pairs(self) -> tuple[np.ndarray, np.ndarray]:
         """Slot indices ``(lo, hi)`` pairing every slot (r, b, c) with

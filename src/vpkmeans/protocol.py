@@ -9,7 +9,10 @@ ciphertexts at k = 2), and encrypts the stream ``usable_slots`` =
 blocks_per_ct * k^2 slots per ciphertext (all of ``slot_count`` at every
 power-of-two k).  So every point lies on the aligned grid, in its block and
 column, and the shifts of the replication schedules are the only rotation
-steps a run takes.
+steps a run takes.  For k >= 3 the computing party then takes every uploaded
+feature apart once, in the batches of ``PackedLayout.batches(n)``: one
+``batch_extract_replicate`` per stream row and column that holds a point,
+counted from the feature's first row.
 
 One round, run entirely by the computing party (Alice) on encrypted data:
 
@@ -56,12 +59,16 @@ Deterministic randomness contracts (mirrored by the plaintext oracle):
 * re-initialization of a cluster with noisy count below ``REINIT_BELOW``
   in round ``t``:
   ``numpy.random.default_rng([seed, t, cluster, 0x7E1]).uniform(-B, B, d)``;
-* DP noise: one ``default_rng([seed, 0xD9])`` stream per run.
+* DP noise: one ``default_rng([seed, 0xD9])`` stream per run, drawn round
+  by round: k ``normal(0, sigma_sum)`` draws for each sum coordinate, in
+  coordinate order, then k ``normal(0, sigma_count)`` draws for the counts,
+  each set of k added to slots 0 .. k - 1 of its aggregate.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -319,47 +326,14 @@ def required_depth(k: int, degree: int = sa.DEFAULT_DEGREE) -> int:
 
 
 # ---------------------------------------------------------------------------
-# batching
+# party state
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class _Batch:
-    ct_index: int
-    points: np.ndarray  # blocks_per_ct global point ids, -1 for unused
-    count: int  # used blocks, a prefix
-    entry: tuple[int, int]  # the in-block entry each used block is filled from
-
-
-def _plan_batches(n: int, layout: PackedLayout) -> list[_Batch]:
-    """Per ``usable_slots`` points of a feature (k of its grid rows), one
-    batch per in-block entry (row, col) with points, so every point lies on
-    the aligned grid.  ``ct_index`` and the row count from the feature's
-    first row, wherever its party's upload stream puts it."""
-    chunk = layout.usable_slots
-    batches = []
-    for m in range(math.ceil(n / chunk)):
-        in_ct = min(chunk, n - m * chunk)
-        for row in range(layout.k):
-            for col in range(layout.k):
-                slots = layout.entry_slots(row, col)
-                slots = slots[slots < in_ct]  # the used blocks are a prefix
-                if slots.size:
-                    points = np.full(layout.blocks_per_ct, -1, dtype=np.int64)
-                    points[: slots.size] = m * chunk + slots
-                    batches.append(_Batch(m, points, slots.size, (row, col)))
-    return batches
 
 
 def _unit(slots: int, i: int) -> np.ndarray:
     e = np.zeros(slots)
     e[i] = 1.0
     return e
-
-
-# ---------------------------------------------------------------------------
-# party state
-# ---------------------------------------------------------------------------
 
 
 def _encrypt_features(engine: SlotEngine, columns: list, layout: PackedLayout) -> list:
@@ -418,9 +392,11 @@ def _difference_terms(centers: np.ndarray, scale: float) -> np.ndarray:
 class _ComputingState:
     """Alice: owns the plaintext side, all encrypted evaluation, and noise.
 
-    Coordinate ``l`` of unit ``i`` (a batch, or at k = 2 a compact
-    ciphertext) is what :meth:`_coordinates` returns.  Coordinate 0 is a
-    plaintext, 1 on the unit's points and 0 elsewhere; coordinate l > 0 is
+    ``units`` counts the batches of ``layout.batches(n)``, or at k = 2 the
+    ciphertexts of one uploaded feature, and each cache sets it.
+    Coordinate ``l`` of unit ``i`` is what :meth:`_coordinates` returns.
+    Coordinate 0 is a plaintext, 1 on the unit's points and 0 elsewhere
+    (on the packed path, the blocks whose point is below n); coordinate l > 0 is
     feature l - 1 of ``columns`` (every feature's values, in global order):
     the extracted block or uploaded ciphertext of a feature in ``encrypted``
     (global index -> its party's uploads and the feature's first row in
@@ -458,8 +434,6 @@ class _ComputingState:
         self.d = len(columns)
         self.scale = scale
         self.sign = sign
-        self.batches = None if k == 2 else _plan_batches(n, layout)
-        self.units = math.ceil(n / layout.usable_slots) if k == 2 else len(self.batches)
         self.encodings: list = []  # per coordinate: its units' encodings, or (values, depth, kind)
         self.heads: list = []  # k = 2: the total X_l of coordinate l, times e0
         if k == 2:
@@ -470,26 +444,27 @@ class _ComputingState:
     # -- one-time encoding -------------------------------------------------
 
     def _cache_packed(self, columns: list, encrypted: dict) -> None:
-        """Every coordinate's block values, the used-block mask first."""
-        points = np.stack([b.points for b in self.batches])
-        used = points >= 0
+        """Every coordinate's block values, one row per batch of
+        ``layout.batches(n)``, the used-block mask first."""
+        rows, cols, points = self.layout.batches(self.n)
+        self.units = len(rows)
+        used = points < self.n
         self.encodings.append((used.astype(np.float64), 0, PLAINTEXT))
         for l, values in enumerate(columns):
             if l in encrypted:
-                self.encodings.append(self._extract(*encrypted[l]))
+                self.encodings.append(self._extract(*encrypted[l], rows, cols, used.sum(axis=1)))
             else:
-                self.encodings.append((np.where(used, values[np.maximum(points, 0)], 0.0), 0, PLAINTEXT))
+                self.encodings.append((np.where(used, values[np.minimum(points, self.n - 1)], 0.0), 0, PLAINTEXT))
 
-    def _extract(self, uploads: list, first: int) -> tuple:
+    def _extract(self, uploads: list, first: int, rows: np.ndarray, cols: np.ndarray, counts: np.ndarray) -> tuple:
         """The batches of a feature uploaded from row ``first`` of its
         party's ``uploads``, extracted on the engine, each slot vector read
-        back as its block values and dropped.  Its row ``m * k + row`` is
-        stream row ``m * k + row + first``, with every block and column kept."""
-        k = self.k
+        back as its block values and dropped.  Batch row ``g`` is stream row
+        ``g + first``, with every block and column kept."""
         values = np.empty((self.units, self.layout.blocks_per_ct))
-        for i, b in enumerate(self.batches):
-            m, row = divmod(b.ct_index * k + b.entry[0] + first, k)
-            ct = pm.batch_extract_replicate(self.engine, uploads[m], row, b.entry[1], b.count, self.layout)
+        for i, (g, col, count) in enumerate(zip(rows.tolist(), cols.tolist(), counts.tolist())):
+            m, row = divmod(g + first, self.k)
+            ct = pm.batch_extract_replicate(self.engine, uploads[m], row, col, count, self.layout)
             values[i] = self.layout.block_values(ct.slots)
         # every extraction is one product of a fresh upload: one depth and kind
         return values, ct.depth_consumed, ct.kind
@@ -500,6 +475,7 @@ class _ComputingState:
         eng = self.engine
         S = eng.config.slot_count
         chunk = self.layout.usable_slots  # the upload chunk: every slot at k = 2
+        self.units = self.layout.uploads(1, self.n)
         full = eng.plaintext(np.ones(chunk))  # one shared mask for every full ciphertext
         masks = []
         for m in range(self.units):
@@ -675,8 +651,9 @@ def run_multiparty(
     if any(p.n != n for p in partitions):
         raise ProtocolError("all parties must hold the same number of records")
     sign = sign or sa.SignApproxConfig()
-    model, cfg, plan = _admit(model, [(p.owner, p.features.shape[1]) for p in partitions], computing_party,
-                              n, k, rounds, engine.config if engine is not None else None, sign.degree)
+    model, cfg, plan, n, k, rounds = _admit(model, [(p.owner, p.features.shape[1]) for p in partitions],
+                                            computing_party, n, k, rounds,
+                                            engine.config if engine is not None else None, sign.degree)
     ordered = [partitions[names.index(name)] for name, _, _ in plan]
 
     if budget is not None and budget.rounds < rounds:
@@ -827,16 +804,30 @@ def plan_transcript(
     return Transcript(messages)
 
 
+def _whole(value, name: str) -> int:
+    """A count as an int: a numpy integer is one, while a bool, a float or a
+    string raises ``ProtocolError`` naming ``name``."""
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ProtocolError(f"{name} must be a whole number, got {value!r}")
+
+
 def _admit(model: str, holdings: list[tuple[str, int]], computing: str | None, n: int, k: int, rounds: int,
-           cfg: EngineConfig | None, degree: int) -> tuple[str, EngineConfig, list[tuple[str, str, int]]]:
+           cfg: EngineConfig | None, degree: int) -> tuple[str, EngineConfig, list, int, int, int]:
     """The admission check of a run and of its estimate, before setup.
 
     ``holdings`` lists ``(name, feature count)`` per party.  Raises
     ``ProtocolError`` for a model, party count, k, n, rounds, uploads or
-    engine no run can have.  Returns the model the run executes, the engine
-    config (default: sized to ``required_depth(k, degree)``) and the role
-    plan of :func:`plan_transcript`, ordered as :func:`run_multiparty` says.
+    engine no run can have, and for an n, k or rounds that is not a whole
+    number.  Returns the model the run executes, the engine config
+    (default: sized to ``required_depth(k, degree)``), the role plan of
+    :func:`plan_transcript`, ordered as :func:`run_multiparty` says, and n,
+    k and rounds as ints.
     """
+    n, k, rounds = _whole(n, "n"), _whole(k, "k"), _whole(rounds, "rounds")
     if model not in (TWO_PARTY, SERVER_AIDED, MPC_SIMULATED):
         raise ProtocolError(f"unknown deployment model {model!r}")
     if len(holdings) < 2 or (model == TWO_PARTY and len(holdings) != 2):
@@ -859,7 +850,7 @@ def _admit(model: str, holdings: list[tuple[str, int]], computing: str | None, n
     roles = [COMPUTING, KEY_HOLDER if model == SERVER_AIDED else DATA_OWNER]
     roles += [DATA_OWNER] * (len(ordered) - 2)
     plan = [(name, role, 0 if role == COMPUTING else count) for (name, count), role in zip(ordered, roles)]
-    return model, cfg, plan
+    return model, cfg, plan, n, k, rounds
 
 
 def estimate_transcript(
@@ -883,12 +874,14 @@ def estimate_transcript(
     party's features share its ciphertexts, and a run with an uneven split
     can upload more or fewer.  An estimate of a run that
     :func:`run_multiparty` refuses before setup raises the same
-    ``ProtocolError`` through the same check, and so does ``d_bob`` above
+    ``ProtocolError`` through the same check, and so does a ``d``,
+    ``d_bob`` or ``parties`` that is not a whole number, or ``d_bob`` above
     ``d``.
     """
+    d, d_bob, parties = _whole(d, "d"), _whole(d_bob, "d_bob"), _whole(parties, "parties")
     if d_bob > d:
         raise ProtocolError(f"{d_bob} uploaded features exceed the {d} features")
     each, rest = divmod(d_bob, max(parties - 1, 1))
     holdings = [(f"party{i}", each + (i <= rest) if i else d - d_bob) for i in range(parties)]
-    model, cfg, plan = _admit(model, holdings, "party0", n, k, rounds, cfg, degree)
+    model, cfg, plan, n, k, rounds = _admit(model, holdings, "party0", n, k, rounds, cfg, degree)
     return plan_transcript(n, k, d, rounds, model, cfg, plan)

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -228,8 +229,10 @@ def phi_depth(k: int) -> int:
       is the masked s alone, depth 1 = h + 1.  Here k - 1 = 2n - 1 lies in
       (2^h, 2^(h+1)) for k >= 4 and is 1 for k = 2: bit length h + 1.
 
-    A k below 2 raises ``ValueError``, as :class:`PackedLayout` does.
+    A k below 2 raises ``ValueError``, as :class:`PackedLayout` does; k is
+    read with ``operator.index``, so a numpy integer counts as an int.
     """
+    k = operator.index(k)
     if k < 2:
         raise ValueError(f"k must be at least 2, got {k}")
     return (k - 1).bit_length()

@@ -64,6 +64,9 @@ PLAINTEXT = "plaintext"
 # eval_chebyshev accepts slot magnitudes up to 1 + DOMAIN_TOLERANCE
 DOMAIN_TOLERANCE = 1e-6
 
+# the largest slot count, ring dimension 2^17: one vector is then 512 KiB
+MAX_SLOT_COUNT = 1 << 16
+
 
 class EngineError(Exception):
     """Base class for slot-engine failures."""
@@ -94,7 +97,8 @@ class EngineConfig:
     """Static parameters of one simulated scheme instance.
 
     ``slot_count`` is the number of usable SIMD slots (half the ring
-    dimension of the scheme being modeled, 2^14 for ring dimension 2^15).
+    dimension of the scheme being modeled, 2^14 for ring dimension 2^15): a
+    power of two up to ``MAX_SLOT_COUNT``.
     """
 
     slot_count: int = 1 << 14
@@ -102,8 +106,8 @@ class EngineConfig:
     size_model: SizeModel = field(default_factory=SizeModel)
 
     def __post_init__(self):
-        if self.slot_count < 1 or self.slot_count & (self.slot_count - 1):
-            raise ValueError(f"slot_count must be a power of two, got {self.slot_count}")
+        if not 1 <= self.slot_count <= MAX_SLOT_COUNT or self.slot_count & (self.slot_count - 1):
+            raise ValueError(f"slot_count must be a power of two up to {MAX_SLOT_COUNT}, got {self.slot_count}")
         if self.depth_budget < 0:
             raise ValueError("depth_budget must be non-negative")
 

@@ -53,3 +53,36 @@ def test_each_side_gets_one_traced_run_with_the_layer_figures(monkeypatch):
         "parent": {**{m: 1.0 for m in ab.LAYER_METRICS}, "all_gates_passed": True},
         "change": {**{m: 2.0 for m in ab.LAYER_METRICS}, "all_gates_passed": False},
     }
+
+
+@pytest.mark.parametrize("claim", [None, ["run_s", "s1-k15"]], ids=["no-claim", "claim"])
+def test_every_pair_is_recorded_with_or_without_a_claim(monkeypatch, tmp_path, claim):
+    # without --claim the file keeps every pair and its claim is null
+    spec = json.loads((Path(__file__).resolve().parent.parent / "BENCHMARK.json").read_text())
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(spec))
+    runs = []
+
+    def fake(tree, workload, seed, seconds, trace=False):
+        runs.append((tree, workload, seed, trace))
+        metrics = {m: {"value": 1.0 if tree == tmp_path else 2.0, "unit": "s"}
+                   for m in [*ab.LAYER_METRICS, *(e["name"] for e in spec["end_to_end"])]}
+        return {"correct": True, "returncode": 0, "failed": 0, "attempted": 1, "metrics": metrics}
+
+    monkeypatch.setattr(ab, "ROOT", tmp_path)  # the change's tree, and where the file goes
+    monkeypatch.setattr(ab, "resolve", lambda rev: "abc1234")
+    monkeypatch.setattr(ab, "export", lambda rev, into: None)
+    monkeypatch.setattr(ab, "bench_once", fake)
+    argv = ["--label", "t", "--seeds", "1", "5", "--pairs", "3"] + (["--claim", *claim] if claim else [])
+    assert ab.main(argv) == 0
+    report = json.loads((tmp_path / "BENCH_t.json").read_text())
+    workloads = [w["name"] for w in spec["workloads"]]
+    assert sum(not trace for *_, trace in runs) == len(workloads) * 2 * 3 * 2
+    for w in workloads:
+        for seed in ("seed1", "seed5"):
+            entry = report["workloads"][w][seed]
+            assert entry["parent"]["run_s"]["runs"] == [2.0] * 3 and entry["change"]["run_s"]["runs"] == [1.0] * 3
+    if claim is None:
+        assert report["claim"] is None
+    else:
+        assert report["claim"]["metric"] == "run_s" and report["claim"]["workload"] == "s1-k15"
+        assert set(report["claim"]["by_seed"]) == {"seed1", "seed5"}

@@ -191,6 +191,21 @@ def test_invalid_config_exits_nonzero(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_slot_count_past_the_largest_ring_exits_2_without_an_engine(tmp_path, capsys, monkeypatch):
+    # 2^30 slots would be an 8 GiB vector: the config is refused before
+    # any engine or vector exists
+    def no_engine(*a, **kw):
+        raise AssertionError("an engine was built")
+
+    monkeypatch.setattr(bench, "SlotEngine", no_engine)
+    config = {"dataset": {"synthetic": {"n": 50, "k": 2, "d": 2, "cluster_std": 0.05}},
+              "k": 2, "rounds": 1, "engine": {"slot_count": 1 << 30}}
+    p = tmp_path / "big.json"
+    p.write_text(json.dumps(config))
+    assert main(["run", str(p), "-o", str(tmp_path / "report.json")]) == 2
+    assert "slot_count must be a power of two up to 65536, got 1073741824" in capsys.readouterr().err
+
+
 # a boolean where a number belongs, and the key the error must name
 BOOLEAN_NUMBERS = [
     ({"bound": True}, "bound"),

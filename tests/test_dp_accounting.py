@@ -163,3 +163,66 @@ def test_perturb_slots_uncorrelated():
     corr = np.corrcoef(cols[:, 0], cols[:, 1])[0, 1]
     # at the 1% level the sample correlation of n iid pairs is ~2.58/sqrt(n)
     assert abs(corr) < 2.58 / math.sqrt(len(cols))
+
+
+# -- the documented noise order ---------------------------------------------------
+
+
+def _documented_noise(rng, scales, k, d):
+    """One round of the protocol docstring's order: k draws for each sum
+    coordinate in coordinate order, then k for the counts."""
+    sums = [rng.normal(0.0, scales.sigma_sum, k) for _ in range(d)]
+    return rng.normal(0.0, scales.sigma_count, k), sums
+
+
+def test_perturb_draws_in_the_documented_order():
+    # zero aggregates come back holding exactly the noise, on slots 0 .. k - 1
+    k, d, slots = 3, 2, 16
+    eng = SlotEngine(EngineConfig(slot_count=slots, depth_budget=4))
+    ns = NoiseScales(sigma_sum=2.0, sigma_count=5.0)
+    rng, fresh = np.random.default_rng([7, 0xD9]), np.random.default_rng([7, 0xD9])
+    for _ in range(2):
+        zeros = [eng.encrypt(np.zeros(slots)) for _ in range(d + 1)]
+        s, t = perturb_aggregates(eng, zeros[1:], zeros[0], ns, range(k), rng)
+        counts, sums = _documented_noise(fresh, ns, k, d)
+        assert np.array_equal(eng.decrypt(t), np.pad(counts, (0, slots - k)))
+        assert all(np.array_equal(eng.decrypt(v), np.pad(w, (0, slots - k))) for v, w in zip(s, sums))
+
+
+class _Releases(SlotEngine):
+    """An engine that records every decrypted vector: a run decrypts only
+    its released aggregates, counts first."""
+
+    def __init__(self, config):
+        super().__init__(config)
+        self.released = []
+
+    def decrypt(self, v):
+        out = super().decrypt(v)
+        self.released.append(out)
+        return out
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_a_run_adds_its_noise_in_the_documented_order(k):
+    # the noisy release minus the noise-free one at the same centroids is the
+    # documented stream of default_rng([seed, 0xD9]), round after round
+    from vpkmeans.protocol import CentroidSet, required_depth, run, split_features
+
+    seed, rounds, d, bound = 4, 2, 2, 1.0
+    cfg = EngineConfig(slot_count=64, depth_budget=required_depth(k))
+    pts = np.random.default_rng(3).uniform(-bound, bound, (90, d))
+    parts = split_features(pts, [[0], [1]])
+    noisy = _Releases(cfg)
+    res = run(parts[0], parts[1], PrivacyBudget(1.0, 1e-3, rounds), rounds, k=k, bound=bound, engine=noisy,
+              seed=seed)
+    assert res.noise.sigma_sum != res.noise.sigma_count
+    fresh = np.random.default_rng([seed, 0xD9])
+    for t in range(rounds):
+        clean = _Releases(cfg)
+        run(parts[0], parts[1], None, 1, k=k, bound=bound, engine=clean, seed=seed,
+            init=CentroidSet(res.history[t], bound))
+        added = np.stack(noisy.released[t * (d + 1) : (t + 1) * (d + 1)]) - np.stack(clean.released)
+        counts, sums = _documented_noise(fresh, res.noise, k, d)
+        assert np.allclose(added[:, :k], np.stack([counts, *sums]), rtol=0, atol=1e-9), t
+        assert not np.any(added[:, k:]), t

@@ -56,6 +56,28 @@ def test_transpose_pairs_mirror_every_upper_slot(k, slot_count):
     assert np.shares_memory(lay.transpose_pairs()[1], hi) and not hi.flags.writeable  # cached like the masks
 
 
+@pytest.mark.parametrize("k, slot_count", [(k, s) for s in (64, 1 << 10, 1 << 14) for k in (*range(3, 17), 31, 64)
+                                           if k * k <= s])
+def test_batches_take_every_point_once_in_stream_order(k, slot_count):
+    lay = PackedLayout(k, slot_count=slot_count)
+    width, blocks = lay.width, lay.blocks_per_ct
+    for n in (1, width, width + 1, lay.usable_slots, lay.usable_slots + 1):
+        # point p sits at grid row p // width, block (p mod width) // k and
+        # column p mod k; a batch takes one (row, column) over every block
+        p = np.arange(n)
+        want = np.full((-(-n // width), k, blocks), -1)
+        want[p // width, p % k, p % width // k] = p
+        want_rows, want_cols = np.nonzero((want >= 0).any(axis=2))  # C order: by row, then column
+        rows, cols, points = lay.batches(n)
+        assert np.array_equal(rows, want_rows) and np.array_equal(cols, want_cols), n
+        assert points.shape == (rows.size, blocks)
+        used = points < n
+        assert np.array_equal(np.where(used, points, -1), want[rows, cols]), n
+        assert np.array_equal(np.sort(points[used]), p), n  # every point exactly once
+        assert not np.any(used[:, 1:] & ~used[:, :-1]), n  # the used blocks are a prefix
+        assert np.array_equal(points, lay.entry_slots(rows[:, None], cols[:, None]))
+
+
 # -- mask ---------------------------------------------------------------------
 
 

@@ -17,7 +17,6 @@ from vpkmeans.protocol import (
     DataPartition,
     ProtocolError,
     _ComputingState,
-    _plan_batches,
     estimate_transcript,
     init_centroids,
     release_depths,
@@ -301,10 +300,11 @@ def test_one_point_past_the_stride_takes_a_second_upload():
     k, slots = 3, 64
     layout = PackedLayout(k, slot_count=slots)
     n = layout.usable_slots + 1
-    batches = _plan_batches(n, layout)
-    assert [b.entry for b in batches] == [(r, c) for r in range(k) for c in range(k)] + [(0, 0)]
-    assert np.array_equal(np.sort(np.concatenate([b.points[b.points >= 0] for b in batches])), np.arange(n))
-    assert (batches[-1].ct_index, batches[-1].count, batches[-1].points[0]) == (1, 1, n - 1)
+    rows, cols, points = layout.batches(n)
+    entries = [divmod(row, k)[1] for row in rows.tolist()]
+    assert list(zip(entries, cols.tolist())) == [(r, c) for r in range(k) for c in range(k)] + [(0, 0)]
+    assert np.array_equal(np.sort(points[points < n]), np.arange(n))
+    assert (rows[-1] // k, np.count_nonzero(points[-1] < n), points[-1, 0]) == (1, 1, n - 1)
     eng = SlotEngine(EngineConfig(slot_count=slots, depth_budget=required_depth(k)))
     pts = uniform_instance(6, n=n, d=2)
     parts = split_features(pts, [[0], [1]])
@@ -414,14 +414,16 @@ def test_batches_share_one_valid_mask_per_used_block_count(k, n):
     state = _ComputingState(SlotEngine(EngineConfig(slot_count=slots)), layout, k, n, 1.0, SignApproxConfig(),
                             [np.zeros(n)], {})
     masks, used = set(), set()
-    for i, b in enumerate(state.batches):
+    points = layout.batches(n)[2]
+    assert state.units == len(points)
+    for i, batch in enumerate(points):
         g = layout.grid()
-        g[:, b.points >= 0, :] = 1.0
+        g[:, batch < n, :] = 1.0
         x0 = state._coordinates(i)[0]
         assert np.array_equal(x0.slots, layout.to_slots(g))
         assert (x0.depth_consumed, x0.kind) == (0, slot_engine.PLAINTEXT)
         masks.add(x0.slots.tobytes())
-        used.add(int(np.count_nonzero(b.points >= 0)))
+        used.add(int(np.count_nonzero(batch < n)))
     assert len(masks) == len(used)
 
 
@@ -443,7 +445,7 @@ def test_packed_run_keeps_only_ciphertexts_across_rounds():
     # a fixed allowance for the uploads, the data and one round's temporaries
     n, k, slots = 20_000, 8, 1 << 14
     parts = split_features(bench.gen_synthetic(n, k, 4, 0.5, 0.04, seed=1).points, [[0, 1], [2, 3]])
-    extracted = 2 * len(_plan_batches(n, PackedLayout(k, slot_count=slots)))
+    extracted = 2 * len(PackedLayout(k, slot_count=slots).batches(n)[0])
     allowance = 96
     tracemalloc.start()
     try:
@@ -491,7 +493,7 @@ def test_rebuilt_coordinates_equal_the_extracted_ciphertexts(monkeypatch, k, slo
     values = np.random.default_rng(k).uniform(-1, 1, n)
     uploads = protocol._encrypt_features(eng, [values], layout)
     state = _ComputingState(eng, layout, k, n, 1.0, SignApproxConfig(), [values], {0: (uploads, 0)})
-    assert len(extracted) == state.units == len(state.batches)
+    assert len(extracted) == state.units == len(layout.batches(n)[0])
     assert all(_digest(state._coordinates(i)[1]) == want for i, want in enumerate(extracted))
     assert extracted[0][1:] == (1, slot_engine.CIPHERTEXT)
 
@@ -555,10 +557,10 @@ def test_every_uploaded_feature_keeps_its_values_at_the_batch_points(k, slots, n
     rows = layout.feature_rows(n)
     state = _ComputingState(eng, layout, k, n, 1.0, SignApproxConfig(), columns,
                             {j: (uploads, j * rows) for j in range(f)})
-    points = np.stack([b.points for b in state.batches])
+    points = layout.batches(n)[2]
     for j, v in enumerate(columns):
         values, depth, kind = state.encodings[j + 1]
-        assert np.array_equal(values, np.where(points >= 0, v[np.maximum(points, 0)], 0.0)), j
+        assert np.array_equal(values, np.where(points < n, v[np.minimum(points, n - 1)], 0.0)), j
         assert (depth, kind) == (1, slot_engine.CIPHERTEXT)
 
 
@@ -634,7 +636,7 @@ def test_each_key_holder_feature_adds_one_ct_mult_per_unit_and_round(k):
     if k == 2:
         units = math.ceil(n / slots)
     else:
-        units = len(_plan_batches(n, PackedLayout(k, slot_count=slots)))
+        units = len(PackedLayout(k, slot_count=slots).batches(n)[0])
     assert mults[1] - mults[0] == units * rounds
 
 
@@ -847,6 +849,45 @@ def test_run_and_estimate_refuse_alike(change, message, monkeypatch):
         estimate_transcript(args["n"], args["k"], d, d - len(split[0]), args["rounds"], cfg=cfg,
                             parties=len(split), model=args["model"])
     assert str(refused_estimate.value) == str(refused_run.value)
+
+
+@pytest.mark.parametrize("model", [protocol.TWO_PARTY, protocol.MPC_SIMULATED])
+def test_numpy_integer_counts_run_exactly_like_ints(model):
+    split = [[0], [1]] if model == protocol.TWO_PARTY else [[0], [1], [2]]
+    parts = split_features(uniform_instance(4, n=120, d=3)[:, : len(split)], split)
+    budget = PrivacyBudget(1.0, 1e-3, 2)
+
+    def outcome(res):
+        return ([h.tobytes() for h in res.history], res.round_depths, asdict(res.engine.stats),
+                res.transcript.messages)
+
+    want = run_multiparty(parts, model, budget, 2, k=3, bound=1.0, seed=2)
+    got = run_multiparty(parts, model, budget, np.int64(2), k=np.int64(3), bound=1.0, seed=2)
+    assert outcome(got) == outcome(want)
+    assert all(type(m.byte_size) is int for m in got.transcript.messages)
+    est = estimate_transcript(np.int32(1000), np.int64(5), np.int64(2), np.uint8(1), np.int16(10),
+                              parties=np.int64(2))
+    assert est.messages == estimate_transcript(1000, 5, 2, 1, 10).messages
+
+
+@pytest.mark.parametrize("name", ["k", "rounds"])
+@pytest.mark.parametrize("value", [3.0, 1.5, "3", True, np.bool_(True)], ids=["float", "fraction", "str", "bool",
+                                                                            "numpy-bool"])
+def test_run_refuses_counts_that_are_not_whole_numbers(name, value):
+    args = {"k": 3, "rounds": 2, name: value}
+    parts = split_features(uniform_instance(3, n=40, d=2), [[0], [1]])
+    with pytest.raises(ProtocolError, match=f"^{name} must be a whole number"):
+        run_multiparty(parts, protocol.SERVER_AIDED, None, args["rounds"], k=args["k"], bound=1.0)
+    with pytest.raises(ProtocolError, match=f"^{name} must be a whole number"):
+        run(parts[0], parts[1], None, args["rounds"], k=args["k"], bound=1.0)
+
+
+@pytest.mark.parametrize("name", ["n", "k", "d", "d_bob", "rounds", "parties"])
+@pytest.mark.parametrize("value", [100.5, 2.0, "2", True], ids=["fraction", "float", "str", "bool"])
+def test_estimate_refuses_counts_that_are_not_whole_numbers(name, value):
+    args = {"n": 100, "k": 3, "d": 2, "d_bob": 1, "rounds": 1, "parties": 2, name: value}
+    with pytest.raises(ProtocolError, match=f"^{name} must be a whole number"):
+        estimate_transcript(**args)
 
 
 # -- multiparty -------------------------------------------------------------------

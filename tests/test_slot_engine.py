@@ -170,6 +170,14 @@ def test_config_validation():
         SizeModel(bytes_per_slot_per_level=0)
 
 
+def test_slot_count_stops_at_ring_dimension_2_17():
+    # a vector of the largest slot count takes 512 KiB; the next power of two
+    # is refused before any vector exists
+    assert EngineConfig(slot_count=1 << 16).slot_count == 1 << 16
+    with pytest.raises(ValueError, match="slot_count must be a power of two up to 65536"):
+        EngineConfig(slot_count=1 << 17)
+
+
 # -- eval_chebyshev -----------------------------------------------------------
 
 
