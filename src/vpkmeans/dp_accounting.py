@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .packed_matrix import PackedLayout
 from .slot_engine import SlotEngine, SlotVector
 
 SIMPLE = "simple"
@@ -108,25 +109,26 @@ def gaussian_sigma(sensitivity: float, eps: float, delta: float) -> float:
 
 def perturb_aggregates(
     engine: SlotEngine,
-    s_dims: list[SlotVector],
-    t: SlotVector,
+    releases: list[SlotVector],
+    d: int,
+    layout: PackedLayout,
     scales: NoiseScales,
-    meaningful_slots,
     rng: np.random.Generator,
-) -> tuple[list[SlotVector], SlotVector]:
-    """Add plaintext Gaussian noise to the meaningful slots of each aggregate.
+) -> list[SlotVector]:
+    """Add plaintext Gaussian noise to the meaningful slots of a round's
+    release ciphertexts, one addition per ciphertext.
 
-    Noise is sampled by the computing party and added homomorphically just
-    before release; with a fixed generator the output is bit-identical
-    across runs.  A zero scale adds exact zeros.
+    ``releases`` hold the counts and the ``d`` coordinate sums on the
+    slots of :meth:`PackedLayout.release_slots`: aggregate l on k slots
+    from (l % B) * k of ``releases[l // B]``, B = ``layout.blocks_per_ct``.
+    The draws are k ``normal(0, sigma_sum)`` for each sum coordinate, in
+    coordinate order, then k ``normal(0, sigma_count)`` for the counts; no
+    other slot gets noise.  Noise is sampled by the computing party and
+    added homomorphically just before release; with a fixed generator the
+    output is bit-identical across runs.  A zero scale adds exact zeros.
     """
-    idx = np.asarray(list(meaningful_slots), dtype=np.intp)
-
-    def noisy(v: SlotVector, sigma: float) -> SlotVector:
-        noise = np.zeros(engine.config.slot_count)
-        noise[idx] = rng.normal(0.0, sigma, size=idx.size)
-        return engine.add(v, engine.plaintext(noise))
-
-    s_out = [noisy(s, scales.sigma_sum) for s in s_dims]
-    t_out = noisy(t, scales.sigma_count)
-    return s_out, t_out
+    sums = [rng.normal(0.0, scales.sigma_sum, size=layout.k) for _ in range(d)]
+    counts = rng.normal(0.0, scales.sigma_count, size=layout.k)
+    noise = np.zeros((len(releases), engine.config.slot_count))
+    noise[layout.release_slots(d + 1)] = [counts, *sums]
+    return [engine.add(v, engine.plaintext(row)) for v, row in zip(releases, noise)]

@@ -10,15 +10,15 @@ are unused.  :class:`PackedLayout` is the one place that knows this format.
 The packed argmin uses one shape of each operation, and only that shape is
 offered: rows summed into the first row (:func:`axis_sum`), a mask on the
 first row of every block, one entry of each block replicated over the block
-(:func:`batch_extract_replicate`), and blocks summed into block 0
+(:func:`batch_extract_replicate`), and blocks summed into one block
 (:func:`reduce_blocks`).  Each acts on every block at once with the same
 rotation schedule: row steps shift by multiples of ``width``, column steps
 by small offsets inside the stripe.  Replication works for any k: most
 schedules double a replicated segment as far as possible and then fill the
 remainder from cached partial results, and k=7 rotates sums other than that
-segment to save a rotation.  A sum of lanes into the first is the
-replication from the last, with the same shift set, so sums and
-replications run one executor.  The test suite checks every schedule's
+segment to save a rotation.  A sum of ``count`` lanes into lane j is the
+replication from lane ``count - 1 - j``, with the same shift set, so sums
+and replications run one executor.  The test suite checks every schedule's
 output for every start and k up to 64, and its rotation count against a
 bound; it does not check that a schedule is rotation-minimal.
 """
@@ -149,10 +149,31 @@ class PackedLayout:
         """``scale`` on the first row of every block, 0 elsewhere."""
         return self._grid_mask(("first_row", scale), 0, slice(None), scale)
 
-    def head_mask(self) -> np.ndarray:
-        """1.0 on block 0's first row, where :func:`reduce_blocks` leaves
-        the per-cluster totals."""
-        return self._grid_mask(("head",), 0, slice(self.k), 1.0)
+    def head_mask(self, block: int) -> np.ndarray:
+        """1.0 on the first row of ``block``, where :func:`reduce_blocks`
+        into that block leaves the per-cluster totals.  A block outside the
+        layout raises ``EngineError``."""
+        if not 0 <= block < self.blocks_per_ct:
+            raise EngineError(f"block {block} is outside the layout's {self.blocks_per_ct} blocks")
+        mask = np.zeros(self.slot_count)  # not cached: a run would keep d + 1 of them
+        mask[block * self.k : (block + 1) * self.k] = 1.0
+        mask.setflags(write=False)
+        return mask
+
+    def releases(self, aggregates: int) -> int:
+        """Ciphertexts that release a round's ``aggregates`` aggregates,
+        ``blocks_per_ct`` per ciphertext, placed by :meth:`release_slots`."""
+        return -(-aggregates // self.blocks_per_ct)
+
+    def release_slots(self, aggregates: int) -> tuple[np.ndarray, np.ndarray]:
+        """Where a round's aggregates are released: aggregate l on slots
+        (l % B) * k .. (l % B) * k + k - 1 of release ciphertext l // B,
+        B = ``blocks_per_ct``, the first row of block l % B.  Returns
+        ``(cts, slots)``, of shapes (aggregates, 1) and (aggregates, k), so
+        that ``stacked[cts, slots]`` reads every aggregate off the stacked
+        release ciphertexts."""
+        cts, blocks = np.divmod(np.arange(aggregates)[:, None], self.blocks_per_ct)
+        return cts, blocks * self.k + np.arange(self.k)
 
     def filled(self, value: float) -> np.ndarray:
         """``value`` in every slot, grid or not."""
@@ -346,11 +367,13 @@ def _run_replication(
     return total(output, leads[-1])
 
 
-def _run_lane_sum(engine: SlotEngine, v: SlotVector, unit: int, count: int) -> SlotVector:
-    """Sum ``count`` lanes into lane 0 (other lanes hold garbage, mask after):
-    the replication from lane ``count - 1``, as both add ``v`` rotated by 0,
-    ``unit``, ..., ``(count - 1) * unit`` over the whole slot vector."""
-    return _run_replication(engine, v, unit, count, count - 1)
+def _run_lane_sum(engine: SlotEngine, v: SlotVector, unit: int, count: int, lane: int) -> SlotVector:
+    """Sum ``count`` lanes into ``lane`` (other lanes hold garbage, mask
+    after): the replication from lane ``count - 1 - lane``, as both add
+    ``v`` moved towards higher lanes by ``lane + 1 - count``, ..., ``lane``
+    lanes over the whole slot vector.  The schedules of every lane have the
+    same length, so the choice of lane costs no rotation."""
+    return _run_replication(engine, v, unit, count, count - 1 - lane)
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +387,7 @@ def axis_sum(engine: SlotEngine, v: SlotVector, layout: PackedLayout) -> SlotVec
     1).steps)`` rotations.  As with :func:`reduce_blocks`, only the first
     row is meaningful afterwards; the other rows hold partial sums for the
     caller to mask."""
-    return _run_lane_sum(engine, v, layout.width, layout.k)
+    return _run_lane_sum(engine, v, layout.width, layout.k, 0)
 
 
 def repl_no_padding(
@@ -410,8 +433,9 @@ def batch_extract_replicate(
     return repl_no_padding(engine, filled, row, layout, axis=ROW)
 
 
-def reduce_blocks(engine: SlotEngine, v: SlotVector, layout: PackedLayout) -> SlotVector:
-    """Sum all blocks of the ciphertext into block 0 (rotations only; block 0
-    is the meaningful one afterwards, the rest is garbage for the caller to
-    mask): the replication from the last block, a block being the lane."""
-    return _run_lane_sum(engine, v, layout.k, layout.blocks_per_ct)
+def reduce_blocks(engine: SlotEngine, v: SlotVector, layout: PackedLayout, block: int) -> SlotVector:
+    """Sum all blocks of the ciphertext into ``block`` (rotations only; that
+    block is the meaningful one afterwards, the rest is garbage for the
+    caller to mask with ``layout.head_mask(block)``): a lane sum, a block
+    being the lane, at the same rotation count for every target block."""
+    return _run_lane_sum(engine, v, layout.k, layout.blocks_per_ct, block)

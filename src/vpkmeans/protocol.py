@@ -29,19 +29,27 @@ One round, run entirely by the computing party (Alice) on encrypted data:
    compares the compact differences d_0 - d_1 directly);
 3. the d + 1 aggregates sum_i a_i * x_l, counts (l = 0) first and then the
    per-dimension sums, added up over the batches and ciphertexts and then
-   reduced once each (k = 2 derives cluster 0 from the round-invariant
-   coordinate totals, n for the counts).  For k >= 3 the products and sums
-   run on the first grid row only, as does the indicator before them, and
-   each total is widened with zeros before the reduction.  This is exact:
-   the indicator's first-row mask makes the marker a zero on every other
-   slot, its products there are zeros, and the reduction carries only the
-   first row into the released head (a sum over blocks, i.e. shifts by
-   multiples of k that stay inside the row).  A real backend computes
-   every slot, with ``SlotEngine.restrict`` and ``widen`` as the identity;
-4. every aggregate dropped to level 0, which is free and leaves the
-   smallest ciphertext, then Gaussian noise on the meaningful slots;
-5. release to the key holder, who decrypts, divides, and returns the next
-   plaintext centroids.
+   reduced once each, straight onto the k slots where it is released
+   (``PackedLayout.release_slots``): the first row of block l % B, B =
+   ``blocks_per_ct``, zero elsewhere.  For k >= 3 the total is reduced into
+   that block and multiplied by its head mask; k = 2 sums every slot into
+   the first of the k and splits it with e_{j+1} - e_j, deriving cluster 0
+   from the round-invariant coordinate totals (n for the counts), summed
+   into the same slot once per run.  A sum costs the same rotations
+   whichever lane it goes to.  For k >= 3 the products and sums run on the
+   first grid row only, as does the indicator before them, and each total
+   is widened with zeros before the reduction.  This is exact: the
+   indicator's first-row mask makes the marker a zero on every other slot,
+   its products there are zeros, and the reduction carries only the first
+   row into the released head (a sum over blocks, i.e. shifts by multiples
+   of k that stay inside the row).  A real backend computes every slot,
+   with ``SlotEngine.restrict`` and ``widen`` as the identity;
+4. the aggregates added into ceil((d + 1) / B) release ciphertexts,
+   aggregate l into ciphertext l // B (one on every benchmark workload),
+   each dropped to level 0, which is free and leaves the smallest
+   ciphertext, then Gaussian noise on the meaningful slots;
+5. release to the key holder, who decrypts each release ciphertext once,
+   divides, and returns the next plaintext centroids.
 
 The argmin leaves its ranks unmasked: the indicator's folded first-row mask
 zeroes the other rows, so k >= 3 spends no level on masking the ranks.
@@ -62,11 +70,13 @@ Deterministic randomness contracts (mirrored by the plaintext oracle):
 * DP noise: one ``default_rng([seed, 0xD9])`` stream per run, drawn round
   by round: k ``normal(0, sigma_sum)`` draws for each sum coordinate, in
   coordinate order, then k ``normal(0, sigma_count)`` draws for the counts,
-  each set of k added to slots 0 .. k - 1 of its aggregate.
+  each set of k added to the k slots of its aggregate in the release
+  (``perturb_aggregates``).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -330,9 +340,12 @@ def required_depth(k: int, degree: int = sa.DEFAULT_DEGREE) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _unit(slots: int, i: int) -> np.ndarray:
+def _spike(slots: int, i: int, values: tuple) -> np.ndarray:
+    """``values`` from slot ``i`` on and zeros elsewhere, read-only, so that
+    the engine wraps it without a copy."""
     e = np.zeros(slots)
-    e[i] = 1.0
+    e[i : i + len(values)] = values
+    e.setflags(write=False)
     return e
 
 
@@ -489,14 +502,18 @@ class _ComputingState:
             else:
                 self.encodings.append([eng.plaintext(values[m * chunk : (m + 1) * chunk])
                                        for m in range(self.units)])
-        # X_l * e0: every point's coordinate l summed into slot 0, once per run; X_0 = n
-        self.heads.append(eng.plaintext(self.n * _unit(S, 0)))
-        e0 = eng.plaintext(_unit(S, 0))
-        for cts in self.encodings[1:]:
+        # X_l * e_j: every point's coordinate l summed into slot j, the first
+        # release slot of aggregate l, once per run; X_0 = n and j = 0
+        self.heads.append(eng.plaintext(_spike(S, 0, (self.n,))))
+        for cts, j in zip(self.encodings[1:], self._release_starts()[1:]):
             total = cts[0]
             for ct in cts[1:]:
                 total = eng.add(total, ct)
-            self.heads.append(eng.mul(pm._run_lane_sum(eng, total, 1, S), e0))
+            self.heads.append(eng.mul(pm._run_lane_sum(eng, total, 1, S, j), eng.plaintext(_spike(S, j, (1.0,)))))
+
+    def _release_starts(self) -> list:
+        """The first release slot of each aggregate, counts first."""
+        return self.layout.release_slots(self.d + 1)[1][:, 0].tolist()
 
     # -- per-round circuits -------------------------------------------------
 
@@ -521,9 +538,12 @@ class _ComputingState:
     def run_round(self, centroids: CentroidSet) -> list:
         """Per unit: u = sum_l x_l * G_l, the argmin marker a of u, and the
         products a * x_l, added into the d + 1 aggregates (counts first),
-        which are then reduced once each.  An unused block has u = 0, and
-        its marker is multiplied by x_0 = 0.  For k >= 3 the marker is 0
-        past the first grid row, so the products and sums run on that row
+        which are then reduced once each into the slots where
+        :meth:`PackedLayout.release_slots` places them: aggregate l on the k
+        slots from (l % B) * k, B = ``blocks_per_ct``, and zero on every
+        other slot.  An unused block has u = 0, and its marker is
+        multiplied by x_0 = 0.  For k >= 3 the marker is 0 past the first
+        grid row, so the products and sums run on that row
         (``SlotEngine.restrict``) and each total is widened once."""
         eng = self.engine
         grids = self._round_grids(centroids)
@@ -542,18 +562,21 @@ class _ComputingState:
             for l, x in enumerate(xs):
                 term = eng.mul(a, x)
                 totals[l] = term if totals[l] is None else eng.add(totals[l], term)
+        starts = self._release_starts()
         if self.k == 2:
             # a marks centroid 1, so P_l = sum of a * x_l belongs to cluster
             # 1, and cluster 0 is what it leaves of the round-invariant total
-            # X_l: the release is X_l*e0 + rotsum(P_l)*(e1 - e0), with one
-            # rotate-and-sum per aggregate and round, as rotsum is linear; it is
-            # the replication from slot S - 1, run like the packed lane sums
+            # X_l: from release slot j, the release is X_l*e_j +
+            # rotsum_j(P_l)*(e_{j+1} - e_j), with one rotate-and-sum per
+            # aggregate and round, as rotsum is linear; rotsum_j sums all S
+            # slots into slot j, run like the packed lane sums
             S = eng.config.slot_count
-            split = eng.plaintext(_unit(S, 1) - _unit(S, 0))
-            return [eng.add(head, eng.mul(pm._run_lane_sum(eng, p, 1, S), split))
-                    for head, p in zip(self.heads, totals)]
-        head = eng.plaintext(self.layout.head_mask())
-        return [eng.mul(pm.reduce_blocks(eng, eng.widen(v), self.layout), head) for v in totals]
+            return [eng.add(head, eng.mul(pm._run_lane_sum(eng, p, 1, S, j),
+                                          eng.plaintext(_spike(S, j, (-1.0, 1.0)))))
+                    for head, p, j in zip(self.heads, totals, starts)]
+        return [eng.mul(pm.reduce_blocks(eng, eng.widen(v), self.layout, j // self.k),
+                        eng.plaintext(self.layout.head_mask(j // self.k)))
+                for v, j in zip(totals, starts)]
 
 
 # ---------------------------------------------------------------------------
@@ -637,10 +660,10 @@ def run_multiparty(
     measured ciphertext size differs from the plan.
 
     Admission: a run that cannot happen raises ``ProtocolError`` before
-    setup.  The checks on model, parties, k, n, rounds, uploads and engine
-    are one function shared with :func:`estimate_transcript`, so both refuse
-    alike; the checks on names, data, bound, budget and ``init`` are the
-    run's own.
+    setup.  The checks on model, parties, k, n, rounds, comparator degree,
+    uploads and engine are one function shared with
+    :func:`estimate_transcript`, so both refuse alike; the checks on names,
+    data, bound, budget and ``init`` are the run's own.
     """
     names = [p.owner for p in partitions]
     if len(set(names)) != len(names):
@@ -695,12 +718,13 @@ def run_multiparty(
     history = [np.array(centroids.centers)]
     round_depths = []
     aggregate_bytes = []
-    meaningful = list(range(k))
     ledger = release_depths(k, sign.degree)
     level0 = engine.config.depth_budget
+    per_ct = layout.blocks_per_ct
+    placed = layout.release_slots(d + 1)
 
     for t in range(1, rounds + 1):
-        released = alice.run_round(centroids)  # counts, then the d sums
+        released = alice.run_round(centroids)  # counts, then the d sums, each on its own slots
         depths = [v.depth_consumed for v in released]
         round_depths.append(max(depths))
         if depths != [ledger[0]] + [ledger[1]] * d:
@@ -708,18 +732,18 @@ def run_multiparty(
                 f"round {t}: (counts, sums) depths {depths} differ from the depth ledger: "
                 f"counts {ledger[0]}, sums {ledger[1]}"
             )
-        # every aggregate leaves at level 0: dropping levels is free
-        released = [engine.drop_to_depth(v, level0) for v in released]
+        # blocks_per_ct aggregates share a release ciphertext, which leaves at
+        # level 0: dropping levels is free
+        released = [engine.drop_to_depth(functools.reduce(engine.add, released[i : i + per_ct]), level0)
+                    for i in range(0, d + 1, per_ct)]
         if noise is not None:
-            s_rel, t_rel = perturb_aggregates(engine, released[1:], released[0], noise, meaningful, noise_rng)
-            released = [t_rel] + s_rel
+            released = perturb_aggregates(engine, released, d, layout, noise, noise_rng)
         aggregate_bytes.append(sum(engine.size_bytes(v) for v in released))
-        # the key holder decrypts; under MPC the key-share holders each return
-        # one additive share whose sum is the plaintext, and reconstruction is
-        # exact by simulation contract
-        counts = engine.decrypt(released[0])[:k]
-        sums = np.stack([engine.decrypt(v)[:k] for v in released[1:]])  # d x k
-        centroids = update_centroids(sums, counts, bound, seed, t)
+        # the key holder decrypts each release once; under MPC the key-share
+        # holders each return one additive share whose sum is the plaintext,
+        # and reconstruction is exact by simulation contract
+        values = np.stack([engine.decrypt(v) for v in released])[placed]  # counts, then the d sums
+        centroids = update_centroids(values[1:], values[0], bound, seed, t)
         history.append(np.array(centroids.centers))
 
     transcript = plan_transcript(n, k, d, rounds, model, cfg, plan)
@@ -763,13 +787,14 @@ def plan_transcript(
     every party with f encrypted features uploads ``layout.uploads(f, n)``
     fresh ciphertexts, ceil(f * ``feature_rows(n)`` / k), of
     ``PackedLayout(k, cfg.slot_count)``: its features packed one after
-    another, each from a row of its own.  Every round sends d + 1 aggregate
-    ciphertexts and gets back either the k*d plaintext centroid reals or,
-    under MPC, one decryption share per key-share holder; finally the
+    another, each from a row of its own.  Every round sends its d + 1
+    aggregates in ``layout.releases(d + 1)`` ciphertexts, ceil((d + 1) /
+    blocks_per_ct), and gets back either the k*d plaintext centroid reals
+    or, under MPC, one decryption share per key-share holder; finally the
     centroids reach every data owner.
     Ciphertext sizes come from the engine's size model: uploads and the key
-    are fresh, at ``cfg.depth_budget`` levels, and every aggregate is
-    released at level 0.
+    are fresh, at ``cfg.depth_budget`` levels, and every release ciphertext
+    is at level 0.
     """
     if model not in (SERVER_AIDED, MPC_SIMULATED):
         raise ProtocolError(f"unknown deployment model {model!r}")
@@ -777,11 +802,12 @@ def plan_transcript(
     computing = next(name for name, role, _ in parties if role == COMPUTING)
     key_owner = next((name for name, role, _ in parties if role == KEY_HOLDER), "joint-key")
     others = [(name, role, enc) for name, role, enc in parties if role != COMPUTING]
+    layout = PackedLayout(k, slot_count=cfg.slot_count)
     fresh = ciphertext_size_bytes(cfg.depth_budget, cfg)
-    aggregates = (d + 1) * ciphertext_size_bytes(0, cfg)
+    releases = layout.releases(d + 1)
+    aggregates = releases * ciphertext_size_bytes(0, cfg)
     share = math.ceil(aggregates / 2)
     centroids = k * d * 8
-    layout = PackedLayout(k, slot_count=cfg.slot_count)
 
     key_receivers = [computing] if mpc else [name for name, _, _ in parties if name != key_owner]
     messages = [Message(SETUP_ROUND, key_owner, name, PUBLIC_KEY, fresh) for name in key_receivers]
@@ -791,7 +817,7 @@ def plan_transcript(
             messages.append(Message(SETUP_ROUND, name, computing, ENCRYPTED_FEATURES, cts * fresh, cts))
     for t in range(1, rounds + 1):
         messages.append(Message(t, computing, "broadcast" if mpc else key_owner,
-                                NOISY_AGGREGATES, aggregates, d + 1))
+                                NOISY_AGGREGATES, aggregates, releases))
         if mpc:
             messages += [Message(t, name, computing, DECRYPTION_SHARE, share) for name, _, _ in others]
         else:
@@ -821,13 +847,18 @@ def _admit(model: str, holdings: list[tuple[str, int]], computing: str | None, n
 
     ``holdings`` lists ``(name, feature count)`` per party.  Raises
     ``ProtocolError`` for a model, party count, k, n, rounds, uploads or
-    engine no run can have, and for an n, k or rounds that is not a whole
-    number.  Returns the model the run executes, the engine config
-    (default: sized to ``required_depth(k, degree)``), the role plan of
+    engine no run can have, for an n, k or rounds that is not a whole
+    number, and for a comparator ``degree`` that is not an odd positive
+    whole number, the rule of ``SignApproxConfig``.  Returns the model the
+    run executes, the engine config (default: sized to
+    ``required_depth(k, degree)``), the role plan of
     :func:`plan_transcript`, ordered as :func:`run_multiparty` says, and n,
     k and rounds as ints.
     """
     n, k, rounds = _whole(n, "n"), _whole(k, "k"), _whole(rounds, "rounds")
+    degree = _whole(degree, "degree")
+    if degree < 1 or degree % 2 == 0:
+        raise ProtocolError(f"degree must be an odd positive whole number, got {degree}")
     if model not in (TWO_PARTY, SERVER_AIDED, MPC_SIMULATED):
         raise ProtocolError(f"unknown deployment model {model!r}")
     if len(holdings) < 2 or (model == TWO_PARTY and len(holdings) != 2):

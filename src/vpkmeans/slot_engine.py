@@ -98,7 +98,9 @@ class EngineConfig:
 
     ``slot_count`` is the number of usable SIMD slots (half the ring
     dimension of the scheme being modeled, 2^14 for ring dimension 2^15): a
-    power of two up to ``MAX_SLOT_COUNT``.
+    power of two up to ``MAX_SLOT_COUNT``.  Both counts must be ints (a
+    numpy integer is one); a bool, a float or a string raises
+    ``ValueError``.
     """
 
     slot_count: int = 1 << 14
@@ -106,6 +108,10 @@ class EngineConfig:
     size_model: SizeModel = field(default_factory=SizeModel)
 
     def __post_init__(self):
+        for name in ("slot_count", "depth_budget"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be a whole number, got {value!r}")
         if not 1 <= self.slot_count <= MAX_SLOT_COUNT or self.slot_count & (self.slot_count - 1):
             raise ValueError(f"slot_count must be a power of two up to {MAX_SLOT_COUNT}, got {self.slot_count}")
         if self.depth_budget < 0:

@@ -207,7 +207,8 @@ def test_acceptance_06_communication_accounting():
     per_round = res.transcript.by_kind(protocol.NOISY_AGGREGATES)
     counts_ok = (
         uploads == 1 * math.ceil(1000 / slot_count)
-        and all(m.ciphertext_count == 2 + 1 for m in per_round)
+        # the d + 1 = 3 aggregates share one release ciphertext (4,096 blocks of 2 x 2)
+        and all(m.ciphertext_count == 1 for m in per_round)
         and all(m.byte_size == 2 * 2 * 8 for m in res.transcript.by_kind(protocol.CENTROIDS))
     )
     # one-time calibration on the (n=1000, k=2) cell, then the two big cells

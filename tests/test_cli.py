@@ -71,7 +71,7 @@ def test_calibrated_estimate_grows_with_the_estimated_rounds(capsys):
                      "--calibrate-bytes", "17.9e6", "--profile", "LAN1000"]) == 0
         printed[rounds] = int(capsys.readouterr().out.split()[0])
     assert printed[1] < printed[10]
-    assert printed == {1: 46_240_920, 10: 54_296_496}
+    assert printed == {1: 68_466_356, 10: 72_494_504}
 
 
 def test_estimate_from_report(tmp_path, capsys):

@@ -12,6 +12,7 @@ from vpkmeans.dp_accounting import (
     per_round_budget,
     perturb_aggregates,
 )
+from vpkmeans.packed_matrix import PackedLayout
 from vpkmeans.slot_engine import EngineConfig, SlotEngine
 
 
@@ -99,19 +100,22 @@ def test_noise_scales_follow_sensitivities():
 # -- perturb_aggregates --------------------------------------------------------
 
 
+# k = 4 at 16 slots has one block per ciphertext: the counts, then the two
+# sums, are each released on slots 0 .. 3 of a ciphertext of their own
+LAYOUT = PackedLayout(4, slot_count=16)
+
+
 def _aggregates(engine, k=4):
-    s = [engine.encrypt(np.arange(k, dtype=float)) for _ in range(2)]
-    t = engine.encrypt(np.full(k, 10.0))
-    return s, t
+    """Releases of the counts (10 each) and two sums (0 .. k - 1)."""
+    return [engine.encrypt(np.full(k, 10.0))] + [engine.encrypt(np.arange(k, dtype=float)) for _ in range(2)]
 
 
 def test_perturb_zero_scales_identity():
     eng = SlotEngine(EngineConfig(slot_count=16, depth_budget=4))
-    s, t = _aggregates(eng)
+    releases = _aggregates(eng)
     ns = NoiseScales(sigma_sum=0.0, sigma_count=0.0)
-    s2, t2 = perturb_aggregates(eng, s, t, ns, range(4), np.random.default_rng(0))
-    assert np.array_equal(eng.decrypt(t2), eng.decrypt(t))
-    assert all(np.array_equal(eng.decrypt(a), eng.decrypt(b)) for a, b in zip(s, s2))
+    out = perturb_aggregates(eng, releases, 2, LAYOUT, ns, np.random.default_rng(0))
+    assert all(np.array_equal(eng.decrypt(a), eng.decrypt(b)) for a, b in zip(releases, out))
 
 
 def test_perturb_deterministic_under_seed():
@@ -119,19 +123,18 @@ def test_perturb_deterministic_under_seed():
     ns = NoiseScales(sigma_sum=2.0, sigma_count=1.0)
     outs = []
     for _ in range(2):
-        s, t = _aggregates(eng)
-        s2, t2 = perturb_aggregates(eng, s, t, ns, range(4), np.random.default_rng(42))
-        outs.append(np.concatenate([eng.decrypt(t2)] + [eng.decrypt(x) for x in s2]))
+        out = perturb_aggregates(eng, _aggregates(eng), 2, LAYOUT, ns, np.random.default_rng(42))
+        outs.append(np.concatenate([eng.decrypt(x) for x in out]))
     assert np.array_equal(outs[0], outs[1])
 
 
 def test_perturb_only_touches_meaningful_slots():
     eng = SlotEngine(EngineConfig(slot_count=16, depth_budget=4))
-    s, t = _aggregates(eng)
+    releases = _aggregates(eng)
     ns = NoiseScales(sigma_sum=5.0, sigma_count=5.0)
-    s2, t2 = perturb_aggregates(eng, s, t, ns, range(4), np.random.default_rng(1))
+    t2 = perturb_aggregates(eng, releases, 2, LAYOUT, ns, np.random.default_rng(1))[0]
     assert np.array_equal(eng.decrypt(t2)[4:], np.zeros(12))
-    assert not np.array_equal(eng.decrypt(t2)[:4], eng.decrypt(t)[:4])
+    assert not np.array_equal(eng.decrypt(t2)[:4], eng.decrypt(releases[0])[:4])
 
 
 def test_perturb_empirical_stddev():
@@ -140,9 +143,8 @@ def test_perturb_empirical_stddev():
     rng = np.random.default_rng(11)
     draws_s, draws_t = [], []
     for _ in range(2500):
-        s, t = _aggregates(eng)
-        s2, t2 = perturb_aggregates(eng, s, t, ns, range(4), rng)
-        draws_s.append(eng.decrypt(s2[0])[:4] - np.arange(4))
+        t2, s2 = perturb_aggregates(eng, _aggregates(eng), 2, LAYOUT, ns, rng)[:2]
+        draws_s.append(eng.decrypt(s2)[:4] - np.arange(4))
         draws_t.append(eng.decrypt(t2)[:4] - 10.0)
     std_s = np.std(np.ravel(draws_s))
     std_t = np.std(np.ravel(draws_t))
@@ -156,8 +158,7 @@ def test_perturb_slots_uncorrelated():
     rng = np.random.default_rng(5)
     cols = []
     for _ in range(4000):
-        s, t = _aggregates(eng)
-        _, t2 = perturb_aggregates(eng, s, t, ns, range(4), rng)
+        t2 = perturb_aggregates(eng, _aggregates(eng), 2, LAYOUT, ns, rng)[0]
         cols.append(eng.decrypt(t2)[:2] - 10.0)
     cols = np.array(cols)
     corr = np.corrcoef(cols[:, 0], cols[:, 1])[0, 1]
@@ -176,22 +177,29 @@ def _documented_noise(rng, scales, k, d):
 
 
 def test_perturb_draws_in_the_documented_order():
-    # zero aggregates come back holding exactly the noise, on slots 0 .. k - 1
-    k, d, slots = 3, 2, 16
-    eng = SlotEngine(EngineConfig(slot_count=slots, depth_budget=4))
+    # zero releases come back holding exactly the noise, aggregate l on the
+    # k slots from (l % B) * k of release l // B: at 16 slots one block per
+    # ciphertext (B = 1), at 32 slots all three in one (B = 3)
+    k, d = 3, 2
     ns = NoiseScales(sigma_sum=2.0, sigma_count=5.0)
-    rng, fresh = np.random.default_rng([7, 0xD9]), np.random.default_rng([7, 0xD9])
-    for _ in range(2):
-        zeros = [eng.encrypt(np.zeros(slots)) for _ in range(d + 1)]
-        s, t = perturb_aggregates(eng, zeros[1:], zeros[0], ns, range(k), rng)
-        counts, sums = _documented_noise(fresh, ns, k, d)
-        assert np.array_equal(eng.decrypt(t), np.pad(counts, (0, slots - k)))
-        assert all(np.array_equal(eng.decrypt(v), np.pad(w, (0, slots - k))) for v, w in zip(s, sums))
+    for slots, per_ct in ((16, 1), (32, 3)):
+        eng = SlotEngine(EngineConfig(slot_count=slots, depth_budget=4))
+        layout = PackedLayout(k, slot_count=slots)
+        assert layout.blocks_per_ct == per_ct
+        rng, fresh = np.random.default_rng([7, 0xD9]), np.random.default_rng([7, 0xD9])
+        for _ in range(2):
+            zeros = [eng.encrypt(np.zeros(slots)) for _ in range(layout.releases(d + 1))]
+            out = [eng.decrypt(v) for v in perturb_aggregates(eng, zeros, d, layout, ns, rng)]
+            counts, sums = _documented_noise(fresh, ns, k, d)
+            want = np.zeros((len(out), slots))
+            for l, draws in enumerate([counts, *sums]):
+                want[l // per_ct, l % per_ct * k : (l % per_ct + 1) * k] = draws
+            assert np.array_equal(np.stack(out), want), slots
 
 
 class _Releases(SlotEngine):
     """An engine that records every decrypted vector: a run decrypts only
-    its released aggregates, counts first."""
+    its release ciphertexts, one per round where the aggregates fit."""
 
     def __init__(self, config):
         super().__init__(config)
@@ -222,7 +230,11 @@ def test_a_run_adds_its_noise_in_the_documented_order(k):
         clean = _Releases(cfg)
         run(parts[0], parts[1], None, 1, k=k, bound=bound, engine=clean, seed=seed,
             init=CentroidSet(res.history[t], bound))
-        added = np.stack(noisy.released[t * (d + 1) : (t + 1) * (d + 1)]) - np.stack(clean.released)
+        # at 64 slots the d + 1 aggregates share one release ciphertext, on
+        # slots l * k .. l * k + k - 1
+        assert len(clean.released) == 1
+        added = noisy.released[t] - clean.released[0]
         counts, sums = _documented_noise(fresh, res.noise, k, d)
-        assert np.allclose(added[:, :k], np.stack([counts, *sums]), rtol=0, atol=1e-9), t
-        assert not np.any(added[:, k:]), t
+        meaningful = added[: (d + 1) * k].reshape(d + 1, k)
+        assert np.allclose(meaningful, np.stack([counts, *sums]), rtol=0, atol=1e-9), t
+        assert not np.any(added[(d + 1) * k :]), t

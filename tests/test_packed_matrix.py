@@ -105,7 +105,11 @@ def test_first_row_two_blocks():
     out = dec_blocks(eng, lay, eng.mul(enc_blocks(eng, lay, blocks), eng.plaintext(lay.first_row(1.0))))
     assert np.array_equal(out[0], [[1, 2], [0, 0]])
     assert np.array_equal(out[1], [[5, 6], [0, 0]])
-    assert np.array_equal(lay.head_mask(), [1.0, 1.0] + [0.0] * 6)  # block 0's first row only
+    assert np.array_equal(lay.head_mask(0), [1.0, 1.0] + [0.0] * 6)  # block 0's first row only
+    assert np.array_equal(lay.head_mask(1), [0.0, 0.0, 1.0, 1.0] + [0.0] * 4)
+    for block in (-1, 2):
+        with pytest.raises(EngineError, match="outside the layout"):
+            lay.head_mask(block)
 
 
 @pytest.mark.parametrize("k, slot_count", [(3, 64), (5, 1 << 10), (15, 1 << 14)])
@@ -353,9 +357,35 @@ def test_reduce_blocks_sums_into_block0():
         blocks = [rng.normal(size=(k, k)) for _ in range(count)]
         v = enc_blocks(eng, lay, blocks)
         before = eng.stats.rotations
-        got = dec_blocks(eng, lay, reduce_blocks(eng, v, lay))[0]
+        got = dec_blocks(eng, lay, reduce_blocks(eng, v, lay, 0))[0]
         assert np.allclose(got, ref.ref_reduce_blocks(blocks), atol=1e-12)
         assert eng.stats.rotations - before == len(replication_schedule(count, count - 1).steps)
+
+
+@pytest.mark.parametrize("k, slot_count", [(3, 256), (15, 1 << 14), (8, 1 << 14), (7, 64)])
+def test_reduce_blocks_into_any_block_costs_the_block0_rotations(k, slot_count):
+    # the release puts aggregate l in block l % B: every target block takes
+    # a schedule as long as block 0's, and its head mask keeps only its total
+    eng = make(slot_count=slot_count, depth=8)
+    lay = PackedLayout(k, slot_count=slot_count)
+    count = lay.blocks_per_ct
+    rng = np.random.default_rng(k)
+    blocks = [rng.normal(size=(k, k)) for _ in range(count)]
+    want = ref.ref_reduce_blocks(blocks)
+    v = enc_blocks(eng, lay, blocks)
+    for block in sorted({0, 1 % count, count // 2, count - 1}):
+        before = eng.stats.rotations
+        out = eng.mul(reduce_blocks(eng, v, lay, block), eng.plaintext(lay.head_mask(block)))
+        assert eng.stats.rotations - before == len(replication_schedule(count, count - 1).steps)
+        got = dec_blocks(eng, lay, out)
+        assert np.allclose(got[block][0], want[0], rtol=0, atol=1e-12), block
+        assert not np.any(np.delete(eng.decrypt(out), block * k + np.arange(k))), block
+
+
+def test_lane_sums_into_every_lane_take_schedules_of_one_length():
+    for count in range(1, 65):
+        lengths = {len(replication_schedule(count, start).steps) for start in range(count)}
+        assert len(lengths) == 1, count
 
 
 def test_sum_then_repl_gives_block_dim_times_row():

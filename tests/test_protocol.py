@@ -658,7 +658,8 @@ def transcript_checks(res, n, k, d, d_bob, rounds, slot_count):
     assert sum(m.ciphertext_count for m in uploads) == packed_uploads(d_bob, n, k, slot_count)
     per_round = tr.by_kind(protocol.NOISY_AGGREGATES)
     assert len(per_round) == rounds
-    assert all(m.ciphertext_count == d + 1 for m in per_round)
+    # the d + 1 aggregates share a ciphertext, blocks_per_ct of them each
+    assert all(m.ciphertext_count == math.ceil((d + 1) / (slot_count // (k * k))) for m in per_round)
     cents = tr.by_kind(protocol.CENTROIDS)
     assert all(m.byte_size == k * d * 8 for m in cents)
 
@@ -745,7 +746,9 @@ def test_every_aggregate_leaves_the_round_at_the_required_depth(monkeypatch, k):
     monkeypatch.setattr(SlotEngine, "drop_to_depth", record)
     eng = SlotEngine(EngineConfig(slot_count=1024, depth_budget=required_depth(k)))
     run(parts[0], parts[1], None, 1, k=k, bound=1.0, seed=1, engine=eng)
-    assert seen == [required_depth(k)] * (d + 1)
+    # at 1024 slots even k = 15 has 4 blocks, so the d + 1 aggregates leave
+    # in one release ciphertext, at the depth of each
+    assert seen == [required_depth(k)]
 
 
 @pytest.mark.parametrize("extra", [0, 3])
@@ -759,12 +762,87 @@ def test_aggregates_are_released_at_level_zero(k, extra):
     res = run(parts[0], parts[1], PrivacyBudget(1.0, 1e-3, rounds), rounds, k=k, bound=1.0,
               seed=2, engine=SlotEngine(cfg))
     per_round = res.transcript.by_kind(protocol.NOISY_AGGREGATES)
-    assert [m.byte_size for m in per_round] == [(d + 1) * ciphertext_size_bytes(0, cfg)] * rounds
+    # the d + 1 aggregates fit one release ciphertext at 256 slots
+    assert [m.byte_size for m in per_round] == [ciphertext_size_bytes(0, cfg)] * rounds
     assert res.round_depths == [required_depth(k)] * rounds
     est = estimate_transcript(n, k, d, 1, rounds, cfg)
     assert est.total_bytes == res.transcript.total_bytes
     assert est.total_ciphertexts == res.transcript.total_ciphertexts
     assert est.bytes_by_kind() == res.transcript.bytes_by_kind()
+
+
+class ReleaseRecorder(SlotEngine):
+    """An engine that records every decrypted vector: a run decrypts its
+    release ciphertexts and nothing else."""
+
+    def __init__(self, config):
+        super().__init__(config)
+        self.released = []
+
+    def decrypt(self, v):
+        out = super().decrypt(v)
+        self.released.append(out)
+        return out
+
+
+def check_release(k, slots, split, model, releases, sign=SignApproxConfig()):
+    """One noise-free round: ``releases`` ciphertexts, aggregate l (counts
+    first) on the k slots from (l % B) * k of release l // B, equal to the
+    soft-membership oracle's aggregate, every other slot exactly 0, and the
+    measured bytes equal to the plan and to the estimate."""
+    n, d = 150, sum(len(cols) for cols in split)
+    pts = uniform_instance(50 + k, n=n, d=d)
+    cfg = EngineConfig(slot_count=slots, depth_budget=required_depth(k, sign.degree))
+    eng = ReleaseRecorder(cfg)
+    res = run_multiparty(split_features(pts, split), model, None, 1, k=k, bound=1.0, seed=1, engine=eng, sign=sign)
+    per_ct = slots // (k * k)
+    assert len(eng.released) == releases == math.ceil((d + 1) / per_ct)
+    w = bench._soft_memberships(pts, res.history[0], sign, 1.0 / (d * 4.0))
+    want = [w.sum(axis=0), *(w.T @ pts).T]
+    got = np.stack(eng.released)
+    meaningful = np.zeros(got.shape, dtype=bool)
+    for l, aggregate in enumerate(want):
+        place = (l // per_ct, slice(l % per_ct * k, (l % per_ct + 1) * k))
+        assert np.allclose(got[place], aggregate, rtol=0, atol=1e-6), l
+        meaningful[place] = True
+    assert not np.any(got[~meaningful])
+    per_round = res.transcript.by_kind(protocol.NOISY_AGGREGATES)
+    size = releases * ciphertext_size_bytes(0, cfg)
+    assert [(m.ciphertext_count, m.byte_size) for m in per_round] == [(releases, size)]
+    est = estimate_transcript(n, k, d, d - len(split[0]), 1, cfg, degree=sign.degree, parties=len(split),
+                              model=model)
+    assert est.messages == res.transcript.messages
+
+
+@pytest.mark.parametrize("model", [protocol.SERVER_AIDED, protocol.MPC_SIMULATED])
+@pytest.mark.parametrize("k, releases", [(7, 4), (5, 2), (3, 1)])
+def test_each_aggregate_is_released_on_its_own_slots(k, releases, model):
+    # at 64 slots k = 7, 5 and 3 have 1, 2 and 7 blocks per ciphertext
+    split = [[0, 1], [2]] if model == protocol.SERVER_AIDED else [[0], [1], [2]]
+    check_release(k, 64, split, model, releases)
+
+
+def test_k8_d8_mpc_releases_one_ciphertext():
+    # the shape of mpc-d8-deg127: 256 blocks hold the 9 aggregates
+    check_release(8, 1 << 14, [[0, 1], [2, 3], [4, 5], [6, 7]], protocol.MPC_SIMULATED, 1,
+                  SignApproxConfig(degree=127, tie_margin=0.05))
+
+
+@pytest.mark.parametrize("k", [2, 3, 5, 7])
+def test_placing_the_aggregates_costs_no_rotation(k, monkeypatch):
+    # the same run with every lane sum into lane 0, as a release of one
+    # ciphertext per aggregate would sum, takes the same rotations
+    parts = split_features(uniform_instance(60 + k, n=150, d=3), [[0], [1, 2]])
+
+    def rotations():
+        eng = SlotEngine(EngineConfig(slot_count=64, depth_budget=required_depth(k)))
+        run(parts[0], parts[1], None, 1, k=k, bound=1.0, seed=1, engine=eng)
+        return eng.stats.rotations
+
+    placed = rotations()
+    lane_sum = pm._run_lane_sum
+    monkeypatch.setattr(pm, "_run_lane_sum", lambda eng, v, unit, count, lane: lane_sum(eng, v, unit, count, 0))
+    assert rotations() == placed
 
 
 def test_run_checks_released_depths_against_ledger(monkeypatch):
@@ -888,6 +966,15 @@ def test_estimate_refuses_counts_that_are_not_whole_numbers(name, value):
     args = {"n": 100, "k": 3, "d": 2, "d_bob": 1, "rounds": 1, "parties": 2, name: value}
     with pytest.raises(ProtocolError, match=f"^{name} must be a whole number"):
         estimate_transcript(**args)
+
+
+@pytest.mark.parametrize("degree", [127.0, True, 0, 128, -1, "127"])
+def test_estimate_refuses_a_degree_no_comparator_has(degree):
+    # the rule of SignApproxConfig: an odd positive whole number
+    with pytest.raises(ProtocolError, match="degree must be"):
+        estimate_transcript(1000, 5, 2, 1, 10, degree=degree)
+    assert estimate_transcript(1000, 5, 2, 1, 10, degree=np.int64(127)).messages == \
+        estimate_transcript(1000, 5, 2, 1, 10, degree=127).messages
 
 
 # -- multiparty -------------------------------------------------------------------

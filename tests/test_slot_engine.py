@@ -170,6 +170,19 @@ def test_config_validation():
         SizeModel(bytes_per_slot_per_level=0)
 
 
+@pytest.mark.parametrize("field", ["slot_count", "depth_budget"])
+@pytest.mark.parametrize("value", [1024.0, True, "1024", 2.5])
+def test_config_counts_must_be_ints(field, value):
+    # a float slot count used to reach ``&`` and a bool passed for 1
+    with pytest.raises(ValueError, match=f"{field} must be a whole number"):
+        EngineConfig(**{field: value})
+
+
+def test_config_counts_take_numpy_integers():
+    cfg = EngineConfig(slot_count=np.int64(1024), depth_budget=np.int32(5))
+    assert (cfg.slot_count, cfg.depth_budget) == (1024, 5)
+
+
 def test_slot_count_stops_at_ring_dimension_2_17():
     # a vector of the largest slot count takes 512 KiB; the next power of two
     # is refused before any vector exists
