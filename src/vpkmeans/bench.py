@@ -263,8 +263,10 @@ def lloyd_plaintext(
     Both update the centroids with the protocol's
     :func:`~vpkmeans.protocol.update_centroids`: counts below
     ``REINIT_BELOW`` re-initialize the cluster, coordinates clamp to the
-    domain.
+    domain.  Any other tie rule raises ``BenchError``, at 0 rounds too.
     """
+    if tie_rule not in (STANDARD, MATCHING):
+        raise BenchError(f"unknown tie rule {tie_rule!r}")
     points = data.points if isinstance(data, Dataset) else np.asarray(data, dtype=np.float64)
     centers = np.array(init.centers)
     k, d = centers.shape
@@ -280,14 +282,12 @@ def lloyd_plaintext(
             counts = w.sum(axis=0)
             sums = w.T @ points  # k x d
             unassigned.append(int(np.sum(w.max(axis=1) < 0.5)))
-        elif tie_rule == STANDARD:
+        else:
             assign = np.argmin(_sq_distances(points, centers), axis=1)
             counts = np.bincount(assign, minlength=k).astype(np.float64)
             sums = np.zeros((k, d))
             np.add.at(sums, assign, points)
             unassigned.append(0)
-        else:
-            raise BenchError(f"unknown tie rule {tie_rule!r}")
 
         centers = proto.update_centroids(sums.T, counts, bound, seed, t).centers
         history.append(np.array(centers))

@@ -19,6 +19,7 @@ report's ``dp`` section.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,11 +37,22 @@ SCOPE = ("the noisy aggregates and centroids that the key holder and the data ow
 
 @dataclass(frozen=True)
 class PrivacyBudget:
+    """The total (epsilon, delta) of a run of ``rounds`` rounds.  Epsilon
+    and delta must be real numbers and rounds an int (a numpy integer is
+    one); a bool, a string or a fractional round count raises
+    ``ValueError``."""
+
     epsilon_total: float
     delta_total: float
     rounds: int
 
     def __post_init__(self):
+        for name in ("epsilon_total", "delta_total"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
+        if isinstance(self.rounds, bool) or not isinstance(self.rounds, (int, np.integer)):
+            raise ValueError(f"rounds must be a whole number, got {self.rounds!r}")
         if not self.epsilon_total > 0:
             raise ValueError("epsilon_total must be positive")
         if not 0 < self.delta_total < 1:

@@ -26,7 +26,7 @@ bound; it does not check that a schedule is rotation-minimal.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -37,6 +37,16 @@ ROW = "row"
 COLUMN = "column"
 
 
+def _constant(slots: int, index, values) -> np.ndarray:
+    """A plaintext constant: ``values`` at ``index`` (an int, a slice or an
+    index array) of ``slots`` zeros, read-only, so that the engine wraps it
+    without a copy."""
+    out = np.zeros(slots)
+    out[index] = values
+    out.setflags(write=False)
+    return out
+
+
 @dataclass(frozen=True)
 class PackedLayout:
     """How k x k blocks tile a slot vector, k*k slots per block; every block
@@ -44,7 +54,6 @@ class PackedLayout:
 
     k: int
     slot_count: int = 1 << 14
-    _mask_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         if self.k < 2:
@@ -126,39 +135,22 @@ class PackedLayout:
             self.k, self.blocks_per_ct, self.k
         )
 
-    # -- cached plaintext masks and constants ---------------------------
+    # -- plaintext masks and constants ----------------------------------
 
-    def _mask(self, key, build) -> np.ndarray:
-        if key not in self._mask_cache:
-            arr = build()
-            arr.setflags(write=False)
-            self._mask_cache[key] = arr
-        return self._mask_cache[key]
-
-    def _grid_mask(self, key, rows, columns, value: float) -> np.ndarray:
-        """``value`` on ``[rows, columns]`` of the k x width grid, 0 elsewhere."""
-
-        def build():
-            slots = np.zeros(self.slot_count)
-            slots[: self.usable_slots].reshape(self.k, self.width)[rows, columns] = value
-            return slots
-
-        return self._mask(key, build)
-
+    @functools.lru_cache(maxsize=64)
     def first_row(self, scale: float) -> np.ndarray:
-        """``scale`` on the first row of every block, 0 elsewhere."""
-        return self._grid_mask(("first_row", scale), 0, slice(None), scale)
+        """``scale`` on the first row of every block, 0 elsewhere; cached per
+        layout and scale."""
+        return _constant(self.slot_count, slice(self.width), scale)
 
     def head_mask(self, block: int) -> np.ndarray:
         """1.0 on the first row of ``block``, where :func:`reduce_blocks`
-        into that block leaves the per-cluster totals.  A block outside the
-        layout raises ``EngineError``."""
+        into that block leaves the per-cluster totals; not cached, as a run
+        would keep d + 1 of them.  A block outside the layout raises
+        ``EngineError``."""
         if not 0 <= block < self.blocks_per_ct:
             raise EngineError(f"block {block} is outside the layout's {self.blocks_per_ct} blocks")
-        mask = np.zeros(self.slot_count)  # not cached: a run would keep d + 1 of them
-        mask[block * self.k : (block + 1) * self.k] = 1.0
-        mask.setflags(write=False)
-        return mask
+        return _constant(self.slot_count, slice(block * self.k, (block + 1) * self.k), 1.0)
 
     def releases(self, aggregates: int) -> int:
         """Ciphertexts that release a round's ``aggregates`` aggregates,
@@ -174,10 +166,6 @@ class PackedLayout:
         release ciphertexts."""
         cts, blocks = np.divmod(np.arange(aggregates)[:, None], self.blocks_per_ct)
         return cts, blocks * self.k + np.arange(self.k)
-
-    def filled(self, value: float) -> np.ndarray:
-        """``value`` in every slot, grid or not."""
-        return self._mask(("filled", value), lambda: np.full(self.slot_count, float(value)))
 
     def entry_slots(self, row, col) -> np.ndarray:
         """The slot of entry (row, col) in each block, block 0 first.  A row
@@ -195,16 +183,16 @@ class PackedLayout:
         rows, cols = np.divmod(np.arange(full * self.k + min(rest, self.k)), self.k)
         return rows, cols, self.entry_slots(rows[:, None], cols[:, None])
 
+    @functools.lru_cache(maxsize=16)
     def transpose_pairs(self) -> tuple[np.ndarray, np.ndarray]:
         """Slot indices ``(lo, hi)`` pairing every slot (r, b, c) with
-        r < c with its mirror (c, b, r), one entry per pair."""
-
-        def build():
-            slot = np.arange(self.usable_slots).reshape(self.k, self.blocks_per_ct, self.k)
-            r, c = np.triu_indices(self.k, 1)
-            return np.stack([slot[r, :, c].ravel(), slot[c, :, r].ravel()])
-
-        lo, hi = self._mask(("transpose",), build)
+        r < c with its mirror (c, b, r), one entry per pair; cached per
+        layout and read-only."""
+        slot = np.arange(self.usable_slots).reshape(self.k, self.blocks_per_ct, self.k)
+        r, c = np.triu_indices(self.k, 1)
+        pairs = np.stack([slot[r, :, c].ravel(), slot[c, :, r].ravel()])
+        pairs.setflags(write=False)
+        lo, hi = pairs
         return lo, hi
 
 
@@ -417,17 +405,14 @@ def batch_extract_replicate(
     """Fill each of the first ``count`` blocks with its own entry (row, col)
     of ``x``, and zero the rest.
 
-    One mask selects the entries and the two replication passes re-encode
-    every block at once.  Total cost: one plaintext multiplication and
-    rotations.
+    One mask, 1.0 on the selected entries and built anew for each call,
+    selects them, and the two replication passes re-encode every block at
+    once.  Total cost: one plaintext multiplication and rotations.
     """
     if not (0 <= row < layout.k and 0 <= col < layout.k and 0 < count <= layout.blocks_per_ct):
         raise EngineError(f"entry ({row}, {col}) of {count} blocks is outside the layout's "
                           f"{layout.blocks_per_ct} blocks of {layout.k} x {layout.k}")
-    sel = np.zeros(layout.slot_count)
-    sel[layout.entry_slots(row, col)[:count]] = 1.0
-    sel.setflags(write=False)  # wrapped without a copy
-
+    sel = _constant(layout.slot_count, layout.entry_slots(row, col)[:count], 1.0)
     selected = engine.mul(x, engine.plaintext(sel))
     filled = repl_no_padding(engine, selected, col, layout, axis=COLUMN)
     return repl_no_padding(engine, filled, row, layout, axis=ROW)

@@ -173,14 +173,6 @@ class CentroidSet:
     def __post_init__(self):
         self.centers = np.asarray(self.centers, dtype=np.float64)
 
-    @property
-    def k(self) -> int:
-        return self.centers.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.centers.shape[1]
-
 
 @dataclass(frozen=True)
 class Message:
@@ -256,12 +248,16 @@ def init_centroids(
     ``min_separation`` of an accepted one (default B * sqrt(d) / (2k));
     after ``INIT_MAX_ATTEMPTS`` the candidate is accepted unconditionally.
     A bound that is not positive and finite, a separation that is
-    negative, NaN or infinite, or a seed that is not a non-negative whole
-    number raises ``ProtocolError``."""
+    negative, NaN or infinite, a k, d or seed that is not a whole number
+    (a numpy integer is one, a bool is not), a d below 1 or a negative
+    seed raises ``ProtocolError``."""
+    k, d, seed = _whole(k, "k"), _whole(d, "d"), _whole(seed, "the seed")
     if k < 2:
         raise ProtocolError("k must be at least 2")
+    if d < 1:
+        raise ProtocolError(f"d must be at least 1, got {d}")
     _check_bound(bound)
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
+    if seed < 0:
         raise ProtocolError(f"the seed must be a non-negative whole number, got {seed!r}")
     if min_separation is None:
         min_separation = 2 * bound * math.sqrt(d) / (4 * k)
@@ -338,15 +334,6 @@ def required_depth(k: int, degree: int = sa.DEFAULT_DEGREE) -> int:
 # ---------------------------------------------------------------------------
 # party state
 # ---------------------------------------------------------------------------
-
-
-def _spike(slots: int, i: int, values: tuple) -> np.ndarray:
-    """``values`` from slot ``i`` on and zeros elsewhere, read-only, so that
-    the engine wraps it without a copy."""
-    e = np.zeros(slots)
-    e[i : i + len(values)] = values
-    e.setflags(write=False)
-    return e
 
 
 def _encrypt_features(engine: SlotEngine, columns: list, layout: PackedLayout) -> list:
@@ -504,12 +491,12 @@ class _ComputingState:
                                        for m in range(self.units)])
         # X_l * e_j: every point's coordinate l summed into slot j, the first
         # release slot of aggregate l, once per run; X_0 = n and j = 0
-        self.heads.append(eng.plaintext(_spike(S, 0, (self.n,))))
+        self.heads.append(eng.plaintext(pm._constant(S, 0, self.n)))
         for cts, j in zip(self.encodings[1:], self._release_starts()[1:]):
             total = cts[0]
             for ct in cts[1:]:
                 total = eng.add(total, ct)
-            self.heads.append(eng.mul(pm._run_lane_sum(eng, total, 1, S, j), eng.plaintext(_spike(S, j, (1.0,)))))
+            self.heads.append(eng.mul(pm._run_lane_sum(eng, total, 1, S, j), eng.plaintext(pm._constant(S, j, 1.0))))
 
     def _release_starts(self) -> list:
         """The first release slot of each aggregate, counts first."""
@@ -572,7 +559,7 @@ class _ComputingState:
             # slots into slot j, run like the packed lane sums
             S = eng.config.slot_count
             return [eng.add(head, eng.mul(pm._run_lane_sum(eng, p, 1, S, j),
-                                          eng.plaintext(_spike(S, j, (-1.0, 1.0)))))
+                                          eng.plaintext(pm._constant(S, slice(j, j + 2), (-1.0, 1.0)))))
                     for head, p, j in zip(self.heads, totals, starts)]
         return [eng.mul(pm.reduce_blocks(eng, eng.widen(v), self.layout, j // self.k),
                         eng.plaintext(self.layout.head_mask(j // self.k)))

@@ -147,33 +147,34 @@ def indicator_phi(engine: SlotEngine, r: SlotVector, layout: PackedLayout) -> Sl
     last leaf.  The normalization constant times the first-row mask is
     folded onto the last leaf, which costs no level beyond the tree's
     (:func:`phi_depth`).  Blocks that carry no point are not masked: the
-    caller multiplies the marker by each coordinate, which is 0 there.  The
-    constants are cached on ``layout``.
+    caller multiplies the marker by each coordinate, which is 0 there.
 
     The mask zeroes every slot past the first grid row, the first
     ``layout.width`` slots, so the tree runs on that row alone
     (:meth:`SlotEngine.restrict`, constants included) and the marker is
     widened with zeros at the end: the same values, depth and counters as
     the whole vector's evaluation, whose other slots are products with the
-    mask's zeros (of either sign).
+    mask's zeros (of either sign).  So every constant is a
+    :meth:`PackedLayout.first_row`, cached per layout and value: it holds
+    its value on the first row, and whatever a constant holds on the other
+    rows, their products with the last leaf's mask are zero.
     """
     k = layout.k
     width = layout.width
 
-    def constant(values):
-        return engine.restrict(engine.plaintext(values), width)
+    def constant(value):
+        return engine.restrict(engine.plaintext(layout.first_row(value)), width)
 
     centre = (k + 2) / 2
-    s = engine.sub(engine.restrict(r, width), constant(layout.filled(centre)))
+    s = engine.sub(engine.restrict(r, width), constant(centre))
     leaves = []
     if k >= 3:
         square = engine.mul(s, s)
-        leaves = [engine.sub(square, constant(layout.filled((centre - j) ** 2)))
-                  for j in range(2, math.ceil(centre))]
+        leaves = [engine.sub(square, constant((centre - j) ** 2)) for j in range(2, math.ceil(centre))]
     if k % 2 == 0:
         leaves.append(s)
     norm = 1.0 / math.prod(1.0 - j for j in range(2, k + 1))
-    leaves[-1] = engine.mul(leaves[-1], constant(layout.first_row(norm)))
+    leaves[-1] = engine.mul(leaves[-1], constant(norm))
 
     while len(leaves) > 1:
         merged = [engine.mul(leaves[i], leaves[i + 1]) for i in range(0, len(leaves) - 1, 2)]

@@ -52,6 +52,7 @@ ciphertext's slots and keeps the ciphertext.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -83,13 +84,16 @@ class DomainError(EngineError):
 @dataclass(frozen=True)
 class SizeModel:
     """Ciphertext byte-size model: bytes per slot per residue limb, with no
-    fixed overhead, calibrated once against a measured total."""
+    fixed overhead, calibrated once against a measured total.  The rate
+    must be a positive finite real number; a bool or a string raises
+    ``ValueError``."""
 
     bytes_per_slot_per_level: float = 8.0
 
     def __post_init__(self):
-        if not 0 < self.bytes_per_slot_per_level < math.inf:
-            raise ValueError("bytes_per_slot_per_level must be positive and finite")
+        rate = self.bytes_per_slot_per_level
+        if isinstance(rate, bool) or not isinstance(rate, numbers.Real) or not 0 < rate < math.inf:
+            raise ValueError(f"bytes_per_slot_per_level must be positive and finite, got {rate!r}")
 
 
 @dataclass(frozen=True)

@@ -221,6 +221,13 @@ def test_lloyd_fixed_point():
     assert np.array_equal(res.centroids.centers, init.centers)
 
 
+@pytest.mark.parametrize("rounds", [0, 1])
+def test_lloyd_refuses_an_unknown_tie_rule_before_any_round(rounds):
+    init = CentroidSet(np.array([[0.0], [2.0]]), bound=2.0)
+    with pytest.raises(BenchError, match="unknown tie rule 'x'"):
+        lloyd_plaintext(np.array([[0.0], [2.0]]), init, rounds, tie_rule="x")
+
+
 def test_lloyd_converges_to_blob_means():
     ds = gen_synthetic(400, 2, 2, 1.0, cluster_std=0.05, seed=4, min_center_dist=1.0)
     init = CentroidSet(init_centroids(2, 2, 1.0, 4, min_separation=1.0).centers, bound=1.0)

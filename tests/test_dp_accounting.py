@@ -27,6 +27,28 @@ def test_budget_validation():
         PrivacyBudget(1.0, 1e-5, 0)
 
 
+@pytest.mark.parametrize("args, name", [
+    ((1.0, 1e-3, 2.5), "rounds"),  # used to split the budget over 2.5 rounds
+    ((1.0, 1e-3, True), "rounds"),
+    ((1.0, 1e-3, 2.0), "rounds"),
+    ((1.0, 1e-3, "2"), "rounds"),
+    ((True, 1e-3, 2), "epsilon_total"),
+    ((np.True_, 1e-3, 2), "epsilon_total"),
+    (("1", 1e-3, 2), "epsilon_total"),
+    ((1.0, "0.001", 2), "delta_total"),
+    ((1.0, False, 2), "delta_total"),
+])
+def test_budget_refuses_values_of_the_wrong_type(args, name):
+    with pytest.raises(ValueError, match=f"^{name} must be a"):
+        PrivacyBudget(*args)
+
+
+def test_budget_takes_numpy_numbers():
+    b = PrivacyBudget(np.float32(0.5), np.float64(1e-3), np.int64(2))
+    assert per_round_budget(b) == per_round_budget(PrivacyBudget(0.5, 1e-3, 2))
+    assert PrivacyBudget(1, 1e-3, 2).epsilon_total == 1
+
+
 def test_simple_split():
     rb = per_round_budget(PrivacyBudget(1.0, 1e-4, 10))
     assert rb.epsilon == pytest.approx(0.1)

@@ -6,6 +6,7 @@ from vpkmeans.packed_matrix import (
     COLUMN,
     ROW,
     PackedLayout,
+    _constant,
     axis_sum,
     batch_extract_replicate,
     reduce_blocks,
@@ -110,6 +111,29 @@ def test_first_row_two_blocks():
     for block in (-1, 2):
         with pytest.raises(EngineError, match="outside the layout"):
             lay.head_mask(block)
+
+
+@pytest.mark.parametrize("index, want", [
+    (3, {3: 2.5}),
+    (slice(4, 6), {4: 2.5, 5: 2.5}),
+    (np.array([0, 7, 9]), {0: 2.5, 7: 2.5, 9: 2.5}),
+])
+def test_constant_holds_its_values_at_the_index_only(index, want):
+    eng = make(slot_count=16)
+    c = _constant(16, index, 2.5)
+    assert {i: c[i] for i in np.flatnonzero(c)} == want
+    assert c.shape == (16,) and not c.flags.writeable
+    assert np.shares_memory(eng.plaintext(c).slots, c)  # wrapped without a copy
+    assert np.array_equal(_constant(16, slice(2, 4), (-1.0, 1.0))[1:5], [0.0, -1.0, 1.0, 0.0])
+
+
+def test_first_row_is_cached_per_layout_and_value():
+    a, b = PackedLayout(3, slot_count=64), PackedLayout(3, slot_count=64)
+    assert a == b and a.first_row(0.5) is b.first_row(0.5)
+    assert a.first_row(0.5) is not a.first_row(0.25)
+    assert PackedLayout(3, slot_count=128).first_row(0.5).size == 128
+    assert not a.first_row(0.5).flags.writeable
+    assert np.array_equal(a.first_row(0.5), [0.5] * a.width + [0.0] * (64 - a.width))
 
 
 @pytest.mark.parametrize("k, slot_count", [(3, 64), (5, 1 << 10), (15, 1 << 14)])

@@ -43,6 +43,26 @@ def test_init_rejects_k1():
         init_centroids(1, 2, 1.0, 0)
 
 
+@pytest.mark.parametrize("name, args", [
+    ("k", (3.0, 2, 1.0, 1)), ("k", (True, 2, 1.0, 1)), ("k", ("3", 2, 1.0, 1)),
+    ("d", (3, 2.0, 1.0, 1)), ("d", (3, np.True_, 1.0, 1)),
+    ("the seed", (3, 2, 1.0, True)), ("the seed", (3, 2, 1.0, 1.0)), ("the seed", (3, 2, 1.0, "1")),
+])
+def test_init_refuses_counts_that_are_not_whole_numbers(name, args):
+    with pytest.raises(ProtocolError, match=f"^{name} must be a whole number"):
+        init_centroids(*args)
+
+
+def test_init_reads_numpy_integers_and_refuses_a_negative_seed_or_no_feature():
+    want = init_centroids(3, 2, 1.0, 7).centers
+    assert np.array_equal(init_centroids(np.int64(3), np.int32(2), 1.0, np.uint8(7)).centers, want)
+    with pytest.raises(ProtocolError, match="seed must be a non-negative whole number, got -1"):
+        init_centroids(3, 2, 1.0, -1)
+    for d in (0, -1):  # used to give a 3 x 0 set and a bare ValueError from sqrt
+        with pytest.raises(ProtocolError, match=f"d must be at least 1, got {d}"):
+            init_centroids(3, d, 1.0, 1)
+
+
 def test_init_deterministic():
     a = init_centroids(5, 2, 1.0, 42)
     b = init_centroids(5, 2, 1.0, 42)

@@ -241,6 +241,52 @@ def test_indicator_phi_pairs_halve_the_products(k):
     assert eng.stats.pt_mults == 1  # the normalized first-row mask
 
 
+def _phi_with_full_constants(engine, r, layout):
+    """indicator_phi with every shift constant held on every slot, not on
+    the first grid row only, and the same first-row normalization mask."""
+    k, width = layout.k, layout.width
+
+    def constant(values):
+        return engine.restrict(engine.plaintext(values), width)
+
+    centre = (k + 2) / 2
+    full = engine.config.slot_count
+    s = engine.sub(engine.restrict(r, width), constant(np.full(full, centre)))
+    leaves = []
+    if k >= 3:
+        square = engine.mul(s, s)
+        leaves = [engine.sub(square, constant(np.full(full, (centre - j) ** 2)))
+                  for j in range(2, math.ceil(centre))]
+    if k % 2 == 0:
+        leaves.append(s)
+    norm = 1.0 / math.prod(1.0 - j for j in range(2, k + 1))
+    mask = np.zeros(full)
+    mask[:width] = norm
+    leaves[-1] = engine.mul(leaves[-1], constant(mask))
+    while len(leaves) > 1:
+        merged = [engine.mul(leaves[i], leaves[i + 1]) for i in range(0, len(leaves) - 1, 2)]
+        if len(leaves) % 2:
+            merged.append(leaves[-1])
+        leaves = merged
+    return engine.widen(leaves[0])
+
+
+@pytest.mark.parametrize("k", [3, 4, 8, 15])
+def test_first_row_constants_match_full_constants_bit_for_bit(k):
+    # the tree runs on the first grid row, where first_row(c) holds c on
+    # every slot, as a constant filled with c does
+    lay = PackedLayout(k, slot_count=1024)
+    ranks = np.random.default_rng(k).uniform(0.5, k + 0.5, 1024)
+    ranks[:k] = np.arange(1, k + 1)  # the exact ranks of one block
+    ranks[k : 2 * k] = 1.5  # and a tie
+    outs = []
+    for phi in (indicator_phi, _phi_with_full_constants):
+        eng = make(slot_count=1024, depth=10)
+        out = phi(eng, eng.encrypt(ranks), lay)
+        outs.append((eng.decrypt(out).tobytes(), out.depth_consumed, eng.stats))
+    assert outs[0] == outs[1]
+
+
 @pytest.mark.parametrize("k", [3, 8, 15])
 def test_indicator_phi_reads_only_the_first_grid_row(k, monkeypatch):
     """Random ranks in every row and past the grid give the first row of a

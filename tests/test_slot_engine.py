@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -168,6 +169,18 @@ def test_config_validation():
         EngineConfig(slot_count=24)
     with pytest.raises(ValueError):
         SizeModel(bytes_per_slot_per_level=0)
+
+
+@pytest.mark.parametrize("rate", [True, "8", 0, -1.0, math.inf, math.nan])
+def test_size_model_refuses_a_rate_that_is_not_a_positive_real(rate):
+    # True used to pass for 1 byte per slot per level
+    with pytest.raises(ValueError, match="bytes_per_slot_per_level must be positive and finite"):
+        SizeModel(bytes_per_slot_per_level=rate)
+
+
+def test_size_model_takes_numpy_and_int_rates():
+    assert SizeModel(np.float32(2.5)).bytes_per_slot_per_level == 2.5
+    assert SizeModel(8).bytes_per_slot_per_level == 8
 
 
 @pytest.mark.parametrize("field", ["slot_count", "depth_budget"])
