@@ -6,11 +6,12 @@ exactly -- soft memberships from the same published comparison series and
 rank-1 indicator, evaluated per point with plain scalar/numpy arithmetic
 (numpy's ``chebval``, independent of the engine's kernel), plus the same
 centroid update and re-initialization contracts.  With zero noise and an
-exact engine the secure trajectory must match it to float accuracy; points
-equidistant (or nearly so, within the comparison's tie margin) from their
-two closest centroids activate no indicator on either side and stay
-unassigned.  The ``standard`` tie rule is the conventional baseline:
-hard argmin, lowest index wins ties.
+exact engine the secure trajectory must match it to float accuracy.  At
+k >= 3, points equidistant (or nearly so, within the comparison's tie
+margin) from their two closest centroids activate no indicator on either
+side and stay unassigned; at k = 2 the one comparison splits such a point
+evenly between the two.  The ``standard`` tie rule is the conventional
+baseline: hard argmin, lowest index wins ties.
 """
 
 from __future__ import annotations
@@ -263,10 +264,18 @@ def lloyd_plaintext(
     Both update the centroids with the protocol's
     :func:`~vpkmeans.protocol.update_centroids`: counts below
     ``REINIT_BELOW`` re-initialize the cluster, coordinates clamp to the
-    domain.  Any other tie rule raises ``BenchError``, at 0 rounds too.
+    domain.  Any other tie rule, and a ``rounds`` that is not a
+    non-negative whole number, raise ``BenchError``, at 0 rounds too.
+    ``unassigned`` counts, per round, the points whose memberships all stay
+    below 1/2: under ``matching`` at k >= 3 the points (near-)equidistant
+    from their two closest centroids; k = 2 splits such a point and
+    ``standard`` assigns every point, so both count 0.
     """
     if tie_rule not in (STANDARD, MATCHING):
         raise BenchError(f"unknown tie rule {tie_rule!r}")
+    rounds = _whole(rounds, "rounds")
+    if rounds < 0:
+        raise BenchError(f"rounds must be non-negative, got {rounds!r}")
     points = data.points if isinstance(data, Dataset) else np.asarray(data, dtype=np.float64)
     centers = np.array(init.centers)
     k, d = centers.shape
@@ -568,12 +577,13 @@ def _build_dataset(spec: dict) -> Dataset:
 
 
 def _whole(value, key: str) -> int:
-    """A config value that must be a whole number: an int or an integral float."""
+    """A value that must be a whole number, as an int: an int, a numpy
+    integer or an integral float."""
     if isinstance(value, float) and value.is_integer():
         value = int(value)
-    if isinstance(value, bool) or not isinstance(value, int):
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise BenchError(f"{key} must be a whole number, got {value!r}")
-    return value
+    return int(value)
 
 
 def run_experiment(config: dict) -> dict:

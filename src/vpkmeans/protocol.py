@@ -251,14 +251,12 @@ def init_centroids(
     negative, NaN or infinite, a k, d or seed that is not a whole number
     (a numpy integer is one, a bool is not), a d below 1 or a negative
     seed raises ``ProtocolError``."""
-    k, d, seed = _whole(k, "k"), _whole(d, "d"), _whole(seed, "the seed")
+    k, d, seed = _whole(k, "k"), _whole(d, "d"), _seed(seed)
     if k < 2:
         raise ProtocolError("k must be at least 2")
     if d < 1:
         raise ProtocolError(f"d must be at least 1, got {d}")
     _check_bound(bound)
-    if seed < 0:
-        raise ProtocolError(f"the seed must be a non-negative whole number, got {seed!r}")
     if min_separation is None:
         min_separation = 2 * bound * math.sqrt(d) / (4 * k)
     elif not 0 <= min_separation < math.inf:
@@ -650,7 +648,8 @@ def run_multiparty(
     setup.  The checks on model, parties, k, n, rounds, comparator degree,
     uploads and engine are one function shared with
     :func:`estimate_transcript`, so both refuse alike; the checks on names,
-    data, bound, budget and ``init`` are the run's own.
+    data, bound, budget, seed and ``init`` (k x d centers at the run's
+    bound and inside it) are the run's own.
     """
     names = [p.owner for p in partitions]
     if len(set(names)) != len(names):
@@ -661,10 +660,11 @@ def run_multiparty(
     if any(p.n != n for p in partitions):
         raise ProtocolError("all parties must hold the same number of records")
     sign = sign or sa.SignApproxConfig()
-    model, cfg, plan, n, k, rounds = _admit(model, [(p.owner, p.features.shape[1]) for p in partitions],
-                                            computing_party, n, k, rounds,
-                                            engine.config if engine is not None else None, sign.degree)
+    cfg, plan, n, k, rounds = _admit(model, [(p.owner, p.features.shape[1]) for p in partitions],
+                                     computing_party, n, k, rounds,
+                                     engine.config if engine is not None else None, sign.degree)
     ordered = [partitions[names.index(name)] for name, _, _ in plan]
+    seed = _seed(seed)
 
     if budget is not None and budget.rounds < rounds:
         raise ProtocolError(f"{rounds} rounds exceed the {budget.rounds} the privacy budget is split over")
@@ -675,9 +675,11 @@ def run_multiparty(
     columns = _feature_columns(ordered)
     d = len(columns)
     scale = _difference_scale(d, bound)
-    if init is not None and (init.centers.shape != (k, d) or not _within(init.centers, bound)):
-        raise ProtocolError(f"init must be {k} x {d} centers inside the domain bound {bound}, "
-                            f"got shape {init.centers.shape}")
+    if init is not None and (init.centers.shape != (k, d) or init.bound != bound
+                             or not _within(init.centers, bound)):
+        # lloyd_plaintext takes its difference scale and its clamp from init.bound
+        raise ProtocolError(f"init must be {k} x {d} centers at and inside the domain bound {bound}, "
+                            f"got shape {init.centers.shape} at bound {init.bound}")
     if engine is None:
         engine = SlotEngine(cfg)
     layout = PackedLayout(k, slot_count=cfg.slot_count)
@@ -733,7 +735,7 @@ def run_multiparty(
         centroids = update_centroids(values[1:], values[0], bound, seed, t)
         history.append(np.array(centroids.centers))
 
-    transcript = plan_transcript(n, k, d, rounds, model, cfg, plan)
+    transcript = plan_transcript(n, k, d, rounds, cfg, plan)
     planned_uploads = [m.byte_size for m in transcript.by_kind(ENCRYPTED_FEATURES)]
     planned_aggregates = [m.byte_size for m in transcript.by_kind(NOISY_AGGREGATES)]
     if upload_bytes != planned_uploads or aggregate_bytes != planned_aggregates:
@@ -763,14 +765,14 @@ def plan_transcript(
     k: int,
     d: int,
     rounds: int,
-    model: str,
     cfg: EngineConfig,
     parties: list[tuple[str, str, int]],
 ) -> Transcript:
     """The messages of a run that executes ``rounds`` rounds.
 
     ``parties`` lists ``(name, role, encrypted feature count)`` per party,
-    in the order the run assigned roles.  Setup publishes the key, and
+    in the order the run assigned roles; the run is under MPC exactly where
+    no party holds the key (``KEY_HOLDER``).  Setup publishes the key, and
     every party with f encrypted features uploads ``layout.uploads(f, n)``
     fresh ciphertexts, ceil(f * ``feature_rows(n)`` / k), of
     ``PackedLayout(k, cfg.slot_count)``: its features packed one after
@@ -783,9 +785,7 @@ def plan_transcript(
     are fresh, at ``cfg.depth_budget`` levels, and every release ciphertext
     is at level 0.
     """
-    if model not in (SERVER_AIDED, MPC_SIMULATED):
-        raise ProtocolError(f"unknown deployment model {model!r}")
-    mpc = model == MPC_SIMULATED
+    mpc = all(role != KEY_HOLDER for _, role, _ in parties)
     computing = next(name for name, role, _ in parties if role == COMPUTING)
     key_owner = next((name for name, role, _ in parties if role == KEY_HOLDER), "joint-key")
     others = [(name, role, enc) for name, role, enc in parties if role != COMPUTING]
@@ -828,19 +828,26 @@ def _whole(value, name: str) -> int:
     raise ProtocolError(f"{name} must be a whole number, got {value!r}")
 
 
+def _seed(value) -> int:
+    """A seed as an int; one that is not a non-negative whole number raises ``ProtocolError``."""
+    seed = _whole(value, "the seed")
+    if seed < 0:
+        raise ProtocolError(f"the seed must be a non-negative whole number, got {seed!r}")
+    return seed
+
+
 def _admit(model: str, holdings: list[tuple[str, int]], computing: str | None, n: int, k: int, rounds: int,
-           cfg: EngineConfig | None, degree: int) -> tuple[str, EngineConfig, list, int, int, int]:
+           cfg: EngineConfig | None, degree: int) -> tuple[EngineConfig, list, int, int, int]:
     """The admission check of a run and of its estimate, before setup.
 
     ``holdings`` lists ``(name, feature count)`` per party.  Raises
     ``ProtocolError`` for a model, party count, k, n, rounds, uploads or
     engine no run can have, for an n, k or rounds that is not a whole
     number, and for a comparator ``degree`` that is not an odd positive
-    whole number, the rule of ``SignApproxConfig``.  Returns the model the
-    run executes, the engine config (default: sized to
-    ``required_depth(k, degree)``), the role plan of
-    :func:`plan_transcript`, ordered as :func:`run_multiparty` says, and n,
-    k and rounds as ints.
+    whole number, the rule of ``SignApproxConfig``.  Returns the engine
+    config (default: sized to ``required_depth(k, degree)``), the role plan
+    of :func:`plan_transcript`, ordered as :func:`run_multiparty` says, and
+    n, k and rounds as ints.
     """
     n, k, rounds = _whole(n, "n"), _whole(k, "k"), _whole(rounds, "rounds")
     degree = _whole(degree, "degree")
@@ -868,7 +875,7 @@ def _admit(model: str, holdings: list[tuple[str, int]], computing: str | None, n
     roles = [COMPUTING, KEY_HOLDER if model == SERVER_AIDED else DATA_OWNER]
     roles += [DATA_OWNER] * (len(ordered) - 2)
     plan = [(name, role, 0 if role == COMPUTING else count) for (name, count), role in zip(ordered, roles)]
-    return model, cfg, plan, n, k, rounds
+    return cfg, plan, n, k, rounds
 
 
 def estimate_transcript(
@@ -901,5 +908,5 @@ def estimate_transcript(
         raise ProtocolError(f"{d_bob} uploaded features exceed the {d} features")
     each, rest = divmod(d_bob, max(parties - 1, 1))
     holdings = [(f"party{i}", each + (i <= rest) if i else d - d_bob) for i in range(parties)]
-    model, cfg, plan, n, k, rounds = _admit(model, holdings, "party0", n, k, rounds, cfg, degree)
-    return plan_transcript(n, k, d, rounds, model, cfg, plan)
+    cfg, plan, n, k, rounds = _admit(model, holdings, "party0", n, k, rounds, cfg, degree)
+    return plan_transcript(n, k, d, rounds, cfg, plan)

@@ -228,6 +228,32 @@ def test_lloyd_refuses_an_unknown_tie_rule_before_any_round(rounds):
         lloyd_plaintext(np.array([[0.0], [2.0]]), init, rounds, tie_rule="x")
 
 
+@pytest.mark.parametrize("rounds, message", [
+    (-1, "rounds must be non-negative, got -1"), (2.5, "rounds must be a whole number"),
+    (True, "rounds must be a whole number"), ("1", "rounds must be a whole number"),
+], ids=["negative", "fraction", "bool", "str"])
+def test_lloyd_refuses_rounds_that_are_not_a_non_negative_whole_number(rounds, message):
+    # -1 used to return the initial centroids as a finished run, True to run one round
+    init = CentroidSet(np.array([[0.0], [2.0]]), bound=2.0)
+    with pytest.raises(BenchError, match=message):
+        lloyd_plaintext(np.array([[0.0], [2.0]]), init, rounds)
+    assert len(lloyd_plaintext(np.array([[0.0], [2.0]]), init, np.int64(2)).history) == 3
+
+
+def test_lloyd_counts_the_points_no_cluster_takes():
+    pts = np.array([[0.0, 0.0], [0.3, 0.3], [-0.3, -0.3], [0.0, 0.3]])
+    three = CentroidSet(np.array([[0.3, 0.3], [-0.3, -0.3], [0.3, -0.3]]), bound=1.0)
+    two = CentroidSet(three.centers[:2], bound=1.0)
+    # at k = 3, (0, 0) ties between its two closest centroids and takes no indicator
+    assert lloyd_plaintext(pts, three, 2, tie_rule=bench.MATCHING).unassigned == [1, 0]
+    # at k = 2 the one comparison splits the tie evenly
+    scale = 1.0 / (2 * 2.0 ** 2)
+    weights = bench._soft_memberships(pts, two.centers, SignApproxConfig(), scale)
+    assert np.array_equal(weights[0], [0.5, 0.5])
+    assert lloyd_plaintext(pts, two, 2, tie_rule=bench.MATCHING).unassigned == [0, 0]
+    assert lloyd_plaintext(pts, three, 2).unassigned == [0, 0]
+
+
 def test_lloyd_converges_to_blob_means():
     ds = gen_synthetic(400, 2, 2, 1.0, cluster_std=0.05, seed=4, min_center_dist=1.0)
     init = CentroidSet(init_centroids(2, 2, 1.0, 4, min_separation=1.0).centers, bound=1.0)

@@ -180,6 +180,7 @@ def test_run_rejects_duplicate_owner_names():
     (dict(init=CentroidSet(np.zeros((3, 3)), bound=1.0)), "init must be 3 x 2"),
     (dict(init=CentroidSet(np.zeros((4, 2)), bound=1.0)), "init must be 3 x 2"),
     (dict(init=CentroidSet(np.full((3, 2), 1.5), bound=1.0)), "inside the domain bound"),
+    (dict(init=CentroidSet(np.zeros((3, 2)), bound=0.5)), "at bound 0.5"),
     (dict(points=np.zeros((40, 2)), bound=0.0), "bound must be positive"),
     (dict(bound=-1.0), "bound must be positive"),
     (dict(bound=math.inf), "bound must be positive and finite"),
@@ -190,7 +191,7 @@ def test_run_rejects_duplicate_owner_names():
     (dict(rounds=-1), "non-negative"),
     (dict(split=[[0, 1], []]), "no party besides the computing one"),
 ], ids=["budget-shorter-than-run", "init-too-wide", "init-too-many", "init-outside-bound",
-        "zero-bound", "negative-bound", "infinite-bound", "bound-too-wide", "scale-overflows",
+        "init-at-another-bound", "zero-bound", "negative-bound", "infinite-bound", "bound-too-wide", "scale-overflows",
         "scale-underflows", "k-too-large",
         "negative-rounds", "nothing-encrypted"])
 def test_run_rejects_bad_arguments(change, message, monkeypatch):
@@ -206,6 +207,28 @@ def test_run_rejects_bad_arguments(change, message, monkeypatch):
     monkeypatch.setattr(protocol, "_encrypt_features", no_setup)
     with pytest.raises(ProtocolError, match=message):
         run_multiparty(parts, protocol.SERVER_AIDED, **args)
+
+
+@pytest.mark.parametrize("with_init", [False, True], ids=["drawn", "given"])
+@pytest.mark.parametrize("seed, message", [
+    (-1, "the seed must be a non-negative whole number, got -1"),
+    (1.5, "the seed must be a whole number, got 1.5"),
+    (True, "the seed must be a whole number, got True"),
+    ("1", "the seed must be a whole number, got '1'"),
+], ids=["negative", "fraction", "bool", "str"])
+def test_run_refuses_a_seed_that_is_not_a_non_negative_whole_number(seed, message, with_init, monkeypatch):
+    # with init given, True and "1" used to run silently as seed 1
+    parts = split_features(uniform_instance(3, n=40, d=2), [[0], [1]])
+    init = init_centroids(3, 2, 1.0, 1) if with_init else None
+
+    def no_setup(*a, **kw):
+        raise AssertionError("setup ran")
+
+    monkeypatch.setattr(protocol, "_encrypt_features", no_setup)
+    with pytest.raises(ProtocolError, match=message):
+        run(parts[0], parts[1], None, 1, k=3, bound=1.0, seed=seed, init=init)
+    with pytest.raises(ProtocolError, match=message):
+        run_multiparty(parts, protocol.MPC_SIMULATED, None, 1, k=3, bound=1.0, seed=seed, init=init)
 
 
 # -- zero-noise equivalence with the plaintext oracle ---------------------------
