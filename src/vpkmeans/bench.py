@@ -453,17 +453,23 @@ def wallclock_seconds(
 def calibrate_size_model(target_bytes: float) -> SizeModel:
     """Fit bytes-per-slot-per-level so the modeled total of the fixed
     reference run (n = 1000, k = 2, d = 2 with one uploaded feature, 10
-    rounds), on the default engine slots, hits its measured grand total."""
+    rounds), on the default engine slots, hits its measured grand total.
+
+    The total is a line in the rate, slope * rate + fixed, where the fixed
+    part is the plaintext messages and the seeds; two estimates, at rates 1
+    and 2, give both."""
     if not math.isfinite(target_bytes):
         raise BenchError(f"calibration target {target_bytes} is not a finite byte count")
-    unit = SizeModel(bytes_per_slot_per_level=1.0)
-    cfg = EngineConfig(depth_budget=proto.required_depth(2), size_model=unit)
-    tr = proto.estimate_transcript(1000, 2, 2, 1, 10, cfg)
-    ct_bytes = sum(m.byte_size for m in tr.messages if m.ciphertext_count or m.kind == proto.PUBLIC_KEY)
-    plain_bytes = tr.total_bytes - ct_bytes
-    b = (target_bytes - plain_bytes) / ct_bytes
+
+    def total(rate: float) -> int:
+        cfg = EngineConfig(depth_budget=proto.required_depth(2), size_model=SizeModel(rate))
+        return proto.estimate_transcript(1000, 2, 2, 1, 10, cfg).total_bytes
+
+    at_one = total(1.0)
+    slope = total(2.0) - at_one
+    b = (target_bytes - (at_one - slope)) / slope
     if b <= 0:
-        raise BenchError("calibration target smaller than the plaintext share")
+        raise BenchError("calibration target smaller than the plaintext share and the seeds")
     return SizeModel(bytes_per_slot_per_level=b)
 
 
@@ -544,7 +550,10 @@ def _checked(value, kind, key: str = ""):
         if isinstance(kind, _List) and isinstance(value, list):
             return [_checked(item, kind.item, f"{key}[{i}]") for i, item in enumerate(value)]
         if isinstance(kind, type) and type(value) in _SCALARS[kind][0]:
-            return _whole(value, key) if kind is int else value
+            if kind is not int:
+                return value
+            # JSON writes some whole numbers as 2.0
+            return _whole(int(value) if isinstance(value, float) and value.is_integer() else value, key)
         if isinstance(kind, str) and value == kind:
             return value
         if isinstance(kind, dict) and isinstance(value, dict):
@@ -577,10 +586,8 @@ def _build_dataset(spec: dict) -> Dataset:
 
 
 def _whole(value, key: str) -> int:
-    """A value that must be a whole number, as an int: an int, a numpy
-    integer or an integral float."""
-    if isinstance(value, float) and value.is_integer():
-        value = int(value)
+    """A value that must be a whole number, as an int: an int or a numpy
+    integer.  A bool, a float or a string raises ``BenchError``."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise BenchError(f"{key} must be a whole number, got {value!r}")
     return int(value)

@@ -14,6 +14,14 @@ feature apart once, in the batches of ``PackedLayout.batches(n)``: one
 ``batch_extract_replicate`` per stream row and column that holds a point,
 counted from the feature's first row.
 
+Two kinds of setup message are sent seeded, as one ring polynomial and the
+seed of the other (``ciphertext_size_bytes(..., seeded=True)``): the public
+key, whose second polynomial is uniform (under MPC the collective key's
+common reference polynomial), and the key holder's uploads, which it
+encrypts under its own secret key, so that their second polynomial is
+uniform too.  Every other data owner, and every party under MPC, encrypts
+under a public key and sends both polynomials.
+
 One round, run entirely by the computing party (Alice) on encrypted data:
 
 1. distance differences: with every point read as (1, x_1, ..., x_d) and
@@ -688,10 +696,11 @@ def run_multiparty(
     encrypted = {}
     upload_bytes = []
     rows = layout.feature_rows(n)
-    for p in ordered[1:]:
+    for p, (_, role, _) in zip(ordered[1:], plan[1:]):
         if p.feature_indices:
             uploads = _encrypt_features(engine, [columns[g] for g in p.feature_indices], layout)
-            upload_bytes.append(sum(engine.size_bytes(ct) for ct in uploads))
+            # the key holder encrypts under its secret key: a seed stands for the uniform half
+            upload_bytes.append(sum(engine.size_bytes(ct, seeded=role == KEY_HOLDER) for ct in uploads))
             encrypted.update({g: (uploads, j * rows) for j, g in enumerate(p.feature_indices)})
 
     alice = _ComputingState(engine, layout, k, n, scale, sign, columns, encrypted)
@@ -783,7 +792,11 @@ def plan_transcript(
     centroids reach every data owner.
     Ciphertext sizes come from the engine's size model: uploads and the key
     are fresh, at ``cfg.depth_budget`` levels, and every release ciphertext
-    is at level 0.
+    is at level 0.  The key and the ``KEY_HOLDER``'s uploads are seeded:
+    their second polynomial is uniform (the key's, and that of an
+    encryption under the secret key), so a seed stands for it.  A data
+    owner's uploads and every upload under MPC are encrypted under a public
+    key and are not.
     """
     mpc = all(role != KEY_HOLDER for _, role, _ in parties)
     computing = next(name for name, role, _ in parties if role == COMPUTING)
@@ -791,17 +804,19 @@ def plan_transcript(
     others = [(name, role, enc) for name, role, enc in parties if role != COMPUTING]
     layout = PackedLayout(k, slot_count=cfg.slot_count)
     fresh = ciphertext_size_bytes(cfg.depth_budget, cfg)
+    seeded = ciphertext_size_bytes(cfg.depth_budget, cfg, seeded=True)
     releases = layout.releases(d + 1)
     aggregates = releases * ciphertext_size_bytes(0, cfg)
     share = math.ceil(aggregates / 2)
     centroids = k * d * 8
 
     key_receivers = [computing] if mpc else [name for name, _, _ in parties if name != key_owner]
-    messages = [Message(SETUP_ROUND, key_owner, name, PUBLIC_KEY, fresh) for name in key_receivers]
-    for name, _, enc in others:
+    messages = [Message(SETUP_ROUND, key_owner, name, PUBLIC_KEY, seeded) for name in key_receivers]
+    for name, role, enc in others:
         if enc:
             cts = layout.uploads(enc, n)
-            messages.append(Message(SETUP_ROUND, name, computing, ENCRYPTED_FEATURES, cts * fresh, cts))
+            size = seeded if role == KEY_HOLDER else fresh
+            messages.append(Message(SETUP_ROUND, name, computing, ENCRYPTED_FEATURES, cts * size, cts))
     for t in range(1, rounds + 1):
         messages.append(Message(t, computing, "broadcast" if mpc else key_owner,
                                 NOISY_AGGREGATES, aggregates, releases))

@@ -68,6 +68,10 @@ DOMAIN_TOLERANCE = 1e-6
 # the largest slot count, ring dimension 2^17: one vector is then 512 KiB
 MAX_SLOT_COUNT = 1 << 16
 
+# bytes of the PRNG seed sent in place of a uniform polynomial: SEAL's
+# prng_seed_type, eight 64-bit words
+SEED_BYTES = 64
+
 
 class EngineError(Exception):
     """Base class for slot-engine failures."""
@@ -335,8 +339,15 @@ class SlotEngine:
     def levels_remaining(self, v: SlotVector) -> int:
         return self.config.depth_budget - v.depth_consumed
 
-    def size_bytes(self, v: SlotVector) -> int:
-        return ciphertext_size_bytes(self.levels_remaining(v), self.config)
+    def size_bytes(self, v: SlotVector, seeded: bool = False) -> int:
+        """Byte size of ``v`` as sent, by :func:`ciphertext_size_bytes`.
+        Only a fresh ciphertext has a uniform half to send as a seed, so
+        ``seeded`` for a plaintext or for a vector with levels consumed
+        raises ``EngineError``."""
+        if seeded and (not v.is_ciphertext or v.depth_consumed > 0):
+            raise EngineError(f"size_bytes: only a fresh ciphertext can be seeded, got a {v.kind} "
+                              f"at depth {v.depth_consumed}")
+        return ciphertext_size_bytes(self.levels_remaining(v), self.config, seeded)
 
 
 def chebyshev_depth(degree: int) -> int:
@@ -344,13 +355,20 @@ def chebyshev_depth(degree: int) -> int:
     return math.ceil(math.log2(degree + 1)) + 1
 
 
-def ciphertext_size_bytes(levels_remaining: int, cfg: EngineConfig) -> int:
+def ciphertext_size_bytes(levels_remaining: int, cfg: EngineConfig, seeded: bool = False) -> int:
     """Byte size of a ciphertext with the given number of levels left.
 
     Two ring polynomials over a ring of dimension 2 * slot_count, one
-    residue limb per remaining level plus one.
+    residue limb per remaining level plus one.  ``seeded``: one polynomial
+    plus ``SEED_BYTES``, the form of a fresh ciphertext whose second
+    polynomial is uniform, which the receiver expands from the seed
+    (SEAL's seeded serialization).  That holds for an encryption under the
+    secret key and for a public key, whose uniform half is, under MPC, the
+    collective key's common reference polynomial (Mouchet et al., PoPETs
+    2021); an encryption under a public key has no uniform half.
     """
     if levels_remaining < 0:
         raise ValueError("levels_remaining must be non-negative")
-    raw = 2 * cfg.slot_count * 2 * (levels_remaining + 1) * cfg.size_model.bytes_per_slot_per_level
-    return math.ceil(raw)
+    polynomials = 1 if seeded else 2
+    raw = polynomials * cfg.slot_count * 2 * (levels_remaining + 1) * cfg.size_model.bytes_per_slot_per_level
+    return math.ceil(raw) + (SEED_BYTES if seeded else 0)

@@ -230,8 +230,9 @@ def test_lloyd_refuses_an_unknown_tie_rule_before_any_round(rounds):
 
 @pytest.mark.parametrize("rounds, message", [
     (-1, "rounds must be non-negative, got -1"), (2.5, "rounds must be a whole number"),
+    (2.0, "rounds must be a whole number"),
     (True, "rounds must be a whole number"), ("1", "rounds must be a whole number"),
-], ids=["negative", "fraction", "bool", "str"])
+], ids=["negative", "fraction", "integral-float", "bool", "str"])
 def test_lloyd_refuses_rounds_that_are_not_a_non_negative_whole_number(rounds, message):
     # -1 used to return the initial centroids as a finished run, True to run one round
     init = CentroidSet(np.array([[0.0], [2.0]]), bound=2.0)
@@ -426,6 +427,13 @@ def test_wallclock_rejects_negative_compute_seconds(transcript):
 def test_wallclock_seconds_rejects_negative_compute_seconds():
     with pytest.raises(BenchError, match="compute seconds"):
         wallclock_seconds(1000, 2, False, NETWORK_PROFILES["LAN500"], -0.5)
+
+
+@pytest.mark.parametrize("total, rounds, name", [(1000.0, 2, "byte total"), (1000, 2.0, "round count")])
+def test_wallclock_seconds_refuses_an_integral_float(total, rounds, name):
+    # as protocol.run refuses rounds=2.0; only a JSON config's 2.0 reads as 2
+    with pytest.raises(BenchError, match=f"{name} must be a whole number"):
+        wallclock_seconds(total, rounds, False, NETWORK_PROFILES["LAN500"])
 
 
 def test_wallclock_bandwidth_halves_transfer():

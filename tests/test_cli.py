@@ -71,7 +71,7 @@ def test_calibrated_estimate_grows_with_the_estimated_rounds(capsys):
                      "--calibrate-bytes", "17.9e6", "--profile", "LAN1000"]) == 0
         printed[rounds] = int(capsys.readouterr().out.split()[0])
     assert printed[1] < printed[10]
-    assert printed == {1: 68_466_356, 10: 72_494_504}
+    assert printed == {1: 55_131_215, 10: 61_575_782}
 
 
 def test_estimate_from_report(tmp_path, capsys):
@@ -362,8 +362,10 @@ def test_whole_number_floats_read_like_ints(tmp_path, source):
         return {"synthetic": {"n": number(50), "k": number(2), "d": number(2), "cluster_std": 0.05,
                               "seed": number(1)}}
 
-    runs = [_run_report(tmp_path, dataset=dataset(number))["per_seed"] for number in (int, float)]
+    reports = [_run_report(tmp_path, dataset=dataset(number), rounds=number(2)) for number in (int, float)]
+    runs = [report["per_seed"] for report in reports]
     assert runs[0] == runs[1] and "secure_accuracy" in runs[0][0]
+    assert [report["rounds"] for report in reports] == [2, 2]
 
 
 def test_network_profiles_must_be_a_list(tmp_path, capsys):

@@ -749,6 +749,30 @@ def test_estimator_matches_real_run_exactly():
         assert len(est.messages) == len(res.transcript.messages)
 
 
+@pytest.mark.parametrize("model", [protocol.SERVER_AIDED, protocol.MPC_SIMULATED])
+def test_only_the_key_and_the_key_holders_uploads_are_seeded(model):
+    # the key's second polynomial is uniform (under MPC the collective key's
+    # common reference polynomial), and so is that of the key holder's
+    # encryptions under its secret key; a data owner's uploads and every
+    # upload under MPC are encrypted under a public key and sent whole
+    n, k, d = 150, 3, 3
+    cfg = EngineConfig(slot_count=256, depth_budget=required_depth(k))
+    parts = split_features(uniform_instance(60, n=n, d=d), [[0], [1], [2]])
+    res = run_multiparty(parts, model, None, 1, k=k, bound=1.0, seed=1, engine=SlotEngine(cfg))
+    fresh = ciphertext_size_bytes(cfg.depth_budget, cfg)
+    seeded = ciphertext_size_bytes(cfg.depth_budget, cfg, seeded=True)
+    tr = res.transcript
+    mpc = model == protocol.MPC_SIMULATED
+    assert [m.byte_size for m in tr.by_kind(protocol.PUBLIC_KEY)] == [seeded] * (1 if mpc else 2)
+    uploads = tr.by_kind(protocol.ENCRYPTED_FEATURES)
+    assert [m.sender for m in uploads] == ["party1", "party2"]  # party1 holds the key when one does
+    assert all(m.ciphertext_count >= 1 for m in uploads)
+    per_ct = [fresh, fresh] if mpc else [seeded, fresh]
+    assert [m.byte_size for m in uploads] == [m.ciphertext_count * size for m, size in zip(uploads, per_ct)]
+    est = estimate_transcript(n, k, d, d - 1, 1, cfg, parties=3, model=model)
+    assert est.messages == tr.messages
+
+
 def test_estimator_rejects_two_party_model_with_more_parties():
     with pytest.raises(ProtocolError):
         estimate_transcript(500, 3, 3, 1, 3, parties=5, model=protocol.TWO_PARTY)

@@ -13,6 +13,7 @@ from vpkmeans.secure_argmin import SignApproxConfig, cmp_series
 from vpkmeans.slot_engine import (
     CIPHERTEXT,
     PLAINTEXT,
+    SEED_BYTES,
     DepthBudgetError,
     DomainError,
     EngineConfig,
@@ -467,6 +468,22 @@ def test_size_monotone_in_levels():
 def test_size_negative_levels_rejected():
     with pytest.raises(ValueError):
         ciphertext_size_bytes(-1, EngineConfig())
+
+
+@pytest.mark.parametrize("levels", [0, 1, 18])
+def test_a_seeded_ciphertext_is_one_polynomial_and_the_seed(levels):
+    cfg = EngineConfig()
+    assert ciphertext_size_bytes(levels, cfg, True) == ciphertext_size_bytes(levels, cfg) // 2 + SEED_BYTES
+
+
+def test_only_a_fresh_ciphertext_has_a_seeded_size(engine):
+    fresh = engine.encrypt(np.arange(16.0))
+    assert engine.size_bytes(fresh, seeded=True) == ciphertext_size_bytes(10, engine.config, True)
+    used = engine.mul(fresh, engine.plaintext(np.full(16, 0.5)))
+    for v in (engine.plaintext(np.ones(16)), used, engine.drop_to_depth(fresh, 10)):
+        with pytest.raises(EngineError, match="only a fresh ciphertext can be seeded"):
+            engine.size_bytes(v, seeded=True)
+        assert engine.size_bytes(v) > 0  # the full size stays defined
 
 
 # -- level dropping -------------------------------------------------------------
