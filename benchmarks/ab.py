@@ -18,9 +18,11 @@ wins at least nine of ten pairs and the median gap exceeds the parent's
 interquartile range.  Which direction is better comes from BENCHMARK.json.
 Without ``--claim`` the file keeps the same pairs and its claim is null, the
 record of a change that claims no gain.
-Per workload, one more ``--trace 1`` process per side, at the first seed,
-records the layer figures of ``LAYER_METRICS``, which show where a change
-in ``run_s`` lands.
+Per workload, ``TRACED_RUNS`` more ``--trace 1`` processes per side, at the
+first seed and in alternating order, record the layer figures of
+``LAYER_METRICS`` as their medians, which show where a change in ``run_s``
+lands.  The timed figures of one traced run swing with machine load; the
+counts (series evaluations, depth) repeat exactly.
 """
 
 from __future__ import annotations
@@ -39,9 +41,12 @@ import numpy
 
 ROOT = Path(__file__).resolve().parent.parent
 WIN_SHARE = 0.9
-# the per-layer figures that a traced run adds to the bench file
+# the per-layer figures that the traced runs add to the bench file
 LAYER_METRICS = ("slot_engine.eval_chebyshev_s", "slot_engine.cheb_ms_per_ct",
-                 "secure_argmin.indicator_phi_s", "slot_engine.mul_s", "slot_engine.add_s")
+                 "secure_argmin.indicator_phi_s", "slot_engine.mul_s", "slot_engine.add_s",
+                 "slot_engine.max_depth", "slot_engine.cheb_evals")
+# traced runs per side and workload, whose median is the recorded layer figure
+TRACED_RUNS = 3
 
 
 def export(rev: str, into: Path) -> None:
@@ -89,13 +94,18 @@ def claim_met(cmp: dict, pairs: int) -> bool:
 
 
 def trace_sides(sides: dict, workload: str, seed: int, seconds: float) -> dict:
-    """One ``--trace 1`` process per side: its ``LAYER_METRICS`` figures
-    and whether every gate passed."""
+    """``TRACED_RUNS`` ``--trace 1`` processes per side, alternating which
+    side runs first: the median of each ``LAYER_METRICS`` figure, and
+    whether every gate passed in every run."""
+    runs: dict = {name: [] for name in sides}
+    order = list(sides)
+    for i in range(TRACED_RUNS):
+        for name in order if i % 2 == 0 else order[::-1]:
+            runs[name].append(bench_once(sides[name], workload, seed, seconds, trace=True))
     out = {}
-    for name, tree in sides.items():
-        r = bench_once(tree, workload, seed, seconds, trace=True)
-        out[name] = {m: r["metrics"][m]["value"] for m in LAYER_METRICS}
-        out[name]["all_gates_passed"] = r["correct"] and r["returncode"] == 0
+    for name, rs in runs.items():
+        out[name] = {m: statistics.median(r["metrics"][m]["value"] for r in rs) for m in LAYER_METRICS}
+        out[name]["all_gates_passed"] = all(r["correct"] and r["returncode"] == 0 for r in rs)
     return out
 
 
@@ -167,7 +177,9 @@ def main(argv=None) -> int:
             "by_seed": {}},
         "workloads": {},
         "layers": {"command": f"python3 perfbench/run.py --workload W --seed {args.seeds[0]} "
-                              f"--seconds {seconds:g} --trace 1", "by_workload": {}},
+                              f"--seconds {seconds:g} --trace 1",
+                   "runs": f"the median of {TRACED_RUNS} per side, alternating which side runs first",
+                   "by_workload": {}},
     }
     with tempfile.TemporaryDirectory(prefix="ab-parent-") as tmp:
         parent = Path(tmp)

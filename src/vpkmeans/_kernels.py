@@ -1,7 +1,7 @@
 """Chebyshev series evaluation, the slot engine's hot kernel.
 
 The slot engine spends nearly all of its time evaluating Chebyshev series
-over full slot vectors (the comparator alone has degree 1023).  It uses the
+over full slot vectors (the default comparator has degree 255).  It uses the
 Chebyshev-basis baby-step/giant-step evaluation of Lee et al. (2020) and
 Bossuat et al. (EUROCRYPT 2021), the algorithm whose depth the engine
 charges:
@@ -76,8 +76,9 @@ _LANES = 64
 
 def _baby_steps(length: int) -> int:
     """Number m of baby steps for a series of ``length`` coefficients: the
-    smallest power of two with m^2 >= 2 * length (32 for the folded
-    degree-1023 comparator, 16 for the folded degree-127 one)."""
+    smallest power of two with m^2 >= 2 * length (16 for the folded
+    degree-255 default comparator and the folded degree-127 one, 32 for a
+    folded degree-1023 one)."""
     m = 2
     while m * m < 2 * length:
         m *= 2

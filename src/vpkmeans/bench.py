@@ -28,7 +28,7 @@ from . import protocol as proto
 from .dp_accounting import SCOPE, PrivacyBudget
 from .protocol import CentroidSet, Transcript, init_centroids, split_features
 from .secure_argmin import SignApproxConfig, cmp_series
-from .slot_engine import EngineConfig, SizeModel, SlotEngine
+from .slot_engine import EngineConfig, SizeModel, SlotEngine, whole
 
 STANDARD = "standard"
 MATCHING = "matching"
@@ -221,20 +221,24 @@ def _chebval(x: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     return out.reshape(x.shape)
 
 
-def _soft_memberships(points: np.ndarray, centers: np.ndarray, sign: SignApproxConfig, scale: float) -> np.ndarray:
+def _soft_memberships(points: np.ndarray, centers: np.ndarray, sign: SignApproxConfig, bound: float) -> np.ndarray:
     """Per-point memberships exactly as the encrypted pipeline computes them:
-    scaled squared distances, polynomial comparisons, ranks, indicator."""
-    sqrt_s = math.sqrt(scale)
+    squared distance differences, each pair scaled by its
+    :func:`~vpkmeans.protocol.pair_scales` entry, polynomial comparisons,
+    ranks, indicator.  The scales are a plaintext formula of the public
+    centroids, like the update rule, so sharing it costs the oracle no
+    independence."""
     k = centers.shape[0]
-    dist = _sq_distances(points * sqrt_s, centers * sqrt_s)  # n x k, scaled
+    dist = _sq_distances(points, centers)  # n x k
+    scales = proto.pair_scales(centers, bound)
     coeffs = cmp_series(sign)
     if k == 2:
-        a2 = _chebval(np.clip(dist[:, 0] - dist[:, 1], -1.0, 1.0), coeffs)
+        a2 = _chebval(np.clip((dist[:, 0] - dist[:, 1]) * scales[0, 1], -1.0, 1.0), coeffs)
         return np.stack([1.0 - a2, a2], axis=1)
     # the comparison series is c0 plus an odd series, so cmp(-u) = 1 - cmp(u)
     # up to rounding and cmp(0) = c0: only the pairs c < r need the series
     c, r = np.triu_indices(k, 1)
-    upper = _chebval(np.clip(dist[:, c] - dist[:, r], -1.0, 1.0), coeffs)
+    upper = _chebval(np.clip((dist[:, c] - dist[:, r]) * scales[c, r], -1.0, 1.0), coeffs)
     comps = np.empty((dist.shape[0], k, k))  # comps[i, c, r] = cmp(d_c - d_r)
     comps[:, c, r] = upper
     comps[:, r, c] = 1.0 - upper
@@ -273,7 +277,7 @@ def lloyd_plaintext(
     """
     if tie_rule not in (STANDARD, MATCHING):
         raise BenchError(f"unknown tie rule {tie_rule!r}")
-    rounds = _whole(rounds, "rounds")
+    rounds = whole(rounds, "rounds", BenchError)
     if rounds < 0:
         raise BenchError(f"rounds must be non-negative, got {rounds!r}")
     points = data.points if isinstance(data, Dataset) else np.asarray(data, dtype=np.float64)
@@ -281,13 +285,12 @@ def lloyd_plaintext(
     k, d = centers.shape
     bound = init.bound
     sign = sign or SignApproxConfig()
-    scale = 1.0 / (d * (2.0 * bound) ** 2)
     history = [np.array(centers)]
     unassigned = []
 
     for t in range(1, rounds + 1):
         if tie_rule == MATCHING:
-            w = _soft_memberships(points, centers, sign, scale)
+            w = _soft_memberships(points, centers, sign, bound)
             counts = w.sum(axis=0)
             sums = w.T @ points  # k x d
             unassigned.append(int(np.sum(w.max(axis=1) < 0.5)))
@@ -437,7 +440,7 @@ def wallclock_seconds(
     if not compute_seconds >= 0:
         raise BenchError(f"compute seconds must be non-negative, got {compute_seconds}")
     for value, name in ((total_bytes, "byte total"), (rounds, "round count")):
-        if _whole(value, name) < 0:
+        if whole(value, name, BenchError) < 0:
             raise BenchError(f"{name} must be non-negative, got {value!r}")
     bits = total_bytes * 8.0
     transfer = bits / (net.bandwidth_mbps * 1e6)
@@ -553,7 +556,7 @@ def _checked(value, kind, key: str = ""):
             if kind is not int:
                 return value
             # JSON writes some whole numbers as 2.0
-            return _whole(int(value) if isinstance(value, float) and value.is_integer() else value, key)
+            return whole(int(value) if isinstance(value, float) and value.is_integer() else value, key, BenchError)
         if isinstance(kind, str) and value == kind:
             return value
         if isinstance(kind, dict) and isinstance(value, dict):
@@ -583,14 +586,6 @@ def _build_dataset(spec: dict) -> Dataset:
     csv = spec["csv"]
     ds = load_csv(csv["path"], normalize=csv["normalize"], label_column=csv["label_column"])
     return recenter(ds) if csv["normalize"] else ds
-
-
-def _whole(value, key: str) -> int:
-    """A value that must be a whole number, as an int: an int or a numpy
-    integer.  A bool, a float or a string raises ``BenchError``."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise BenchError(f"{key} must be a whole number, got {value!r}")
-    return int(value)
 
 
 def run_experiment(config: dict) -> dict:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .packed_matrix import PackedLayout
-from .slot_engine import SlotEngine, SlotVector
+from .slot_engine import SlotEngine, SlotVector, whole
 
 SIMPLE = "simple"
 ADVANCED = "advanced"
@@ -51,8 +51,7 @@ class PrivacyBudget:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise ValueError(f"{name} must be a real number, got {value!r}")
-        if isinstance(self.rounds, bool) or not isinstance(self.rounds, (int, np.integer)):
-            raise ValueError(f"rounds must be a whole number, got {self.rounds!r}")
+        whole(self.rounds, "rounds", ValueError)
         if not self.epsilon_total > 0:
             raise ValueError("epsilon_total must be positive")
         if not 0 < self.delta_total < 1:

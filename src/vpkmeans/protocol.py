@@ -26,9 +26,10 @@ One round, run entirely by the computing party (Alice) on encrypted data:
 
 1. distance differences: with every point read as (1, x_1, ..., x_d) and
    a slot without a point as zeros, the argmin only needs d_c - d_r, the
-   scaled squared distance to centroid c minus the one to centroid r,
-   which is linear: sum_l x_l * G_l, where the G_l are plaintext grids
-   built once per round from the centroids.  Every batch of points takes
+   squared distance to centroid c minus the one to centroid r, scaled by
+   the pair's own bound over the domain (``pair_scales``), which is
+   linear: sum_l x_l * G_l, where the G_l are plaintext grids built once
+   per round from the centroids.  Every batch of points takes
    one product per coordinate; each coordinate of the batch (Bob's
    extracted blocks, Alice's plaintext values and the used-block mask) is
    kept as one value per block and spread into the layout as the batch is
@@ -86,7 +87,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -95,7 +95,7 @@ from . import packed_matrix as pm
 from . import secure_argmin as sa
 from .dp_accounting import NoiseScales, PrivacyBudget, RoundBudget, per_round_budget, perturb_aggregates
 from .packed_matrix import PackedLayout
-from .slot_engine import PLAINTEXT, EngineConfig, SlotEngine, SlotVector, chebyshev_depth, ciphertext_size_bytes
+from .slot_engine import PLAINTEXT, EngineConfig, SlotEngine, SlotVector, chebyshev_depth, ciphertext_size_bytes, whole
 
 COMPUTING = "computing"
 KEY_HOLDER = "key-holder"
@@ -259,7 +259,7 @@ def init_centroids(
     negative, NaN or infinite, a k, d or seed that is not a whole number
     (a numpy integer is one, a bool is not), a d below 1 or a negative
     seed raises ``ProtocolError``."""
-    k, d, seed = _whole(k, "k"), _whole(d, "d"), _seed(seed)
+    k, d, seed = whole(k, "k", ProtocolError), whole(d, "d", ProtocolError), _seed(seed)
     if k < 2:
         raise ProtocolError("k must be at least 2")
     if d < 1:
@@ -373,8 +373,11 @@ def _encrypt_features(engine: SlotEngine, columns: list, layout: PackedLayout) -
 
 
 def _difference_scale(d: int, bound: float) -> float:
-    """1 / (d (2B)^2), which keeps every scaled distance difference in
-    [-1, 1]; raises ``ProtocolError`` when it is not a positive finite float."""
+    """1 / (d (2B)^2), the scale that keeps every distance difference of d
+    features in [-1, 1] whatever the centroids: :func:`pair_scales` falls
+    back to it for a pair of coincident centroids, whose difference is 0.
+    Raises ``ProtocolError`` when it is not a positive finite float, for a
+    bound too small or too large for d."""
     try:
         scale = 1.0 / (d * (2.0 * bound) ** 2)
     except (OverflowError, ZeroDivisionError):
@@ -384,15 +387,56 @@ def _difference_scale(d: int, bound: float) -> float:
     return scale
 
 
-def _difference_terms(centers: np.ndarray, scale: float) -> np.ndarray:
-    """``G`` ((d + 1) x k x k) with, for every point x and x_0 = 1,
+def _pair_terms(centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The unscaled linear form of every pair's distance difference: ``g``
+    (d x k x k) and ``h`` (k x k) with, for every point x,
 
-    scale * (||x - c_c||^2 - ||x - c_r||^2) = sum_{l=0..d} x_l * G[l, r, c].
+    ||x - c_c||^2 - ||x - c_r||^2 = h[r, c] + sum_l x_l * g[l, r, c].
+
+    Both are antisymmetric bit for bit: a float difference negates exactly
+    when its operands swap.
     """
     coords = centers.T  # d x k
-    g = -2.0 * scale * (coords[:, None, :] - coords[:, :, None])
-    norms = scale * np.einsum("jl,jl->j", centers, centers)
-    return np.concatenate([(norms[None, :] - norms[:, None])[None], g])
+    norms = np.einsum("jl,jl->j", centers, centers)
+    return -2.0 * (coords[:, None, :] - coords[:, :, None]), norms[None, :] - norms[:, None]
+
+
+def pair_scales(centers: np.ndarray, bound: float) -> np.ndarray:
+    """k x k scales 1 / b_rc, one per centroid pair, from the centroids the
+    computing party holds in the clear.
+
+    A pair's difference ||x - c_c||^2 - ||x - c_r||^2 is linear in x, so
+    over the box [-B, B]^d its largest magnitude is taken at a corner:
+    b_rc = 2B ||c_c - c_r||_1 + | ||c_c||^2 - ||c_r||^2 |, never above the
+    d (2B)^2 of :func:`_difference_scale`.  Scaled by 1 / b_rc, every
+    point's difference lies in [-1, 1] with its sign unchanged, and a close
+    pair's tie margin covers a narrower band of raw distance than under one
+    scale for all pairs.  b_rc is computed from the grids' own terms, the
+    sum of their magnitudes at |x_l| = B, so the scaled grid stays in
+    [-1, 1] up to rounding, and it is symmetric bit for bit, which keeps the
+    scaled grid antisymmetric.  Where b is 0 (coincident centroids, the
+    diagonal among them) the difference is 0 for every x, and the scale is
+    :func:`_difference_scale`'s.
+    """
+    centers = np.asarray(centers, dtype=np.float64)
+    g, h = _pair_terms(centers)
+    b = bound * np.abs(g).sum(axis=0) + np.abs(h)
+    with np.errstate(divide="ignore", over="ignore"):
+        scales = 1.0 / b
+    # 1 / b is infinite where b is 0, or subnormal (centroids equal but for rounding)
+    return np.where(np.isfinite(scales), scales, _difference_scale(centers.shape[1], bound))
+
+
+def _difference_terms(centers: np.ndarray, bound: float) -> np.ndarray:
+    """``G`` ((d + 1) x k x k) with, for every point x and x_0 = 1,
+
+    s_rc * (||x - c_c||^2 - ||x - c_r||^2) = sum_{l=0..d} x_l * G[l, r, c],
+
+    s = :func:`pair_scales` of the centroids.
+    """
+    g, h = _pair_terms(centers)
+    scales = pair_scales(centers, bound)
+    return np.concatenate([(scales * h)[None], scales * g])
 
 
 class _ComputingState:
@@ -428,7 +472,7 @@ class _ComputingState:
         layout: PackedLayout,
         k: int,
         n: int,
-        scale: float,
+        bound: float,
         sign: sa.SignApproxConfig,
         columns: list,
         encrypted: dict,
@@ -438,7 +482,7 @@ class _ComputingState:
         self.k = k
         self.n = n
         self.d = len(columns)
-        self.scale = scale
+        self.bound = bound
         self.sign = sign
         self.encodings: list = []  # per coordinate: its units' encodings, or (values, depth, kind)
         self.heads: list = []  # k = 2: the total X_l of coordinate l, times e0
@@ -520,8 +564,12 @@ class _ComputingState:
     def _round_grids(self, centroids: CentroidSet) -> list:
         """Plaintexts G_0 .. G_d of this round's distance differences: entry
         (r, c) of every block, or at k = 2 the compact d_0 - d_1, which is
-        entry (1, 0)."""
-        return [self._grid(gl) for gl in _difference_terms(centroids.centers, self.scale)]
+        entry (1, 0), each pair scaled by its own :func:`pair_scales` entry.
+        The scales come from the centroids alone, which the computing party
+        holds, so they cost no level, product or rotation, and the grids
+        stay antisymmetric bit for bit: the argmin's mirrored-pair shortcut
+        holds."""
+        return [self._grid(gl) for gl in _difference_terms(centroids.centers, self.bound)]
 
     def _grid(self, t: np.ndarray) -> SlotVector:
         if self.k == 2:
@@ -682,10 +730,10 @@ def run_multiparty(
             raise ProtocolError(f"features of {p.owner!r} exceed the domain bound {bound}")
     columns = _feature_columns(ordered)
     d = len(columns)
-    scale = _difference_scale(d, bound)
+    _difference_scale(d, bound)  # refuses a bound too small or too large for d
     if init is not None and (init.centers.shape != (k, d) or init.bound != bound
                              or not _within(init.centers, bound)):
-        # lloyd_plaintext takes its difference scale and its clamp from init.bound
+        # lloyd_plaintext takes its pair scales and its clamp from init.bound
         raise ProtocolError(f"init must be {k} x {d} centers at and inside the domain bound {bound}, "
                             f"got shape {init.centers.shape} at bound {init.bound}")
     if engine is None:
@@ -703,7 +751,7 @@ def run_multiparty(
             upload_bytes.append(sum(engine.size_bytes(ct, seeded=role == KEY_HOLDER) for ct in uploads))
             encrypted.update({g: (uploads, j * rows) for j, g in enumerate(p.feature_indices)})
 
-    alice = _ComputingState(engine, layout, k, n, scale, sign, columns, encrypted)
+    alice = _ComputingState(engine, layout, k, n, bound, sign, columns, encrypted)
     del encrypted, uploads  # released on the packed path, which keeps the extractions' block values
 
     round_budget = noise = None
@@ -832,20 +880,9 @@ def plan_transcript(
     return Transcript(messages)
 
 
-def _whole(value, name: str) -> int:
-    """A count as an int: a numpy integer is one, while a bool, a float or a
-    string raises ``ProtocolError`` naming ``name``."""
-    if not isinstance(value, (bool, np.bool_)):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise ProtocolError(f"{name} must be a whole number, got {value!r}")
-
-
 def _seed(value) -> int:
     """A seed as an int; one that is not a non-negative whole number raises ``ProtocolError``."""
-    seed = _whole(value, "the seed")
+    seed = whole(value, "the seed", ProtocolError)
     if seed < 0:
         raise ProtocolError(f"the seed must be a non-negative whole number, got {seed!r}")
     return seed
@@ -864,8 +901,8 @@ def _admit(model: str, holdings: list[tuple[str, int]], computing: str | None, n
     of :func:`plan_transcript`, ordered as :func:`run_multiparty` says, and
     n, k and rounds as ints.
     """
-    n, k, rounds = _whole(n, "n"), _whole(k, "k"), _whole(rounds, "rounds")
-    degree = _whole(degree, "degree")
+    n, k, rounds = whole(n, "n", ProtocolError), whole(k, "k", ProtocolError), whole(rounds, "rounds", ProtocolError)
+    degree = whole(degree, "degree", ProtocolError)
     if degree < 1 or degree % 2 == 0:
         raise ProtocolError(f"degree must be an odd positive whole number, got {degree}")
     if model not in (TWO_PARTY, SERVER_AIDED, MPC_SIMULATED):
@@ -918,7 +955,8 @@ def estimate_transcript(
     ``d_bob`` or ``parties`` that is not a whole number, or ``d_bob`` above
     ``d``.
     """
-    d, d_bob, parties = _whole(d, "d"), _whole(d_bob, "d_bob"), _whole(parties, "parties")
+    d, d_bob = whole(d, "d", ProtocolError), whole(d_bob, "d_bob", ProtocolError)
+    parties = whole(parties, "parties", ProtocolError)
     if d_bob > d:
         raise ProtocolError(f"{d_bob} uploaded features exceed the {d} features")
     each, rest = divmod(d_bob, max(parties - 1, 1))

@@ -85,6 +85,16 @@ class DomainError(EngineError):
     """Input slots lie outside the domain required by an operation."""
 
 
+def whole(value, name: str, error: type[Exception]) -> int:
+    """``value`` as an int, the one rule for a count in every layer: an int
+    or a numpy integer is one, while a bool, a float (an integral one too)
+    or a string raises ``error``, the calling layer's own type, naming
+    ``name``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise error(f"{name} must be a whole number, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class SizeModel:
     """Ciphertext byte-size model: bytes per slot per residue limb, with no
@@ -117,9 +127,7 @@ class EngineConfig:
 
     def __post_init__(self):
         for name in ("slot_count", "depth_budget"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be a whole number, got {value!r}")
+            whole(getattr(self, name), name, ValueError)
         if not 1 <= self.slot_count <= MAX_SLOT_COUNT or self.slot_count & (self.slot_count - 1):
             raise ValueError(f"slot_count must be a power of two up to {MAX_SLOT_COUNT}, got {self.slot_count}")
         if self.depth_budget < 0:

@@ -1,8 +1,10 @@
-"""Independent plaintext references for the packed-matrix operations.
+"""Independent plaintext references for the packed-matrix operations and
+the per-pair comparison scales.
 
-Everything here is written as direct per-block loops over an explicit
-(block, row, col) indexing function, deliberately avoiding the library's
-grid/reshape helpers so the two implementations share no code path.
+Everything here is written as direct per-block or per-pair loops over an
+explicit (block, row, col) indexing function, deliberately avoiding the
+library's grid/reshape helpers so the two implementations share no code
+path.
 """
 
 import numpy as np
@@ -109,3 +111,16 @@ def ref_phi(x, k):
         num *= x - j
         den *= 1.0 - j
     return num / den
+
+
+def ref_pair_scales(centers, bound):
+    """1 / b_rc per centroid pair, b_rc = 2B ||c_c - c_r||_1 + | ||c_c||^2 -
+    ||c_r||^2 |, and 1 / (d (2B)^2) where b_rc = 0."""
+    k, d = centers.shape
+    out = np.empty((k, k))
+    for r in range(k):
+        for c in range(k):
+            b = 2.0 * bound * sum(abs(centers[c, l] - centers[r, l]) for l in range(d))
+            b += abs(sum(centers[c] ** 2) - sum(centers[r] ** 2))
+            out[r, c] = 1.0 / b if b > 0 else 1.0 / (d * (2.0 * bound) ** 2)
+    return out

@@ -37,21 +37,25 @@ def test_layer_figures_are_perfbench_metrics():
     assert set(ab.LAYER_METRICS) <= {m["name"] for m in spec["per_layer"]}
 
 
-def test_each_side_gets_one_traced_run_with_the_layer_figures(monkeypatch):
+def test_each_side_gets_three_alternated_traced_runs_and_their_median_layer_figures(monkeypatch):
     calls = []
 
     def fake(tree, workload, seed, seconds, trace=False):
         calls.append((tree, workload, seed, trace))
         metrics = {m: {"value": float(len(calls)), "unit": "s"} for m in ab.LAYER_METRICS}
         metrics["slot_engine.rotations"] = {"value": 7.0, "unit": "count"}
-        return {"correct": tree == "p", "returncode": 0, "metrics": metrics}
+        # the change's gate fails in its second run only
+        return {"correct": len(calls) != 3, "returncode": 0, "metrics": metrics}
 
     monkeypatch.setattr(ab, "bench_once", fake)
     out = ab.trace_sides({"parent": "p", "change": "c"}, "s1-k15", 5, 10.0)
-    assert calls == [("p", "s1-k15", 5, True), ("c", "s1-k15", 5, True)]
-    assert out == {
-        "parent": {**{m: 1.0 for m in ab.LAYER_METRICS}, "all_gates_passed": True},
-        "change": {**{m: 2.0 for m in ab.LAYER_METRICS}, "all_gates_passed": False},
+    assert ab.TRACED_RUNS == 3
+    assert [tree for tree, *_ in calls] == ["p", "c", "c", "p", "p", "c"]
+    assert {call[1:] for call in calls} == {("s1-k15", 5, True)}
+    assert {"slot_engine.max_depth", "slot_engine.cheb_evals"} <= set(ab.LAYER_METRICS)
+    assert out == {  # medians of calls 1, 4, 5 and of calls 2, 3, 6
+        "parent": {**{m: 4.0 for m in ab.LAYER_METRICS}, "all_gates_passed": True},
+        "change": {**{m: 3.0 for m in ab.LAYER_METRICS}, "all_gates_passed": False},
     }
 
 

@@ -1,5 +1,4 @@
 import json
-import math
 import time
 import tracemalloc
 import warnings
@@ -10,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial.chebyshev import chebval
 
+import reference_ops as ref
 from vpkmeans import bench, protocol
 from vpkmeans.bench import (
     BenchError,
@@ -248,8 +248,7 @@ def test_lloyd_counts_the_points_no_cluster_takes():
     # at k = 3, (0, 0) ties between its two closest centroids and takes no indicator
     assert lloyd_plaintext(pts, three, 2, tie_rule=bench.MATCHING).unassigned == [1, 0]
     # at k = 2 the one comparison splits the tie evenly
-    scale = 1.0 / (2 * 2.0 ** 2)
-    weights = bench._soft_memberships(pts, two.centers, SignApproxConfig(), scale)
+    weights = bench._soft_memberships(pts, two.centers, SignApproxConfig(), two.bound)
     assert np.array_equal(weights[0], [0.5, 0.5])
     assert lloyd_plaintext(pts, two, 2, tie_rule=bench.MATCHING).unassigned == [0, 0]
     assert lloyd_plaintext(pts, three, 2).unassigned == [0, 0]
@@ -383,12 +382,12 @@ def test_soft_memberships_match_every_pair_evaluated(k, degree, margin):
     pts[:40] = 0.0
     centers = rng.uniform(-0.5, 0.5, size=(k, 2))
     centers[1] = -centers[0]
-    scale = 1.0 / (2 * 1.0**2)
-    got = bench._soft_memberships(pts, centers, sign, scale)
+    got = bench._soft_memberships(pts, centers, sign, 0.5)
 
-    diff = (pts[:, None, :] - centers[None, :, :]) * math.sqrt(scale)
+    diff = pts[:, None, :] - centers[None, :, :]
     dist = np.einsum("ijl,ijl->ij", diff, diff)
-    u = np.clip(dist[:, :, None] - dist[:, None, :], -1.0, 1.0)
+    # u[i, c, r] = d_c - d_r, scaled by the pair's own scale
+    u = np.clip((dist[:, :, None] - dist[:, None, :]) * ref.ref_pair_scales(centers, 0.5), -1.0, 1.0)
     ranks = 0.5 + chebval(u, cmp_series(sign)).sum(axis=2)
     want = np.ones_like(ranks)
     for j in range(2, k + 1):

@@ -71,7 +71,7 @@ def test_calibrated_estimate_grows_with_the_estimated_rounds(capsys):
                      "--calibrate-bytes", "17.9e6", "--profile", "LAN1000"]) == 0
         printed[rounds] = int(capsys.readouterr().out.split()[0])
     assert printed[1] < printed[10]
-    assert printed == {1: 55_131_215, 10: 61_575_782}
+    assert printed == {1: 53_699_250, 10: 60_704_148}
 
 
 def test_estimate_from_report(tmp_path, capsys):

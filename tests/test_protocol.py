@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import reference_ops as ref
 from vpkmeans import bench, protocol, slot_engine
 from vpkmeans import packed_matrix as pm
 from vpkmeans.dp_accounting import PrivacyBudget
@@ -19,6 +20,7 @@ from vpkmeans.protocol import (
     _ComputingState,
     estimate_transcript,
     init_centroids,
+    pair_scales,
     release_depths,
     required_depth,
     run,
@@ -648,20 +650,83 @@ def test_round_grids_give_plaintext_distance_differences(k, d, bound, seed):
     centers = rng.uniform(-bound, bound, size=(k, d))
     points = rng.uniform(-bound, bound, size=(count, d))
     eng = SlotEngine(EngineConfig(slot_count=slots))
-    scale = 1.0 / (d * (2.0 * bound) ** 2)
-    state = _ComputingState(eng, layout, k, count, scale, SignApproxConfig(), list(points.T), {})
+    state = _ComputingState(eng, layout, k, count, bound, SignApproxConfig(), list(points.T), {})
     grids = state._round_grids(CentroidSet(centers, bound))
     assert len(grids) == d + 1
     u = np.array(grids[0].slots)  # coordinate 0 is 1 for every point
     for l, g in enumerate(grids[1:]):
         x = points[:, l] if k == 2 else layout.to_slots(layout.grid(points[None, :, l, None]))
         u += x * g.slots
-    dist = scale * ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)  # count x k
+    dist = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)  # count x k
+    scales = ref.ref_pair_scales(centers, bound)
     if k == 2:
-        want = dist[:, 0] - dist[:, 1]
-    else:
-        want = layout.to_slots(dist[None, :, :] - dist.T[:, :, None])  # (r, b, c): d_c - d_r
+        want = (dist[:, 0] - dist[:, 1]) * scales[1, 0]
+    else:  # (r, b, c): d_c - d_r, scaled by the pair's scale
+        want = layout.to_slots((dist[None, :, :] - dist.T[:, :, None]) * scales[:, None, :])
     assert np.max(np.abs(u - want)) <= 1e-12
+
+
+def _corners(d, bound):
+    """Every corner of [-B, B]^d, one per row."""
+    return bound * np.array(np.meshgrid(*[[-1.0, 1.0]] * d, indexing="ij")).reshape(d, -1).T
+
+
+@pytest.mark.parametrize("k", [2, 3, 8])
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_pair_scales_keep_every_difference_in_range_with_its_sign(k, d):
+    # a pair's difference is linear in x, so its largest magnitude over the
+    # box is at a corner: there the scaled difference reaches 1 and nowhere
+    # is it above; and positive scales leave every sign as one scale gives it
+    for seed in range(5):
+        rng = np.random.default_rng([k, d, seed])
+        bound = rng.uniform(0.1, 3.0)
+        centers = rng.uniform(-bound, bound, size=(k, d))
+        terms = protocol._difference_terms(centers, bound)
+        xs = np.concatenate([_corners(d, bound), rng.uniform(-bound, bound, size=(200, d))])
+        u = terms[0] + np.einsum("pl,lrc->prc", xs, terms[1:])  # u[p, r, c]
+        corner = np.abs(u[: 2**d]).max(axis=0)
+        off = ~np.eye(k, dtype=bool)
+        assert np.max(np.abs(u)) <= 1.0 + 1e-12
+        assert np.allclose(corner[off], 1.0, rtol=0, atol=1e-12)
+        dist = ((xs[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)  # p x k
+        plain = (dist[:, None, :] - dist[:, :, None]) * protocol._difference_scale(d, bound)  # d_c - d_r
+        clear = np.abs(plain) > 1e-9
+        assert np.array_equal(np.sign(u[clear]), np.sign(plain[clear]))
+        assert np.allclose(pair_scales(centers, bound), ref.ref_pair_scales(centers, bound), rtol=1e-13, atol=0)
+
+
+def test_coincident_centroids_take_the_global_scale_and_a_zero_difference():
+    bound, d = 0.5, 3
+    rng = np.random.default_rng(11)
+    centers = rng.uniform(-bound, bound, size=(5, d))
+    centers[3] = centers[1]
+    centers[4, 0] = np.nextafter(0.0, 1.0)  # 5e-324 from the origin: 1 / b overflows
+    centers[4, 1:] = 0.0
+    centers[2] = 0.0
+    scales = pair_scales(centers, bound)
+    fallback = protocol._difference_scale(d, bound)
+    for r, c in [(1, 3), (3, 1), (2, 4), (4, 2)] + [(j, j) for j in range(5)]:
+        assert scales[r, c] == fallback, (r, c)
+    assert np.all(np.isfinite(scales)) and np.all(scales >= fallback)
+    terms = protocol._difference_terms(centers, bound)
+    xs = rng.uniform(-bound, bound, size=(100, d))
+    u = terms[0] + np.einsum("pl,lrc->prc", xs, terms[1:])
+    assert not np.any(u[:, 1, 3]) and not np.any(u[:, 3, 1])
+    assert np.max(np.abs(u)) <= 1.0 + 1e-12
+
+
+@pytest.mark.parametrize("k", [2, 3, 8, 15])
+def test_scaled_grids_are_antisymmetric_bit_for_bit(k):
+    # G_l[r, c] == -G_l[c, r] exactly: the mirrored-pair shortcut of the
+    # comparison relies on it
+    rng = np.random.default_rng(k)
+    for d, bound in [(1, 0.5), (2, 1.0), (8, 0.5)]:
+        centers = rng.uniform(-bound, bound, size=(k, d))
+        centers[-1] = centers[0]
+        terms = protocol._difference_terms(centers, bound)
+        assert np.array_equal(terms, -terms.transpose(0, 2, 1))
+        scales = pair_scales(centers, bound)
+        assert np.array_equal(scales, scales.T)
 
 
 @pytest.mark.parametrize("k", [2, 3])
@@ -864,7 +929,7 @@ def check_release(k, slots, split, model, releases, sign=SignApproxConfig()):
     res = run_multiparty(split_features(pts, split), model, None, 1, k=k, bound=1.0, seed=1, engine=eng, sign=sign)
     per_ct = slots // (k * k)
     assert len(eng.released) == releases == math.ceil((d + 1) / per_ct)
-    w = bench._soft_memberships(pts, res.history[0], sign, 1.0 / (d * 4.0))
+    w = bench._soft_memberships(pts, res.history[0], sign, 1.0)
     want = [w.sum(axis=0), *(w.T @ pts).T]
     got = np.stack(eng.released)
     meaningful = np.zeros(got.shape, dtype=bool)

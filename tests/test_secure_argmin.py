@@ -74,7 +74,7 @@ def test_cmp_series_is_odd_and_accurate():
     # the FFT-based DCT against scipy's, on the same node values
     from scipy.fft import dct
 
-    for degree in (1, 5, 63, 127, 1023):
+    for degree in (1, 5, 63, 127, 255, 1023):
         cfg = SignApproxConfig(degree=degree)
         c = cmp_series(cfg)
         n = degree + 1
@@ -318,6 +318,14 @@ def test_indicator_phi_reads_only_the_first_grid_row(k, monkeypatch):
 def test_phi_depth_rejects_fewer_than_two_clusters(k):
     with pytest.raises(ValueError, match="k must be at least 2"):
         phi_depth(k)
+
+
+@pytest.mark.parametrize("k", [True, 3.0, "3", np.bool_(True)], ids=["bool", "float", "str", "numpy-bool"])
+def test_phi_depth_reads_k_by_the_one_whole_number_rule(k):
+    # a bool is no count, though True would read as k = 1
+    with pytest.raises(ValueError, match="k must be a whole number"):
+        phi_depth(k)
+    assert phi_depth(np.int64(3)) == phi_depth(3)
 
 
 # -- packed argmin -------------------------------------------------------------
